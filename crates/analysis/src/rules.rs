@@ -11,7 +11,7 @@
 //! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layers: `fleet/pool.rs`, `sweep.rs`, `parallel.rs` |
 //! | `nondeterministic-clock` | `Instant::now` / `SystemTime` appear only in `crates/bench/` or under an explicit `// WALL-CLOCK:` marker — signatures must be pure functions of seeds |
 //! | `rc-send-audit` | a file containing `impl Send` may not also use `Rc`/`RefCell` unless it carries a `// SEND-AUDIT:` comment |
-//! | `hot-path-unwrap` | `.unwrap()` / `.expect(` are forbidden in the engine hot paths (`core/src/analytic.rs`, `core/src/event.rs`, `core/src/engine.rs`) outside `#[cfg(test)]` |
+//! | `hot-path-unwrap` | `.unwrap()` / `.expect(` are forbidden in the engine hot paths (`core/src/analytic.rs`, `core/src/engine.rs`) outside `#[cfg(test)]` |
 //!
 //! All rules work on the [`crate::lexer`] token stream, so strings and
 //! comments can never spoof code (nor vice versa). Paths are matched
@@ -85,11 +85,7 @@ impl fmt::Display for Finding {
 const THREAD_AUDITED: [&str; 3] = ["fleet/pool.rs", "core/src/sweep.rs", "core/src/parallel.rs"];
 
 /// The engine hot-path files for the unwrap/expect ban.
-const HOT_PATHS: [&str; 3] = [
-    "core/src/analytic.rs",
-    "core/src/event.rs",
-    "core/src/engine.rs",
-];
+const HOT_PATHS: [&str; 2] = ["core/src/analytic.rs", "core/src/engine.rs"];
 
 fn suffix_match(file: &str, suffixes: &[&str]) -> bool {
     suffixes.iter().any(|s| file.ends_with(s))
@@ -563,7 +559,7 @@ mod tests {
     #[test]
     fn hot_path_rule_skips_cfg_test() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n#[cfg(test)]\nmod tests {\n    fn g() { Some(1).unwrap(); }\n}";
-        assert!(rules_hit("crates/core/src/event.rs", src).is_empty());
+        assert!(rules_hit("crates/core/src/analytic.rs", src).is_empty());
     }
 
     #[test]

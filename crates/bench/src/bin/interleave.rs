@@ -1,22 +1,22 @@
-//! Interleaved event-engine fleet driver: thousands of cooperative
-//! buses on ONE thread — then tens of thousands across the persistent
+//! Interleaved fleet driver: thousands of analytic buses on ONE
+//! thread — then tens of thousands across the persistent
 //! sharded runtime.
 //!
 //! Where the `fleet` bin scales population by draining each cluster
 //! bus to quiescence in turn, this bin exercises the serving shape:
-//! every cluster runs on a cooperative `EventEngine` (the analytic
-//! kernel behind a resumable `poll_transaction` step) and the
+//! every cluster runs on an `AnalyticBus` stepped one transaction per
+//! `run_transaction` call, and the
 //! `InterleavedScheduler` round-robins one transaction per bus per
 //! round — all buses make progress together, no bus ever blocks the
 //! thread.
 //!
 //! Five stages:
 //!
-//! 1. **Headline interleave** — 1024 event-engine buses (1024 × 3
+//! 1. **Headline interleave** — 1024 analytic buses (1024 × 3
 //!    sensors + 1024 gateway presences = 4096 nodes) running
 //!    sense-and-aggregate under the interleaved schedule, with
 //!    throughput in txn/s.
-//! 2. **Worker scaling** — 8192 event-engine buses (32768 nodes) at 1,
+//! 2. **Worker scaling** — 8192 analytic buses (32768 nodes) at 1,
 //!    2, 4, and 8 workers, each count run twice: spawn-per-epoch
 //!    (`ShardedFleet::per_epoch_spawn`, the PR 5 shape) vs the
 //!    persistent pool with measured load balancing
@@ -32,7 +32,7 @@
 //!    `tests/interleaved_fleet.rs` pins).
 //! 5. **Engine-kind × fleet-size grid** —
 //!    `SweepRunner::run_engine_fleet_grid` shards whole fleets over
-//!    analytic × event kinds and growing populations,
+//!    analytic × wire kinds and growing populations,
 //!    serial-identical — and re-run under the sharded schedule, which
 //!    must produce the identical samples (schedule-independence at
 //!    sweep scale).
@@ -53,17 +53,17 @@ use mbus_core::{EngineKind, FleetReport, FleetSchedule, FleetWorkload, ShardedFl
 fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
     println!(
-        "workload '{}': {} nodes across {} event-engine buses, one thread",
+        "workload '{}': {} nodes across {} analytic buses, one thread",
         workload.name(),
         workload.total_nodes(),
         clusters,
     );
     let start = Instant::now();
-    let report = workload.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let report = workload.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let wall = start.elapsed();
     let txn_s = report.transactions() as f64 / wall.as_secs_f64();
     println!(
-        "  [event/interleaved] {} transactions, {} forwarded envelopes, {} deliveries in {:.2?} ({:.0} txn/s)\n",
+        "  [analytic/interleaved] {} transactions, {} forwarded envelopes, {} deliveries in {:.2?} ({:.0} txn/s)\n",
         report.transactions(),
         report.forwarded,
         report.delivered_messages(),
@@ -90,7 +90,7 @@ fn timed_drain(
     label: &str,
 ) -> (FleetReport, f64) {
     let start = Instant::now();
-    let report = workload.run_sharded_on(EngineKind::Event, sharded);
+    let report = workload.run_sharded_on(EngineKind::Analytic, sharded);
     let wall = start.elapsed();
     assert_eq!(
         reference.records, report.records,
@@ -108,7 +108,7 @@ fn timed_drain(
 fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: bool) -> Json {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
     println!(
-        "worker scaling '{}': {} nodes across {} event-engine buses",
+        "worker scaling '{}': {} nodes across {} analytic buses",
         workload.name(),
         workload.total_nodes(),
         clusters,
@@ -119,7 +119,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     // The single-threaded interleaved drain is both the correctness
     // reference (bit-identical streams) and the throughput baseline.
     let start = Instant::now();
-    let reference = workload.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let reference = workload.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let ref_wall = start.elapsed();
     let base_txn_s = reference.transactions() as f64 / ref_wall.as_secs_f64();
     println!(
@@ -220,7 +220,7 @@ fn run_fleet_64k() -> Json {
     );
     let mut sharded = ShardedFleet::new(workers);
     let start = Instant::now();
-    let report = workload.run_sharded_on(EngineKind::Event, &mut sharded);
+    let report = workload.run_sharded_on(EngineKind::Analytic, &mut sharded);
     let wall = start.elapsed();
     // Every sensor's one message is remote, so the gateway forwarded
     // exactly clusters × sensors envelopes — a cheap completion check
@@ -263,7 +263,7 @@ fn run_schedule_check(clusters: usize, sensors: usize, rounds: usize) {
     let mut signatures = Vec::new();
     for schedule in [FleetSchedule::Batched, FleetSchedule::Interleaved] {
         let start = Instant::now();
-        let report = workload.run_scheduled_on(EngineKind::Event, schedule);
+        let report = workload.run_scheduled_on(EngineKind::Analytic, schedule);
         let wall = start.elapsed();
         println!(
             "  [{:>11}] {} transactions in {:.2?}",
@@ -288,7 +288,7 @@ fn run_engine_grid(smoke: bool) {
     } else {
         vec![(16, 3), (64, 3), (256, 3), (1024, 3)]
     };
-    let kinds = [EngineKind::Analytic, EngineKind::Event];
+    let kinds = EngineKind::ALL;
     let runner = SweepRunner::with_threads(SweepRunner::auto().threads().max(4));
     let start = Instant::now();
     let grid = runner.run_engine_fleet_grid(&kinds, &sizes, 2);
@@ -335,7 +335,7 @@ fn main() {
         .filter_map(|a| a.parse().ok())
         .collect();
 
-    println!("=== Interleaved fleets: thousands of cooperative buses on one thread ===\n");
+    println!("=== Interleaved fleets: thousands of buses on one thread ===\n");
     let (clusters, sensors, rounds) = match args.as_slice() {
         [c, s, r, ..] => (*c, *s, *r),
         // Smoke mode keeps the 1024-bus shape but runs one round so CI

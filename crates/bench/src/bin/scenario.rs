@@ -100,7 +100,7 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
             if tf.trace.wire_comparable() {
                 "(all engines)"
             } else {
-                "(analytic = event; partial drains)"
+                "(analytic only; partial drains)"
             },
         );
         all_ok &= result.ok;

@@ -71,7 +71,7 @@ pub fn builtin(spec: &str) -> Option<TraceFile> {
 
 /// The mid-drain-queueing hostile case as a golden trace: traffic
 /// queued while earlier traffic is still pending. Not wire-comparable
-/// (partial drains), so the corpus pins analytic ≡ event for it.
+/// (partial drains), so the corpus pins it on the analytic engine only.
 fn partial_drain_workload() -> Workload {
     let mut w = Workload::new("corpus/partial_drain", BusConfig::default());
     for i in 0..4u32 {

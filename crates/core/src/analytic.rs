@@ -16,10 +16,22 @@
 //! bit indexes) at the points where they change — queue, withdraw,
 //! wakeup, power transitions. Arbitration is a wrapping next-set-bit
 //! scan from the ring break; destination match goes through a prefix
-//! index rebuilt only when specs change. Per transaction the kernel
-//! allocates nothing beyond the record it returns, and the batched
-//! [`AnalyticBus::run_until_quiescent_with`] drain reuses a single
-//! scratch record across a whole queue drain.
+//! index rebuilt only when specs change. The kernel fills one scratch
+//! record owned by the bus, so the batched
+//! [`AnalyticBus::run_until_quiescent_with`] drain and the
+//! [`BusEngine`] stepping surface allocate nothing per transaction
+//! beyond what the caller keeps.
+//!
+//! # Stepping
+//!
+//! [`AnalyticBus::run_transaction`] executes exactly one transaction —
+//! message, folded wake, or null — and returns `None` when no node
+//! wants the bus. Nothing runs between calls and no work is buffered
+//! ahead, so a single thread can hold thousands of buses and
+//! round-robin `run_transaction` across them, which is what
+//! [`crate::fleet::InterleavedScheduler`] does. Stepping and the
+//! batched drain produce bit-identical record streams
+//! (`tests/analytic_batching.rs`).
 //!
 //! # Arbitration semantics (§4.3–§4.4, §7)
 //!
@@ -46,7 +58,7 @@ use crate::addr::Address;
 use crate::config::BusConfig;
 use crate::config::MIN_BYTES_BEFORE_INTERJECT;
 use crate::control::{ControlBits, Interjector, TxOutcome};
-use crate::engine::{transaction_activity_into, NodeSet};
+use crate::engine::{transaction_activity_into, BusEngine, EngineKind, EngineRecord, NodeSet};
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
@@ -182,6 +194,9 @@ pub struct AnalyticBus {
     scratch_field: NodeSet,
     scratch_prio: NodeSet,
     scratch_dest: Vec<NodeIndex>,
+    /// The record every transaction is filled into, so stepping and
+    /// batched drains reuse its activity and delivery buffers.
+    scratch_record: TransactionRecord,
 }
 
 /// Destination lookup by address: short prefixes and broadcast
@@ -221,7 +236,7 @@ impl AddrIndex {
 }
 
 /// A zeroed record for the in-place kernel to fill.
-pub(crate) fn blank_record() -> TransactionRecord {
+fn blank_record() -> TransactionRecord {
     TransactionRecord {
         seq: 0,
         start: SimTime::ZERO,
@@ -258,6 +273,7 @@ impl AnalyticBus {
             scratch_field: NodeSet::new(),
             scratch_prio: NodeSet::new(),
             scratch_dest: Vec::new(),
+            scratch_record: blank_record(),
         }
     }
 
@@ -450,45 +466,42 @@ impl AnalyticBus {
     }
 
     /// Batched queue drain: runs transactions until no node wants the
-    /// bus, handing each completed record to `visit`. One scratch
-    /// record (and its activity/delivery buffers) is reused across the
-    /// entire drain, so draining a full queue performs no
-    /// per-transaction allocation — the fast path for storms and long
-    /// frame transfers.
+    /// bus, handing each completed record to `visit`. Every transaction
+    /// is filled into the bus's scratch record, so draining a full
+    /// queue performs no per-transaction allocation — the fast path for
+    /// storms and long frame transfers.
     ///
     /// The record stream is bit-identical to calling
     /// [`run_transaction`](AnalyticBus::run_transaction) in a loop
     /// (`tests/analytic_batching.rs` proves this differentially over
     /// seeded workloads).
     pub fn run_until_quiescent_with<F: FnMut(&TransactionRecord)>(&mut self, mut visit: F) {
-        let mut scratch = blank_record();
-        while self.run_transaction_into(&mut scratch) {
-            visit(&scratch);
+        while self.step() {
+            visit(&self.scratch_record);
         }
     }
 
     /// Executes one complete bus transaction (or a null transaction),
-    /// returning `None` if the bus is idle.
+    /// returning `None` if the bus is idle. A `None` bus steps again as
+    /// soon as traffic is queued or a wakeup is requested.
     pub fn run_transaction(&mut self) -> Option<TransactionRecord> {
-        let mut record = blank_record();
-        self.run_transaction_into(&mut record).then_some(record)
+        self.step().then(|| self.scratch_record.clone())
     }
 
-    /// Whether any node currently wants the bus (a queued message or an
-    /// asserted interrupt wakeup) — the kernel's cheap idleness probe,
-    /// O(words) over the incremental bit indexes. This is what the
-    /// cooperative [`crate::event::EventEngine`] answers
-    /// `Poll::Pending` from.
-    pub(crate) fn wants_bus(&self) -> bool {
-        !self.tx_pending.is_empty() || !self.wake_pending.is_empty()
+    /// Runs one transaction into the scratch record and returns whether
+    /// one ran. The record is taken out for the kernel's `&mut self`
+    /// call and put back, keeping its buffers for the next step.
+    fn step(&mut self) -> bool {
+        let mut record = std::mem::replace(&mut self.scratch_record, blank_record());
+        let ran = self.run_transaction_into(&mut record);
+        self.scratch_record = record;
+        ran
     }
 
     /// The transaction kernel: fills `record` in place and returns
     /// whether a transaction ran. All contender bookkeeping is
     /// incremental (see module docs) — nothing here scans every node.
-    /// `pub(crate)` so [`crate::event::EventEngine`] can drive it one
-    /// resumable step at a time against its own reused scratch record.
-    pub(crate) fn run_transaction_into(&mut self, record: &mut TransactionRecord) -> bool {
+    fn run_transaction_into(&mut self, record: &mut TransactionRecord) -> bool {
         if self.tx_pending.is_empty() && self.wake_pending.is_empty() {
             return false;
         }
@@ -812,6 +825,75 @@ impl AnalyticBus {
     }
 }
 
+impl BusEngine for AnalyticBus {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Analytic
+    }
+
+    fn add_node(&mut self, spec: NodeSpec) -> NodeIndex {
+        AnalyticBus::add_node(self, spec)
+    }
+
+    fn node_count(&self) -> usize {
+        AnalyticBus::node_count(self)
+    }
+
+    fn config(&self) -> &BusConfig {
+        AnalyticBus::config(self)
+    }
+
+    fn now(&self) -> SimTime {
+        AnalyticBus::now(self)
+    }
+
+    fn queue(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
+        AnalyticBus::queue(self, node, msg)
+    }
+
+    fn queue_unchecked(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
+        AnalyticBus::queue_unchecked(self, node, msg)
+    }
+
+    fn request_wakeup(&mut self, node: NodeIndex) -> Result<(), MbusError> {
+        AnalyticBus::request_wakeup(self, node)
+    }
+
+    fn run_transaction(&mut self) -> Option<EngineRecord> {
+        self.step()
+            .then(|| EngineRecord::from(&self.scratch_record))
+    }
+
+    fn run_until_quiescent(&mut self) -> Vec<EngineRecord> {
+        let mut records = Vec::new();
+        AnalyticBus::run_until_quiescent_with(self, |r| records.push(EngineRecord::from(r)));
+        records
+    }
+
+    fn run_until_quiescent_with(&mut self, visit: &mut dyn FnMut(&EngineRecord)) {
+        AnalyticBus::run_until_quiescent_with(self, |r| visit(&EngineRecord::from(r)));
+    }
+
+    fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
+        AnalyticBus::take_rx(self, node)
+    }
+
+    fn stats(&self) -> BusStats {
+        AnalyticBus::stats(self).clone()
+    }
+
+    fn wake_events(&self, node: NodeIndex) -> u64 {
+        AnalyticBus::wake_events(self, node)
+    }
+
+    fn layer_on(&self, node: NodeIndex) -> bool {
+        AnalyticBus::layer_on(self, node)
+    }
+
+    fn spec(&self, node: NodeIndex) -> NodeSpec {
+        AnalyticBus::spec(self, node).clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1104,6 +1186,73 @@ mod tests {
         assert_eq!(bus.take_rx(1).len(), 5);
         assert_eq!(bus.take_rx(2).len(), 1);
         assert!(bus.run_transaction().is_none());
+    }
+
+    /// Three always-on nodes with short prefixes 0x1..=0x3.
+    fn plain_ring() -> AnalyticBus {
+        let mut bus = AnalyticBus::new(BusConfig::default());
+        for i in 0..3u32 {
+            bus.add_node(
+                NodeSpec::new(format!("n{i}"), FullPrefix::new(0x500 + i).unwrap())
+                    .with_short_prefix(sp((i + 1) as u8)),
+            );
+        }
+        bus
+    }
+
+    #[test]
+    fn run_transaction_steps_one_transaction_then_none() {
+        let mut bus = plain_ring();
+        assert!(bus.run_transaction().is_none(), "idle bus");
+        bus.queue(0, Message::new(addr(0x2), vec![1])).unwrap();
+        bus.queue(1, Message::new(addr(0x3), vec![2])).unwrap();
+        assert_eq!(bus.run_transaction().unwrap().winner, Some(0));
+        assert_eq!(bus.run_transaction().unwrap().winner, Some(1));
+        assert!(bus.run_transaction().is_none());
+    }
+
+    #[test]
+    fn stepping_resumes_after_idle() {
+        let mut bus = plain_ring();
+        assert!(bus.run_transaction().is_none());
+        bus.request_wakeup(2).unwrap();
+        assert_eq!(bus.run_transaction().unwrap().winner, None, "wake null");
+        assert_eq!(bus.wake_events(2), 1);
+    }
+
+    #[test]
+    fn trait_stepping_matches_the_batched_drain() {
+        // The trait's `run_transaction` fills the bus's reused scratch
+        // record; stepping through it must reproduce the batched drain
+        // exactly — records, stats, and rx logs.
+        let drive = |stepped: bool| {
+            let mut bus = AnalyticBus::new(BusConfig::default());
+            let engine: &mut dyn BusEngine = &mut bus;
+            for i in 0..4u32 {
+                engine.add_node(
+                    NodeSpec::new(format!("n{i}"), FullPrefix::new(0x600 + i).unwrap())
+                        .with_short_prefix(sp((i + 1) as u8))
+                        .power_aware(i == 2),
+                );
+            }
+            engine
+                .queue(1, Message::new(addr(0x1), vec![7; 5]))
+                .unwrap();
+            engine
+                .queue(3, Message::new(addr(0x3), vec![8]).with_priority())
+                .unwrap();
+            engine.request_wakeup(2).unwrap();
+            let records = if stepped {
+                std::iter::from_fn(|| engine.run_transaction()).collect()
+            } else {
+                engine.run_until_quiescent()
+            };
+            let rx: Vec<_> = (0..4).map(|i| engine.take_rx(i)).collect();
+            (records, engine.stats(), rx)
+        };
+        let batched = drive(false);
+        assert_eq!(batched.0.len(), 2, "the wake rides the first message");
+        assert_eq!(drive(true), batched);
     }
 
     #[test]

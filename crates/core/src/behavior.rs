@@ -9,7 +9,7 @@
 //! application shapes (request/response, aggregate-and-ack, alarm
 //! cascades) the bus exists to serve.
 //!
-//! Behaviors live **above** the three engines. The scenario layer
+//! Behaviors live **above** the two engines. The scenario layer
 //! consults the table only at quiescence barriers — the same points
 //! where gateway envelopes already route — drains the behavior nodes'
 //! receive logs, and enqueues the responses through the ordinary
@@ -20,7 +20,7 @@
 //!   [`ReceivedMessage`](crate::engine::ReceivedMessage)s, which every
 //!   engine produces identically (that *is* the conformance contract),
 //!   so the injected traffic — and therefore the extended record
-//!   stream — is identical on analytic, event, and wire engines.
+//!   stream — is identical on the analytic and wire engines.
 //! * **Schedule-independence.** Injection happens only when the bus
 //!   (or the whole fleet) is quiescent, so every schedule reaches the
 //!   identical pre-injection state, injects the identical batch, and

@@ -1,14 +1,12 @@
 //! The engine abstraction: one transaction-level surface over both
 //! MBus executions.
 //!
-//! The repository ships three protocol engines — the transaction-level
-//! [`AnalyticBus`] (§6.1 cycle budget), the edge-accurate
-//! [`WireEngine`], and the cooperative
-//! [`EventEngine`](crate::event::EventEngine) (the analytic kernel
-//! behind a resumable `poll_transaction` step, for interleaving
-//! thousands of buses on one thread) — whose APIs would otherwise
-//! mirror each other only by convention, so every workload and
-//! cross-check would be written once per engine. The [`BusEngine`]
+//! The repository ships two protocol engines — the transaction-level
+//! [`AnalyticBus`] (§6.1 cycle budget, steppable one transaction at a
+//! time for interleaving thousands of buses on one thread) and the
+//! edge-accurate [`WireEngine`] — whose APIs would otherwise mirror
+//! each other only by convention, so every workload and cross-check
+//! would be written once per engine. The [`BusEngine`]
 //! trait captures the shared surface (add nodes, queue messages,
 //! request wakeups, run, drain receive logs, read statistics), and
 //! [`EngineRecord`] is the normalized per-transaction observation all
@@ -33,9 +31,7 @@
 //! contending, the wire level serves the awake nodes first (a gated
 //! node cannot assert a request, nor join the priority round, in the
 //! very transaction whose edges are still waking its bus controller),
-//! and the analytic engine arbitrates identically. The event engine
-//! *is* the analytic kernel behind a resumable polling surface, so it
-//! folds exactly as the analytic engine does. The scenario layer
+//! and the analytic engine arbitrates identically. The scenario layer
 //! normalizes the folded nulls when comparing engines; see
 //! [`crate::scenario::ScenarioReport::signature`].
 //!
@@ -411,24 +407,19 @@ pub enum EngineKind {
     /// The edge-accurate engine over the `mbus-sim` kernel — every
     /// CLK/DATA edge exists with ring propagation delays.
     Wire,
-    /// The cooperative event-loop engine ([`crate::event::EventEngine`]):
-    /// the analytic kernel behind a resumable `poll_transaction` step,
-    /// so thousands of buses interleave on one thread.
-    Event,
 }
 
 impl EngineKind {
     /// Every engine, for "run everything on all of them" loops. The
     /// conformance suites iterate this array, so a new engine joins the
     /// whole scenario/sweep/fleet/test stack by being added here.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Analytic, EngineKind::Wire, EngineKind::Event];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Analytic, EngineKind::Wire];
 
     /// A short display name.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Analytic => "analytic",
             EngineKind::Wire => "wire",
-            EngineKind::Event => "event",
         }
     }
 }
@@ -444,7 +435,6 @@ pub fn build_engine(kind: EngineKind, config: BusConfig) -> Box<dyn BusEngine> {
     match kind {
         EngineKind::Analytic => Box::new(AnalyticBus::new(config)),
         EngineKind::Wire => Box::new(WireEngine::new(config)),
-        EngineKind::Event => Box::new(crate::event::EventEngine::new(config)),
     }
 }
 
@@ -482,8 +472,8 @@ pub trait BusEngine {
     fn add_node(&mut self, spec: NodeSpec) -> NodeIndex;
 
     /// Whether the ring topology is frozen — `true` exactly when
-    /// [`add_node`](BusEngine::add_node) would panic. The analytic and
-    /// event engines never freeze (always `false`, the default); the
+    /// [`add_node`](BusEngine::add_node) would panic. The analytic
+    /// engine never freezes (always `false`, the default); the
     /// wire engine freezes at its first queue/wakeup/run call.
     /// Schedulers and fleet builders consult this instead of catching
     /// panics.
@@ -570,74 +560,6 @@ impl fmt::Debug for dyn BusEngine {
             .field("kind", &self.kind())
             .field("nodes", &self.node_count())
             .finish()
-    }
-}
-
-impl BusEngine for AnalyticBus {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Analytic
-    }
-
-    fn add_node(&mut self, spec: NodeSpec) -> NodeIndex {
-        AnalyticBus::add_node(self, spec)
-    }
-
-    fn node_count(&self) -> usize {
-        AnalyticBus::node_count(self)
-    }
-
-    fn config(&self) -> &BusConfig {
-        AnalyticBus::config(self)
-    }
-
-    fn now(&self) -> SimTime {
-        AnalyticBus::now(self)
-    }
-
-    fn queue(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
-        AnalyticBus::queue(self, node, msg)
-    }
-
-    fn queue_unchecked(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
-        AnalyticBus::queue_unchecked(self, node, msg)
-    }
-
-    fn request_wakeup(&mut self, node: NodeIndex) -> Result<(), MbusError> {
-        AnalyticBus::request_wakeup(self, node)
-    }
-
-    fn run_transaction(&mut self) -> Option<EngineRecord> {
-        AnalyticBus::run_transaction(self).map(|r| EngineRecord::from(&r))
-    }
-
-    fn run_until_quiescent(&mut self) -> Vec<EngineRecord> {
-        let mut records = Vec::new();
-        AnalyticBus::run_until_quiescent_with(self, |r| records.push(EngineRecord::from(r)));
-        records
-    }
-
-    fn run_until_quiescent_with(&mut self, visit: &mut dyn FnMut(&EngineRecord)) {
-        AnalyticBus::run_until_quiescent_with(self, |r| visit(&EngineRecord::from(r)));
-    }
-
-    fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
-        AnalyticBus::take_rx(self, node)
-    }
-
-    fn stats(&self) -> BusStats {
-        AnalyticBus::stats(self).clone()
-    }
-
-    fn wake_events(&self, node: NodeIndex) -> u64 {
-        AnalyticBus::wake_events(self, node)
-    }
-
-    fn layer_on(&self, node: NodeIndex) -> bool {
-        AnalyticBus::layer_on(self, node)
-    }
-
-    fn spec(&self, node: NodeIndex) -> NodeSpec {
-        AnalyticBus::spec(self, node).clone()
     }
 }
 

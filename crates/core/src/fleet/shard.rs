@@ -344,7 +344,7 @@ impl Drop for EpochGuard<'_> {
 /// use mbus_core::fleet::{Fleet, ShardedFleet};
 /// use mbus_core::{BusConfig, EngineKind, FuId};
 ///
-/// let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+/// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
 /// for _ in 0..8 {
 ///     let c = fleet.add_cluster();
 ///     fleet.add_sensor(c, false);
@@ -789,18 +789,6 @@ mod tests {
         fleet
     }
 
-    /// Engine kinds the multi-kind suites sweep. Under Miri (≈100×
-    /// interpretation overhead) just two: the `Rc`-heavy wire engine —
-    /// the one the Miri CI job is actually auditing for cross-thread
-    /// UB — plus the event engine as the cheap reference.
-    fn test_kinds() -> &'static [EngineKind] {
-        if cfg!(miri) {
-            &[EngineKind::Wire, EngineKind::Event]
-        } else {
-            &EngineKind::ALL
-        }
-    }
-
     /// Shard counts the conformance sweep covers; reduced under Miri
     /// (1 = no pool, 2 = smallest real rendezvous).
     fn test_shard_counts() -> &'static [usize] {
@@ -813,7 +801,7 @@ mod tests {
 
     #[test]
     fn sharded_matches_interleaved_stream_exactly() {
-        for &kind in test_kinds() {
+        for kind in EngineKind::ALL {
             for &shards in test_shard_counts() {
                 let mut reference = eight_cluster_fleet(kind);
                 let mut sharded = eight_cluster_fleet(kind);
@@ -842,7 +830,7 @@ mod tests {
 
     #[test]
     fn sharded_counters_accumulate_across_drives() {
-        let mut fleet = eight_cluster_fleet(EngineKind::Event);
+        let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
         let mut sharded = ShardedFleet::new(4);
         for round in 0..2 {
             fleet
@@ -874,8 +862,9 @@ mod tests {
     #[test]
     fn schedule_enum_drives_sharded() {
         let w = FleetWorkload::cross_storm(5, 2, 2);
-        let interleaved = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
-        let sharded = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Sharded { shards: 3 });
+        let interleaved = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
+        let sharded =
+            w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Sharded { shards: 3 });
         assert_eq!(interleaved.signature(), sharded.signature());
         assert_eq!(interleaved.records, sharded.records, "order matches too");
         let fairness = sharded.fairness.as_ref().expect("sharded drains report");
@@ -924,7 +913,7 @@ mod tests {
         // All three execution modes (persistent measured, persistent
         // static, scoped spawn-per-epoch) produce the identical
         // stream.
-        for &kind in test_kinds() {
+        for kind in EngineKind::ALL {
             let runs: Vec<Vec<FleetRecord>> = [
                 ShardedFleet::new(3),
                 ShardedFleet::with_balance(3, ShardBalance::Static),
@@ -1006,7 +995,7 @@ mod tests {
     #[test]
     fn assignment_refreshes_on_rebalance_and_resize() {
         let mut sharded = ShardedFleet::new(2);
-        let mut fleet = eight_cluster_fleet(EngineKind::Event);
+        let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
         fleet
             .queue_remote(
                 FleetNodeId::new(0, 1),

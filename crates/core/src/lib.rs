@@ -19,18 +19,17 @@
 //!   (§4.8–4.9), and
 //! * a fixed 19/43-cycle overhead independent of message length (§6.1).
 //!
-//! Three engines execute the protocol:
+//! Two engines execute the protocol:
 //!
 //! * [`AnalyticBus`] — transaction-level, using the paper's §6.1 cycle
-//!   budget; fast enough for the evaluation sweeps.
+//!   budget; fast enough for the evaluation sweeps. It steps one
+//!   transaction per call, so thousands of buses interleave on one
+//!   thread (driven by [`InterleavedScheduler`]) or shard across worker
+//!   threads with gateway exchange at epoch barriers
+//!   ([`ShardedFleet`]).
 //! * [`wire::WireBus`] — edge-level, running real bus-controller and
 //!   mediator state machines over the `mbus-sim` discrete-event kernel
 //!   with per-hop propagation delays.
-//! * [`EventEngine`] — cooperative: the analytic kernel behind a
-//!   resumable `poll_transaction` step, so thousands of buses
-//!   interleave on one thread (driven by [`InterleavedScheduler`]) or
-//!   shard across worker threads with gateway exchange at epoch
-//!   barriers ([`ShardedFleet`]).
 //!
 //! The integration test-suite cross-checks the engines cycle for
 //! cycle. Above the engines sit three engine-generic layers — the
@@ -82,7 +81,6 @@ pub mod control;
 pub mod engine;
 pub mod enumeration;
 mod error;
-pub mod event;
 pub mod fleet;
 pub mod interject;
 pub mod layer;
@@ -106,7 +104,6 @@ pub use engine::{
     ReceivedMessage, Role,
 };
 pub use error::MbusError;
-pub use event::EventEngine;
 pub use fleet::{
     Fleet, FleetFairness, FleetNodeId, FleetRecord, FleetRecordSink, FleetReport, FleetSchedule,
     FleetSignature, FleetWorkload, InterleavedScheduler, MeshRoute, ShardBalance, ShardedFleet,

@@ -70,12 +70,12 @@ pub enum Step {
     /// Run *at most* `count` transactions and stop — leaving the bus
     /// mid-drain, so following queue/wakeup steps land while earlier
     /// traffic is still pending (the ROADMAP's "mid-drain queueing"
-    /// hostile case). The analytic and event engines execute exactly
-    /// the requested transactions; the wire engine is *allowed* to run
+    /// hostile case). The analytic engine executes exactly the
+    /// requested transactions; the wire engine is *allowed* to run
     /// ahead internally (see the [`crate::engine::BusEngine`] contract
     /// on `run_transaction`), so workloads containing this step are not
     /// wire-comparable — [`Workload::wire_comparable`] returns `false`
-    /// and the cross-engine suites pin analytic ≡ event instead.
+    /// and the cross-engine suites run them on the analytic engine only.
     RunTransactions {
         /// Maximum transactions to execute before stopping.
         count: usize,
@@ -241,9 +241,10 @@ impl Workload {
     /// legally run ahead of a `run_transaction` call (the
     /// [`crate::engine::BusEngine`] contract), so traffic queued after
     /// a partial drain meets an already-empty bus there while the
-    /// analytic/event kernels arbitrate it against the still-pending
-    /// remainder. Cross-engine suites pin such workloads analytic ≡
-    /// event (identical kernels, stepped vs. batched) and skip wire.
+    /// analytic kernel arbitrates it against the still-pending
+    /// remainder. Cross-engine suites skip wire for such workloads;
+    /// the analytic kernel's stepped-vs-batched battery
+    /// (`tests/analytic_batching.rs`) covers them instead.
     pub fn wire_comparable(&self) -> bool {
         !self
             .steps
@@ -685,8 +686,8 @@ impl Workload {
     ///   ([`Workload::drain_partial`]) stop the bus mid-queue so later
     ///   sends arbitrate against still-pending traffic. Seeds that draw
     ///   this arm are not wire-comparable (the wire engine may run
-    ///   ahead — see [`Workload::wire_comparable`]) and are pinned
-    ///   analytic ≡ event instead.
+    ///   ahead — see [`Workload::wire_comparable`]); the analytic
+    ///   kernel's stepped-vs-batched battery covers them instead.
     ///
     /// Workloads that transmit from power-gated nodes get
     /// [`Workload::allow_wake_nulls`], like every hand-written
@@ -1109,12 +1110,9 @@ mod tests {
             .send(0, Message::new(short(0x2, 0x0), vec![9]))
             .drain();
         let analytic = w.run_on(EngineKind::Analytic);
-        let event = w.run_on(EngineKind::Event);
         let wire = w.run_on(EngineKind::Wire);
-        assert_eq!(analytic.signature(), event.signature());
         assert_eq!(analytic.signature(), wire.signature());
         assert!(analytic.injected_replies >= 3, "cascade + reply traffic");
-        assert_eq!(analytic.injected_replies, event.injected_replies);
         assert_eq!(analytic.injected_replies, wire.injected_replies);
     }
 

@@ -74,7 +74,7 @@ use crate::behavior::{NodeBehavior, DEFAULT_REPLY_HORIZON, MAX_BEHAVIOR_PAYLOAD}
 use crate::config::BusConfig;
 use crate::engine::{EngineKind, EngineRecord};
 use crate::fleet::{
-    FleetNodeId, FleetSchedule, FleetSignature, FleetStep, FleetWorkload, MeshRoute, MAX_TTL,
+    Fleet, FleetNodeId, FleetSchedule, FleetSignature, FleetStep, FleetWorkload, MeshRoute, MAX_TTL,
 };
 use crate::message::Message;
 use crate::node::NodeSpec;
@@ -160,7 +160,7 @@ impl Trace {
     }
 
     /// Whether the trace's behavior is comparable on the wire engine
-    /// (partial drains make it analytic ≡ event only — see
+    /// (partial drains make it analytic-only — see
     /// [`Workload::wire_comparable`]).
     pub fn wire_comparable(&self) -> bool {
         match self {
@@ -1079,6 +1079,7 @@ impl<'a> Parser<'a> {
                 let node = self.parse_node_index(line_no, line, toks, 1)?;
                 let msg = self.parse_msg(line_no, line, toks, 2)?;
                 self.wsteps.push(if head.text == "send" {
+                    self.check_len(line_no, toks[3], &msg, " (`send!` queues it unchecked)")?;
                     Step::Queue { node, msg }
                 } else {
                     Step::QueueUnchecked { node, msg }
@@ -1123,6 +1124,18 @@ impl<'a> Parser<'a> {
                 self.enter(line_no, head, Section::Steps)?;
                 let src = self.parse_fleet_id(line_no, line, toks, 1)?;
                 let msg = self.parse_msg(line_no, line, toks, 2)?;
+                self.check_len(line_no, toks[3], &msg, "")?;
+                if Fleet::misuses_forwarding_port(src.cluster, &msg) {
+                    return Err(self.err(
+                        line_no,
+                        toks[3].col,
+                        format!(
+                            "payload `{}` sent to the gateway forwarding port is not an \
+                             envelope (use `remote`, or a gateway fu other than 0)",
+                            toks[3].text
+                        ),
+                    ));
+                }
                 self.fsteps.push(FleetStep::Local { src, msg });
             }
             "remote" => {
@@ -1331,16 +1344,18 @@ impl<'a> Parser<'a> {
             };
             match key {
                 "engine" => {
+                    // `event` named the analytic kernel's former
+                    // stepping wrapper; older traces keep replaying.
                     self.meta.engine = Some(match value {
-                        "analytic" => EngineKind::Analytic,
-                        "event" => EngineKind::Event,
+                        "analytic" | "event" => EngineKind::Analytic,
                         "wire" => EngineKind::Wire,
                         other => {
                             return Err(self.err(
                                 line_no,
                                 tok.col,
                                 format!(
-                                    "unknown engine `{other}` (expected analytic, event, or wire)"
+                                    "unknown engine `{other}` (expected analytic or wire \
+                                     (event is accepted as analytic))"
                                 ),
                             ))
                         }
@@ -1823,6 +1838,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Rejects a checked queue step whose payload exceeds the trace's
+    /// `maxmsg`, which the engine's queue would refuse at replay.
+    fn check_len(
+        &self,
+        line_no: u32,
+        payload: Tok<'a>,
+        msg: &Message,
+        hint: &str,
+    ) -> Result<(), TraceError> {
+        msg.validate(&self.config)
+            .map_err(|e| self.err(line_no, payload.col, format!("payload too long: {e}{hint}")))
+    }
+
     fn parse_msg(
         &self,
         line_no: u32,
@@ -2038,12 +2066,62 @@ mod tests {
     #[test]
     fn meta_round_trips() {
         let mut tf = TraceFile::workload(Workload::many_node_storm(3, 1)).with_seed(99);
-        tf.meta.engine = Some(EngineKind::Event);
+        tf.meta.engine = Some(EngineKind::Wire);
         tf.meta.schedule = Some(FleetSchedule::Sharded { shards: 4 });
         tf.meta.balance = Some(ShardBalance::Measured { every_epochs: 2 });
         tf.meta.expect_sig = Some(0x0123_4567_89ab_cdef);
         let parsed = roundtrip(&tf);
         assert_eq!(parsed.meta, tf.meta);
+    }
+
+    #[test]
+    fn queue_steps_that_would_fail_at_replay_are_rejected() {
+        let long = "ab".repeat(1025);
+        let bus = "mbt 1 workload\nname w\nnode prefix=0x00300 short=0x1 name=n0\n";
+        let fleet = "mbt 1 fleet\nname f\ncluster aa\n";
+        let envelope: String = crate::fleet::GatewayNode::encapsulate(
+            FullPrefix::new(0x00002).unwrap(),
+            FuId::ZERO,
+            &[0xaa],
+        )
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+        // Each rejection points at the payload token.
+        let rejected = [
+            (format!("{fleet}local 0.1 0x2.0 {long}\n"), 17),
+            (format!("{fleet}local 0.2 full:0x0000F.0 00\n"), 26),
+        ];
+        for (text, col) in &rejected {
+            let err = TraceFile::parse_str("t.mbt", text).expect_err("must be rejected");
+            assert_eq!((err.line, err.col), (4, *col), "{err}");
+        }
+        let accepted = [
+            // Unchecked sends exist to exercise the runaway counter.
+            format!("{bus}send! 0 0x1.0 {long}\n"),
+            // Local gateway traffic on a non-forwarding fu, and a real
+            // envelope on the forwarding port.
+            format!("{fleet}local 0.1 0x1.1 00\n"),
+            format!("{fleet}local 0.1 0x1.0 {envelope}\n"),
+        ];
+        for text in &accepted {
+            TraceFile::parse_str("t.mbt", text).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    #[test]
+    fn event_engine_header_is_an_analytic_alias() {
+        let text = TraceFile::workload(Workload::many_node_storm(3, 1))
+            .to_mbt()
+            .replacen("\nconfig ", "\nreplay engine=event\nconfig ", 1);
+        let parsed = TraceFile::parse_str("alias.mbt", &text).expect("event parses");
+        assert_eq!(parsed.meta.engine, Some(EngineKind::Analytic));
+        let reserialized = parsed.to_mbt();
+        assert!(
+            reserialized.contains("replay engine=analytic\n"),
+            "{reserialized}"
+        );
+        assert!(!reserialized.contains("engine=event"), "{reserialized}");
     }
 
     #[test]
@@ -2234,7 +2312,7 @@ mod tests {
     fn digest_is_stable_and_discriminating() {
         let w = Workload::many_node_storm(4, 2);
         let a = scenario_digest(&w.run_on(EngineKind::Analytic).signature());
-        let b = scenario_digest(&w.run_on(EngineKind::Event).signature());
+        let b = scenario_digest(&w.run_on(EngineKind::Wire).signature());
         assert_eq!(a, b, "identical signatures digest identically");
         let other = scenario_digest(
             &Workload::many_node_storm(4, 3)

@@ -116,6 +116,16 @@ const EXPECTED: &[(&str, &str)] = &[
         "v2_directive_in_v1.mbt:4:1: `behavior` requires trace version 2 \
          (this file declares version 1)",
     ),
+    (
+        "payload_too_long.mbt",
+        "payload_too_long.mbt:6:14: payload too long: message of 1025 bytes exceeds \
+         maximum length 1024 (`send!` queues it unchecked)",
+    ),
+    (
+        "forwarding_port_payload.mbt",
+        "forwarding_port_payload.mbt:4:17: payload `00` sent to the gateway forwarding \
+         port is not an envelope (use `remote`, or a gateway fu other than 0)",
+    ),
 ];
 
 #[test]

@@ -1,28 +1,26 @@
-//! Interleaved event-engine fleet demo: many cooperative buses
-//! advancing together on one thread.
+//! Interleaved fleet demo: many analytic buses advancing together on
+//! one thread.
 //!
 //! Two parts:
 //!
-//! 1. Drive a single [`EventEngine`] by hand with `poll_transaction` —
-//!    the resumable step the scheduler is built on.
-//! 2. Build an 8-cluster fleet of event engines and drain it with the
+//! 1. Step a single [`AnalyticBus`] by hand with `run_transaction` —
+//!    the one-transaction step the scheduler is built on.
+//! 2. Build an 8-cluster analytic fleet and drain it with the
 //!    [`InterleavedScheduler`], printing the round-robin emission
 //!    order next to the batched cluster-major order for the same
 //!    traffic.
 //!
 //! Run with: `cargo run --release --example interleaved_fleet`
 
-use std::task::Poll;
-
 use mbus_core::fleet::{Fleet, FleetNodeId};
 use mbus_core::{
-    Address, BusConfig, BusEngine, EngineKind, EventEngine, FleetSchedule, FleetWorkload, FuId,
-    FullPrefix, InterleavedScheduler, Message, NodeSpec, ShortPrefix,
+    Address, AnalyticBus, BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId, FullPrefix,
+    InterleavedScheduler, Message, NodeSpec, ShortPrefix,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- 1. One cooperative bus, stepped by hand. -------------------
-    let mut bus = EventEngine::new(BusConfig::default());
+    // --- 1. One bus, stepped by hand. -------------------------------
+    let mut bus = AnalyticBus::new(BusConfig::default());
     let cpu = bus.add_node(
         NodeSpec::new("cpu", FullPrefix::new(0x1)?).with_short_prefix(ShortPrefix::new(0x1)?),
     );
@@ -35,23 +33,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Message::new(Address::short(ShortPrefix::new(0x2)?, FuId::ZERO), vec![k]),
         )?;
     }
-    println!("single event engine, polled one transaction at a time:");
-    while let Poll::Ready(record) = bus.poll_transaction() {
+    println!("single analytic bus, stepped one transaction at a time:");
+    while let Some(record) = bus.run_transaction() {
         println!(
-            "  poll -> seq {} winner {:?} ({} cycles)",
+            "  step -> seq {} winner {:?} ({} cycles)",
             record.seq, record.winner, record.cycles
         );
     }
     println!(
-        "  pending after drain; {} polls total, {} idle, {} rx messages\n",
-        bus.polls(),
-        bus.idle_polls(),
+        "  idle after drain; {} rx messages\n",
         bus.take_rx(sensor).len()
     );
 
-    // --- 2. A fleet of cooperative buses, interleaved. --------------
+    // --- 2. A fleet of buses, interleaved. --------------------------
     let clusters = 8;
-    let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     let mut sensors = Vec::new();
     for _ in 0..clusters {
         let c = fleet.add_cluster();
@@ -85,8 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // identical (see tests/interleaved_fleet.rs), only the fleet-wide
     // order changes.
     let w = FleetWorkload::sense_and_aggregate(clusters, 3, 1);
-    let batched = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Batched);
-    let interleaved = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let batched = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Batched);
+    let interleaved = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     assert_eq!(batched.signature(), interleaved.signature());
     let prefix = |r: &mbus_core::FleetReport| {
         r.records

@@ -3,7 +3,7 @@
 //!
 //! Three parts:
 //!
-//! 1. Build a 12-cluster event-engine fleet with a cross-cluster ring
+//! 1. Build a 12-cluster analytic fleet with a cross-cluster ring
 //!    of traffic and drain it with a [`ShardedFleet`] across 4
 //!    workers, printing the per-shard transaction split and the
 //!    fairness gauges.
@@ -26,7 +26,7 @@ use mbus_core::{
 };
 
 fn ring_fleet(clusters: usize) -> Result<(Fleet, Vec<FleetNodeId>), Box<dyn std::error::Error>> {
-    let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     let mut sensors = Vec::new();
     for _ in 0..clusters {
         let c = fleet.add_cluster();
@@ -86,13 +86,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. One signature across every schedule. --------------------
     let w = FleetWorkload::cross_storm(6, 3, 2);
-    let reference = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Batched);
+    let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Batched);
     for schedule in [
         FleetSchedule::Interleaved,
         FleetSchedule::Sharded { shards: 2 },
         FleetSchedule::Sharded { shards: 5 },
     ] {
-        let report = w.run_scheduled_on(EngineKind::Event, schedule);
+        let report = w.run_scheduled_on(EngineKind::Analytic, schedule);
         assert_eq!(reference.signature(), report.signature(), "{schedule}");
         println!("schedule {schedule}: signature identical to batched");
     }
@@ -140,8 +140,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // greedy packer isolates the hot cluster on its own shard.
     let hot = FleetWorkload::sense_and_aggregate(9, 3, 3);
     let mut balanced = ShardedFleet::new(3);
-    let once = hot.run_sharded_on(EngineKind::Event, &mut balanced);
-    let twice = hot.run_sharded_on(EngineKind::Event, &mut balanced);
+    let once = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
+    let twice = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
     assert_eq!(once.records, twice.records, "rebalancing never moves a bit");
     println!(
         "measured balance after a hot aggregation drive: shards {:?}",

@@ -13,10 +13,11 @@
 //! The seeded generator draws the ROADMAP's hostile-traffic cases too:
 //! oversized/runaway messages past the mediator's limit, back-to-back
 //! deliveries overrunning small receive buffers, and mid-drain
-//! queueing (partial drains followed by more traffic). Mid-drain seeds
-//! are pinned analytic ≡ event (the wire engine may legally run ahead
-//! of `run_transaction` — see `Workload::wire_comparable`); everything
-//! else is cross-checked three ways, wire included.
+//! queueing (partial drains followed by more traffic). The wire engine
+//! may legally run ahead of `run_transaction` (see
+//! `Workload::wire_comparable`), so mid-drain seeds are covered by this
+//! suite's stepped-vs-batched battery alone, not by a twin engine;
+//! every other seed is also cross-checked against the wire engine.
 //!
 //! Set `MBUS_SEED_SCALE` (the weekly CI cron uses 10) to sweep a
 //! larger seed space with the same tests.
@@ -120,12 +121,12 @@ fn batched_drain_matches_on_the_paper_suite() {
 #[test]
 fn seeded_workloads_agree_across_all_engines_over_200_wire_seeds() {
     // The seeded generator — hostile traffic included — cross-checked
-    // on every engine kind through the shared helper: analytic ≡ event
-    // on every seed, and ≡ wire on every wire-comparable seed. The
-    // walk continues until at least 200 seeds have been pinned against
-    // the edge-accurate engine (mid-drain seeds can't be — the wire
-    // engine legally runs ahead — so they only count toward the
-    // kernel-pair total).
+    // on every engine kind through the shared helper: analytic ≡ wire
+    // on every wire-comparable seed. The walk continues until at least
+    // 200 seeds have been pinned against the edge-accurate engine
+    // (mid-drain seeds can't be — the wire engine legally runs ahead —
+    // so they are skipped here; the stepped-vs-batched tests above
+    // cover them).
     let target = common::scaled_seeds(200);
     let mut wire_checked = 0u64;
     let mut seed = 0u64;
@@ -136,8 +137,8 @@ fn seeded_workloads_agree_across_all_engines_over_200_wire_seeds() {
              ({wire_checked}/{target} after {seed})"
         );
         let workload = Workload::seeded(seed);
-        let reports = common::crosscheck_all_engines(&workload);
         if workload.wire_comparable() {
+            let reports = common::crosscheck_all_engines(&workload);
             assert_eq!(reports.len(), EngineKind::ALL.len());
             wire_checked += 1;
         }

@@ -6,7 +6,7 @@
 //! (see `mbus_core::behavior`), so the conformance claim is strong:
 //! the programmed responses — and everything they trigger, including
 //! multi-hop mesh forwards and TTL deaths — must be bit-identical on
-//! the analytic, event, and wire engines, under batched, interleaved,
+//! the analytic and wire engines, under batched, interleaved,
 //! and sharded(1|2|4) schedules, with rebalancing on or off.
 
 mod common;
@@ -14,7 +14,7 @@ mod common;
 use mbus_core::{EngineKind, FleetSchedule, FleetWorkload};
 
 /// The acceptance grid: seeded reactive fleets produce identical
-/// [`mbus_core::FleetSignature`]s across all three engines ×
+/// [`mbus_core::FleetSignature`]s across both engines ×
 /// batched/interleaved/sharded(1,2,4) × both balance modes, over ≥200
 /// seeds at the default `MBUS_SEED_SCALE`. The census assertions at
 /// the bottom keep the battery honest: if the generator ever stops

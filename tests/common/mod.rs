@@ -44,7 +44,9 @@ pub fn scaled_seeds(base: u64) -> u64 {
 /// The engine kinds `workload` can be compared on: all of them, unless
 /// the workload contains partial drains — the wire engine may legally
 /// run ahead of `run_transaction` (see the `BusEngine` contract), so
-/// mid-drain queueing is pinned analytic ≡ event only.
+/// mid-drain workloads run on the analytic engine alone. Their kernel
+/// paths are covered by the stepped-vs-batched battery in
+/// `tests/analytic_batching.rs`, not by a twin engine.
 pub fn comparable_kinds(workload: &Workload) -> Vec<EngineKind> {
     EngineKind::ALL
         .iter()
@@ -81,8 +83,10 @@ pub fn crosscheck_all_engines(workload: &Workload) -> Vec<ScenarioReport> {
 /// The engine kinds `workload` can be compared on: all of them, unless
 /// the workload contains partial drains ([`mbus_core::fleet::FleetStep::RunRounds`])
 /// — the wire engine may legally run ahead of `run_transaction`, so
-/// such fleets are pinned analytic ≡ event only, exactly like the
-/// single-bus layer.
+/// such fleets run on the analytic engine alone, exactly like the
+/// single-bus layer. Their stepped drains are covered by
+/// [`schedule_crosscheck`] on [`EngineKind::Analytic`] (batched vs.
+/// interleaved), not by a twin engine.
 pub fn fleet_comparable_kinds(workload: &FleetWorkload) -> Vec<EngineKind> {
     EngineKind::ALL
         .iter()

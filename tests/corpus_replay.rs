@@ -40,7 +40,7 @@ fn corpus() -> Vec<(String, TraceFile)> {
 }
 
 /// The tier-1 acceptance gate: identical signatures across
-/// Analytic/Event/Wire × batched/interleaved/sharded, pinned digests
+/// Analytic/Wire × batched/interleaved/sharded, pinned digests
 /// intact.
 #[test]
 fn corpus_replays_identically_across_engines_and_schedules() {

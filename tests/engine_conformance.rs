@@ -343,8 +343,7 @@ fn freeze_state_is_observable_before_add_node_panics() {
     // The `BusEngine::is_frozen` contract: true exactly when
     // `add_node` would panic, so schedulers check instead of catching
     // panics. Only the wire engine ever freezes (at its first
-    // queue/wakeup/run); the analytic and event engines accept nodes
-    // forever.
+    // queue/wakeup/run); the analytic engine accepts nodes forever.
     for kind in EngineKind::ALL {
         let mut engine = engine_with_ring(kind);
         assert!(!engine.is_frozen(), "{kind}: fresh ring is open");

@@ -1,10 +1,10 @@
 //! Cross-checks the MBus engines against each other through the
 //! engine-generic scenario layer: every workload is defined *once* and
 //! executed on every `EngineKind` — the transaction-level
-//! `AnalyticBus` (the §6.1 cycle budget), the edge-accurate
-//! `WireEngine`, and the cooperative `EventEngine`; the normalized
-//! [`ScenarioSignature`]s — records, winners, deliveries, outcomes,
-//! control bits, wake accounting — must be identical three ways.
+//! `AnalyticBus` (the §6.1 cycle budget) and the edge-accurate
+//! `WireEngine`; the normalized [`ScenarioSignature`]s — records,
+//! winners, deliveries, outcomes, control bits, wake accounting — must
+//! be identical.
 //!
 //! [`ScenarioSignature`]: mbus_core::scenario::ScenarioSignature
 
@@ -35,9 +35,9 @@ fn ring(n: usize) -> Workload {
     w
 }
 
-/// Runs `workload` on every engine kind, asserts three-way signature
-/// equality (the shared helper), and returns the `(analytic, wire)`
-/// reports for extra, scenario-specific assertions.
+/// Runs `workload` on every engine kind, asserts signature equality
+/// (the shared helper), and returns the `(analytic, wire)` reports for
+/// extra, scenario-specific assertions.
 fn crosscheck(workload: &Workload) -> (ScenarioReport, ScenarioReport) {
     let mut reports = common::crosscheck_all_engines(workload);
     assert_eq!(reports.len(), EngineKind::ALL.len());
@@ -254,12 +254,13 @@ fn back_to_back_overrun_bursts_agree() {
 }
 
 #[test]
-fn mid_drain_queueing_is_pinned_analytic_to_event() {
+fn mid_drain_queueing_pins_the_analytic_delivery_order() {
     // Hostile traffic: a partial drain stops the bus with a message
     // still pending, then more traffic (including a priority claim)
     // arrives mid-drain. The wire engine legally runs ahead of
-    // `run_transaction` (trait contract), so the helper compares the
-    // two kernel-identical engines and skips wire.
+    // `run_transaction` (trait contract), so only the analytic engine
+    // is comparable; the stepped-vs-batched battery in
+    // `tests/analytic_batching.rs` covers its kernel paths.
     let workload = ring(4)
         .send(1, Message::new(addr(0x1), vec![0x11]))
         .send(1, Message::new(addr(0x1), vec![0x12]))
@@ -268,11 +269,13 @@ fn mid_drain_queueing_is_pinned_analytic_to_event() {
         .send(2, Message::new(addr(0x1), vec![0x22]))
         .drain();
     assert!(!workload.wire_comparable());
-    let kinds = common::comparable_kinds(&workload);
-    assert_eq!(kinds, vec![EngineKind::Analytic, EngineKind::Event]);
-    let reports = common::crosscheck_all_engines(&workload);
+    assert_eq!(
+        common::comparable_kinds(&workload),
+        vec![EngineKind::Analytic]
+    );
+    let report = workload.run_on(EngineKind::Analytic);
     // The priority message queued mid-drain preempts the remainder.
-    let order: Vec<u8> = reports[0].rx[0].iter().map(|m| m.payload[0]).collect();
+    let order: Vec<u8> = report.rx[0].iter().map(|m| m.payload[0]).collect();
     assert_eq!(order, vec![0x11, 0x33, 0x12, 0x22]);
 }
 
@@ -285,9 +288,7 @@ fn gated_transmitter_wake_nulls_are_the_only_divergence() {
     // exactly one more record than the analytic run here.
     let workload = Workload::sense_and_send(1);
     let (analytic, wire) = crosscheck(&workload);
-    let event = workload.run_on(EngineKind::Event);
     let nulls = |r: &ScenarioReport| r.records.iter().filter(|r| r.is_null()).count();
     assert_eq!(nulls(&analytic), 0, "analytic folds the self-wake away");
-    assert_eq!(nulls(&event), 0, "the event engine folds identically");
     assert_eq!(nulls(&wire), 1, "wire self-wakes the gated sensor once");
 }

@@ -4,8 +4,8 @@
 //! Where `tests/engine_conformance.rs` pins each engine to the
 //! single-bus contract, this suite pins the *fleet* semantics: a
 //! cross-cluster message produces the same [`FleetSignature`] on every
-//! engine kind (analytic, wire, and event — all three via the shared
-//! `tests/common` helper), forwarding into a power-gated destination
+//! engine kind (analytic and wire, via the shared `tests/common`
+//! helper), forwarding into a power-gated destination
 //! cluster wakes it exactly as a local transmission would (gated bus
 //! controllers charged once per transaction, per the shared accounting),
 //! and a 100+-node fleet — population no single 14-prefix bus can hold —
@@ -147,9 +147,10 @@ fn fleet_record_interleaving_is_engine_independent() {
 fn seeded_fleets_agree_across_engines() {
     // The fleet-level fuzzer (cross-cluster destinations, priority
     // envelopes, unroutable envelopes, wakeups, gated senders,
-    // mid-epoch partial drains) cross-checked three ways — the
-    // edge-accurate engine included whenever the seed is
-    // wire-comparable (partial drains pin analytic ≡ event only).
+    // mid-epoch partial drains) cross-checked against the
+    // edge-accurate engine whenever the seed is wire-comparable
+    // (partial-drain seeds run analytic-only here; the schedule
+    // batteries cover their stepped drains).
     for seed in 0..common::scaled_seeds(24) {
         common::fleet_crosscheck_all_engines(&FleetWorkload::seeded(seed));
     }

@@ -47,7 +47,7 @@ fn seeded_fleets_interleave_equivalently_over_200_seeds() {
     // record subsequences of the raw streams must match too.
     for seed in 0..common::scaled_seeds(200) {
         let w = FleetWorkload::seeded(seed);
-        let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Event);
+        let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Analytic);
         let clusters = w.cluster_specs().len();
         for c in 0..clusters {
             assert_eq!(
@@ -110,7 +110,7 @@ fn round_robin_emission_order_differs_cluster_major() {
             );
         }
     }
-    let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Event);
+    let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Analytic);
     let order = |r: &FleetReport| r.records.iter().map(|fr| fr.cluster).collect::<Vec<_>>();
     assert_eq!(order(&batched), vec![0, 0, 1, 1], "cluster-major");
     assert_eq!(order(&interleaved), vec![0, 1, 0, 1], "round-robin");
@@ -156,7 +156,7 @@ fn scheduler_counters_and_reuse_across_drives() {
     // and the active-list scratch is reused safely.
     let mut scheduler = InterleavedScheduler::new();
     for _ in 0..2 {
-        let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+        let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
         let a = fleet.add_cluster();
         let b = fleet.add_cluster();
         let s0 = fleet.add_sensor(a, false);
@@ -175,7 +175,7 @@ fn scheduler_counters_and_reuse_across_drives() {
     assert_eq!(scheduler.epochs(), 4);
     // A drive over an already-quiescent fleet adds nothing: the
     // counter no longer inflates on back-to-back drives.
-    let mut quiet = Fleet::new(EngineKind::Event, BusConfig::default());
+    let mut quiet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     quiet.add_cluster();
     scheduler.drive(&mut quiet, &mut |_| {});
     scheduler.drive(&mut quiet, &mut |_| {});
@@ -184,11 +184,11 @@ fn scheduler_counters_and_reuse_across_drives() {
 
 #[test]
 fn big_interleaved_fleet_matches_batched() {
-    // A 100+-node fleet through both schedules on the event engine —
+    // A 100+-node fleet through both schedules on the analytic engine —
     // the shape the interleave bench runs at 4096 nodes.
     let w = FleetWorkload::sense_and_aggregate(16, 6, 2);
     assert!(w.total_nodes() > 100);
-    let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Event);
+    let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Analytic);
     assert_eq!(batched.forwarded, interleaved.forwarded);
     assert_eq!(batched.transactions(), interleaved.transactions());
 }

@@ -34,16 +34,14 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 #[test]
 fn seeded_fleets_shard_equivalently_over_200_seeds() {
-    // The kernel-sharing kinds over the full seed battery: for each
+    // The analytic engine over the full seed battery: for each
     // seed, the single-threaded interleaved drain is the reference and
     // every shard count must reproduce it bit for bit.
     for seed in 0..common::scaled_seeds(200) {
         let w = FleetWorkload::seeded(seed);
-        for kind in [EngineKind::Analytic, EngineKind::Event] {
-            let reference = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
-            for shards in SHARD_COUNTS {
-                common::sharded_crosscheck(&w, kind, &reference, shards);
-            }
+        let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
+        for shards in SHARD_COUNTS {
+            common::sharded_crosscheck(&w, EngineKind::Analytic, &reference, shards);
         }
     }
 }
@@ -159,10 +157,10 @@ fn wide_fleet_shards_with_ragged_and_oversized_counts() {
     // 7-cluster chunks), and more workers than clusters all reproduce
     // the single-threaded stream.
     let w = FleetWorkload::sense_and_aggregate(32, 2, 2);
-    let reference = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     assert!(reference.total_nodes() > 90);
     for shards in [2usize, 5, 8, 32, 64] {
-        common::sharded_crosscheck(&w, EngineKind::Event, &reference, shards);
+        common::sharded_crosscheck(&w, EngineKind::Analytic, &reference, shards);
     }
 }
 
@@ -174,7 +172,7 @@ fn sharded_fairness_counters_are_consistent() {
     // shard's simultaneously active cluster count.
     let w = FleetWorkload::cross_storm(6, 2, 3);
     for shards in [1usize, 3] {
-        let report = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Sharded { shards });
+        let report = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Sharded { shards });
         let fairness = report.fairness.as_ref().expect("sharded drains report");
         for c in 0..6 {
             let counted = report.records.iter().filter(|r| r.cluster == c).count() as u64;
@@ -243,7 +241,7 @@ fn hot_cluster_earns_a_dedicated_shard() {
     // isolating the hot cluster on its own shard once its weight
     // dwarfs the rest.
     let w = FleetWorkload::sense_and_aggregate(9, 3, 3);
-    let reference = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let weights = &reference.fairness.as_ref().unwrap().cluster_transactions;
     assert!(
         weights[1..].iter().all(|&w| weights[0] > 3 * w),
@@ -254,9 +252,9 @@ fn hot_cluster_earns_a_dedicated_shard() {
         // Two drives: the first accumulates the true per-cluster
         // weights, so the second's rebalances see the hot cluster at
         // full strength.
-        let report1 = w.run_sharded_on(EngineKind::Event, &mut sharded);
+        let report1 = w.run_sharded_on(EngineKind::Analytic, &mut sharded);
         assert_eq!(reference.records, report1.records, "shards={shards}");
-        let report2 = w.run_sharded_on(EngineKind::Event, &mut sharded);
+        let report2 = w.run_sharded_on(EngineKind::Analytic, &mut sharded);
         assert_eq!(reference.records, report2.records, "shards={shards}");
         let home = sharded
             .shard_assignment()
@@ -312,13 +310,13 @@ fn streamed_shard_batches_reassemble_into_the_merged_stream() {
     // order, but each is internally sorted by the (round, cluster)
     // merge key — so sorting each epoch's batches together must
     // reproduce the conformance-pinned merged stream exactly.
-    let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     for _ in 0..6 {
         let c = fleet.add_cluster();
         fleet.add_sensor(c, false);
         fleet.add_sensor(c, false);
     }
-    let mut reference = Fleet::new(EngineKind::Event, BusConfig::default());
+    let mut reference = Fleet::new(EngineKind::Analytic, BusConfig::default());
     for _ in 0..6 {
         let c = reference.add_cluster();
         reference.add_sensor(c, false);
@@ -377,18 +375,12 @@ fn per_epoch_spawn_baseline_stays_conformant_over_seeds() {
     // contract as the persistent pool.
     for seed in 0..common::scaled_seeds(40) {
         let w = FleetWorkload::seeded(seed);
-        for kind in [EngineKind::Analytic, EngineKind::Event] {
-            let reference = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
-            for shards in [2usize, 4] {
-                let mut spawned = ShardedFleet::per_epoch_spawn(shards);
-                let report = w.run_sharded_on(kind, &mut spawned);
-                assert_eq!(reference.records, report.records, "seed={seed} {kind}");
-                assert_eq!(
-                    reference.signature(),
-                    report.signature(),
-                    "seed={seed} {kind}"
-                );
-            }
+        let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
+        for shards in [2usize, 4] {
+            let mut spawned = ShardedFleet::per_epoch_spawn(shards);
+            let report = w.run_sharded_on(EngineKind::Analytic, &mut spawned);
+            assert_eq!(reference.records, report.records, "seed={seed}");
+            assert_eq!(reference.signature(), report.signature(), "seed={seed}");
         }
     }
 }
@@ -398,7 +390,7 @@ fn sharded_scheduler_reuse_reports_per_shard() {
     // One ShardedFleet instance across two drives: totals accumulate,
     // and the per-shard schedulers expose their own slices of the
     // work.
-    let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     for _ in 0..6 {
         let c = fleet.add_cluster();
         fleet.add_sensor(c, false);
