@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p mbus-analysis --bin lint -- --workspace
-//! cargo run -p mbus-analysis --bin lint -- crates/core/src/fleet/pool.rs
+//! cargo run -p mbus-analysis --bin lint -- crates/core/src/fleet/shard.rs
 //! cargo run -p mbus-analysis --bin lint -- --workspace --markdown findings.md
 //! ```
 //!

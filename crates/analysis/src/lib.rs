@@ -1,11 +1,12 @@
 //! # mbus-analysis — static analysis for the MBus workspace
 //!
 //! The fleet runtime's soundness rests on a handful of hand-written
-//! invariants: a lifetime-erased job type in `fleet/pool.rs`, an
-//! `unsafe impl Send` engine wrapper in `fleet/shard.rs`, and the
-//! determinism contract that no wall-clock or thread-identity bit may
-//! reach a signature-bearing stream. This crate checks those
-//! invariants mechanically, on every change, with zero dependencies:
+//! invariants: the `unsafe impl Send` engine wrapper in
+//! `fleet/shard.rs` (the workspace's only `unsafe`), threads confined
+//! to the audited layers, and the determinism contract that no
+//! wall-clock or thread-identity bit may reach a signature-bearing
+//! stream. This crate checks those invariants mechanically, on every
+//! change, with zero dependencies:
 //!
 //! * [`lexer`] — a hand-rolled, string/char/comment-aware Rust
 //!   tokenizer (no `syn`), lossless by construction
@@ -14,20 +15,14 @@
 //!   every `unsafe`, threading confined to the audited layers, no
 //!   stray wall-clock reads, `Rc`-vs-`Send` audits, no
 //!   `unwrap`/`expect` in engine hot paths);
-//! * [`barrier`] — a loom-style exhaustive schedule explorer for the
-//!   worker pool's `Mutex`/`Condvar` generation barrier (no deadlock,
-//!   no lost wakeup, no generation skew, panic ferry — proved over
-//!   every interleaving at ≤3 workers × ≤3 epochs);
 //! * `lint` (binary) — walks the workspace and reports findings with
 //!   exact locations; non-zero exit on any finding. CI runs it as the
 //!   `lint` job; see ARCHITECTURE.md § "Analysis & safety".
 
 #![forbid(unsafe_code)]
 
-pub mod barrier;
 pub mod lexer;
 pub mod rules;
 pub mod walk;
 
-pub use barrier::{BarrierModel, Exploration, Violation, ViolationKind};
 pub use rules::{check_file, Finding, RuleId};

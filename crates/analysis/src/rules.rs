@@ -8,7 +8,7 @@
 //! | id | constraint |
 //! |----|------------|
 //! | `unsafe-safety-comment` | every `unsafe` block/fn/impl is immediately preceded by a `// SAFETY:` comment (an `unsafe fn` may carry a `# Safety` doc section instead) |
-//! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layers: `fleet/pool.rs`, `sweep.rs`, `parallel.rs` |
+//! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layers: `fleet/shard.rs`, `sweep.rs` |
 //! | `nondeterministic-clock` | `Instant::now` / `SystemTime` appear only in `crates/bench/` or under an explicit `// WALL-CLOCK:` marker — signatures must be pure functions of seeds |
 //! | `rc-send-audit` | a file containing `impl Send` may not also use `Rc`/`RefCell` unless it carries a `// SEND-AUDIT:` comment |
 //! | `hot-path-unwrap` | `.unwrap()` / `.expect(` are forbidden in the engine hot paths (`core/src/analytic.rs`, `core/src/engine.rs`) outside `#[cfg(test)]` |
@@ -82,7 +82,7 @@ impl fmt::Display for Finding {
 
 /// Files (suffix match) where `std::thread` primitives are allowed:
 /// the audited threading layers every other module must go through.
-const THREAD_AUDITED: [&str; 3] = ["fleet/pool.rs", "core/src/sweep.rs", "core/src/parallel.rs"];
+const THREAD_AUDITED: [&str; 2] = ["fleet/shard.rs", "core/src/sweep.rs"];
 
 /// The engine hot-path files for the unwrap/expect ban.
 const HOT_PATHS: [&str; 2] = ["core/src/analytic.rs", "core/src/engine.rs"];
@@ -258,8 +258,8 @@ impl<'a> FileContext<'a> {
                         RuleId::ThreadOutsideAudited,
                         format!(
                             "`thread::{name}` outside the audited threading layers \
-                             (fleet/pool.rs, sweep.rs, parallel.rs) — route threading \
-                             through WorkerPool or SweepRunner"
+                             (fleet/shard.rs, sweep.rs) — route threading through \
+                             ShardedFleet or SweepRunner"
                         ),
                     ));
                 }
@@ -502,10 +502,10 @@ mod tests {
     fn thread_rule_honors_allowlist() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(
-            rules_hit("crates/core/src/fleet/shard.rs", src),
+            rules_hit("crates/core/src/fleet.rs", src),
             vec![RuleId::ThreadOutsideAudited]
         );
-        assert!(rules_hit("crates/core/src/fleet/pool.rs", src).is_empty());
+        assert!(rules_hit("crates/core/src/fleet/shard.rs", src).is_empty());
         assert!(rules_hit("crates/core/src/sweep.rs", src).is_empty());
     }
 
@@ -573,11 +573,11 @@ mod tests {
     #[test]
     fn findings_carry_exact_location() {
         let src = "fn f() {\n\n    unsafe { g() }\n}";
-        let f = check_file("crates/core/src/fleet/pool.rs", src);
+        let f = check_file("crates/core/src/fleet/shard.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(
             (f[0].file.as_str(), f[0].line),
-            ("crates/core/src/fleet/pool.rs", 3)
+            ("crates/core/src/fleet/shard.rs", 3)
         );
         assert_eq!(f[0].rule.id(), "unsafe-safety-comment");
     }

@@ -1,7 +1,6 @@
-// Fixture: fans work out through the audited pool layer instead of
+// Fixture: fans work out through the audited sweep layer instead of
 // spawning raw threads.
 
 pub fn fan_out(jobs: Vec<Job>) -> Vec<Outcome> {
-    let mut pool = WorkerPool::new(jobs.len().min(8));
-    pool.run_scoped(jobs)
+    SweepRunner::with_threads(jobs.len().min(8)).run(&jobs, |job| job.run())
 }

@@ -33,11 +33,11 @@ fn lint_as(name: &str, as_path: &str) -> Vec<(u32, &'static str)> {
 #[test]
 fn unsafe_rule_good_and_bad() {
     assert_eq!(
-        lint_as("unsafe_good.rs", "crates/core/src/fleet/pool.rs"),
+        lint_as("unsafe_good.rs", "crates/core/src/fleet/shard.rs"),
         []
     );
     assert_eq!(
-        lint_as("unsafe_bad.rs", "crates/core/src/fleet/pool.rs"),
+        lint_as("unsafe_bad.rs", "crates/core/src/fleet/shard.rs"),
         [
             (4, "unsafe-safety-comment"),  // unjustified unsafe block
             (7, "unsafe-safety-comment"),  // unsafe fn without # Safety
@@ -48,20 +48,17 @@ fn unsafe_rule_good_and_bad() {
 
 #[test]
 fn thread_rule_good_and_bad() {
+    assert_eq!(lint_as("thread_good.rs", "crates/core/src/fleet.rs"), []);
     assert_eq!(
-        lint_as("thread_good.rs", "crates/core/src/fleet/shard.rs"),
-        []
-    );
-    assert_eq!(
-        lint_as("thread_bad.rs", "crates/core/src/fleet/shard.rs"),
+        lint_as("thread_bad.rs", "crates/core/src/fleet.rs"),
         [
             (6, "thread-outside-audited"),  // std::thread::scope
             (11, "thread-outside-audited"), // thread::spawn
         ]
     );
-    // The same source is legal inside the audited pool layer.
+    // The same source is legal inside the audited shard layer.
     assert_eq!(
-        lint_as("thread_bad.rs", "crates/core/src/fleet/pool.rs"),
+        lint_as("thread_bad.rs", "crates/core/src/fleet/shard.rs"),
         []
     );
 }

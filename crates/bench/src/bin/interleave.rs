@@ -1,11 +1,10 @@
 //! Interleaved fleet driver: thousands of analytic buses on ONE
-//! thread — then tens of thousands across the persistent
-//! sharded runtime.
+//! thread — then tens of thousands across the sharded runtime.
 //!
 //! Where the `fleet` bin scales population by draining each cluster
 //! bus to quiescence in turn, this bin exercises the serving shape:
 //! every cluster runs on an `AnalyticBus` stepped one transaction per
-//! `run_transaction` call, and the
+//! `run_transaction` call, and the `ShardedFleet`'s
 //! `InterleavedScheduler` round-robins one transaction per bus per
 //! round — all buses make progress together, no bus ever blocks the
 //! thread.
@@ -17,15 +16,15 @@
 //!    sense-and-aggregate under the interleaved schedule, with
 //!    throughput in txn/s.
 //! 2. **Worker scaling** — 8192 analytic buses (32768 nodes) at 1,
-//!    2, 4, and 8 workers, each count run twice: spawn-per-epoch
-//!    (`ShardedFleet::per_epoch_spawn`, the PR 5 shape) vs the
-//!    persistent pool with measured load balancing
+//!    2, 4, and 8 workers, each count run twice: workers spawned per
+//!    epoch over static shards (`ShardedFleet::per_epoch_spawn`) vs
+//!    workers kept for the whole drive with measured load balancing
 //!    (`ShardedFleet::new`). Both streams are asserted bit-identical
 //!    to the single-threaded interleaved reference; per-shard
 //!    transaction and wall-time gauges come from
 //!    `FleetFairness::shard_transactions`/`shard_wall_nanos`.
 //! 3. **64k-bus fleet** — a 65536-cluster, 262144-node cross-storm
-//!    drained by the persistent pool, the population headline.
+//!    drained by the sharded runtime, the population headline.
 //! 4. **Schedule equivalence check** — the same workload, batched vs
 //!    interleaved: the per-cluster `FleetSignature`s must be
 //!    identical (the schedule-independence contract
@@ -130,13 +129,12 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     );
     let mut rows = Vec::new();
     for &workers in &worker_counts {
-        // The PR 5 shape: fresh scoped threads every epoch, static
-        // contiguous shards.
+        // Fresh scoped threads every epoch, static contiguous shards.
         let mut spawn = ShardedFleet::per_epoch_spawn(workers);
         let (_, spawn_txn_s) = timed_drain(&workload, &mut spawn, &reference, "spawn-per-epoch");
-        // The persistent pool with measured load balancing.
-        let mut pool = ShardedFleet::new(workers);
-        let (report, pool_txn_s) = timed_drain(&workload, &mut pool, &reference, "persistent");
+        // One set of workers per drive, measured load balancing.
+        let mut per_drive = ShardedFleet::new(workers);
+        let (report, drive_txn_s) = timed_drain(&workload, &mut per_drive, &reference, "per-drive");
         let fairness = report.fairness.as_ref().expect("sharded drains report");
         let (txn_lo, txn_hi) = (
             fairness
@@ -161,12 +159,12 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             .map(|(&txns, &nanos)| txns as f64 / (nanos.max(1) as f64 / 1e9))
             .collect();
         println!(
-            "  [{workers:>2} worker{}] spawn {:>9.0} txn/s | pool {:>9.0} txn/s ({:>4.2}x spawn, {:>4.2}x baseline)",
+            "  [{workers:>2} worker{}] per-epoch {:>9.0} txn/s | per-drive {:>9.0} txn/s ({:>4.2}x per-epoch, {:>4.2}x baseline)",
             if workers == 1 { " " } else { "s" },
             spawn_txn_s,
-            pool_txn_s,
-            pool_txn_s / spawn_txn_s,
-            pool_txn_s / base_txn_s,
+            drive_txn_s,
+            drive_txn_s / spawn_txn_s,
+            drive_txn_s / base_txn_s,
         );
         println!(
             "      per-shard txns {txn_lo}..{txn_hi}, wall imbalance {:.2}x, shard txn/s {:.0}..{:.0} | max turn gap {}, epochs {}",
@@ -179,9 +177,12 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
         rows.push(Json::obj([
             ("workers", workers.into()),
             ("spawn_txn_per_s", spawn_txn_s.into()),
-            ("pool_txn_per_s", pool_txn_s.into()),
-            ("pool_speedup_vs_spawn", (pool_txn_s / spawn_txn_s).into()),
-            ("pool_speedup_vs_baseline", (pool_txn_s / base_txn_s).into()),
+            ("drive_txn_per_s", drive_txn_s.into()),
+            ("drive_speedup_vs_spawn", (drive_txn_s / spawn_txn_s).into()),
+            (
+                "drive_speedup_vs_baseline",
+                (drive_txn_s / base_txn_s).into(),
+            ),
             (
                 "shard_transactions",
                 Json::arr(fairness.shard_transactions.iter().copied()),

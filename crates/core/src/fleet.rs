@@ -28,18 +28,17 @@
 //! A [`Fleet`] owns the per-cluster engines (any [`EngineKind`] — the
 //! fleet layer is written against the [`BusEngine`] trait) and drives
 //! them in deterministic epochs with routing only at the quiescence
-//! barriers, under either of two schedules ([`FleetSchedule`]): the
+//! barriers, under one of two drive loops ([`FleetSchedule`]): the
 //! *batched* cluster-major drain (each epoch drains cluster 0 to
 //! quiescence through the engine's batched
 //! [`BusEngine::run_until_quiescent_with`] kernel, then cluster 1, …)
-//! or the *interleaved* [`InterleavedScheduler`] (one transaction per
-//! cluster per round, so thousands of buses — ideally
+//! or the *sharded* interleave ([`shard::ShardedFleet`]: one
+//! [`InterleavedScheduler`] per cluster group, stepping one
+//! transaction per cluster per round so thousands of buses — ideally
 //! [`AnalyticBus`](crate::AnalyticBus)-backed — make progress
-//! together on one thread), or the *sharded* interleave
-//! ([`shard::ShardedFleet`]: cluster groups on a persistent worker
-//! pool, one interleaved scheduler each, shards rebalanced by
-//! measured load, gateway envelopes exchanged at cross-worker epoch
-//! barriers — the serving shape for tens of thousands of buses).
+//! together; groups run on scoped worker threads, rebalanced by
+//! measured load, with gateway envelopes exchanged at cross-worker
+//! epoch barriers; one group is the single-threaded interleave).
 //! Barrier routing makes cross-bus
 //! causality (which epoch a forwarded message lands in) reproducible,
 //! engine-independent, *and* schedule-independent: all schedules
@@ -69,14 +68,11 @@
 //! # Ok::<(), mbus_core::MbusError>(())
 //! ```
 
-// The only two modules in the workspace allowed to write `unsafe` (the
+// The only module in the workspace allowed to write `unsafe` (the
 // crate root carries `#![deny(unsafe_code)]`, every other crate
-// `#![forbid(unsafe_code)]`): the lifetime-erased job hand-off in
-// `pool` and the engine `Send` wrapper in `shard`. Both are policed
-// per-site by the `mbus-analysis` lint and modeled by its barrier
-// explorer — see ARCHITECTURE.md § "Analysis & safety".
-#[allow(unsafe_code)]
-mod pool;
+// `#![forbid(unsafe_code)]`): the engine `Send` wrapper in `shard`,
+// policed by the `mbus-analysis` lint and exercised under Miri — see
+// ARCHITECTURE.md § "Analysis & safety".
 #[allow(unsafe_code)]
 pub mod shard;
 
@@ -147,6 +143,11 @@ pub const DEFAULT_TTL: u8 = 8;
 /// `MAX_TTL - 1` inter-gateway links before the final forwarded leg.
 pub const MAX_TTL: u8 = 15;
 
+/// The longest forwarding-envelope header: the v2 form's magic and
+/// TTL/hops bytes plus the 4-byte full address (v1 is the address
+/// alone).
+pub(crate) const MAX_ENVELOPE_HEADER: usize = 6;
+
 /// One hierarchical range route in a gateway mesh: gateways in
 /// `domain` forward envelopes destined for clusters `lo..=hi`
 /// (inclusive) to the gateway of cluster `via`, which must sit in a
@@ -186,6 +187,36 @@ fn gateway_full_prefix(cluster: usize) -> FullPrefix {
 fn sensor_full_prefix(cluster: usize, node: NodeIndex) -> FullPrefix {
     FullPrefix::new(((cluster as u32) << 4) | node as u32)
         .expect("cluster count is capped so sensor prefixes fit 20 bits")
+}
+
+/// The full prefix fleet node `id` holds: its cluster's gateway
+/// presence or one of its sensors.
+pub(crate) fn node_full_prefix(id: FleetNodeId) -> FullPrefix {
+    if id.node == GATEWAY_NODE {
+        gateway_full_prefix(id.cluster)
+    } else {
+        sensor_full_prefix(id.cluster, id.node)
+    }
+}
+
+/// The message a sender queues to reach `dest`'s functional unit `fu`
+/// through the gateway: a v1 envelope, or a v2 one carrying `ttl`,
+/// addressed to the forwarding port. Unchecked — callers hold it to
+/// the bus's length limit with [`Message::validate`].
+pub(crate) fn envelope_message(
+    dest: FullPrefix,
+    fu: FuId,
+    payload: &[u8],
+    ttl: Option<u8>,
+) -> Message {
+    let envelope = match ttl {
+        Some(ttl) => GatewayNode::encapsulate_ttl(dest, fu, payload, ttl),
+        None => GatewayNode::encapsulate(dest, fu, payload),
+    };
+    Message::new(
+        Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
+        envelope,
+    )
 }
 
 /// A fleet-wide node identity: which cluster bus, and which ring
@@ -901,27 +932,7 @@ impl Fleet {
         fu: FuId,
         payload: Vec<u8>,
     ) -> Result<Message, MbusError> {
-        let engine = self.engine(dest)?;
-        if dest.node >= engine.node_count() {
-            return Err(MbusError::UnknownNode { index: dest.node });
-        }
-        if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
-            return Err(MbusError::MalformedAddress {
-                reason: "a remote message may not target a gateway forwarding port",
-            });
-        }
-        let full = engine.spec(dest.node).full_prefix();
-        let envelope = GatewayNode::encapsulate(full, fu, &payload);
-        if envelope.len() > self.config.max_message_bytes() {
-            return Err(MbusError::MessageTooLong {
-                len: envelope.len(),
-                max: self.config.max_message_bytes(),
-            });
-        }
-        Ok(Message::new(
-            Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
-            envelope,
-        ))
+        self.remote_envelope(dest, fu, &payload, None)
     }
 
     /// [`Fleet::remote_message`] with an explicit TTL: builds a **v2**
@@ -947,6 +958,18 @@ impl Fleet {
                 reason: "envelope TTL out of range (1..=15)",
             });
         }
+        self.remote_envelope(dest, fu, &payload, Some(ttl))
+    }
+
+    /// The shared body of [`Fleet::remote_message`] and
+    /// [`Fleet::remote_message_ttl`].
+    fn remote_envelope(
+        &self,
+        dest: FleetNodeId,
+        fu: FuId,
+        payload: &[u8],
+        ttl: Option<u8>,
+    ) -> Result<Message, MbusError> {
         let engine = self.engine(dest)?;
         if dest.node >= engine.node_count() {
             return Err(MbusError::UnknownNode { index: dest.node });
@@ -956,18 +979,9 @@ impl Fleet {
                 reason: "a remote message may not target a gateway forwarding port",
             });
         }
-        let full = engine.spec(dest.node).full_prefix();
-        let envelope = GatewayNode::encapsulate_ttl(full, fu, &payload, ttl);
-        if envelope.len() > self.config.max_message_bytes() {
-            return Err(MbusError::MessageTooLong {
-                len: envelope.len(),
-                max: self.config.max_message_bytes(),
-            });
-        }
-        Ok(Message::new(
-            Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
-            envelope,
-        ))
+        let msg = envelope_message(engine.spec(dest.node).full_prefix(), fu, payload, ttl);
+        msg.validate(&self.config)?;
+        Ok(msg)
     }
 
     /// Queues a cross-cluster message: `src` sends `payload` to `dest`'s
@@ -1100,50 +1114,6 @@ impl Fleet {
         records
     }
 
-    /// Drains the fleet with the fine-grained [`InterleavedScheduler`]
-    /// instead of the batched cluster-major schedule: one transaction
-    /// per cluster per round, all clusters advancing together on this
-    /// one thread. Per-cluster behavior is identical to
-    /// [`Fleet::run_until_quiescent_with`] (see the scheduler docs for
-    /// the equivalence argument); only the fleet-wide record order
-    /// differs.
-    pub fn run_until_quiescent_interleaved_with(&mut self, visit: &mut dyn FnMut(&FleetRecord)) {
-        InterleavedScheduler::new().drive(self, &mut |record| visit(&record));
-    }
-
-    /// [`Fleet::run_until_quiescent_interleaved_with`], collecting the
-    /// records.
-    pub fn run_until_quiescent_interleaved(&mut self) -> Vec<FleetRecord> {
-        let mut records = Vec::new();
-        InterleavedScheduler::new().drive(self, &mut |r| records.push(r));
-        records
-    }
-
-    /// Drains the fleet with the sharded interleave
-    /// ([`shard::ShardedFleet`]): clusters partitioned into `shards`
-    /// contiguous groups, one interleaved scheduler per scoped worker
-    /// thread, gateway envelopes exchanged at cross-worker epoch
-    /// barriers. Per-cluster behavior — record streams, receive logs,
-    /// statistics, gateway counters — and even the fleet-wide record
-    /// order are bit-identical to
-    /// [`Fleet::run_until_quiescent_interleaved_with`] for every shard
-    /// count (see the shard module's equivalence argument).
-    pub fn run_until_quiescent_sharded_with(
-        &mut self,
-        shards: usize,
-        visit: &mut dyn FnMut(&FleetRecord),
-    ) {
-        ShardedFleet::new(shards).drive(self, &mut |record| visit(&record));
-    }
-
-    /// [`Fleet::run_until_quiescent_sharded_with`], collecting the
-    /// records.
-    pub fn run_until_quiescent_sharded(&mut self, shards: usize) -> Vec<FleetRecord> {
-        let mut records = Vec::new();
-        ShardedFleet::new(shards).drive(self, &mut |r| records.push(r));
-        records
-    }
-
     /// Drains a node's received messages. For a gateway presence this
     /// returns the non-envelope traffic (broadcasts, `fu != 0`
     /// deliveries); envelopes are consumed by routing. Forwarded
@@ -1168,8 +1138,8 @@ impl Fleet {
 /// Which drive loop a fleet drain uses. Every schedule produces
 /// identical per-cluster record streams (and therefore identical
 /// [`FleetSignature`]s); they differ only in the fleet-wide order the
-/// [`FleetRecord`]s come out in — and the sharded interleave matches
-/// even that against the single-threaded interleave.
+/// [`FleetRecord`]s come out in — and `Interleaved` and every
+/// `Sharded` count share even that, being one drive loop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetSchedule {
     /// Cluster-major: each epoch drains cluster 0 to quiescence, then
@@ -1181,11 +1151,11 @@ pub enum FleetSchedule {
     /// Round-robin: one transaction per cluster per round
     /// ([`InterleavedScheduler`]), so every bus makes progress
     /// together — the serving shape for thousands of buses on one
-    /// thread.
+    /// thread. Runs as `Sharded { shards: 1 }`.
     Interleaved,
     /// Sharded interleave ([`shard::ShardedFleet`]): cluster groups on
-    /// a persistent worker pool, one interleaved scheduler each,
-    /// shards rebalanced every epoch by measured per-cluster load
+    /// scoped worker threads, one interleaved scheduler each, shards
+    /// rebalanced every epoch by measured per-cluster load
     /// ([`ShardBalance::Measured`]), gateway envelopes exchanged at
     /// cross-worker epoch barriers — tens of thousands of buses across
     /// cores. The record stream stays bit-identical to
@@ -1208,9 +1178,9 @@ impl fmt::Display for FleetSchedule {
     }
 }
 
-/// The single-threaded cooperative fleet driver: round-robins one
-/// transaction per cluster per round instead of draining each cluster
-/// to quiescence before touching the next.
+/// The round-robin kernel of the fleet drive loop: one transaction per
+/// cluster per round instead of draining each cluster to quiescence
+/// before touching the next.
 ///
 /// Each *round* steps every still-active cluster once through
 /// [`BusEngine::run_transaction`] — which on an
@@ -1218,11 +1188,11 @@ impl fmt::Display for FleetSchedule {
 /// filled into the bus's reused scratch record, making this the
 /// engine/scheduler pairing that interleaves thousands of buses on one
 /// thread. A cluster that reports no work (`None`) drops out of the
-/// round rotation for the rest of the epoch; when every cluster is
-/// quiescent, the epoch barrier routes all gateway envelopes in
-/// cluster index order (identically to the batched drain) and a new
-/// epoch begins. The drain ends when an epoch runs no transaction and
-/// routes nothing.
+/// round rotation for the rest of the epoch. [`shard::ShardedFleet`]
+/// owns one scheduler per shard and the epoch barriers between them:
+/// when every cluster is quiescent, the barrier routes all gateway
+/// envelopes in source-cluster order (identically to the batched
+/// drain) and a new epoch begins.
 ///
 /// # Equivalence with the batched drain
 ///
@@ -1236,7 +1206,7 @@ impl fmt::Display for FleetSchedule {
 /// [`FleetSignature`]s match exactly. What *does* differ is the
 /// fleet-wide [`FleetRecord`] order: the batched drain emits each
 /// epoch cluster-major (all of cluster 0's transactions, then all of
-/// cluster 1's, …) while this scheduler emits the first transaction of
+/// cluster 1's, …) while the interleave emits the first transaction of
 /// every active cluster, then the second of every cluster still
 /// active, and so on. `tests/interleaved_fleet.rs` pins both the
 /// per-cluster equality and the reordering.
@@ -1244,7 +1214,7 @@ impl fmt::Display for FleetSchedule {
 /// # Example
 ///
 /// ```
-/// use mbus_core::fleet::{Fleet, InterleavedScheduler};
+/// use mbus_core::fleet::{Fleet, ShardedFleet};
 /// use mbus_core::{BusConfig, EngineKind, FuId};
 ///
 /// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
@@ -1253,21 +1223,22 @@ impl fmt::Display for FleetSchedule {
 /// let dst = fleet.add_sensor(b, false);
 /// fleet.queue_remote(src, dst, FuId::ZERO, vec![0x42])?;
 ///
-/// let mut scheduler = InterleavedScheduler::new();
+/// let mut interleaved = ShardedFleet::new(1);
 /// let mut records = Vec::new();
-/// scheduler.drive(&mut fleet, &mut |r| records.push(r));
+/// interleaved.drive(&mut fleet, &mut |r| records.push(r));
 /// assert_eq!(records.len(), 2); // envelope leg + forwarded leg
+/// let scheduler = &interleaved.shard_schedulers()[0];
 /// assert_eq!(scheduler.transactions(), 2);
+/// assert_eq!(scheduler.cluster_transactions(), &[1, 1]);
 /// assert_eq!(fleet.take_rx(dst)[0].payload, vec![0x42]);
 /// # Ok::<(), mbus_core::MbusError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct InterleavedScheduler {
-    /// Clusters still active in the current epoch, in index order
-    /// (scratch, reused across epochs and drives).
+    /// Clusters still active in the current epoch, as positions into
+    /// the epoch's entries (scratch, reused across epochs and drives).
     active: Vec<usize>,
     transactions: u64,
-    epochs: u64,
     /// Transactions per cluster across all drives, indexed by the
     /// cluster's fleet-global index.
     cluster_transactions: Vec<u64>,
@@ -1288,40 +1259,12 @@ impl InterleavedScheduler {
         InterleavedScheduler::default()
     }
 
-    /// Transactions driven across all [`drive`](Self::drive) calls.
+    /// Transactions this scheduler ran across all epochs.
     pub fn transactions(&self) -> u64 {
         self.transactions
     }
 
-    /// Completed epochs that made progress — ran a transaction or (for
-    /// [`drive`](Self::drive)) routed an envelope — across all drive
-    /// calls. The empty terminating epoch every drive ends with is
-    /// *not* counted, so driving an already-quiescent fleet leaves the
-    /// counter unchanged and back-to-back drives don't inflate it:
-    ///
-    /// ```
-    /// use mbus_core::fleet::{Fleet, InterleavedScheduler};
-    /// use mbus_core::{BusConfig, EngineKind, FuId};
-    ///
-    /// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    /// let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
-    /// let src = fleet.add_sensor(a, false);
-    /// let dst = fleet.add_sensor(b, false);
-    /// fleet.queue_remote(src, dst, FuId::ZERO, vec![7])?;
-    ///
-    /// let mut scheduler = InterleavedScheduler::new();
-    /// scheduler.drive(&mut fleet, &mut |_| {});
-    /// assert_eq!(scheduler.epochs(), 2); // envelope epoch + forwarded epoch
-    /// scheduler.drive(&mut fleet, &mut |_| {}); // quiescent: no work,
-    /// scheduler.drive(&mut fleet, &mut |_| {}); // so no epochs counted
-    /// assert_eq!(scheduler.epochs(), 2);
-    /// # Ok::<(), mbus_core::MbusError>(())
-    /// ```
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Transactions each cluster ran across all drives, indexed by the
+    /// Transactions each cluster ran across all epochs, indexed by the
     /// cluster's fleet-global index (clusters this scheduler never
     /// polled may be absent). Schedule-independent: the per-cluster
     /// totals equal the batched drain's, because the per-cluster
@@ -1347,22 +1290,6 @@ impl InterleavedScheduler {
         self.max_cluster_epoch_transactions
     }
 
-    /// Snapshots the fairness counters as a [`FleetFairness`] report
-    /// normalized to `clusters` entries.
-    pub fn fairness(&self, clusters: usize) -> FleetFairness {
-        let mut cluster_transactions = vec![0u64; clusters];
-        for (i, &n) in self.cluster_transactions.iter().enumerate().take(clusters) {
-            cluster_transactions[i] = n;
-        }
-        FleetFairness {
-            cluster_transactions,
-            max_turn_gap: self.max_turn_gap,
-            max_cluster_epoch_transactions: self.max_cluster_epoch_transactions,
-            epochs: self.epochs,
-            ..FleetFairness::default()
-        }
-    }
-
     /// Grows the per-cluster fairness vectors to cover `end` clusters.
     fn grow(&mut self, end: usize) {
         if self.cluster_transactions.len() < end {
@@ -1379,8 +1306,8 @@ impl InterleavedScheduler {
     /// record)`. One round polls every still-active cluster once in
     /// entry order; a cluster that reports no work leaves the rotation
     /// for the rest of the epoch. Returns whether any transaction ran.
-    /// Does not touch [`epochs`](Self::epochs) — the caller owns the
-    /// barrier and decides whether the epoch counts as progress.
+    /// The caller owns the barrier and decides whether the epoch
+    /// counts as progress.
     ///
     /// This is the worker-side kernel of the sharded drain
     /// ([`shard::ShardedFleet`]): each worker runs it over its shard's
@@ -1442,30 +1369,6 @@ impl InterleavedScheduler {
             round += 1;
         }
         ran
-    }
-
-    /// Runs `fleet` until no bus has pending work and no envelope is in
-    /// flight, handing each completed transaction to `sink` in
-    /// round-robin order.
-    pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        loop {
-            let mut entries: Vec<(usize, &mut Box<dyn BusEngine>)> =
-                fleet.clusters.iter_mut().enumerate().collect();
-            let ran = self.run_epoch_entries(&mut entries, &mut |_, cluster, record| {
-                sink(FleetRecord { cluster, record })
-            });
-            drop(entries);
-            // Epoch barrier: identical routing discipline to the
-            // batched drain — every gateway presence, in index order.
-            let mut routed = false;
-            for cluster in 0..fleet.clusters.len() {
-                routed |= fleet.route_cluster(cluster);
-            }
-            if !ran && !routed {
-                return;
-            }
-            self.epochs += 1;
-        }
     }
 }
 
@@ -1850,27 +1753,18 @@ impl FleetWorkload {
             FleetSchedule::Batched => self.apply_with_drain(fleet, &mut |fleet, records| {
                 fleet.drain_with(&mut |r| records.push(r))
             }),
-            FleetSchedule::Interleaved => {
-                let mut scheduler = InterleavedScheduler::new();
-                let clusters = fleet.cluster_count();
-                let mut report = self.apply_with_drain(fleet, &mut |fleet, records| {
-                    scheduler.drive(fleet, &mut |r| records.push(r))
-                });
-                report.fairness = Some(scheduler.fairness(clusters));
-                report
-            }
+            FleetSchedule::Interleaved => self.apply_sharded(fleet, &mut ShardedFleet::new(1)),
             FleetSchedule::Sharded { shards } => {
-                let mut sharded = ShardedFleet::new(shards);
-                self.apply_sharded(fleet, &mut sharded)
+                self.apply_sharded(fleet, &mut ShardedFleet::new(shards))
             }
         }
     }
 
     /// [`FleetWorkload::apply_scheduled`] with a caller-owned
-    /// [`ShardedFleet`], so the drain's worker-pool mode, shard count,
+    /// [`ShardedFleet`], so the drain's worker-spawn mode, shard count,
     /// and [`ShardBalance`] schedule are all the caller's choice (the
-    /// `interleave` bench uses this to race the persistent pool against
-    /// the per-epoch-spawn baseline). Counters accumulate into
+    /// `interleave` bench uses this to race workers kept per drive
+    /// against the per-epoch-spawn baseline). Counters accumulate into
     /// `sharded` and the report's fairness snapshot is taken from it.
     ///
     /// # Panics
@@ -2745,19 +2639,19 @@ pub struct FleetFairness {
     /// The hog gauge: the most transactions any single cluster ran
     /// within one epoch.
     pub max_cluster_epoch_transactions: u64,
-    /// Progress epochs the drain completed (see
-    /// [`InterleavedScheduler::epochs`]; global barrier count for a
-    /// sharded drain).
+    /// Progress epochs the drain completed: the global barrier count
+    /// (see [`ShardedFleet::epochs`]).
     pub epochs: u64,
-    /// Transactions each worker's scheduler ran, indexed by shard —
-    /// the load-balance view of a sharded drain. Empty for
-    /// single-threaded drains. Deterministic (it follows the shard
-    /// assignment, which is a pure function of the record stream).
+    /// Transactions each shard's scheduler ran, indexed by shard —
+    /// the load-balance view of a sharded drain. An interleaved drain
+    /// is one shard, so it carries one entry. Deterministic (it
+    /// follows the shard assignment, which is a pure function of the
+    /// record stream).
     pub shard_transactions: Vec<u64>,
     /// Wall-clock nanoseconds each shard spent inside its epoch
     /// bodies, summed across epochs, indexed by shard — the barrier
-    /// idle time is the spread between entries. Empty for
-    /// single-threaded drains. **Not** deterministic: a timing gauge,
+    /// idle time is the spread between entries. One entry for an
+    /// interleaved drain. **Not** deterministic: a timing gauge,
     /// excluded (like all of [`FleetFairness`]) from
     /// [`FleetSignature`].
     pub shard_wall_nanos: Vec<u64>,
@@ -3222,14 +3116,15 @@ mod tests {
         let src = fleet.add_sensor(a, false);
         let dst = fleet.add_sensor(b, false);
         fleet.queue_remote(src, dst, FuId::ZERO, vec![1]).unwrap();
-        let mut scheduler = InterleavedScheduler::new();
+        let mut interleaved = ShardedFleet::new(1);
         let mut n = 0u64;
-        scheduler.drive(&mut fleet, &mut |_| n += 1);
+        interleaved.drive(&mut fleet, &mut |_| n += 1);
         assert_eq!(n, 2, "envelope leg + forwarded leg");
-        assert_eq!(scheduler.transactions(), 2);
         // Epoch 1 runs the envelope and routes; epoch 2 runs the
         // forwarded leg; the empty terminating epoch is not counted.
-        assert_eq!(scheduler.epochs(), 2);
+        assert_eq!(interleaved.epochs(), 2);
+        let scheduler = &interleaved.shard_schedulers()[0];
+        assert_eq!(scheduler.transactions(), 2);
         assert_eq!(scheduler.cluster_transactions(), &[1, 1]);
         assert_eq!(fleet.take_rx(dst).len(), 1);
     }

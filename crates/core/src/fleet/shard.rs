@@ -1,54 +1,52 @@
-//! Sharded fleet drains: groups of interleaved clusters on a
-//! persistent worker pool, synchronized at cross-worker gateway
-//! barriers, with shards rebalanced by measured load.
+//! Sharded fleet drains: groups of interleaved clusters on scoped
+//! worker threads, synchronized at cross-worker gateway barriers, with
+//! shards rebalanced by measured load.
 //!
-//! The single-threaded [`InterleavedScheduler`] serves thousands of
-//! buses on one core; this module scales that shape across cores. A
-//! [`ShardedFleet`] partitions a fleet's clusters into **shards** —
-//! contiguous under [`ShardBalance::Static`], load-balanced under
+//! This is the fleet's one interleaved drive loop. A [`ShardedFleet`]
+//! partitions a fleet's clusters into **shards** — contiguous under
+//! [`ShardBalance::Static`], load-balanced under
 //! [`ShardBalance::Measured`] — and, each epoch, runs one
-//! `InterleavedScheduler` per shard on a long-lived
-//! `WorkerPool` (`fleet/pool.rs`) worker (or, in the
-//! [`ShardedFleet::per_epoch_spawn`] baseline mode, a fresh
-//! `std::thread::scope` worker per epoch, the PR 5 shape). When every
-//! shard's clusters are quiescent, the workers hand back **per-shard
+//! [`InterleavedScheduler`] per shard: shard 0 on the calling thread,
+//! the others on workers of a `std::thread::scope` that lives for the
+//! whole drive (or, in the [`ShardedFleet::per_epoch_spawn`] mode, for
+//! one epoch). With one shard no thread is spawned at all. When every
+//! shard's clusters are quiescent, the shards hand back **per-shard
 //! outboxes** (classified gateway envelopes plus local-traffic stashes
 //! and drop counters) and the barrier exchanges them: forwarded legs
 //! are queued onto their destination buses in **global source-cluster
-//! order**, exactly as the single-threaded routing pass would.
+//! order**, exactly as a single-threaded routing pass would.
 //!
 //! # Equivalence argument
 //!
-//! The sharded drain is *bit-identical* to the single-threaded
-//! interleaved drain — not just per-cluster, but in the fleet-wide
-//! record order too, for every shard count, worker-pool mode, and
-//! rebalance schedule:
+//! The drain is *bit-identical* for every shard count, spawn mode and
+//! rebalance schedule — not just per-cluster, but in the fleet-wide
+//! record order too:
 //!
 //! * **Per-cluster streams.** Clusters share no state except through
-//!   barrier routing, and a worker's epoch issues each of its clusters
-//!   the identical `run_transaction`-until-quiescent call sequence the
-//!   single-threaded scheduler would. So each cluster performs the
-//!   same autonomous drain from the same epoch-start state — whichever
-//!   shard it currently sits on.
+//!   barrier routing, and a shard's epoch issues each of its clusters
+//!   the identical `run_transaction`-until-quiescent call sequence a
+//!   single shard would. So each cluster performs the same autonomous
+//!   drain from the same epoch-start state — whichever shard it
+//!   currently sits on.
 //! * **Record order.** In round-robin, a cluster's `j`-th transaction
 //!   of an epoch always runs in round `j`, *independent of every other
 //!   cluster* (a cluster stays in the rotation exactly until its own
-//!   work runs out). The single-threaded scheduler therefore emits an
-//!   epoch's records sorted by `(round, cluster index)` — and merging
-//!   all shards' `(round, cluster, record)` emissions by that same key
-//!   reproduces the order exactly, whatever the shard assignment.
-//! * **Gateway counters.** Workers classify their own clusters'
+//!   work runs out). A single shard therefore emits an epoch's records
+//!   sorted by `(round, cluster index)` — and merging all shards'
+//!   `(round, cluster, record)` emissions by that same key reproduces
+//!   the order exactly, whatever the shard assignment.
+//! * **Gateway counters.** Shards classify their own clusters'
 //!   envelopes against the shared read-only [`GatewayRoutes`] table
 //!   into per-shard counters; every counter is a sum, so the
-//!   barrier-time merge is order-independent and equals the
-//!   single-threaded totals, per-cluster drop attribution included.
+//!   barrier-time merge is order-independent, per-cluster drop
+//!   attribution included.
 //! * **Routing order.** Forwarded legs are tagged with their source
 //!   cluster and stably sorted by it at the barrier, so they are
-//!   queued by (source cluster, receive position) — the
-//!   single-threaded `route_cluster` loop's order — even when a
-//!   rebalance has made shards non-contiguous. Queueing never executes
-//!   bus work (engines only run inside epochs), so barrier-internal
-//!   interleaving of `take_rx` and `queue` calls is immaterial.
+//!   queued by (source cluster, receive position) — the batched
+//!   `route_cluster` loop's order — even when a rebalance has made
+//!   shards non-contiguous. Queueing never executes bus work (engines
+//!   only run inside epochs), so barrier-internal interleaving of
+//!   `take_rx` and `queue` calls is immaterial.
 //! * **Rebalancing is deterministic.** [`ShardBalance::Measured`]
 //!   repartitions on the schedulers' per-cluster transaction counters,
 //!   which are themselves a pure function of the (deterministic)
@@ -64,26 +62,26 @@
 //!
 //! Engines are single-threaded objects (the wire engine's internals
 //! are `Rc`-based by design); the parallelism contract is *exclusive
-//! engine ownership per worker, per epoch*. Each worker receives the
-//! epoch's `(cluster, &mut engine)` entries for its shard and the
-//! barrier rendezvous returns exclusive access to the driver thread —
-//! engines migrate between threads but are never shared, which is what
-//! the `Send` wrapper below asserts. With the persistent pool the
-//! driver runs shard 0 itself (the pool holds `workers - 1` threads),
-//! and a wait-on-drop guard keeps the engine borrows alive across
-//! driver unwinds until every worker has finished its generation —
-//! discharging the `WorkerPool::submit` safety contract.
+//! engine ownership per shard, per epoch*. Each epoch the calling
+//! thread lends every shard a lease (`ShardLease`): its `(cluster,
+//! &mut engine)` entries and its scheduler, sent to a worker over a
+//! channel. The worker runs the epoch with panics contained and sends
+//! the lease back with the outcome; only when every lease is home does
+//! the barrier touch the engines again. Engines migrate between threads
+//! but are never shared, which is what the `Send` wrapper below
+//! asserts. The scope makes the borrow checker prove that no worker
+//! outlives the engine borrows, so this file needs no other `unsafe`.
 
-use std::any::Any;
 use std::cmp::Reverse;
 use std::fmt;
+use std::mem;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread;
 use std::time::Instant;
 
-use super::pool::{run_scoped, WorkerPool};
 use super::{
-    Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayRoutes, GatewayVerdict,
+    Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayNode, GatewayRoutes, GatewayVerdict,
     InterleavedScheduler, GATEWAY_NODE,
 };
 use crate::engine::{BusEngine, EngineRecord, ReceivedMessage};
@@ -112,9 +110,8 @@ struct ShardEngines<'a>(ShardEntries<'a>);
 // single-owner object graph, and moving the exclusive `&mut` entries
 // to exactly one worker moves access to each graph wholesale — no
 // reference count or `RefCell` borrow can be reached from two threads.
-// The epoch rendezvous (scope join or pool barrier) hands exclusive
-// access back to the driver thread before anything else touches the
-// engines.
+// The worker sends the entries back over the lease channel before the
+// calling thread touches those engines again.
 unsafe impl Send for ShardEngines<'_> {}
 
 /// What one shard hands back at an epoch barrier.
@@ -124,7 +121,7 @@ struct ShardEpoch {
     ran: bool,
     /// `(round, global cluster, record)` emissions, already sorted by
     /// `(round, cluster)` — the merge key that reproduces the
-    /// single-threaded round-robin order.
+    /// single-shard round-robin order.
     records: Vec<(u64, usize, EngineRecord)>,
     /// Non-envelope gateway traffic, per global cluster, for the
     /// fleet's `take_rx` stash.
@@ -135,8 +132,7 @@ struct ShardEpoch {
     /// routing order across (possibly non-contiguous) shards.
     forwards: Vec<(usize, usize, Message)>,
     /// This shard's forwarding/drop accounting for the epoch, merged
-    /// into the fleet's [`GatewayNode`](super::GatewayNode) at the
-    /// barrier.
+    /// into the fleet's [`GatewayNode`] at the barrier.
     counters: GatewayCounters,
     /// Wall-clock nanoseconds the shard spent in this epoch body —
     /// the per-shard load gauge surfaced through
@@ -144,15 +140,19 @@ struct ShardEpoch {
     wall_nanos: u64,
 }
 
-/// One worker's epoch: interleave the shard's clusters to quiescence,
+/// One shard's epoch: interleave the shard's clusters to quiescence,
 /// then classify their gateway presences' receive logs against the
 /// shared routing table into the shard's outbox.
 fn run_shard_epoch(
-    mut engines: ShardEngines<'_>,
+    entries: &mut ShardEntries<'_>,
     scheduler: &mut InterleavedScheduler,
     routes: &GatewayRoutes,
 ) -> ShardEpoch {
-    let entries = &mut engines.0;
+    // WALL-CLOCK: per-shard load gauge for the fairness report and the
+    // Measured balancer's diagnostics only; `wall_nanos` never reaches
+    // a signature-bearing stream (signatures are pure functions of
+    // seeds — see the determinism contract in the module docs).
+    let start = Instant::now();
     let mut records = Vec::new();
     let ran = scheduler.run_epoch_entries(entries, &mut |round, cluster, record| {
         records.push((round, cluster, record))
@@ -167,8 +167,8 @@ fn run_shard_epoch(
         for m in engine.take_rx(GATEWAY_NODE) {
             // All counting (forwards, mesh hops, per-hop drops)
             // happens inside `classify`, against this shard's epoch
-            // counters — merged at the barrier, so the totals are
-            // identical to the single-threaded routing discipline.
+            // counters — merged at the barrier, so the totals do not
+            // depend on the shard assignment.
             match routes.classify(cluster, m, &mut out.counters) {
                 GatewayVerdict::Local(m) => out.stash.push((cluster, m)),
                 GatewayVerdict::Forward { dest_cluster, msg } => {
@@ -178,23 +178,44 @@ fn run_shard_epoch(
             }
         }
     }
+    out.wall_nanos = start.elapsed().as_nanos() as u64;
     out
 }
 
-/// [`run_shard_epoch`] with the wall-clock gauge filled in.
-fn timed_shard_epoch(
-    engines: ShardEngines<'_>,
-    scheduler: &mut InterleavedScheduler,
-    routes: &GatewayRoutes,
-) -> ShardEpoch {
-    // WALL-CLOCK: per-shard load gauge for the fairness report and the
-    // Measured balancer's diagnostics only; `wall_nanos` never reaches
-    // a signature-bearing stream (signatures are pure functions of
-    // seeds — see the determinism contract in the module docs).
-    let start = Instant::now();
-    let mut out = run_shard_epoch(engines, scheduler, routes);
-    out.wall_nanos = start.elapsed().as_nanos() as u64;
-    out
+/// What the calling thread lends one shard for one epoch: exclusive
+/// access to its clusters' engines, plus its scheduler (moved out of
+/// the [`ShardedFleet`] so its counters travel with the work).
+struct ShardLease<'a> {
+    shard: usize,
+    engines: ShardEngines<'a>,
+    scheduler: InterleavedScheduler,
+}
+
+/// A lease on its way home: the lease itself and the epoch's outcome
+/// (the shard's outbox, or the panic payload its epoch raised).
+type Returned<'a> = (ShardLease<'a>, thread::Result<ShardEpoch>);
+
+impl<'a> ShardLease<'a> {
+    /// Runs the shard's epoch with panics contained, so the lease
+    /// always comes back to the calling thread and a panicking shard
+    /// can never strand the barrier.
+    fn run(mut self, routes: &GatewayRoutes) -> Returned<'a> {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_shard_epoch(&mut self.engines.0, &mut self.scheduler, routes)
+        }));
+        (self, outcome)
+    }
+}
+
+/// The fleet, split for one drive: workers share the read-only routing
+/// table while the calling thread keeps the counters, the gateway
+/// stash, and every engine no shard is currently holding.
+struct DriveState<'f> {
+    routes: &'f GatewayRoutes,
+    counters: &'f mut GatewayCounters,
+    gateway_rx: &'f mut [Vec<ReceivedMessage>],
+    /// Engines by cluster; `None` while lent to a shard.
+    slots: Vec<Option<&'f mut Box<dyn BusEngine>>>,
 }
 
 /// How a [`ShardedFleet`] assigns clusters to worker shards.
@@ -245,8 +266,8 @@ impl fmt::Display for ShardBalance {
 /// internally sorted by the `(round, cluster)` merge key, so a
 /// same-epoch merge of all batches equals the merged stream).
 pub trait FleetRecordSink {
-    /// The ordered fleet-wide stream: bit-identical to
-    /// [`InterleavedScheduler::drive`]'s emission order.
+    /// The ordered fleet-wide stream: the round-robin order, identical
+    /// for every shard count.
     fn record(&mut self, record: FleetRecord);
 
     /// One shard's `(round, cluster, record)` emissions for the epoch
@@ -278,65 +299,20 @@ impl FleetRecordSink for MergedOnly<'_> {
     }
 }
 
-/// Rendezvous for the persistent-pool epoch: workers deliver their
-/// shard results (or caught panics) as they finish; the driver
-/// receives them in completion order.
-/// What a worker reports for one shard: the epoch results, or the
-/// panic payload its job caught.
-type ShardOutcome = Result<ShardEpoch, Box<dyn Any + Send>>;
-
-#[derive(Default)]
-struct EpochInbox {
-    slots: Mutex<Vec<(usize, ShardOutcome)>>,
-    ready: Condvar,
-}
-
-impl EpochInbox {
-    fn deliver(&self, shard: usize, result: ShardOutcome) {
-        self.slots.lock().expect("inbox lock").push((shard, result));
-        self.ready.notify_all();
-    }
-
-    fn recv(&self) -> (usize, ShardOutcome) {
-        let mut slots = self.slots.lock().expect("inbox lock");
-        loop {
-            if let Some(item) = slots.pop() {
-                return item;
-            }
-            slots = self.ready.wait(slots).expect("inbox lock");
-        }
-    }
-}
-
-/// Keeps the engine borrows handed to the pool alive until the whole
-/// generation has finished, even if the driver thread unwinds (e.g. a
-/// sink panics mid-epoch) — the other half of the
-/// `WorkerPool::submit` safety contract.
-struct EpochGuard<'a> {
-    pool: &'a WorkerPool,
-}
-
-impl Drop for EpochGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.wait_all();
-    }
-}
-
-/// The multi-threaded fleet driver: cluster shards on a persistent
-/// worker pool, one [`InterleavedScheduler`] per shard, gateway
-/// envelopes exchanged at cross-worker epoch barriers, shards
-/// rebalanced by measured per-cluster load.
+/// The fleet drive loop: cluster shards on scoped worker threads, one
+/// [`InterleavedScheduler`] per shard, gateway envelopes exchanged at
+/// cross-worker epoch barriers, shards rebalanced by measured
+/// per-cluster load.
 ///
-/// Drives any [`Fleet`] exactly like [`InterleavedScheduler::drive`]
-/// — same record stream, same receive logs, same statistics, same
-/// gateway counters (see the [module docs](self) for why) — while
-/// spreading the per-epoch bus work across up to `shards` cores.
-/// Engines migrate to a worker once per *rebalance* (and the worker
-/// threads themselves live across epochs and drives), not once per
-/// epoch; [`ShardedFleet::per_epoch_spawn`] keeps the scoped
-/// spawn-per-epoch baseline for comparison. Like the scheduler, a
-/// `ShardedFleet` is reusable across drives and accumulates its
-/// counters.
+/// Every shard count yields the same record stream, receive logs,
+/// statistics and gateway counters (see the [module docs](self) for
+/// why); more shards only spread the per-epoch bus work across up to
+/// `shards` cores. `ShardedFleet::new(1)` is the single-threaded
+/// interleaved drain ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved)).
+/// Each drive opens one thread scope whose workers serve every epoch of
+/// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
+/// instead. A `ShardedFleet` is reusable across drives and accumulates
+/// its counters.
 ///
 /// # Example
 ///
@@ -365,15 +341,10 @@ impl Drop for EpochGuard<'_> {
 pub struct ShardedFleet {
     shards: usize,
     balance: ShardBalance,
-    /// Persistent-pool mode (the default) vs the scoped
-    /// spawn-per-epoch baseline.
-    persistent: bool,
-    /// The long-lived workers, created by the first multi-worker
-    /// persistent epoch and reused for every epoch after.
-    pool: Option<WorkerPool>,
-    /// One persistent scheduler per worker slot, so fairness counters
-    /// accumulate across epochs and drives exactly as the
-    /// single-threaded scheduler's do.
+    /// One thread scope per drive (the default) vs one per epoch.
+    scope_per_drive: bool,
+    /// One scheduler per shard, so fairness counters accumulate across
+    /// epochs and drives. Lent to the shard's worker during an epoch.
     schedulers: Vec<InterleavedScheduler>,
     epochs: u64,
     /// Current cluster-to-shard assignment: `assignment[s]` lists
@@ -398,8 +369,9 @@ impl Default for ShardedFleet {
 impl ShardedFleet {
     /// Creates a driver that spreads each epoch across up to `shards`
     /// workers (0 is treated as 1; the effective worker count is
-    /// further clamped to the driven fleet's cluster count), using the
-    /// persistent pool and rebalancing by measured load every epoch.
+    /// further clamped to the driven fleet's cluster count), keeping
+    /// one set of worker threads per drive and rebalancing by measured
+    /// load every epoch.
     pub fn new(shards: usize) -> Self {
         ShardedFleet::with_balance(shards, ShardBalance::Measured { every_epochs: 1 })
     }
@@ -409,8 +381,7 @@ impl ShardedFleet {
         ShardedFleet {
             shards: shards.max(1),
             balance,
-            persistent: true,
-            pool: None,
+            scope_per_drive: true,
             schedulers: Vec::new(),
             epochs: 0,
             assignment: Vec::new(),
@@ -420,18 +391,16 @@ impl ShardedFleet {
         }
     }
 
-    /// The pre-pool baseline: a fresh `std::thread::scope` worker per
-    /// shard per epoch over static contiguous shards — the PR 5
-    /// execution shape, kept so the `interleave` bench can measure
-    /// exactly what the persistent pool buys. Output is identical to
+    /// The spawn-per-epoch baseline: fresh worker threads every epoch
+    /// over static contiguous shards, kept so benches can measure what
+    /// keeping workers across a drive buys. Output is identical to
     /// every other mode.
     pub fn per_epoch_spawn(shards: usize) -> Self {
         ShardedFleet {
-            persistent: false,
+            scope_per_drive: false,
             ..ShardedFleet::with_balance(shards, ShardBalance::Static)
         }
     }
-
     /// The configured shard (worker) count.
     pub fn shards(&self) -> usize {
         self.shards
@@ -456,10 +425,29 @@ impl ShardedFleet {
     }
 
     /// Progress epochs (cross-worker barriers that ran a transaction
-    /// or routed an envelope) across all drives — the same contract as
-    /// [`InterleavedScheduler::epochs`]: the empty terminating epoch
-    /// is not counted, so back-to-back drives on a quiescent fleet
-    /// leave the counter unchanged.
+    /// or routed an envelope) across all drives. The empty terminating
+    /// epoch every drive ends with is *not* counted, so driving an
+    /// already-quiescent fleet leaves the counter unchanged and
+    /// back-to-back drives don't inflate it:
+    ///
+    /// ```
+    /// use mbus_core::fleet::{Fleet, ShardedFleet};
+    /// use mbus_core::{BusConfig, EngineKind, FuId};
+    ///
+    /// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+    /// let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
+    /// let src = fleet.add_sensor(a, false);
+    /// let dst = fleet.add_sensor(b, false);
+    /// fleet.queue_remote(src, dst, FuId::ZERO, vec![7])?;
+    ///
+    /// let mut sharded = ShardedFleet::new(2);
+    /// sharded.drive(&mut fleet, &mut |_| {});
+    /// assert_eq!(sharded.epochs(), 2); // envelope epoch + forwarded epoch
+    /// sharded.drive(&mut fleet, &mut |_| {}); // quiescent: no work,
+    /// sharded.drive(&mut fleet, &mut |_| {}); // so no epochs counted
+    /// assert_eq!(sharded.epochs(), 2);
+    /// # Ok::<(), mbus_core::MbusError>(())
+    /// ```
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
@@ -553,192 +541,170 @@ impl ShardedFleet {
         if self.shard_wall_nanos.len() < workers {
             self.shard_wall_nanos.resize(workers, 0);
         }
-        loop {
-            self.refresh_assignment(n, workers);
-            let epoch_id = self.epochs;
-
-            // Epoch: every shard interleaves its clusters to
-            // quiescence and classifies its gateway traffic, in
-            // parallel against the shared read-only routing table.
-            let (results, first_panic) = {
-                let ShardedFleet {
-                    persistent,
-                    pool,
-                    schedulers,
-                    assignment,
-                    ..
-                } = &mut *self;
-                let routes = &fleet.gateway.routes;
-                let mut results: Vec<Option<ShardEpoch>> = Vec::new();
-                results.resize_with(workers, || None);
-                let mut first_panic: Option<Box<dyn Any + Send>> = None;
-
-                if workers == 1 {
-                    let entries: ShardEntries<'_> = fleet.clusters.iter_mut().enumerate().collect();
-                    let ep = timed_shard_epoch(ShardEngines(entries), &mut schedulers[0], routes);
-                    sink.shard_records(epoch_id, 0, &ep.records);
-                    results[0] = Some(ep);
-                } else {
-                    // Hand each shard exclusive &mut access to exactly
-                    // its clusters' engines.
-                    let mut slots: Vec<Option<&mut Box<dyn BusEngine>>> =
-                        fleet.clusters.iter_mut().map(Some).collect();
-                    let mut shard_engines: Vec<ShardEngines<'_>> = assignment
-                        .iter()
-                        .map(|members| {
-                            ShardEngines(
-                                members
-                                    .iter()
-                                    .map(|&c| {
-                                        (c, slots[c].take().expect("cluster assigned to one shard"))
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect();
-
-                    if !*persistent {
-                        // Baseline mode: spawn-per-epoch scoped
-                        // workers via the audited `pool::run_scoped`
-                        // helper. Each job parks its outcome in its
-                        // own shard slot (panics contained, like the
-                        // pool path), and the driver drains the slots
-                        // in shard order — the same order the old
-                        // in-scope joins used.
-                        let mut outcomes: Vec<Option<std::thread::Result<ShardEpoch>>> = Vec::new();
-                        outcomes.resize_with(workers, || None);
-                        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shard_engines
-                            .drain(..)
-                            .zip(schedulers.iter_mut())
-                            .zip(outcomes.iter_mut())
-                            .map(|((engines, scheduler), slot)| {
-                                Box::new(move || {
-                                    *slot = Some(panic::catch_unwind(AssertUnwindSafe(|| {
-                                        timed_shard_epoch(engines, scheduler, routes)
-                                    })));
-                                }) as Box<dyn FnOnce() + Send + '_>
-                            })
-                            .collect();
-                        run_scoped(jobs);
-                        for (shard, outcome) in outcomes.into_iter().enumerate() {
-                            match outcome.expect("every scoped shard job ran") {
-                                Ok(ep) => {
-                                    sink.shard_records(epoch_id, shard, &ep.records);
-                                    results[shard] = Some(ep);
-                                }
-                                Err(payload) => {
-                                    first_panic = first_panic.take().or(Some(payload));
+        let Fleet {
+            clusters,
+            gateway,
+            gateway_rx,
+            ..
+        } = fleet;
+        let GatewayNode { routes, counters } = gateway;
+        let routes = &*routes;
+        let mut state = DriveState {
+            routes,
+            counters,
+            gateway_rx,
+            slots: clusters.iter_mut().map(Some).collect(),
+        };
+        let mut progressed = true;
+        while progressed {
+            // Shard 0 runs on this thread; shards 1.. each get a
+            // worker that serves leases until its channel closes. The
+            // scope outlives every lease, so the borrow checker proves
+            // no worker can touch an engine after the drive returns.
+            thread::scope(|scope| {
+                let (done_tx, done) = mpsc::channel::<Returned<'_>>();
+                let (lanes, handles): (Vec<Sender<ShardLease<'_>>>, Vec<_>) = (1..workers)
+                    .map(|_| {
+                        let (lane, leases) = mpsc::channel::<ShardLease<'_>>();
+                        let done_tx = done_tx.clone();
+                        let handle = scope.spawn(move || {
+                            for lease in leases {
+                                if done_tx.send(lease.run(routes)).is_err() {
+                                    return;
                                 }
                             }
-                        }
-                    } else {
-                        // Persistent pool: shards 1.. go to the pool's
-                        // long-lived workers, the driver runs shard 0
-                        // itself, and results stream back through the
-                        // inbox in completion order.
-                        let pool = pool.get_or_insert_with(WorkerPool::new);
-                        let inbox = EpochInbox::default();
-                        let mut engines_iter = shard_engines.drain(..);
-                        let shard0 = engines_iter.next().expect("at least one shard");
-                        let mut scheds = schedulers.iter_mut();
-                        let sched0 = scheds.next().expect("a scheduler per shard");
-                        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = engines_iter
-                            .zip(scheds)
-                            .enumerate()
-                            .map(|(i, (engines, scheduler))| {
-                                let shard = i + 1;
-                                let inbox = &inbox;
-                                Box::new(move || {
-                                    // Contain shard panics here so the
-                                    // rendezvous always completes; the
-                                    // driver re-raises after the
-                                    // barrier.
-                                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                                        timed_shard_epoch(engines, scheduler, routes)
-                                    }));
-                                    inbox.deliver(shard, result);
-                                }) as Box<dyn FnOnce() + Send + '_>
-                            })
-                            .collect();
-                        // SAFETY: every borrow inside `jobs` (engines,
-                        // schedulers, routes, inbox) outlives the
-                        // generation — `guard` waits for the pool on
-                        // every exit path, including unwinds, before
-                        // those borrows can be touched or expire; the
-                        // previous generation finished before this
-                        // loop iteration re-entered.
-                        let submitted = unsafe { pool.submit(jobs) };
-                        let guard = EpochGuard { pool };
-                        let ep = timed_shard_epoch(shard0, sched0, routes);
-                        sink.shard_records(epoch_id, 0, &ep.records);
-                        results[0] = Some(ep);
-                        for _ in 0..submitted {
-                            let (shard, result) = inbox.recv();
-                            match result {
-                                Ok(ep) => {
-                                    sink.shard_records(epoch_id, shard, &ep.records);
-                                    results[shard] = Some(ep);
-                                }
-                                Err(payload) => {
-                                    first_panic = first_panic.take().or(Some(payload));
-                                }
-                            }
-                        }
-                        drop(guard);
-                        first_panic = first_panic.take().or_else(|| pool.take_panic());
+                        });
+                        (lane, handle)
+                    })
+                    .unzip();
+                loop {
+                    progressed = self.epoch(&mut state, &lanes, &done, sink);
+                    if !progressed || !self.scope_per_drive {
+                        break;
                     }
                 }
-                (results, first_panic)
-            };
-            if let Some(payload) = first_panic {
-                panic::resume_unwind(payload);
-            }
-
-            // Barrier, part 1: gather the outboxes — counters merged,
-            // local traffic stashed (each cluster's stash comes from
-            // exactly one shard, so per-cluster order is preserved),
-            // records and forwards collected for the ordered passes.
-            let mut ran = false;
-            let mut merged: Vec<(u64, usize, EngineRecord)> = Vec::new();
-            let mut forwards: Vec<(usize, usize, Message)> = Vec::new();
-            for (shard, ep) in results.into_iter().enumerate() {
-                let mut ep = ep.expect("every shard reported an epoch");
-                ran |= ep.ran;
-                self.shard_wall_nanos[shard] += ep.wall_nanos;
-                merged.append(&mut ep.records);
-                fleet.gateway.counters.merge(&ep.counters);
-                for (cluster, m) in ep.stash.drain(..) {
-                    fleet.gateway_rx[cluster].push(m);
+                // Close the lanes and join each worker explicitly: the
+                // scope's implicit join can return before a thread has
+                // fully exited, and under glibc the next scope's threads
+                // then each get a fresh malloc arena instead of reusing
+                // this one's (fleetbench `wire_sense` peak RSS grew ≈20%).
+                drop(lanes);
+                for handle in handles {
+                    handle.join().expect("shard workers contain their panics");
                 }
-                forwards.append(&mut ep.forwards);
-            }
-
-            // Barrier, part 2: emit the epoch's records in the
-            // single-threaded round-robin order — merge by (round,
-            // cluster); see the module docs for why this is exact.
-            merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
-            for (_, cluster, record) in merged {
-                sink.record(FleetRecord { cluster, record });
-            }
-
-            // Barrier, part 3: queue forwarded legs on their
-            // destination buses in (source cluster, receive position)
-            // order — the stable sort restores the single-threaded
-            // route_cluster loop's order across non-contiguous shards.
-            forwards.sort_by_key(|&(src, _, _)| src);
-            let mut routed = false;
-            for (_, dest_cluster, msg) in forwards {
-                routed = true;
-                fleet.clusters[dest_cluster]
-                    .queue(GATEWAY_NODE, msg)
-                    .expect("forwarded leg is shorter than its envelope");
-            }
-            if !ran && !routed {
-                return;
-            }
-            self.epochs += 1;
-            sink.epoch_complete(self.epochs);
+            });
         }
+    }
+
+    /// Runs one epoch — shard 0 here, shard `s` on `lanes[s - 1]` —
+    /// and its barrier. Returns whether the epoch made progress (ran a
+    /// transaction or routed an envelope).
+    fn epoch<'f>(
+        &mut self,
+        state: &mut DriveState<'f>,
+        lanes: &[Sender<ShardLease<'f>>],
+        done: &Receiver<Returned<'f>>,
+        sink: &mut dyn FleetRecordSink,
+    ) -> bool {
+        self.refresh_assignment(state.slots.len(), lanes.len() + 1);
+        let epoch_id = self.epochs;
+
+        // Lend each shard exclusive access to exactly its clusters'
+        // engines, plus its scheduler.
+        let slots = &mut state.slots;
+        let schedulers = &mut self.schedulers;
+        let mut leases = self
+            .assignment
+            .iter()
+            .enumerate()
+            .map(|(shard, members)| ShardLease {
+                shard,
+                engines: ShardEngines(
+                    members
+                        .iter()
+                        .map(|&c| (c, slots[c].take().expect("cluster assigned to one shard")))
+                        .collect(),
+                ),
+                scheduler: mem::take(&mut schedulers[shard]),
+            });
+        let local = leases.next().expect("at least one shard");
+        for (lease, lane) in leases.zip(lanes) {
+            lane.send(lease)
+                .expect("workers serve until the scope closes");
+        }
+
+        // Rendezvous: take every lease home (shard 0's first, then the
+        // workers' in completion order) before anything else touches
+        // the engines; a shard's panic is re-raised only once all are.
+        let mut results: Vec<Option<ShardEpoch>> = Vec::new();
+        results.resize_with(lanes.len() + 1, || None);
+        let mut first_panic = None;
+        let local = local.run(state.routes);
+        for (lease, outcome) in std::iter::once(local).chain(done.iter().take(lanes.len())) {
+            for (cluster, engine) in lease.engines.0 {
+                state.slots[cluster] = Some(engine);
+            }
+            self.schedulers[lease.shard] = lease.scheduler;
+            match outcome {
+                Ok(ep) => {
+                    sink.shard_records(epoch_id, lease.shard, &ep.records);
+                    results[lease.shard] = Some(ep);
+                }
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = first_panic {
+            panic::resume_unwind(payload);
+        }
+
+        // Barrier, part 1: gather the outboxes — counters merged,
+        // local traffic stashed (each cluster's stash comes from
+        // exactly one shard, so per-cluster order is preserved),
+        // records and forwards collected for the ordered passes.
+        let mut ran = false;
+        let mut merged: Vec<(u64, usize, EngineRecord)> = Vec::new();
+        let mut forwards: Vec<(usize, usize, Message)> = Vec::new();
+        for (shard, ep) in results.into_iter().enumerate() {
+            let mut ep = ep.expect("every shard reported an epoch");
+            ran |= ep.ran;
+            self.shard_wall_nanos[shard] += ep.wall_nanos;
+            merged.append(&mut ep.records);
+            state.counters.merge(&ep.counters);
+            for (cluster, m) in ep.stash.drain(..) {
+                state.gateway_rx[cluster].push(m);
+            }
+            forwards.append(&mut ep.forwards);
+        }
+
+        // Barrier, part 2: emit the epoch's records in the
+        // single-shard round-robin order — merge by (round, cluster);
+        // see the module docs for why this is exact.
+        merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
+        for (_, cluster, record) in merged {
+            sink.record(FleetRecord { cluster, record });
+        }
+
+        // Barrier, part 3: queue forwarded legs on their destination
+        // buses in (source cluster, receive position) order — the
+        // stable sort restores the batched route_cluster loop's order
+        // across non-contiguous shards.
+        forwards.sort_by_key(|&(src, _, _)| src);
+        let routed = !forwards.is_empty();
+        for (_, dest_cluster, msg) in forwards {
+            state.slots[dest_cluster]
+                .as_mut()
+                .expect("every lease is home at the barrier")
+                .queue(GATEWAY_NODE, msg)
+                .expect("forwarded leg is shorter than its envelope");
+        }
+        if !ran && !routed {
+            return false;
+        }
+        self.epochs += 1;
+        sink.epoch_complete(self.epochs);
+        true
     }
 }
 
@@ -790,7 +756,7 @@ mod tests {
     }
 
     /// Shard counts the conformance sweep covers; reduced under Miri
-    /// (1 = no pool, 2 = smallest real rendezvous).
+    /// (1 = no worker thread, 2 = smallest real lease hand-off).
     fn test_shard_counts() -> &'static [usize] {
         if cfg!(miri) {
             &[1, 2]
@@ -816,8 +782,10 @@ mod tests {
                         .unwrap();
                     }
                 }
-                let want = reference.run_until_quiescent_interleaved();
-                let got = sharded.run_until_quiescent_sharded(shards);
+                let mut want = Vec::new();
+                ShardedFleet::new(1).drive(&mut reference, &mut |r| want.push(r));
+                let mut got = Vec::new();
+                ShardedFleet::new(shards).drive(&mut sharded, &mut |r| got.push(r));
                 assert_eq!(want, got, "{kind} shards={shards}");
                 assert_eq!(
                     reference.gateway().forwarded(),
@@ -899,8 +867,9 @@ mod tests {
                 ),
             )
             .unwrap();
-        let records = fleet.run_until_quiescent_sharded(64);
-        assert_eq!(records.len(), 1);
+        let mut records = 0;
+        ShardedFleet::new(64).drive(&mut fleet, &mut |_| records += 1);
+        assert_eq!(records, 1);
 
         // Degenerate inputs: zero shards clamp to one, empty fleets
         // terminate immediately.
@@ -910,8 +879,8 @@ mod tests {
 
     #[test]
     fn per_epoch_spawn_matches_persistent_modes() {
-        // All three execution modes (persistent measured, persistent
-        // static, scoped spawn-per-epoch) produce the identical
+        // All three execution modes (workers per drive with measured
+        // or static balance, workers per epoch) produce the identical
         // stream.
         for kind in EngineKind::ALL {
             let runs: Vec<Vec<FleetRecord>> = [
@@ -938,7 +907,7 @@ mod tests {
             })
             .collect();
             assert_eq!(runs[0], runs[1], "{kind}: measured == static");
-            assert_eq!(runs[0], runs[2], "{kind}: pooled == spawn-per-epoch");
+            assert_eq!(runs[0], runs[2], "{kind}: per-drive == per-epoch workers");
         }
     }
 
@@ -962,11 +931,11 @@ mod tests {
     #[test]
     fn wire_engines_migrate_across_pool_threads() {
         // The Send-audit's regression test, sized to run un-reduced
-        // under Miri: two Rc-based wire engines on a two-shard
-        // persistent pool, so every epoch moves each engine's whole
-        // object graph onto a worker thread and the rendezvous hands
-        // it back — three drives deep, with cross-cluster traffic so
-        // the barrier exchanges state between the shards too.
+        // under Miri: two Rc-based wire engines on two shards, so every
+        // epoch lends one engine's whole object graph to a worker
+        // thread and the lease channel hands it back — three drives
+        // deep, with cross-cluster traffic so the barrier exchanges
+        // state between the shards too.
         let mut fleet = Fleet::new(EngineKind::Wire, BusConfig::default());
         for _ in 0..2 {
             let c = fleet.add_cluster();
@@ -1010,5 +979,49 @@ mod tests {
         let mut all: Vec<usize> = assignment.iter().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..8).collect::<Vec<_>>(), "partition of the fleet");
+    }
+
+    #[test]
+    fn sink_panic_unwinds_without_hanging_and_the_fleet_drives_again() {
+        // A sink that panics at the barrier unwinds out of a two-shard
+        // drive on either engine: the worker's lease is already home,
+        // the scope joins, and the payload reaches the caller intact.
+        // The same ShardedFleet then completes the next drive, its counters
+        // intact (the first epoch's two envelope legs still count).
+        for kind in EngineKind::ALL {
+            let mut fleet = Fleet::new(kind, BusConfig::default());
+            for _ in 0..2 {
+                let c = fleet.add_cluster();
+                fleet.add_sensor(c, false);
+            }
+            let queue = |fleet: &mut Fleet, tag: u8| {
+                for (src, dst) in [(0usize, 1usize), (1, 0)] {
+                    fleet
+                        .queue_remote(
+                            FleetNodeId::new(src, 1),
+                            FleetNodeId::new(dst, 1),
+                            FuId::ZERO,
+                            vec![tag, src as u8],
+                        )
+                        .unwrap();
+                }
+            };
+            let mut sharded = ShardedFleet::new(2);
+            queue(&mut fleet, 0);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                sharded.drive(&mut fleet, &mut |_| panic!("sink refused a record"))
+            }));
+            let payload = outcome.expect_err("{kind}: the sink's panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"sink refused a record"),
+                "{kind}"
+            );
+            queue(&mut fleet, 1);
+            let mut n = 0;
+            sharded.drive(&mut fleet, &mut |_| n += 1);
+            assert_eq!(n, 4, "{kind}: two envelopes + two forwarded legs");
+            assert_eq!(sharded.transactions(), 6, "{kind}");
+        }
     }
 }

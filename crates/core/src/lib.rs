@@ -24,9 +24,9 @@
 //! * [`AnalyticBus`] — transaction-level, using the paper's §6.1 cycle
 //!   budget; fast enough for the evaluation sweeps. It steps one
 //!   transaction per call, so thousands of buses interleave on one
-//!   thread (driven by [`InterleavedScheduler`]) or shard across worker
-//!   threads with gateway exchange at epoch barriers
-//!   ([`ShardedFleet`]).
+//!   thread or shard across worker threads with gateway exchange at
+//!   epoch barriers (both driven by [`ShardedFleet`], one
+//!   [`InterleavedScheduler`] per shard).
 //! * [`wire::WireBus`] — edge-level, running real bus-controller and
 //!   mediator state machines over the `mbus-sim` discrete-event kernel
 //!   with per-hop propagation delays.

@@ -74,7 +74,9 @@ use crate::behavior::{NodeBehavior, DEFAULT_REPLY_HORIZON, MAX_BEHAVIOR_PAYLOAD}
 use crate::config::BusConfig;
 use crate::engine::{EngineKind, EngineRecord};
 use crate::fleet::{
-    Fleet, FleetNodeId, FleetSchedule, FleetSignature, FleetStep, FleetWorkload, MeshRoute, MAX_TTL,
+    envelope_message, node_full_prefix, Fleet, FleetNodeId, FleetSchedule, FleetSignature,
+    FleetStep, FleetWorkload, MeshRoute, GATEWAY_FORWARD_FU, GATEWAY_NODE, MAX_ENVELOPE_HEADER,
+    MAX_TTL,
 };
 use crate::message::Message;
 use crate::node::NodeSpec;
@@ -1152,6 +1154,14 @@ impl<'a> Parser<'a> {
                         format!("functional unit {fu_raw} out of range (0..=15)"),
                     )
                 })?;
+                if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
+                    return Err(self.err(
+                        line_no,
+                        fu_tok.col,
+                        "a remote message may not target a gateway forwarding port \
+                         (node 0, fu 0)",
+                    ));
+                }
                 let payload_tok = self.need(line_no, line, toks, 4, "payload hex (or -)")?;
                 let payload = self.parse_payload(line_no, payload_tok)?;
                 let mut ttl: Option<u8> = None;
@@ -1195,6 +1205,18 @@ impl<'a> Parser<'a> {
                             ),
                         ));
                     }
+                }
+                // Only a payload within an envelope header of `maxmsg`
+                // can overflow it, so only those pay for building the
+                // envelope and validating it like any queued message.
+                if payload.len() + MAX_ENVELOPE_HEADER > self.config.max_message_bytes() {
+                    let envelope = envelope_message(node_full_prefix(dest), fu, &payload, ttl);
+                    let hint = if ttl.is_some() {
+                        " (counting the 6-byte `ttl=` envelope header)"
+                    } else {
+                        " (counting the 4-byte envelope header)"
+                    };
+                    self.check_len(line_no, payload_tok, &envelope, hint)?;
                 }
                 self.fsteps.push(FleetStep::Remote {
                     src,

@@ -126,6 +126,21 @@ const EXPECTED: &[(&str, &str)] = &[
         "forwarding_port_payload.mbt:4:17: payload `00` sent to the gateway forwarding \
          port is not an envelope (use `remote`, or a gateway fu other than 0)",
     ),
+    (
+        "remote_too_long.mbt",
+        "remote_too_long.mbt:6:18: payload too long: message of 1025 bytes exceeds \
+         maximum length 1024 (counting the 4-byte envelope header)",
+    ),
+    (
+        "remote_ttl_too_long.mbt",
+        "remote_ttl_too_long.mbt:6:18: payload too long: message of 1025 bytes exceeds \
+         maximum length 1024 (counting the 6-byte `ttl=` envelope header)",
+    ),
+    (
+        "remote_to_forwarding_port.mbt",
+        "remote_to_forwarding_port.mbt:5:16: a remote message may not target a gateway \
+         forwarding port (node 0, fu 0)",
+    ),
 ];
 
 #[test]

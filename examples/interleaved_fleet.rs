@@ -5,17 +5,17 @@
 //!
 //! 1. Step a single [`AnalyticBus`] by hand with `run_transaction` —
 //!    the one-transaction step the scheduler is built on.
-//! 2. Build an 8-cluster analytic fleet and drain it with the
-//!    [`InterleavedScheduler`], printing the round-robin emission
-//!    order next to the batched cluster-major order for the same
-//!    traffic.
+//! 2. Build an 8-cluster analytic fleet and drain it on one thread
+//!    with a single-shard [`ShardedFleet`] (one
+//!    `InterleavedScheduler`), printing the round-robin emission order
+//!    next to the batched cluster-major order for the same traffic.
 //!
 //! Run with: `cargo run --release --example interleaved_fleet`
 
 use mbus_core::fleet::{Fleet, FleetNodeId};
 use mbus_core::{
     Address, AnalyticBus, BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId, FullPrefix,
-    InterleavedScheduler, Message, NodeSpec, ShortPrefix,
+    Message, NodeSpec, ShardedFleet, ShortPrefix,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -66,14 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dest = sensors[(c + 1) % clusters];
         fleet.queue_remote(src, dest, FuId::ZERO, vec![0xC0 | c as u8])?;
     }
-    let mut scheduler = InterleavedScheduler::new();
+    let mut interleaved = ShardedFleet::new(1);
     let mut order = Vec::new();
-    scheduler.drive(&mut fleet, &mut |record| order.push(record.cluster));
+    interleaved.drive(&mut fleet, &mut |record| order.push(record.cluster));
     println!(
         "{} buses drained interleaved on one thread: {} transactions in {} epochs",
         clusters,
-        scheduler.transactions(),
-        scheduler.epochs()
+        interleaved.transactions(),
+        interleaved.epochs()
     );
     println!("  round-robin emission order: {order:?}");
 

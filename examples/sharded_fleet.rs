@@ -75,11 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Bit-identical to the single-threaded interleave. --------
     let (mut reference, _) = ring_fleet(clusters)?;
-    let want: Vec<usize> = reference
-        .run_until_quiescent_interleaved()
-        .iter()
-        .map(|r| r.cluster)
-        .collect();
+    let mut want = Vec::new();
+    ShardedFleet::new(1).drive(&mut reference, &mut |record| want.push(record.cluster));
     println!("\nfleet-wide emission order (first 12): {:?}", &order[..12]);
     assert_eq!(want, order, "sharded order == single-threaded round-robin");
     println!("sharded stream identical to the single-threaded interleave: true");

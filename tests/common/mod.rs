@@ -139,9 +139,8 @@ pub fn schedule_crosscheck(
 }
 
 /// Runs `workload` sharded across `shards` workers on `kind` — once
-/// through [`FleetSchedule::Sharded`] (the persistent pool rebalancing
-/// every epoch) and once with rebalancing off
-/// ([`ShardBalance::Static`]) — and asserts both sharded drains are
+/// through [`FleetSchedule::Sharded`] (rebalancing every epoch) and
+/// once with rebalancing off ([`ShardBalance::Static`]) — and asserts both sharded drains are
 /// bit-identical to the single-threaded interleaved reference: the
 /// full fleet-wide record stream (not just per-cluster subsequences),
 /// the [`mbus_core::FleetSignature`], and the merged gateway counters.

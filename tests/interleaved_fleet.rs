@@ -1,8 +1,8 @@
-//! Interleaved-vs-batched fleet equivalence: the
-//! [`InterleavedScheduler`] (one transaction per cluster per round,
-//! the serving schedule for thousands of buses on one thread) must
-//! produce the *same per-cluster behavior* as the batched
-//! cluster-major drain from PR 3.
+//! Interleaved-vs-batched fleet equivalence: the interleaved drain (a
+//! single-shard [`ShardedFleet`] — one [`InterleavedScheduler`]
+//! stepping one transaction per cluster per round, the serving
+//! schedule for thousands of buses on one thread) must produce the
+//! *same per-cluster behavior* as the batched cluster-major drain.
 //!
 //! The contract, exactly as `mbus_core::fleet` documents it: both
 //! schedules route gateway envelopes only at epoch barriers, so each
@@ -21,10 +21,11 @@
 //! [`FleetRecord`]: mbus_core::FleetRecord
 //! [`FleetSignature`]: mbus_core::FleetSignature
 //! [`InterleavedScheduler`]: mbus_core::InterleavedScheduler
+//! [`ShardedFleet`]: mbus_core::ShardedFleet
 
 mod common;
 
-use mbus_core::fleet::{Fleet, FleetNodeId, InterleavedScheduler};
+use mbus_core::fleet::{Fleet, FleetNodeId, ShardedFleet};
 use mbus_core::{
     BusConfig, EngineKind, EngineRecord, FleetReport, FleetSchedule, FleetWorkload, FuId,
 };
@@ -132,7 +133,8 @@ fn interleaved_scheduler_handles_cross_cluster_causality() {
         fleet
             .queue_remote(src, dst, FuId::ZERO, vec![0x42])
             .unwrap();
-        let records = fleet.run_until_quiescent_interleaved();
+        let mut records = Vec::new();
+        ShardedFleet::new(1).drive(&mut fleet, &mut |r| records.push(r));
         assert_eq!(records.len(), 2, "{kind}: envelope + forwarded leg");
         assert_eq!(
             (records[0].cluster, records[1].cluster),
@@ -152,9 +154,9 @@ fn interleaved_scheduler_handles_cross_cluster_causality() {
 
 #[test]
 fn scheduler_counters_and_reuse_across_drives() {
-    // One scheduler instance drives two fleets; counters accumulate
-    // and the active-list scratch is reused safely.
-    let mut scheduler = InterleavedScheduler::new();
+    // One single-shard ShardedFleet drives two fleets; counters accumulate
+    // and the scheduler's active-list scratch is reused safely.
+    let mut interleaved = ShardedFleet::new(1);
     for _ in 0..2 {
         let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
         let a = fleet.add_cluster();
@@ -165,21 +167,22 @@ fn scheduler_counters_and_reuse_across_drives() {
             .queue_remote(s0, FleetNodeId::new(1, 1), FuId::ZERO, vec![1, 2])
             .unwrap();
         let mut n = 0;
-        scheduler.drive(&mut fleet, &mut |_| n += 1);
+        interleaved.drive(&mut fleet, &mut |_| n += 1);
         assert_eq!(n, 2);
     }
-    assert_eq!(scheduler.transactions(), 4);
+    assert_eq!(interleaved.transactions(), 4);
+    assert_eq!(interleaved.shard_schedulers()[0].transactions(), 4);
     // Two progress epochs per drive (envelope, then forwarded leg);
     // the terminating empty epochs are not counted — see the
-    // `InterleavedScheduler::epochs` contract.
-    assert_eq!(scheduler.epochs(), 4);
+    // `ShardedFleet::epochs` contract.
+    assert_eq!(interleaved.epochs(), 4);
     // A drive over an already-quiescent fleet adds nothing: the
     // counter no longer inflates on back-to-back drives.
     let mut quiet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     quiet.add_cluster();
-    scheduler.drive(&mut quiet, &mut |_| {});
-    scheduler.drive(&mut quiet, &mut |_| {});
-    assert_eq!(scheduler.epochs(), 4);
+    interleaved.drive(&mut quiet, &mut |_| {});
+    interleaved.drive(&mut quiet, &mut |_| {});
+    assert_eq!(interleaved.epochs(), 4);
 }
 
 #[test]

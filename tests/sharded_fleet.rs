@@ -126,11 +126,8 @@ fn sharded_gateway_drops_attribute_to_the_receiving_cluster() {
                     .queue(FleetNodeId::new(c, 1), Message::new(port, envelope))
                     .unwrap();
             }
-            if shards == 0 {
-                fleet.run_until_quiescent_interleaved();
-            } else {
-                fleet.run_until_quiescent_sharded(shards);
-            }
+            // Zero shards clamps to one: the single-threaded interleave.
+            ShardedFleet::new(shards).drive(&mut fleet, &mut |_| {});
             reports.push((
                 fleet.gateway().forwarded(),
                 fleet.gateway().dropped(),
@@ -333,7 +330,8 @@ fn streamed_shard_batches_reassemble_into_the_merged_stream() {
             .unwrap();
         }
     }
-    let want = reference.run_until_quiescent_interleaved();
+    let mut want = Vec::new();
+    ShardedFleet::new(1).drive(&mut reference, &mut |r| want.push(r));
 
     let mut sharded = ShardedFleet::new(3);
     let mut sink = CollectSink::default();
@@ -372,7 +370,7 @@ fn streamed_shard_batches_reassemble_into_the_merged_stream() {
 fn per_epoch_spawn_baseline_stays_conformant_over_seeds() {
     // A smaller battery for the spawn-per-epoch baseline mode, so the
     // bench's comparison shape stays pinned to the same bit-identity
-    // contract as the persistent pool.
+    // contract as workers kept per drive.
     for seed in 0..common::scaled_seeds(40) {
         let w = FleetWorkload::seeded(seed);
         let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
