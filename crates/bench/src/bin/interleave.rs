@@ -17,11 +17,12 @@
 //!    throughput in txn/s.
 //! 2. **Worker scaling** — 8192 analytic buses (32768 nodes) at 1,
 //!    2, 4, and 8 workers, each count run twice: workers spawned per
-//!    epoch over static shards (`ShardedFleet::per_epoch_spawn`) vs
-//!    workers kept for the whole drive with measured load balancing
-//!    (`ShardedFleet::new`). Both streams are asserted bit-identical
-//!    to the single-threaded interleaved reference; per-shard
-//!    transaction and wall-time gauges come from
+//!    epoch (`ShardedFleet::per_epoch_spawn`) vs workers kept for the
+//!    whole drive (`ShardedFleet::new`), both rebalanced by measured
+//!    load every epoch, so their ratio is the spawn cost alone. Both
+//!    streams are asserted bit-identical to the single-threaded
+//!    interleaved reference; per-shard transaction and wall-time
+//!    gauges come from
 //!    `FleetFairness::shard_transactions`/`shard_wall_nanos`.
 //! 3. **64k-bus fleet** — a 65536-cluster, 262144-node cross-storm
 //!    drained by the sharded runtime, the population headline.
@@ -129,10 +130,10 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     );
     let mut rows = Vec::new();
     for &workers in &worker_counts {
-        // Fresh scoped threads every epoch, static contiguous shards.
+        // Fresh scoped threads every epoch.
         let mut spawn = ShardedFleet::per_epoch_spawn(workers);
         let (_, spawn_txn_s) = timed_drain(&workload, &mut spawn, &reference, "spawn-per-epoch");
-        // One set of workers per drive, measured load balancing.
+        // One set of workers per drive.
         let mut per_drive = ShardedFleet::new(workers);
         let (report, drive_txn_s) = timed_drain(&workload, &mut per_drive, &reference, "per-drive");
         let fairness = report.fairness.as_ref().expect("sharded drains report");

@@ -14,10 +14,10 @@
 //!    the destination's 4-byte encoded full address
 //!    ([`Address::Full`], the §4.6 `0xF`-escape form) followed by the
 //!    inner payload — see [`GatewayNode::encapsulate`].
-//! 2. The gateway receives the envelope like any bus member, looks the
-//!    destination full prefix up in its routing table, and queues the
-//!    inner payload on the destination cluster's bus, **full-prefix
-//!    addressed** to the final destination.
+//! 2. The gateway receives the envelope like any bus member, reads the
+//!    destination cluster from the packed full prefix (see
+//!    [`MAX_CLUSTERS`]), and queues the inner payload on that cluster's
+//!    bus, **full-prefix addressed** to the final destination.
 //! 3. The destination bus delivers it under normal §4.3–4.4 semantics:
 //!    arbitration edges wake every power-gated bus controller on that
 //!    bus (charged once per transaction, as the single-bus engines
@@ -79,7 +79,7 @@ pub mod shard;
 use std::collections::BTreeMap;
 use std::fmt;
 
-pub use shard::{FleetRecordSink, ShardBalance, ShardedFleet};
+pub use shard::ShardedFleet;
 
 use crate::addr::{Address, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{self, NodeBehavior, DEFAULT_REPLY_HORIZON};
@@ -189,6 +189,13 @@ fn sensor_full_prefix(cluster: usize, node: NodeIndex) -> FullPrefix {
         .expect("cluster count is capped so sensor prefixes fit 20 bits")
 }
 
+/// Splits a packed full prefix into its `(cluster, slot)` fields (see
+/// [`MAX_CLUSTERS`]).
+fn unpack_prefix(prefix: FullPrefix) -> (usize, usize) {
+    let raw = prefix.raw();
+    ((raw >> 4) as usize, (raw & 0xF) as usize)
+}
+
 /// The full prefix fleet node `id` holds: its cluster's gateway
 /// presence or one of its sensors.
 pub(crate) fn node_full_prefix(id: FleetNodeId) -> FullPrefix {
@@ -258,9 +265,9 @@ pub struct FleetRecord {
 ///
 /// The gateway models one always-on device with a bus frontend on every
 /// cluster (its per-bus presences are added by [`Fleet::add_cluster`]).
-/// It keeps a routing table from destination full prefix to cluster,
-/// built automatically as nodes are added, and counts every forwarded
-/// and dropped envelope so fleet runs are auditable.
+/// It routes a destination full prefix to the cluster its packed
+/// cluster field names (see [`MAX_CLUSTERS`]), and counts every
+/// forwarded and dropped envelope so fleet runs are auditable.
 ///
 /// Because the gateway is *not* power-aware, its bus presences never
 /// charge bus-controller wakes ([`BusStats::bus_ctl_wakes`]); a
@@ -269,7 +276,7 @@ pub struct FleetRecord {
 /// accounting.
 #[derive(Clone, Debug, Default)]
 pub struct GatewayNode {
-    /// The routing table — read-only once the fleet is built, so
+    /// The routes — read-only once the fleet is built, so
     /// sharded drains can hand every worker a shared `&GatewayRoutes`.
     routes: GatewayRoutes,
     /// The mutable half: forwarding/drop counters, maintained on the
@@ -279,12 +286,17 @@ pub struct GatewayNode {
 }
 
 /// The read-only half of a [`GatewayNode`]: destination full prefix →
-/// owning cluster. Built as nodes are added and never mutated by a
-/// drain, which is what lets a sharded fleet share one table across
-/// worker threads (`&GatewayRoutes` is `Send + Sync`).
+/// owning cluster. No per-prefix table is kept: a fleet prefix packs
+/// as `(cluster << 4) | slot`, so a route is the prefix's cluster
+/// field, checked against that cluster's population. Built as nodes
+/// are added and never mutated by a drain, which is what lets a
+/// sharded fleet share one `GatewayRoutes` across worker threads
+/// (`&GatewayRoutes` is `Send + Sync`).
 #[derive(Clone, Debug, Default)]
 pub struct GatewayRoutes {
-    routes: BTreeMap<u32, usize>,
+    /// Ring positions on each cluster's bus, gateway presence included,
+    /// indexed by cluster: slots `1..nodes` are its sensors.
+    nodes: Vec<usize>,
     /// Mesh domain of each cluster, indexed by cluster; clusters never
     /// placed explicitly live in domain 0. Gateways forward directly
     /// only to clusters in their own domain — anything else must hop
@@ -380,20 +392,12 @@ pub(crate) enum GatewayVerdict {
 }
 
 impl GatewayRoutes {
-    /// Registers `prefix` as reachable on `cluster`.
-    fn register(&mut self, prefix: FullPrefix, cluster: usize) {
-        let previous = self.routes.insert(prefix.raw(), cluster);
-        assert!(
-            previous.is_none(),
-            "full prefix {prefix} registered on two clusters"
-        );
-    }
-
     /// Records that `cluster` (the next one to be added) lives in
-    /// `domain`.
-    fn register_domain(&mut self, cluster: usize, domain: usize) {
+    /// `domain`, with only its gateway presence so far.
+    fn add_cluster(&mut self, cluster: usize, domain: usize) {
         assert_eq!(self.domains.len(), cluster, "clusters added out of order");
         self.domains.push(domain);
+        self.nodes.push(1);
     }
 
     /// Appends a hierarchical range route; panics on a same-domain next
@@ -415,14 +419,18 @@ impl GatewayRoutes {
         self.ranges.push(route);
     }
 
-    /// The cluster that owns `prefix`, if any.
+    /// The cluster that owns `prefix`, if any: the prefix's cluster
+    /// field, when that cluster exists and the slot is its gateway
+    /// presence (`0xF`) or one of its sensors.
     pub fn route(&self, prefix: FullPrefix) -> Option<usize> {
-        self.routes.get(&prefix.raw()).copied()
+        let (cluster, slot) = unpack_prefix(prefix);
+        let nodes = *self.nodes.get(cluster)?;
+        (slot == 0xF || (1..nodes).contains(&slot)).then_some(cluster)
     }
 
-    /// Number of full prefixes in the routing table.
+    /// Number of routable full prefixes: one per node of the fleet.
     pub fn route_count(&self) -> usize {
-        self.routes.len()
+        self.nodes.iter().sum()
     }
 
     /// The mesh domain `cluster` lives in (0 when never placed
@@ -438,7 +446,7 @@ impl GatewayRoutes {
 
     /// Classifies one message a gateway presence received: local
     /// traffic, a routable envelope (with its forwarded leg built), or
-    /// a drop. Pure with respect to the routing table, so shard
+    /// a drop. Pure with respect to the routes, so shard
     /// workers can run it concurrently against per-shard `counters`;
     /// every counter update classification implies (forwards, hop
     /// forwards, per-hop drops) happens in here, keeping the
@@ -472,9 +480,12 @@ impl GatewayRoutes {
             counters.ttl_drop_on(cluster);
             return GatewayVerdict::Drop;
         }
+        let host = self.route(prefix);
+        // Range routes match the prefix's cluster field whether or not
+        // a node holds the prefix.
+        let (toward, _) = unpack_prefix(prefix);
         let mut at = cluster;
         loop {
-            let host = self.route(prefix);
             if let Some(dest_cluster) = host {
                 if self.domain_of(dest_cluster) == self.domain_of(at) {
                     counters.forwarded += 1;
@@ -485,11 +496,7 @@ impl GatewayRoutes {
                 }
             }
             // The destination is not directly reachable from `at`'s
-            // domain: find a range route out. Unregistered prefixes
-            // fall back to the cluster field of the packed prefix for
-            // range matching, so hierarchically-allocated prefixes
-            // route without per-prefix entries.
-            let toward = host.unwrap_or((prefix.raw() >> 4) as usize);
+            // domain: find a range route out.
             if ttl <= 1 {
                 counters.ttl_drop_on(at);
                 return GatewayVerdict::Drop;
@@ -510,14 +517,9 @@ impl GatewayRoutes {
 }
 
 impl GatewayNode {
-    /// The read-only routing table.
+    /// The read-only routes.
     pub fn routes(&self) -> &GatewayRoutes {
         &self.routes
-    }
-
-    /// Registers `prefix` as reachable on `cluster`.
-    fn register(&mut self, prefix: FullPrefix, cluster: usize) {
-        self.routes.register(prefix, cluster);
     }
 
     /// The cluster that owns `prefix`, if any.
@@ -525,7 +527,7 @@ impl GatewayNode {
         self.routes.route(prefix)
     }
 
-    /// Number of full prefixes in the routing table.
+    /// Number of routable full prefixes: one per node of the fleet.
     pub fn route_count(&self) -> usize {
         self.routes.route_count()
     }
@@ -736,8 +738,7 @@ impl Fleet {
                 .with_short_prefix(gateway_short_prefix()),
         );
         debug_assert_eq!(index, GATEWAY_NODE);
-        self.gateway.routes.register_domain(cluster, domain);
-        self.gateway.register(prefix, cluster);
+        self.gateway.routes.add_cluster(cluster, domain);
         self.clusters.push(engine);
         self.gateway_rx.push(Vec::new());
         cluster
@@ -798,7 +799,7 @@ impl Fleet {
                 .power_aware(power_aware),
         );
         debug_assert_eq!(index, node);
-        self.gateway.register(full, cluster);
+        self.gateway.routes.nodes[cluster] = node + 1;
         FleetNodeId::new(cluster, node)
     }
 
@@ -1155,12 +1156,11 @@ pub enum FleetSchedule {
     Interleaved,
     /// Sharded interleave ([`shard::ShardedFleet`]): cluster groups on
     /// scoped worker threads, one interleaved scheduler each, shards
-    /// rebalanced every epoch by measured per-cluster load
-    /// ([`ShardBalance::Measured`]), gateway envelopes exchanged at
-    /// cross-worker epoch barriers — tens of thousands of buses across
-    /// cores. The record stream stays bit-identical to
-    /// [`FleetSchedule::Interleaved`] regardless of worker count or
-    /// rebalance schedule.
+    /// rebalanced every epoch by measured per-cluster load, gateway
+    /// envelopes exchanged at cross-worker epoch barriers — tens of
+    /// thousands of buses across cores. The record stream stays
+    /// bit-identical to [`FleetSchedule::Interleaved`] regardless of
+    /// worker count or shard assignment.
     Sharded {
         /// Worker-thread count (clamped to the cluster count; 0 is
         /// treated as 1).
@@ -1761,11 +1761,11 @@ impl FleetWorkload {
     }
 
     /// [`FleetWorkload::apply_scheduled`] with a caller-owned
-    /// [`ShardedFleet`], so the drain's worker-spawn mode, shard count,
-    /// and [`ShardBalance`] schedule are all the caller's choice (the
-    /// `interleave` bench uses this to race workers kept per drive
-    /// against the per-epoch-spawn baseline). Counters accumulate into
-    /// `sharded` and the report's fairness snapshot is taken from it.
+    /// [`ShardedFleet`], so the drain's worker-spawn mode and shard
+    /// count are the caller's choice (the `interleave` bench uses this
+    /// to race workers kept per drive against the per-epoch-spawn
+    /// baseline). Counters accumulate into `sharded` and the report's
+    /// fairness snapshot is taken from it.
     ///
     /// # Panics
     ///
@@ -2836,6 +2836,33 @@ mod tests {
             fleet.gateway().route(FullPrefix::new(0xBEEF).unwrap()),
             None
         );
+
+        // Exhaustive: an empty cluster, a full one, and a cluster in a
+        // second mesh domain. Across the whole 20-bit prefix space,
+        // exactly the prefixes some node holds route, each to its
+        // node's cluster.
+        let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+        fleet.add_cluster();
+        let full = fleet.add_cluster();
+        for _ in 0..MAX_SENSORS_PER_CLUSTER {
+            fleet.add_sensor(full, true);
+        }
+        let remote = fleet.add_cluster_in_domain(1);
+        fleet.add_sensor(remote, false);
+        fleet.add_sensor(remote, true);
+        let mut owner = vec![None; 1 << 20];
+        for cluster in 0..fleet.cluster_count() {
+            for node in 0..fleet.clusters[cluster].node_count() {
+                let prefix = fleet.spec(FleetNodeId::new(cluster, node)).full_prefix();
+                owner[prefix.raw() as usize] = Some(cluster);
+            }
+        }
+        assert_eq!(owner.iter().flatten().count(), fleet.total_nodes());
+        for (raw, &want) in owner.iter().enumerate() {
+            let prefix = FullPrefix::new(raw as u32).unwrap();
+            assert_eq!(fleet.gateway().route(prefix), want, "prefix {prefix}");
+        }
+        assert_eq!(fleet.gateway().route_count(), fleet.total_nodes());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! shards rebalanced by measured load.
 //!
 //! This is the fleet's one interleaved drive loop. A [`ShardedFleet`]
-//! partitions a fleet's clusters into **shards** — contiguous under
-//! [`ShardBalance::Static`], load-balanced under
-//! [`ShardBalance::Measured`] — and, each epoch, runs one
+//! partitions a fleet's clusters into **shards**, repacked every epoch
+//! by measured per-cluster load, and, each epoch, runs one
 //! [`InterleavedScheduler`] per shard: shard 0 on the calling thread,
 //! the others on workers of a `std::thread::scope` that lives for the
 //! whole drive (or, in the [`ShardedFleet::per_epoch_spawn`] mode, for
@@ -19,7 +18,7 @@
 //! # Equivalence argument
 //!
 //! The drain is *bit-identical* for every shard count, spawn mode and
-//! rebalance schedule — not just per-cluster, but in the fleet-wide
+//! shard assignment — not just per-cluster, but in the fleet-wide
 //! record order too:
 //!
 //! * **Per-cluster streams.** Clusters share no state except through
@@ -47,8 +46,8 @@
 //!   shards non-contiguous. Queueing never executes bus work (engines
 //!   only run inside epochs), so barrier-internal interleaving of
 //!   `take_rx` and `queue` calls is immaterial.
-//! * **Rebalancing is deterministic.** [`ShardBalance::Measured`]
-//!   repartitions on the schedulers' per-cluster transaction counters,
+//! * **Rebalancing is deterministic.** Each epoch's assignment is
+//!   packed from the schedulers' per-cluster transaction counters,
 //!   which are themselves a pure function of the (deterministic)
 //!   record stream; the greedy bin-packing breaks every tie by index.
 //!   The assignment therefore replays identically run-to-run, and by
@@ -56,7 +55,7 @@
 //!
 //! `tests/sharded_fleet.rs` pins all of this over hundreds of seeds,
 //! every [`EngineKind`](crate::engine::EngineKind), shard counts
-//! 1/2/4/7, and rebalance-every-epoch vs never-rebalance.
+//! 1/2/4/7, and workers kept per drive vs spawned per epoch.
 //!
 //! # Threading model
 //!
@@ -148,10 +147,10 @@ fn run_shard_epoch(
     scheduler: &mut InterleavedScheduler,
     routes: &GatewayRoutes,
 ) -> ShardEpoch {
-    // WALL-CLOCK: per-shard load gauge for the fairness report and the
-    // Measured balancer's diagnostics only; `wall_nanos` never reaches
-    // a signature-bearing stream (signatures are pure functions of
-    // seeds — see the determinism contract in the module docs).
+    // WALL-CLOCK: per-shard load gauge for the fairness report only;
+    // `wall_nanos` never reaches a signature-bearing stream (signatures
+    // are pure functions of seeds — see the determinism contract in the
+    // module docs).
     let start = Instant::now();
     let mut records = Vec::new();
     let ran = scheduler.run_epoch_entries(entries, &mut |round, cluster, record| {
@@ -218,87 +217,6 @@ struct DriveState<'f> {
     slots: Vec<Option<&'f mut Box<dyn BusEngine>>>,
 }
 
-/// How a [`ShardedFleet`] assigns clusters to worker shards.
-///
-/// Either way the assignment is deterministic and the drained output
-/// is *identical* — the merge key and the barrier's source-sorted
-/// routing make the record stream independent of the assignment (see
-/// the [module docs](self)); balancing only moves wall-clock time
-/// between workers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShardBalance {
-    /// Contiguous near-equal cluster ranges, fixed for the fleet's
-    /// size — the PR 5 shape.
-    Static,
-    /// Greedy bin-packing on the schedulers' accumulated per-cluster
-    /// transaction counters (heaviest cluster first onto the lightest
-    /// shard, every tie broken by index), refreshed at epoch
-    /// boundaries. The counters are a pure function of the
-    /// deterministic record stream, so the assignment replays
-    /// identically run-to-run.
-    Measured {
-        /// Rebalance cadence in progress epochs (0 is treated as 1 —
-        /// every epoch).
-        every_epochs: u64,
-    },
-}
-
-impl fmt::Display for ShardBalance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardBalance::Static => write!(f, "static"),
-            ShardBalance::Measured { every_epochs } => write!(f, "measured({every_epochs})"),
-        }
-    }
-}
-
-/// A consumer of a sharded drain's record emissions — the streaming
-/// alternative to the plain closure [`ShardedFleet::drive`] takes.
-///
-/// [`ShardedFleet::drive_sink`] calls [`FleetRecordSink::shard_records`]
-/// with each shard's raw epoch emissions *as that shard completes* —
-/// before the fleet-wide merge, in worker completion order (which is
-/// timing-dependent and **not** deterministic) — then delivers the
-/// ordered merge through [`FleetRecordSink::record`] exactly as the
-/// closure form would. The merged stream is the conformance-pinned
-/// one; the per-shard batches are for consumers that want records as
-/// early as possible and do their own ordering (each batch is
-/// internally sorted by the `(round, cluster)` merge key, so a
-/// same-epoch merge of all batches equals the merged stream).
-pub trait FleetRecordSink {
-    /// The ordered fleet-wide stream: the round-robin order, identical
-    /// for every shard count.
-    fn record(&mut self, record: FleetRecord);
-
-    /// One shard's `(round, cluster, record)` emissions for the epoch
-    /// that just completed on it, delivered in worker completion order
-    /// (nondeterministic across shards; deterministic within the
-    /// batch). `epoch` is the drain's cumulative progress-epoch count
-    /// *before* this barrier (so all batches of one barrier share it);
-    /// the final quiescent barrier delivers empty batches under the
-    /// same id as the last progress barrier.
-    fn shard_records(&mut self, epoch: u64, shard: usize, records: &[(u64, usize, EngineRecord)]) {
-        let _ = (epoch, shard, records);
-    }
-
-    /// Called after each progress epoch's barrier has merged, with the
-    /// new cumulative [`ShardedFleet::epochs`] value. Not called for
-    /// the empty terminating epoch.
-    fn epoch_complete(&mut self, epochs: u64) {
-        let _ = epochs;
-    }
-}
-
-/// Adapts the plain-closure drive to the sink interface: merged
-/// records only, per-shard batches ignored.
-struct MergedOnly<'a>(&'a mut dyn FnMut(FleetRecord));
-
-impl FleetRecordSink for MergedOnly<'_> {
-    fn record(&mut self, record: FleetRecord) {
-        (self.0)(record)
-    }
-}
-
 /// The fleet drive loop: cluster shards on scoped worker threads, one
 /// [`InterleavedScheduler`] per shard, gateway envelopes exchanged at
 /// cross-worker epoch barriers, shards rebalanced by measured
@@ -307,8 +225,14 @@ impl FleetRecordSink for MergedOnly<'_> {
 /// Every shard count yields the same record stream, receive logs,
 /// statistics and gateway counters (see the [module docs](self) for
 /// why); more shards only spread the per-epoch bus work across up to
-/// `shards` cores. `ShardedFleet::new(1)` is the single-threaded
-/// interleaved drain ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved)).
+/// `shards` cores. Before every epoch the clusters are repacked onto
+/// the shards by greedy bin-packing on the schedulers' accumulated
+/// per-cluster transaction counters (heaviest cluster first onto the
+/// lightest shard, every tie broken by index); the counters are a pure
+/// function of the deterministic record stream, so the assignment
+/// replays identically run-to-run. `ShardedFleet::new(1)` is the
+/// single-threaded interleaved drain
+/// ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved)).
 /// Each drive opens one thread scope whose workers serve every epoch of
 /// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
 /// instead. A `ShardedFleet` is reusable across drives and accumulates
@@ -340,7 +264,6 @@ impl FleetRecordSink for MergedOnly<'_> {
 #[derive(Debug)]
 pub struct ShardedFleet {
     shards: usize,
-    balance: ShardBalance,
     /// One thread scope per drive (the default) vs one per epoch.
     scope_per_drive: bool,
     /// One scheduler per shard, so fairness counters accumulate across
@@ -349,12 +272,8 @@ pub struct ShardedFleet {
     epochs: u64,
     /// Current cluster-to-shard assignment: `assignment[s]` lists
     /// shard `s`'s clusters in ascending order; together the lists
-    /// partition `0..assigned_clusters`.
+    /// partition the driven fleet's clusters.
     assignment: Vec<Vec<usize>>,
-    assigned_clusters: usize,
-    /// The epoch count at which [`ShardBalance::Measured`] next
-    /// recomputes the assignment.
-    next_rebalance: u64,
     /// Cumulative wall-clock nanoseconds per shard (epoch bodies only,
     /// barrier time excluded), indexed by shard.
     shard_wall_nanos: Vec<u64>,
@@ -373,47 +292,35 @@ impl ShardedFleet {
     /// one set of worker threads per drive and rebalancing by measured
     /// load every epoch.
     pub fn new(shards: usize) -> Self {
-        ShardedFleet::with_balance(shards, ShardBalance::Measured { every_epochs: 1 })
-    }
-
-    /// [`ShardedFleet::new`] with an explicit [`ShardBalance`].
-    pub fn with_balance(shards: usize, balance: ShardBalance) -> Self {
         ShardedFleet {
             shards: shards.max(1),
-            balance,
             scope_per_drive: true,
             schedulers: Vec::new(),
             epochs: 0,
             assignment: Vec::new(),
-            assigned_clusters: 0,
-            next_rebalance: 0,
             shard_wall_nanos: Vec::new(),
         }
     }
 
-    /// The spawn-per-epoch baseline: fresh worker threads every epoch
-    /// over static contiguous shards, kept so benches can measure what
-    /// keeping workers across a drive buys. Output is identical to
-    /// every other mode.
+    /// The spawn-per-epoch baseline: [`ShardedFleet::new`] with the
+    /// thread scope closed after every epoch, kept so benches can
+    /// measure what keeping workers across a drive buys. Output is
+    /// identical to every other mode.
     pub fn per_epoch_spawn(shards: usize) -> Self {
         ShardedFleet {
             scope_per_drive: false,
-            ..ShardedFleet::with_balance(shards, ShardBalance::Static)
+            ..ShardedFleet::new(shards)
         }
     }
+
     /// The configured shard (worker) count.
     pub fn shards(&self) -> usize {
         self.shards
     }
 
-    /// The configured [`ShardBalance`] policy.
-    pub fn balance(&self) -> ShardBalance {
-        self.balance
-    }
-
     /// The current cluster-to-shard assignment: entry `s` lists shard
     /// `s`'s clusters in ascending order. Empty before the first
-    /// drive; refreshed at rebalance boundaries.
+    /// drive; repacked before every epoch.
     pub fn shard_assignment(&self) -> &[Vec<usize>] {
         &self.assignment
     }
@@ -484,36 +391,16 @@ impl ShardedFleet {
         merged
     }
 
-    /// Recomputes the cluster-to-shard assignment if it is stale (the
-    /// fleet or worker count changed) or a measured rebalance is due.
-    /// Deterministic: contiguous near-equal ranges for
-    /// [`ShardBalance::Static`], index-tie-broken greedy bin-packing
-    /// on the accumulated per-cluster transaction counters for
-    /// [`ShardBalance::Measured`].
-    fn refresh_assignment(&mut self, clusters: usize, workers: usize) {
-        let stale = self.assignment.len() != workers || self.assigned_clusters != clusters;
-        let due = matches!(self.balance, ShardBalance::Measured { .. })
-            && self.epochs >= self.next_rebalance;
-        if !stale && !due {
-            return;
-        }
-        self.assignment = match self.balance {
-            ShardBalance::Static => crate::sweep::balanced_parts(clusters, workers)
-                .into_iter()
-                .map(|range| range.collect())
-                .collect(),
-            ShardBalance::Measured { every_epochs } => {
-                let mut weights = vec![0u64; clusters];
-                for s in &self.schedulers {
-                    for (c, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
-                        weights[c] += n;
-                    }
-                }
-                self.next_rebalance = self.epochs + every_epochs.max(1);
-                balance_by_weight(&weights, workers)
+    /// Repacks the fleet's `clusters` onto `workers` shards by the
+    /// schedulers' accumulated per-cluster transaction counters.
+    fn rebalance(&mut self, clusters: usize, workers: usize) {
+        let mut weights = vec![0u64; clusters];
+        for s in &self.schedulers {
+            for (c, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
+                weights[c] += n;
             }
-        };
-        self.assigned_clusters = clusters;
+        }
+        self.assignment = balance_by_weight(&weights, workers);
     }
 
     /// Runs `fleet` until no bus has pending work and no envelope is
@@ -522,13 +409,6 @@ impl ShardedFleet {
     /// barrier merges the shards' emissions by `(round, cluster)`;
     /// records therefore reach `sink` in epoch-sized batches).
     pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        self.drive_sink(fleet, &mut MergedOnly(sink));
-    }
-
-    /// [`ShardedFleet::drive`] with the full [`FleetRecordSink`]
-    /// interface: per-shard record batches stream out as each shard's
-    /// epoch completes, ahead of the ordered merge.
-    pub fn drive_sink(&mut self, fleet: &mut Fleet, sink: &mut dyn FleetRecordSink) {
         let n = fleet.clusters.len();
         if n == 0 {
             return;
@@ -604,10 +484,9 @@ impl ShardedFleet {
         state: &mut DriveState<'f>,
         lanes: &[Sender<ShardLease<'f>>],
         done: &Receiver<Returned<'f>>,
-        sink: &mut dyn FleetRecordSink,
+        sink: &mut dyn FnMut(FleetRecord),
     ) -> bool {
-        self.refresh_assignment(state.slots.len(), lanes.len() + 1);
-        let epoch_id = self.epochs;
+        self.rebalance(state.slots.len(), lanes.len() + 1);
 
         // Lend each shard exclusive access to exactly its clusters'
         // engines, plus its scheduler.
@@ -646,10 +525,7 @@ impl ShardedFleet {
             }
             self.schedulers[lease.shard] = lease.scheduler;
             match outcome {
-                Ok(ep) => {
-                    sink.shard_records(epoch_id, lease.shard, &ep.records);
-                    results[lease.shard] = Some(ep);
-                }
+                Ok(ep) => results[lease.shard] = Some(ep),
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
@@ -683,7 +559,7 @@ impl ShardedFleet {
         // see the module docs for why this is exact.
         merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
         for (_, cluster, record) in merged {
-            sink.record(FleetRecord { cluster, record });
+            sink(FleetRecord { cluster, record });
         }
 
         // Barrier, part 3: queue forwarded legs on their destination
@@ -703,7 +579,6 @@ impl ShardedFleet {
             return false;
         }
         self.epochs += 1;
-        sink.epoch_complete(self.epochs);
         true
     }
 }
@@ -879,35 +754,30 @@ mod tests {
 
     #[test]
     fn per_epoch_spawn_matches_persistent_modes() {
-        // All three execution modes (workers per drive with measured
-        // or static balance, workers per epoch) produce the identical
-        // stream.
+        // Both execution modes (workers per drive, workers per epoch)
+        // produce the identical stream.
         for kind in EngineKind::ALL {
-            let runs: Vec<Vec<FleetRecord>> = [
-                ShardedFleet::new(3),
-                ShardedFleet::with_balance(3, ShardBalance::Static),
-                ShardedFleet::per_epoch_spawn(3),
-            ]
-            .into_iter()
-            .map(|mut sharded| {
-                let mut fleet = eight_cluster_fleet(kind);
-                for c in 0..8 {
-                    fleet
-                        .queue_remote(
-                            FleetNodeId::new(c, 1),
-                            FleetNodeId::new((c + 1) % 8, 2),
-                            FuId::ZERO,
-                            vec![c as u8],
-                        )
-                        .unwrap();
-                }
-                let mut records = Vec::new();
-                sharded.drive(&mut fleet, &mut |r| records.push(r));
-                records
-            })
-            .collect();
-            assert_eq!(runs[0], runs[1], "{kind}: measured == static");
-            assert_eq!(runs[0], runs[2], "{kind}: per-drive == per-epoch workers");
+            let runs: Vec<Vec<FleetRecord>> =
+                [ShardedFleet::new(3), ShardedFleet::per_epoch_spawn(3)]
+                    .into_iter()
+                    .map(|mut sharded| {
+                        let mut fleet = eight_cluster_fleet(kind);
+                        for c in 0..8 {
+                            fleet
+                                .queue_remote(
+                                    FleetNodeId::new(c, 1),
+                                    FleetNodeId::new((c + 1) % 8, 2),
+                                    FuId::ZERO,
+                                    vec![c as u8],
+                                )
+                                .unwrap();
+                        }
+                        let mut records = Vec::new();
+                        sharded.drive(&mut fleet, &mut |r| records.push(r));
+                        records
+                    })
+                    .collect();
+            assert_eq!(runs[0], runs[1], "{kind}: per-drive == per-epoch workers");
         }
     }
 

@@ -105,8 +105,8 @@ pub use engine::{
 };
 pub use error::MbusError;
 pub use fleet::{
-    Fleet, FleetFairness, FleetNodeId, FleetRecord, FleetRecordSink, FleetReport, FleetSchedule,
-    FleetSignature, FleetWorkload, InterleavedScheduler, MeshRoute, ShardBalance, ShardedFleet,
+    Fleet, FleetFairness, FleetNodeId, FleetRecord, FleetReport, FleetSchedule, FleetSignature,
+    FleetWorkload, InterleavedScheduler, MeshRoute, ShardedFleet,
 };
 pub use message::Message;
 pub use node::NodeSpec;

@@ -15,7 +15,7 @@
 //! mbt 1 workload                      # magic: format version + kind
 //! name many_node_storm/4n1r           # rest of line, verbatim
 //! seed 42                             # optional provenance (at most once)
-//! replay engine=analytic schedule=sharded:4 balance=measured:1
+//! replay engine=analytic schedule=sharded:4
 //! expect sig=6d0ff72ab49e01c3         # optional pinned signature digest
 //! config clock=400000 maxmsg=1024     # bus configuration
 //! wake-nulls                          # = Workload::allow_wake_nulls
@@ -75,13 +75,13 @@ use crate::config::BusConfig;
 use crate::engine::{EngineKind, EngineRecord};
 use crate::fleet::{
     envelope_message, node_full_prefix, Fleet, FleetNodeId, FleetSchedule, FleetSignature,
-    FleetStep, FleetWorkload, MeshRoute, GATEWAY_FORWARD_FU, GATEWAY_NODE, MAX_ENVELOPE_HEADER,
-    MAX_TTL,
+    FleetStep, FleetWorkload, MeshRoute, GATEWAY_FORWARD_FU, GATEWAY_NODE, MAX_CLUSTERS,
+    MAX_ENVELOPE_HEADER, MAX_SENSORS_PER_CLUSTER, MAX_TTL,
 };
 use crate::message::Message;
 use crate::node::NodeSpec;
 use crate::scenario::{ScenarioSignature, Step, Workload};
-use crate::{ShardBalance, TxOutcome};
+use crate::TxOutcome;
 
 /// The highest format version this module reads. Version 1 files
 /// remain fully readable; the serializer emits `mbt 2` only when a
@@ -131,8 +131,6 @@ pub struct TraceMeta {
     pub engine: Option<EngineKind>,
     /// Suggested fleet schedule for replay (`replay schedule=`).
     pub schedule: Option<FleetSchedule>,
-    /// Suggested shard balance policy for replay (`replay balance=`).
-    pub balance: Option<ShardBalance>,
     /// Pinned signature digest (`expect sig=`): every replay of this
     /// trace must reproduce it (see [`Trace::run_digest`]).
     pub expect_sig: Option<u64>,
@@ -362,16 +360,13 @@ fn header(out: &mut String, version: u32, kind: &str, name: &str, meta: &TraceMe
     if let Some(seed) = meta.seed {
         let _ = writeln!(out, "seed {seed}");
     }
-    if meta.engine.is_some() || meta.schedule.is_some() || meta.balance.is_some() {
+    if meta.engine.is_some() || meta.schedule.is_some() {
         out.push_str("replay");
         if let Some(engine) = meta.engine {
             let _ = write!(out, " engine={engine}");
         }
         if let Some(schedule) = meta.schedule {
             let _ = write!(out, " schedule={}", schedule_token(schedule));
-        }
-        if let Some(balance) = meta.balance {
-            let _ = write!(out, " balance={}", balance_token(balance));
         }
         out.push('\n');
     }
@@ -385,13 +380,6 @@ fn schedule_token(schedule: FleetSchedule) -> String {
         FleetSchedule::Batched => "batched".to_string(),
         FleetSchedule::Interleaved => "interleaved".to_string(),
         FleetSchedule::Sharded { shards } => format!("sharded:{shards}"),
-    }
-}
-
-fn balance_token(balance: ShardBalance) -> String {
-    match balance {
-        ShardBalance::Static => "static".to_string(),
-        ShardBalance::Measured { every_epochs } => format!("measured:{every_epochs}"),
     }
 }
 
@@ -990,12 +978,31 @@ impl<'a> Parser<'a> {
                     ));
                 }
                 self.enter(line_no, head, Section::Topology)?;
+                if self.clusters.len() == MAX_CLUSTERS {
+                    return Err(self.err(
+                        line_no,
+                        head.col,
+                        format!("too many clusters (a fleet holds at most {MAX_CLUSTERS})"),
+                    ));
+                }
                 let flags = self.need(line_no, line, toks, 1, "sensor flags ([ag]+ or -)")?;
                 let sensors = if flags.text == "-" {
                     Vec::new()
                 } else {
                     let mut sensors = Vec::with_capacity(flags.text.len());
-                    for ch in flags.text.chars() {
+                    for (i, ch) in flags.text.chars().enumerate() {
+                        if i == MAX_SENSORS_PER_CLUSTER {
+                            // Every earlier flag was an ASCII `a`/`g`,
+                            // so the char index is the byte offset.
+                            return Err(self.err(
+                                line_no,
+                                flags.col + i as u32,
+                                format!(
+                                    "too many sensors (a cluster holds at most \
+                                     {MAX_SENSORS_PER_CLUSTER})"
+                                ),
+                            ));
+                        }
                         match ch {
                             'a' => sensors.push(false),
                             'g' => sensors.push(true),
@@ -1403,29 +1410,6 @@ impl<'a> Parser<'a> {
                                 format!(
                                     "unknown schedule `{value}` (expected batched, interleaved, \
                                      or sharded:<n>)"
-                                ),
-                            ))
-                        }
-                    });
-                }
-                "balance" => {
-                    self.meta.balance = Some(match value.split_once(':') {
-                        None if value == "static" => ShardBalance::Static,
-                        Some(("measured", n)) => ShardBalance::Measured {
-                            every_epochs: n.parse().map_err(|_| {
-                                self.err(
-                                    line_no,
-                                    tok.col,
-                                    format!("malformed rebalance cadence in `{}`", tok.text),
-                                )
-                            })?,
-                        },
-                        _ => {
-                            return Err(self.err(
-                                line_no,
-                                tok.col,
-                                format!(
-                                    "unknown balance `{value}` (expected static or measured:<n>)"
                                 ),
                             ))
                         }
@@ -2090,7 +2074,6 @@ mod tests {
         let mut tf = TraceFile::workload(Workload::many_node_storm(3, 1)).with_seed(99);
         tf.meta.engine = Some(EngineKind::Wire);
         tf.meta.schedule = Some(FleetSchedule::Sharded { shards: 4 });
-        tf.meta.balance = Some(ShardBalance::Measured { every_epochs: 2 });
         tf.meta.expect_sig = Some(0x0123_4567_89ab_cdef);
         let parsed = roundtrip(&tf);
         assert_eq!(parsed.meta, tf.meta);
@@ -2214,6 +2197,31 @@ mod tests {
         assert_eq!(err.line, 4);
         assert_eq!(err.col, 1);
         assert!(err.message.contains("duplicate `seed`"));
+    }
+
+    #[test]
+    fn cluster_past_the_fleet_limit_is_a_spanned_error() {
+        // Exactly MAX_CLUSTERS clusters parse; one more is rejected at
+        // its `cluster` token instead of panicking at instantiate.
+        let mut text = String::from("mbt 1 fleet\nname t\n");
+        text.push_str(&"cluster -\n".repeat(MAX_CLUSTERS));
+        TraceFile::parse_str("t.mbt", &text).unwrap_or_else(|e| panic!("{e}"));
+        text.push_str("  cluster a\n");
+        let err = TraceFile::parse_str("t.mbt", &text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "t.mbt:{}:3: too many clusters (a fleet holds at most {MAX_CLUSTERS})",
+                MAX_CLUSTERS + 3
+            )
+        );
+    }
+
+    #[test]
+    fn balance_is_an_unknown_replay_field() {
+        let text = "mbt 1 workload\nname t\nreplay balance=static\n";
+        let err = TraceFile::parse_str("t.mbt", text).unwrap_err();
+        assert_eq!(err.to_string(), "t.mbt:3:8: unknown replay field `balance`");
     }
 
     #[test]

@@ -90,6 +90,10 @@ const EXPECTED: &[(&str, &str)] = &[
          or `g`ated; `-` for an empty cluster)",
     ),
     (
+        "cluster_too_many_sensors.mbt",
+        "cluster_too_many_sensors.mbt:3:22: too many sensors (a cluster holds at most 13)",
+    ),
+    (
         "unknown_directive.mbt",
         "unknown_directive.mbt:3:1: unknown directive `frobnicate`",
     ),

@@ -1,7 +1,7 @@
 //! Sharded fleet demo: groups of interleaved buses on worker threads,
 //! synchronized at gateway barriers.
 //!
-//! Three parts:
+//! Four parts:
 //!
 //! 1. Build a 12-cluster analytic fleet with a cross-cluster ring
 //!    of traffic and drain it with a [`ShardedFleet`] across 4
@@ -13,17 +13,13 @@
 //! 3. Run a workload through every [`FleetSchedule`] (batched,
 //!    interleaved, sharded at several widths) and verify one shared
 //!    [`FleetSignature`](mbus_core::FleetSignature).
-//! 4. Stream per-shard record batches through a [`FleetRecordSink`]
-//!    (the merged stream stays bit-identical) and watch measured load
-//!    balancing hand a hot cluster its own shard.
+//! 4. Watch measured load balancing hand a hot cluster its own shard
+//!    without moving a bit of the record stream.
 //!
 //! Run with: `cargo run --release --example sharded_fleet`
 
 use mbus_core::fleet::{Fleet, FleetNodeId, ShardedFleet};
-use mbus_core::{
-    BusConfig, EngineKind, EngineRecord, FleetRecord, FleetRecordSink, FleetSchedule,
-    FleetWorkload, FuId,
-};
+use mbus_core::{BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId};
 
 fn ring_fleet(clusters: usize) -> Result<(Fleet, Vec<FleetNodeId>), Box<dyn std::error::Error>> {
     let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
@@ -94,54 +90,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("schedule {schedule}: signature identical to batched");
     }
 
-    // --- 4. Streaming batches + measured rebalancing. ---------------
-    // A sink that counts each shard's batch as its epoch completes —
-    // available the moment the shard finishes, before the fleet-wide
-    // merge — while the merged stream keeps the pinned order.
-    struct BatchCounter {
-        merged: Vec<FleetRecord>,
-        batches: usize,
-        streamed: usize,
-    }
-    impl FleetRecordSink for BatchCounter {
-        fn record(&mut self, record: FleetRecord) {
-            self.merged.push(record);
-        }
-        fn shard_records(
-            &mut self,
-            _epoch: u64,
-            _shard: usize,
-            records: &[(u64, usize, EngineRecord)],
-        ) {
-            self.batches += 1;
-            self.streamed += records.len();
-        }
-    }
-    let (mut fleet, _) = ring_fleet(clusters)?;
-    let mut sharded = ShardedFleet::new(workers);
-    let mut sink = BatchCounter {
-        merged: Vec::new(),
-        batches: 0,
-        streamed: 0,
-    };
-    sharded.drive_sink(&mut fleet, &mut sink);
-    println!(
-        "\nstreaming: {} records in {} per-shard batches, merged stream {} records (order pinned)",
-        sink.streamed,
-        sink.batches,
-        sink.merged.len(),
-    );
-
-    // Measured balancing: sense-and-aggregate funnels every reading to
-    // cluster 0, so after a drive's worth of transaction counters the
-    // greedy packer isolates the hot cluster on its own shard.
+    // --- 4. Measured rebalancing. -----------------------------------
+    // Sense-and-aggregate funnels every reading to cluster 0, so after
+    // a drive's worth of transaction counters the greedy packer
+    // isolates the hot cluster on its own shard.
     let hot = FleetWorkload::sense_and_aggregate(9, 3, 3);
     let mut balanced = ShardedFleet::new(3);
     let once = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
     let twice = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
     assert_eq!(once.records, twice.records, "rebalancing never moves a bit");
     println!(
-        "measured balance after a hot aggregation drive: shards {:?}",
+        "\nmeasured balance after a hot aggregation drive: shards {:?}",
         balanced.shard_assignment(),
     );
     Ok(())

@@ -9,10 +9,7 @@
 
 #![allow(dead_code)]
 
-use mbus_core::{
-    EngineKind, FleetReport, FleetSchedule, FleetWorkload, ScenarioReport, ShardBalance,
-    ShardedFleet, Workload,
-};
+use mbus_core::{EngineKind, FleetReport, FleetSchedule, FleetWorkload, ScenarioReport, Workload};
 
 /// Multiplier for seeded-fuzz batteries, read from `MBUS_SEED_SCALE`
 /// (defaults to 1). The weekly CI cron sets it to 10 so the same
@@ -138,13 +135,12 @@ pub fn schedule_crosscheck(
     (batched, interleaved)
 }
 
-/// Runs `workload` sharded across `shards` workers on `kind` — once
-/// through [`FleetSchedule::Sharded`] (rebalancing every epoch) and
-/// once with rebalancing off ([`ShardBalance::Static`]) — and asserts both sharded drains are
-/// bit-identical to the single-threaded interleaved reference: the
-/// full fleet-wide record stream (not just per-cluster subsequences),
-/// the [`mbus_core::FleetSignature`], and the merged gateway counters.
-/// Returns the rebalancing run's report.
+/// Runs `workload` through [`FleetSchedule::Sharded`] across `shards`
+/// workers on `kind` and asserts the drain is bit-identical to the
+/// single-threaded interleaved reference: the full fleet-wide record
+/// stream (not just per-cluster subsequences), the
+/// [`mbus_core::FleetSignature`], and the merged gateway counters.
+/// Returns the sharded run's report.
 pub fn sharded_crosscheck(
     workload: &FleetWorkload,
     kind: EngineKind,
@@ -152,33 +148,16 @@ pub fn sharded_crosscheck(
     shards: usize,
 ) -> FleetReport {
     let sharded = workload.run_scheduled_on(kind, FleetSchedule::Sharded { shards });
-    assert_sharded_matches(workload, kind, reference, &sharded, shards, "measured");
-    let mut fixed = ShardedFleet::with_balance(shards, ShardBalance::Static);
-    let unbalanced = workload.run_sharded_on(kind, &mut fixed);
-    assert_sharded_matches(workload, kind, reference, &unbalanced, shards, "static");
-    sharded
-}
-
-/// The sharded-vs-interleaved bit-identity assertions shared by both
-/// balance modes of [`sharded_crosscheck`].
-fn assert_sharded_matches(
-    workload: &FleetWorkload,
-    kind: EngineKind,
-    reference: &FleetReport,
-    sharded: &FleetReport,
-    shards: usize,
-    mode: &str,
-) {
     assert_eq!(
         reference.records,
         sharded.records,
-        "sharded({shards}, {mode}) record stream diverged on '{}' ({kind})",
+        "sharded({shards}) record stream diverged on '{}' ({kind})",
         workload.name()
     );
     assert_eq!(
         reference.signature(),
         sharded.signature(),
-        "sharded({shards}, {mode}) signature diverged on '{}' ({kind})",
+        "sharded({shards}) signature diverged on '{}' ({kind})",
         workload.name()
     );
     assert_eq!(
@@ -196,7 +175,8 @@ fn assert_sharded_matches(
             &sharded.cluster_drops,
             &sharded.ttl_drops,
         ),
-        "sharded({shards}, {mode}) gateway counters diverged on '{}' ({kind})",
+        "sharded({shards}) gateway counters diverged on '{}' ({kind})",
         workload.name()
     );
+    sharded
 }

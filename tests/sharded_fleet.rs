@@ -24,8 +24,8 @@ mod common;
 
 use mbus_core::fleet::{Fleet, FleetNodeId, GatewayNode, ShardedFleet, GATEWAY_NODE};
 use mbus_core::{
-    Address, BusConfig, EngineKind, EngineRecord, FleetRecord, FleetRecordSink, FleetSchedule,
-    FleetWorkload, FuId, FullPrefix, Message, ShardBalance, ShortPrefix,
+    Address, BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId, FullPrefix, Message,
+    ShortPrefix,
 };
 
 /// The acceptance-bar shard counts: degenerate, even, ragged, and
@@ -194,32 +194,22 @@ fn sharded_fairness_counters_are_consistent() {
 
 #[test]
 fn rebalance_schedules_produce_identical_merged_streams() {
-    // The tentpole pin, rebalancing axis: every balance policy —
-    // rebalance every epoch, every third epoch, never (static), and
-    // the per-epoch-spawn baseline — yields the identical merged
-    // stream and signature on every engine kind and shard count,
-    // including more shards than clusters.
+    // The tentpole pin, rebalancing axis: rebalancing every epoch,
+    // with workers kept per drive or spawned per epoch, yields the
+    // identical merged stream and signature on every engine kind and
+    // shard count, including more shards than clusters.
     let w = FleetWorkload::cross_storm(7, 2, 2);
     for kind in EngineKind::ALL {
         let reference = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
         for shards in [2usize, 4, 7, 13] {
-            for balance in [
-                ShardBalance::Measured { every_epochs: 1 },
-                ShardBalance::Measured { every_epochs: 3 },
-                ShardBalance::Static,
-            ] {
-                let mut sharded = ShardedFleet::with_balance(shards, balance);
-                let report = w.run_sharded_on(kind, &mut sharded);
-                assert_eq!(
-                    reference.records, report.records,
-                    "{kind} shards={shards} balance={balance}"
-                );
-                assert_eq!(
-                    reference.signature(),
-                    report.signature(),
-                    "{kind} shards={shards} balance={balance}"
-                );
-            }
+            let mut sharded = ShardedFleet::new(shards);
+            let report = w.run_sharded_on(kind, &mut sharded);
+            assert_eq!(reference.records, report.records, "{kind} shards={shards}");
+            assert_eq!(
+                reference.signature(),
+                report.signature(),
+                "{kind} shards={shards}"
+            );
             let mut spawned = ShardedFleet::per_epoch_spawn(shards);
             let report = w.run_sharded_on(kind, &mut spawned);
             assert_eq!(
@@ -276,94 +266,6 @@ fn hot_cluster_earns_a_dedicated_shard() {
             "per-shard gauges cover every transaction"
         );
     }
-}
-
-/// One per-shard batch as streamed: `(epoch, shard, rows)`.
-type ShardBatch = (u64, usize, Vec<(u64, usize, EngineRecord)>);
-
-/// Collects everything the streaming interface emits.
-#[derive(Default)]
-struct CollectSink {
-    merged: Vec<FleetRecord>,
-    batches: Vec<ShardBatch>,
-    completed: Vec<u64>,
-}
-
-impl FleetRecordSink for CollectSink {
-    fn record(&mut self, record: FleetRecord) {
-        self.merged.push(record);
-    }
-    fn shard_records(&mut self, epoch: u64, shard: usize, records: &[(u64, usize, EngineRecord)]) {
-        self.batches.push((epoch, shard, records.to_vec()));
-    }
-    fn epoch_complete(&mut self, epochs: u64) {
-        self.completed.push(epochs);
-    }
-}
-
-#[test]
-fn streamed_shard_batches_reassemble_into_the_merged_stream() {
-    // The per-shard batches arrive in (nondeterministic) completion
-    // order, but each is internally sorted by the (round, cluster)
-    // merge key — so sorting each epoch's batches together must
-    // reproduce the conformance-pinned merged stream exactly.
-    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    for _ in 0..6 {
-        let c = fleet.add_cluster();
-        fleet.add_sensor(c, false);
-        fleet.add_sensor(c, false);
-    }
-    let mut reference = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    for _ in 0..6 {
-        let c = reference.add_cluster();
-        reference.add_sensor(c, false);
-        reference.add_sensor(c, false);
-    }
-    for f in [&mut fleet, &mut reference] {
-        for c in 0..6 {
-            f.queue_remote(
-                FleetNodeId::new(c, 1),
-                FleetNodeId::new((c + 2) % 6, 2),
-                FuId::ZERO,
-                vec![0x51, c as u8],
-            )
-            .unwrap();
-        }
-    }
-    let mut want = Vec::new();
-    ShardedFleet::new(1).drive(&mut reference, &mut |r| want.push(r));
-
-    let mut sharded = ShardedFleet::new(3);
-    let mut sink = CollectSink::default();
-    sharded.drive_sink(&mut fleet, &mut sink);
-
-    assert_eq!(want, sink.merged, "merged stream is the pinned one");
-    assert_eq!(
-        sink.completed,
-        (1..=sharded.epochs()).collect::<Vec<_>>(),
-        "one completion per progress epoch"
-    );
-
-    // Reassemble: group batches by epoch id, sort each epoch's
-    // concatenation by the merge key, and stitch epochs in order.
-    let mut epoch_ids: Vec<u64> = sink.batches.iter().map(|&(e, _, _)| e).collect();
-    epoch_ids.sort_unstable();
-    epoch_ids.dedup();
-    let mut reassembled = Vec::new();
-    for epoch in epoch_ids {
-        let mut rows: Vec<(u64, usize, EngineRecord)> = sink
-            .batches
-            .iter()
-            .filter(|&&(e, _, _)| e == epoch)
-            .flat_map(|(_, _, records)| records.iter().cloned())
-            .collect();
-        rows.sort_by_key(|&(round, cluster, _)| (round, cluster));
-        reassembled.extend(
-            rows.into_iter()
-                .map(|(_, cluster, record)| FleetRecord { cluster, record }),
-        );
-    }
-    assert_eq!(want, reassembled, "shard batches reassemble exactly");
 }
 
 #[test]
