@@ -23,7 +23,10 @@
 //!    streams are asserted bit-identical to the single-threaded
 //!    interleaved reference; per-shard transaction and wall-time
 //!    gauges come from
-//!    `FleetFairness::shard_transactions`/`shard_wall_nanos`.
+//!    `FleetFairness::shard_transactions`/`shard_wall_nanos`. Each
+//!    row also times `FleetReport::signature()` apart from its drain,
+//!    and the bin exits non-zero if the signature took longer than the
+//!    drain (a ratio measured in one process, so machine-independent).
 //! 3. **64k-bus fleet** — a 65536-cluster, 262144-node cross-storm
 //!    drained by the sharded runtime, the population headline.
 //! 4. **Schedule equivalence check** — the same workload, batched vs
@@ -48,7 +51,10 @@ use std::time::Instant;
 use mbus_bench::harness::smoke_mode;
 use mbus_bench::json::Json;
 use mbus_bench::two_col_table;
-use mbus_core::{EngineKind, FleetReport, FleetSchedule, FleetWorkload, ShardedFleet, SweepRunner};
+use mbus_core::{
+    EngineKind, FleetReport, FleetSchedule, FleetSignature, FleetWorkload, ShardedFleet,
+    SweepRunner,
+};
 
 fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
@@ -81,31 +87,54 @@ fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
     ])
 }
 
-/// One timed sharded drain; asserts the stream matches `reference` bit
-/// for bit and returns `(report, txn/s)`.
+/// One timed sharded drain, with the report's `signature()` timed
+/// apart from the drain.
+struct TimedDrain {
+    report: FleetReport,
+    drain_s: f64,
+    signature_s: f64,
+}
+
+impl TimedDrain {
+    fn txn_per_s(&self) -> f64 {
+        self.report.transactions() as f64 / self.drain_s
+    }
+}
+
+/// Runs one sharded drain and asserts its stream and signature match
+/// the interleaved `reference` bit for bit.
 fn timed_drain(
     workload: &FleetWorkload,
     sharded: &mut ShardedFleet,
     reference: &FleetReport,
+    reference_sig: &FleetSignature,
     label: &str,
-) -> (FleetReport, f64) {
+) -> TimedDrain {
     let start = Instant::now();
     let report = workload.run_sharded_on(EngineKind::Analytic, sharded);
-    let wall = start.elapsed();
+    let drain_s = start.elapsed().as_secs_f64();
     assert_eq!(
         reference.records, report.records,
         "{label} stream diverged from interleaved"
     );
+    let start = Instant::now();
+    let sig = report.signature();
+    let signature_s = start.elapsed().as_secs_f64();
     assert_eq!(
-        reference.signature(),
-        report.signature(),
+        *reference_sig, sig,
         "{label} signature diverged from interleaved"
     );
-    let txn_s = report.transactions() as f64 / wall.as_secs_f64();
-    (report, txn_s)
+    TimedDrain {
+        report,
+        drain_s,
+        signature_s,
+    }
 }
 
-fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: bool) -> Json {
+/// The worker-scaling stage. Returns its artifact and whether every
+/// row passed the signature gate: `FleetReport::signature()` must take
+/// no longer than the drain that produced the report.
+fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: bool) -> (Json, bool) {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
     println!(
         "worker scaling '{}': {} nodes across {} analytic buses",
@@ -128,15 +157,37 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
         ref_wall,
         base_txn_s,
     );
+    let reference_sig = reference.signature();
     let mut rows = Vec::new();
+    let mut gate_pass = true;
     for &workers in &worker_counts {
         // Fresh scoped threads every epoch.
         let mut spawn = ShardedFleet::per_epoch_spawn(workers);
-        let (_, spawn_txn_s) = timed_drain(&workload, &mut spawn, &reference, "spawn-per-epoch");
+        let spawn_txn_s = timed_drain(
+            &workload,
+            &mut spawn,
+            &reference,
+            &reference_sig,
+            "spawn-per-epoch",
+        )
+        .txn_per_s();
         // One set of workers per drive.
         let mut per_drive = ShardedFleet::new(workers);
-        let (report, drive_txn_s) = timed_drain(&workload, &mut per_drive, &reference, "per-drive");
-        let fairness = report.fairness.as_ref().expect("sharded drains report");
+        let drive = timed_drain(
+            &workload,
+            &mut per_drive,
+            &reference,
+            &reference_sig,
+            "per-drive",
+        );
+        let drive_txn_s = drive.txn_per_s();
+        let row_pass = drive.signature_s <= drive.drain_s;
+        gate_pass &= row_pass;
+        let fairness = drive
+            .report
+            .fairness
+            .as_ref()
+            .expect("sharded drains report");
         let (txn_lo, txn_hi) = (
             fairness
                 .shard_transactions
@@ -175,6 +226,16 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             fairness.max_turn_gap,
             fairness.epochs,
         );
+        println!(
+            "      signature {:.1} ms vs drain {:.1} ms{}",
+            drive.signature_s * 1e3,
+            drive.drain_s * 1e3,
+            if row_pass {
+                ""
+            } else {
+                "  <-- FAIL: signature > drain"
+            },
+        );
         rows.push(Json::obj([
             ("workers", workers.into()),
             ("spawn_txn_per_s", spawn_txn_s.into()),
@@ -193,16 +254,20 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
                 Json::arr(fairness.shard_wall_nanos.iter().copied()),
             ),
             ("shard_wall_imbalance", fairness.shard_imbalance().into()),
+            ("drain_s", drive.drain_s.into()),
+            ("signature_s", drive.signature_s.into()),
         ]));
     }
     println!("  worker-scaling check: every stream identical to single-threaded interleave\n");
-    Json::obj([
+    let artifact = Json::obj([
         ("clusters", clusters.into()),
         ("nodes", workload.total_nodes().into()),
         ("rounds", rounds.into()),
         ("baseline_txn_per_s", base_txn_s.into()),
         ("rows", Json::Arr(rows)),
-    ])
+        ("signature_gate_pass", gate_pass.into()),
+    ]);
+    (artifact, gate_pass)
 }
 
 fn run_fleet_64k() -> Json {
@@ -348,7 +413,7 @@ fn main() {
     let headline = run_headline(clusters, sensors, rounds);
     // The worker-scaling stage drives 8192 buses in both modes (one
     // round in smoke so CI still exercises the full comparison shape).
-    let scaling = if smoke {
+    let (scaling, signature_gate) = if smoke {
         run_worker_scaling(8192, 3, 1, true)
     } else {
         run_worker_scaling(8192, 3, 4, false)
@@ -373,4 +438,11 @@ fn main() {
     std::fs::write("BENCH_interleave.json", format!("{artifact}\n"))
         .expect("write BENCH_interleave.json");
     println!("\nwrote BENCH_interleave.json");
+
+    if !signature_gate {
+        eprintln!(
+            "FAIL: a worker-scaling row's FleetReport::signature() took longer than its drain"
+        );
+        std::process::exit(1);
+    }
 }

@@ -2677,22 +2677,28 @@ impl FleetFairness {
 impl FleetReport {
     /// The engine-independent essence of this run; compare with
     /// `assert_eq!` across engine kinds.
+    ///
+    /// One pass over [`FleetReport::records`] buckets each record by
+    /// cluster and renumbers its `seq` within that cluster, so the cost
+    /// is O(records + nodes), not O(clusters × records). Records whose
+    /// `cluster` is outside [`FleetReport::rx`] are ignored.
     pub fn signature(&self) -> FleetSignature {
-        let clusters = self.rx.len();
-        let per_cluster = (0..clusters)
-            .map(|c| {
-                let records = self
-                    .records
-                    .iter()
-                    .filter(|r| r.cluster == c)
-                    .map(|r| &r.record)
-                    .filter(|r| self.strict_nulls || !r.is_null())
-                    .enumerate()
-                    .map(|(i, r)| EngineRecord {
-                        seq: i as u64,
-                        ..r.clone()
-                    })
-                    .collect();
+        let mut buckets: Vec<Vec<EngineRecord>> = vec![Vec::new(); self.rx.len()];
+        for r in &self.records {
+            if !self.strict_nulls && r.record.is_null() {
+                continue;
+            }
+            if let Some(bucket) = buckets.get_mut(r.cluster) {
+                bucket.push(EngineRecord {
+                    seq: bucket.len() as u64,
+                    ..r.record.clone()
+                });
+            }
+        }
+        let per_cluster = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(c, records)| {
                 let deliveries = self.rx[c]
                     .iter()
                     .map(|log| {
@@ -3307,6 +3313,94 @@ mod tests {
             sigs.push(report.signature());
         }
         assert_eq!(sigs[0], sigs[1]);
+    }
+
+    #[test]
+    fn one_pass_signature_matches_per_cluster_filter() {
+        // The definition the one-pass bucketing must reproduce: filter
+        // the whole stream once per cluster, then renumber.
+        fn per_cluster(report: &FleetReport) -> Vec<Vec<EngineRecord>> {
+            (0..report.rx.len())
+                .map(|c| {
+                    report
+                        .records
+                        .iter()
+                        .filter(|r| r.cluster == c)
+                        .map(|r| &r.record)
+                        .filter(|r| report.strict_nulls || !r.is_null())
+                        .enumerate()
+                        .map(|(i, r)| EngineRecord {
+                            seq: i as u64,
+                            ..r.clone()
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+        let records_of = |sig: &FleetSignature| -> Vec<Vec<EngineRecord>> {
+            sig.clusters.iter().map(|c| c.records.clone()).collect()
+        };
+        // Power-gated senders on clusters 0 and 2, an empty cluster 1
+        // (`cluster -`), local and cross-cluster traffic in one drain.
+        let base = FleetWorkload::new("signature_buckets", BusConfig::default())
+            .cluster(vec![false, true, true])
+            .cluster(vec![])
+            .cluster(vec![true, false])
+            .send_local(
+                FleetNodeId::new(0, 2),
+                Message::new(
+                    Address::short(ShortPrefix::new(0x2).unwrap(), FuId::ZERO),
+                    vec![1],
+                ),
+            )
+            .send_remote(
+                FleetNodeId::new(2, 1),
+                FleetNodeId::new(0, 1),
+                FuId::ZERO,
+                vec![2],
+            )
+            .send_remote(
+                FleetNodeId::new(0, 3),
+                FleetNodeId::new(2, 2),
+                FuId::ZERO,
+                vec![3],
+            )
+            .drain();
+        for w in [base.clone(), base.allow_wake_nulls()] {
+            for kind in EngineKind::ALL {
+                let label = format!("{kind}, strict_nulls {}", w.strict_nulls());
+                let mut report = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
+                let clusters: Vec<usize> = report.records.iter().map(|r| r.cluster).collect();
+                assert!(
+                    clusters.windows(3).any(|t| t[0] == t[2] && t[0] != t[1]),
+                    "{label}: stream interleaves clusters: {clusters:?}"
+                );
+                if kind == EngineKind::Wire {
+                    assert!(
+                        report.records.iter().any(|r| r.record.is_null()),
+                        "{label}: gated senders self-wake with nulls"
+                    );
+                }
+                let sig = report.signature();
+                assert_eq!(sig.clusters.len(), 3, "{label}");
+                assert!(sig.clusters[1].records.is_empty(), "{label}");
+                assert_eq!(records_of(&sig), per_cluster(&report), "{label}");
+                for (c, cluster) in sig.clusters.iter().enumerate() {
+                    let seqs: Vec<u64> = cluster.records.iter().map(|r| r.seq).collect();
+                    let want: Vec<u64> = (0..seqs.len() as u64).collect();
+                    assert_eq!(seqs, want, "{label}: cluster {c} seq");
+                }
+                // `records` is public: a record naming a cluster the
+                // report does not have is ignored, not a panic.
+                let stray = FleetRecord {
+                    cluster: report.rx.len(),
+                    record: report.records[0].record.clone(),
+                };
+                report.records.insert(1, stray);
+                assert_eq!(report.signature(), sig, "{label}: out-of-range record");
+                assert_eq!(records_of(&sig), per_cluster(&report), "{label}");
+            }
+        }
     }
 
     #[test]
