@@ -2,11 +2,11 @@
 //!
 //! The fleet runtime's soundness rests on a handful of hand-written
 //! invariants: the `unsafe impl Send` engine wrapper in
-//! `fleet/shard.rs` (the workspace's only `unsafe`), threads confined
-//! to the audited layers, and the determinism contract that no
-//! wall-clock or thread-identity bit may reach a signature-bearing
-//! stream. This crate checks those invariants mechanically, on every
-//! change, with zero dependencies:
+//! `fleet/shard.rs` (the workspace's only `unsafe` outside tests),
+//! threads confined to the audited layers, and the determinism
+//! contract that no wall-clock or thread-identity bit may reach a
+//! signature-bearing stream. This crate checks those invariants
+//! mechanically, on every change, with zero dependencies:
 //!
 //! * [`lexer`] — a hand-rolled, string/char/comment-aware Rust
 //!   tokenizer (no `syn`), lossless by construction

@@ -2,7 +2,7 @@
 //! reproduction itself execute MBus traffic? These quantify the
 //! analytic-vs-wire-level speed gap that justifies keeping both
 //! engines (DESIGN.md ablation #4) and guard the analytic kernel's
-//! batched-drain fast path (the 14-node storm points — README records
+//! steady-state drain (the 14-node storm points — README records
 //! the before/after numbers).
 //!
 //! Run with `cargo bench -p mbus-bench --bench engines`; CI runs it
@@ -52,8 +52,8 @@ fn bench_analytic_transactions() {
 /// The ISSUE-2 tentpole point: a full 14-node contention storm on the
 /// analytic engine, drained through the `BusEngine` trait exactly as
 /// the scenario layer does it. This is the number the kernel's
-/// incremental contender index and batched drain must keep ≥2× over
-/// the pre-batching kernel (see README).
+/// incremental contender index must keep ≥2× over the pre-batching
+/// kernel (see README).
 fn bench_analytic_storm() {
     let workload = Workload::many_node_storm(14, 32);
     bench("analytic_engine/storm/14n32r", 100, 5, || {
@@ -62,17 +62,18 @@ fn bench_analytic_storm() {
     });
 
     // Steady-state drain on a long-lived engine: queue one storm round,
-    // drain it through the *native* batched kernel (the allocation-free
-    // path the module docs describe), repeat — no engine construction
-    // in the loop. Shares its ring with the `storm` bin via
-    // `mbus_bench::storm_ring`.
+    // step it to quiescence with `run_transaction`, repeat — no engine
+    // construction in the loop. Shares its ring with the `storm` bin
+    // via `mbus_bench::storm_ring`.
     let mut bus = mbus_bench::storm_ring();
     let mut round = 0usize;
     bench("analytic_engine/storm_drain/14n", 2_000, 5, || {
         mbus_bench::queue_storm_round(&mut bus, round);
         round += 1;
         let mut transactions = 0usize;
-        bus.run_until_quiescent_with(|_r| transactions += 1);
+        while bus.run_transaction().is_some() {
+            transactions += 1;
+        }
         bus.take_rx(0);
         std::hint::black_box(transactions);
     });

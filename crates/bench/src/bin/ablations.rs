@@ -3,7 +3,8 @@
 //! coalescing.
 
 use mbus_core::{
-    timing, Address, AnalyticBus, BusConfig, FuId, FullPrefix, Message, NodeSpec, ShortPrefix,
+    timing, Address, AnalyticBus, BusConfig, BusEngine, FuId, FullPrefix, Message, NodeSpec,
+    ShortPrefix,
 };
 use mbus_power::mbus_model::{energy_per_goodput_bit, Calibration};
 

@@ -43,24 +43,24 @@ fn run_population(nodes: usize, rounds: usize) {
     );
 }
 
-/// Steady-state batched throughput: one long-lived 14-node analytic
-/// engine (shared with the `engines` bench via
-/// [`mbus_bench::storm_ring`]), one storm round queued and drained per
-/// iteration through the native batched kernel
-/// ([`mbus_core::AnalyticBus::run_until_quiescent_with`]) — the fast
-/// path the ISSUE-2 batching work targets.
-fn run_batched_throughput(rounds: usize) {
+/// Steady-state throughput: one long-lived 14-node analytic engine
+/// (shared with the `engines` bench via [`mbus_bench::storm_ring`]),
+/// one storm round queued per iteration and stepped to quiescence with
+/// [`mbus_core::AnalyticBus::run_transaction`].
+fn run_steady_state_throughput(rounds: usize) {
     let mut bus = mbus_bench::storm_ring();
     let mut transactions = 0u64;
     let start = Instant::now();
     for round in 0..rounds {
         mbus_bench::queue_storm_round(&mut bus, round);
-        bus.run_until_quiescent_with(|_r| transactions += 1);
+        while bus.run_transaction().is_some() {
+            transactions += 1;
+        }
         bus.take_rx(0);
     }
     let wall = start.elapsed();
     println!(
-        "batched steady-state drain (14 nodes, {rounds} rounds): {} transactions in {:.2?} ({:.0} txn/s)\n",
+        "steady-state drain (14 nodes, {rounds} rounds): {} transactions in {:.2?} ({:.0} txn/s)\n",
         transactions,
         wall,
         transactions as f64 / wall.as_secs_f64(),
@@ -82,7 +82,7 @@ fn main() {
         }
     }
 
-    run_batched_throughput(512);
+    run_steady_state_throughput(512);
 
     // Analytic-engine population sweep, sharded across threads (at
     // least 4 workers even on small machines).

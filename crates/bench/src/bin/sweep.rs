@@ -31,15 +31,17 @@ fn measured_rate(clock_hz: u64, payload: usize) -> f64 {
     let dest = Address::short(ShortPrefix::new(0x2).expect("prefix"), FuId::ZERO);
     let duration = SimTime::from_ms(250);
     let mut transactions = 0u64;
-    // Queue blocks of back-to-back messages and drain them through the
-    // batched kernel: identical transaction stream (every message is
-    // one fixed-cost transaction), a fraction of the setup overhead.
+    // Queue blocks of back-to-back messages and drain them: identical
+    // transaction stream (every message is one fixed-cost transaction),
+    // a fraction of the setup overhead.
     while bus.now() < duration {
         for _ in 0..32 {
             bus.queue(0, Message::new(dest, vec![0xA5; payload]))
                 .expect("payload fits");
         }
-        bus.run_until_quiescent_with(|_r| transactions += 1);
+        while bus.run_transaction().is_some() {
+            transactions += 1;
+        }
         bus.take_rx(1);
     }
     transactions as f64 / bus.now().as_secs_f64()

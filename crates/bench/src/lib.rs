@@ -48,7 +48,7 @@ pub mod json;
 pub mod scenario;
 
 /// Builds the 14-node analytic ring both the `storm` bin and the
-/// `engines` bench drive for the batched-drain point, so the README
+/// `engines` bench drive for the steady-state drain point, so the README
 /// number and the bin measure the same configuration.
 pub fn storm_ring() -> AnalyticBus {
     let mut bus = AnalyticBus::new(BusConfig::default());

@@ -16,11 +16,9 @@
 //! bit indexes) at the points where they change — queue, withdraw,
 //! wakeup, power transitions. Arbitration is a wrapping next-set-bit
 //! scan from the ring break; destination match goes through a prefix
-//! index rebuilt only when specs change. The kernel fills one scratch
-//! record owned by the bus, so the batched
-//! [`AnalyticBus::run_until_quiescent_with`] drain and the
-//! [`BusEngine`] stepping surface allocate nothing per transaction
-//! beyond what the caller keeps.
+//! index rebuilt only when specs change. Every transaction returns one
+//! `Copy` [`EngineRecord`]; the only allocation a transaction makes is
+//! each delivered payload's copy into its receiver's log.
 //!
 //! # Stepping
 //!
@@ -29,8 +27,9 @@
 //! wants the bus. Nothing runs between calls and no work is buffered
 //! ahead, so a single thread can hold thousands of buses and
 //! round-robin `run_transaction` across them, which is what
-//! [`crate::fleet::InterleavedScheduler`] does. Stepping and the
-//! batched drain produce bit-identical record streams
+//! [`crate::fleet::InterleavedScheduler`] does. The provided
+//! [`BusEngine::run_until_quiescent`] loops the same step, so a drain
+//! and a hand-stepped replay are bit-identical
 //! (`tests/analytic_batching.rs`).
 //!
 //! # Arbitration semantics (§4.3–§4.4, §7)
@@ -57,8 +56,8 @@ use mbus_sim::SimTime;
 use crate::addr::Address;
 use crate::config::BusConfig;
 use crate::config::MIN_BYTES_BEFORE_INTERJECT;
-use crate::control::{ControlBits, Interjector, TxOutcome};
-use crate::engine::{transaction_activity_into, BusEngine, EngineKind, EngineRecord, NodeSet};
+use crate::control::{ControlBits, TxOutcome};
+use crate::engine::{BusEngine, EngineKind, EngineRecord, NodeSet, MAX_BUS_NODES};
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
@@ -67,7 +66,7 @@ use crate::timing::{ARBITRATION_CYCLES, CONTROL_CYCLES, INTERJECTION_CYCLES};
 
 // The bookkeeping types are shared with the wire-level engine and live
 // in `crate::engine`; re-exported here for backward compatibility.
-pub use crate::engine::{BusStats, NodeIndex, ReceivedMessage, Role};
+pub use crate::engine::{BusStats, NodeIndex, ReceivedMessage};
 
 /// How plain (non-priority-round) arbitration resolves ties (§7,
 /// "Topological Priority, Fairness, and Progress").
@@ -82,40 +81,6 @@ pub enum ArbitrationPolicy {
     /// nodes are served round-robin. Costs state in the always-on
     /// wire controller — which is why the paper left it future work.
     Rotating,
-}
-
-/// Everything that happened in one bus transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransactionRecord {
-    /// Monotonic transaction number.
-    pub seq: u64,
-    /// Bus time when the request pulled DATA low.
-    pub start: SimTime,
-    /// Total bus-clock cycles consumed, per the §6.1 budget.
-    pub cycles: u64,
-    /// The arbitration winner (`None` for a null transaction).
-    pub winner: Option<NodeIndex>,
-    /// Destination nodes whose layer received the payload.
-    pub delivered_to: Vec<NodeIndex>,
-    /// Outcome from the transmitter's perspective.
-    pub outcome: TxOutcome,
-    /// Who generated the closing interjection.
-    pub interjector: Interjector,
-    /// The control bits observed on the bus.
-    pub control: ControlBits,
-    /// Per-node `(role, bits)` activity for the energy model. Nodes
-    /// whose bus controller stayed gated do not appear.
-    pub activity: Vec<(NodeIndex, Role, u64)>,
-    /// Payload bytes that made it onto the wire before any abort.
-    pub bytes_on_wire: usize,
-}
-
-impl TransactionRecord {
-    /// Bits clocked on the wire during this transaction (overhead
-    /// cycles included — one bit time each).
-    pub fn wire_bits(&self) -> u64 {
-        self.cycles
-    }
 }
 
 #[derive(Debug)]
@@ -189,65 +154,48 @@ pub struct AnalyticBus {
     /// Set by `add_node`/`spec_mut`: the spec-derived indexes above
     /// must be rebuilt before the next transaction.
     specs_dirty: bool,
-    /// Scratch sets/buffers reused across transactions (no per-call
-    /// allocation).
-    scratch_field: NodeSet,
-    scratch_prio: NodeSet,
-    scratch_dest: Vec<NodeIndex>,
-    /// The record every transaction is filled into, so stepping and
-    /// batched drains reuse its activity and delivery buffers.
-    scratch_record: TransactionRecord,
 }
 
 /// Destination lookup by address: short prefixes and broadcast
 /// channels index small arrays, full prefixes a hash map. Each bucket
-/// holds the matching node indexes in ascending ring order.
+/// is the set of matching nodes.
 #[derive(Debug, Default)]
 struct AddrIndex {
-    short: [Vec<NodeIndex>; 16],
-    broadcast: [Vec<NodeIndex>; 16],
-    full: HashMap<u32, Vec<NodeIndex>>,
+    short: [NodeSet; 16],
+    broadcast: [NodeSet; 16],
+    full: HashMap<u32, NodeSet>,
 }
 
 impl AddrIndex {
     fn rebuild(&mut self, nodes: &[NodeState]) {
-        for bucket in &mut self.short {
-            bucket.clear();
-        }
-        for bucket in &mut self.broadcast {
-            bucket.clear();
-        }
+        self.short = Default::default();
+        self.broadcast = Default::default();
         self.full.clear();
         for (i, node) in nodes.iter().enumerate() {
             if let Some(prefix) = node.spec.short_prefix() {
-                self.short[prefix.raw() as usize].push(i);
+                self.short[prefix.raw() as usize].insert(i);
             }
             self.full
                 .entry(node.spec.full_prefix().raw())
                 .or_default()
-                .push(i);
+                .insert(i);
             for channel in 0..16u8 {
                 if node.spec.listens_to(channel) {
-                    self.broadcast[channel as usize].push(i);
+                    self.broadcast[channel as usize].insert(i);
                 }
             }
         }
     }
-}
 
-/// A zeroed record for the in-place kernel to fill.
-fn blank_record() -> TransactionRecord {
-    TransactionRecord {
-        seq: 0,
-        start: SimTime::ZERO,
-        cycles: 0,
-        winner: None,
-        delivered_to: Vec::new(),
-        outcome: TxOutcome::NoDestination,
-        interjector: Interjector::Mediator,
-        control: ControlBits::GENERAL_ERROR,
-        activity: Vec::new(),
-        bytes_on_wire: 0,
+    /// The nodes `dest` matches.
+    fn matches(&self, dest: Address) -> NodeSet {
+        match dest {
+            Address::Broadcast { channel } => self.broadcast[channel.raw() as usize],
+            Address::Short { prefix, .. } => self.short[prefix.raw() as usize],
+            Address::Full { prefix, .. } => {
+                self.full.get(&prefix.raw()).copied().unwrap_or_default()
+            }
+        }
     }
 }
 
@@ -270,10 +218,6 @@ impl AnalyticBus {
             power_aware: NodeSet::new(),
             addr_index: AddrIndex::default(),
             specs_dirty: false,
-            scratch_field: NodeSet::new(),
-            scratch_prio: NodeSet::new(),
-            scratch_dest: Vec::new(),
-            scratch_record: blank_record(),
         }
     }
 
@@ -286,8 +230,16 @@ impl AnalyticBus {
 
     /// Adds a node at the next (lowest-priority) ring position and
     /// returns its index. Index 0 is the mediator node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus already holds [`MAX_BUS_NODES`] nodes.
     pub fn add_node(&mut self, spec: NodeSpec) -> NodeIndex {
         let index = self.nodes.len();
+        assert!(
+            index < MAX_BUS_NODES,
+            "a bus holds at most {MAX_BUS_NODES} nodes"
+        );
         // Only power-aware nodes boot gated; everything else keeps its
         // domains on, exactly like the wire-level engine — so wake
         // counting agrees across engines.
@@ -307,16 +259,6 @@ impl AnalyticBus {
             wake_events: 0,
         });
         self.stats.ensure_nodes(self.nodes.len());
-        // Pre-grow every index so steady-state transactions never
-        // allocate.
-        let n = self.nodes.len();
-        self.tx_pending.grow(n);
-        self.priority_pending.grow(n);
-        self.wake_pending.grow(n);
-        self.gated_bus_ctl.grow(n);
-        self.power_aware.grow(n);
-        self.scratch_field.grow(n);
-        self.scratch_prio.grow(n);
         self.specs_dirty = true;
         index
     }
@@ -457,53 +399,14 @@ impl AnalyticBus {
         self.nodes[node].power.layer().is_on()
     }
 
-    /// Runs transactions until no node wants the bus; returns the
-    /// records in order.
-    pub fn run_until_quiescent(&mut self) -> Vec<TransactionRecord> {
-        let mut records = Vec::new();
-        self.run_until_quiescent_with(|r| records.push(r.clone()));
-        records
-    }
-
-    /// Batched queue drain: runs transactions until no node wants the
-    /// bus, handing each completed record to `visit`. Every transaction
-    /// is filled into the bus's scratch record, so draining a full
-    /// queue performs no per-transaction allocation — the fast path for
-    /// storms and long frame transfers.
-    ///
-    /// The record stream is bit-identical to calling
-    /// [`run_transaction`](AnalyticBus::run_transaction) in a loop
-    /// (`tests/analytic_batching.rs` proves this differentially over
-    /// seeded workloads).
-    pub fn run_until_quiescent_with<F: FnMut(&TransactionRecord)>(&mut self, mut visit: F) {
-        while self.step() {
-            visit(&self.scratch_record);
-        }
-    }
-
     /// Executes one complete bus transaction (or a null transaction),
     /// returning `None` if the bus is idle. A `None` bus steps again as
-    /// soon as traffic is queued or a wakeup is requested.
-    pub fn run_transaction(&mut self) -> Option<TransactionRecord> {
-        self.step().then(|| self.scratch_record.clone())
-    }
-
-    /// Runs one transaction into the scratch record and returns whether
-    /// one ran. The record is taken out for the kernel's `&mut self`
-    /// call and put back, keeping its buffers for the next step.
-    fn step(&mut self) -> bool {
-        let mut record = std::mem::replace(&mut self.scratch_record, blank_record());
-        let ran = self.run_transaction_into(&mut record);
-        self.scratch_record = record;
-        ran
-    }
-
-    /// The transaction kernel: fills `record` in place and returns
-    /// whether a transaction ran. All contender bookkeeping is
-    /// incremental (see module docs) — nothing here scans every node.
-    fn run_transaction_into(&mut self, record: &mut TransactionRecord) -> bool {
+    /// soon as traffic is queued or a wakeup is requested. All
+    /// contender bookkeeping is incremental (see module docs) — nothing
+    /// here scans every node.
+    pub fn run_transaction(&mut self) -> Option<EngineRecord> {
         if self.tx_pending.is_empty() && self.wake_pending.is_empty() {
-            return false;
+            return None;
         }
         self.ensure_spec_indexes();
 
@@ -515,8 +418,7 @@ impl AnalyticBus {
             // node's gated bus controller (§4.4) — null transactions
             // included, exactly like the wire level.
             self.wake_all_bus_controllers();
-            self.run_null_transaction_into(record);
-            return true;
+            return Some(self.run_null_transaction());
         }
 
         // The contender field (§4.3): a request can only be driven by
@@ -526,10 +428,9 @@ impl AnalyticBus {
         // transaction. When every transmit contender is gated, fold
         // the wire level's self-wake null into this transaction and
         // let them all arbitrate (see `crate::engine` docs).
-        self.scratch_field
-            .assign_difference(&self.tx_pending, &self.gated_bus_ctl);
-        if self.scratch_field.is_empty() {
-            self.scratch_field.clone_from(&self.tx_pending);
+        let mut field = self.tx_pending.difference(self.gated_bus_ctl);
+        if field.is_empty() {
+            field = self.tx_pending;
         }
         self.wake_all_bus_controllers();
 
@@ -542,20 +443,17 @@ impl AnalyticBus {
             ArbitrationPolicy::Rotating => self.rotation,
         };
         let n = self.nodes.len();
-        let Some(arb_winner) = self.scratch_field.next_from_wrapping(break_at) else {
+        let Some(arb_winner) = field.next_from_wrapping(break_at) else {
             unreachable!("arbitration entered with a nonempty contender field");
         };
 
         // Priority round: first priority claimant in the contender
         // field downstream of the arbitration winner, wrapping around
         // the ring (§4.3, Fig. 5).
-        let winner = {
-            self.scratch_prio
-                .assign_intersection(&self.scratch_field, &self.priority_pending);
-            self.scratch_prio
-                .next_from_wrapping((arb_winner + 1) % n)
-                .unwrap_or(arb_winner)
-        };
+        let winner = field
+            .intersection(self.priority_pending)
+            .next_from_wrapping((arb_winner + 1) % n)
+            .unwrap_or(arb_winner);
 
         let Some(msg) = self.nodes[winner].tx_queue.pop_front() else {
             unreachable!("the contender field only holds nodes with queued messages");
@@ -564,7 +462,7 @@ impl AnalyticBus {
 
         // Losers stay queued: LostArbitration is implicit (they contend
         // again next transaction).
-        self.execute_message_into(record, winner, msg);
+        let record = self.execute_message(winner, msg);
         if self.policy == ArbitrationPolicy::Rotating && winner == arb_winner {
             // §7's rotating scheme: the break moves past a served
             // *plain* winner. A priority override does not consume the
@@ -574,16 +472,12 @@ impl AnalyticBus {
 
         // Any pure wake requests piggyback on this transaction's edges:
         // the arbitration + message clocks wake their domains too.
-        let mut i = 0;
-        while let Some(j) = self.wake_pending.next_at_or_after(i) {
-            i = j + 1;
-            if !self.tx_pending.contains(j) {
-                self.complete_self_wake(j);
-            }
+        for j in self.wake_pending.difference(self.tx_pending).iter() {
+            self.complete_self_wake(j);
         }
 
         self.return_power_aware_nodes_to_sleep();
-        true
+        Some(record)
     }
 
     /// Rebuilds the spec-derived indexes (address match, power
@@ -593,12 +487,9 @@ impl AnalyticBus {
             return;
         }
         self.addr_index.rebuild(&self.nodes);
-        self.power_aware.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.spec.is_power_aware() {
-                self.power_aware.insert(i);
-            }
-        }
+        self.power_aware = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].spec.is_power_aware())
+            .collect();
         self.specs_dirty = false;
     }
 
@@ -624,9 +515,7 @@ impl AnalyticBus {
     fn wake_all_bus_controllers(&mut self) {
         // Only currently-gated controllers need visiting; the set
         // mirrors the power state exactly.
-        let mut i = 0;
-        while let Some(j) = self.gated_bus_ctl.next_at_or_after(i) {
-            i = j + 1;
+        for j in self.gated_bus_ctl.iter() {
             let node = &mut self.nodes[j];
             debug_assert!(!node.power.bus_ctl().is_on());
             while node.power.clock_edge_toward_bus_ctl().is_some() {}
@@ -646,53 +535,34 @@ impl AnalyticBus {
         state.wake_events += 1;
     }
 
-    fn run_null_transaction_into(&mut self, record: &mut TransactionRecord) {
+    fn run_null_transaction(&mut self) -> EngineRecord {
         // Fig. 6: mediator wakes, finds no arbitration winner, raises a
         // general error, and returns the bus to idle. The generated
         // edges wake every hierarchical power domain of the requesters.
         let cycles = (ARBITRATION_CYCLES + INTERJECTION_CYCLES + CONTROL_CYCLES) as u64;
-        let mut i = 0;
-        while let Some(j) = self.wake_pending.next_at_or_after(i) {
-            i = j + 1;
+        for j in self.wake_pending.iter() {
             self.complete_self_wake(j);
         }
-        transaction_activity_into(&mut record.activity, self.nodes.len(), None, &[], cycles);
-        record.seq = self.seq;
-        record.start = self.now;
-        record.cycles = cycles;
-        record.winner = None;
-        record.delivered_to.clear();
-        record.outcome = TxOutcome::NoDestination;
-        record.interjector = Interjector::Mediator;
-        record.control = ControlBits::GENERAL_ERROR;
-        record.bytes_on_wire = 0;
-        self.finish_transaction(record);
+        let record = self.finish_transaction(
+            cycles,
+            None,
+            NodeSet::new(),
+            NodeSet::new(),
+            TxOutcome::NoDestination,
+            ControlBits::GENERAL_ERROR,
+        );
         self.return_power_aware_nodes_to_sleep();
+        record
     }
 
-    fn execute_message_into(
-        &mut self,
-        record: &mut TransactionRecord,
-        winner: NodeIndex,
-        msg: Message,
-    ) {
+    fn execute_message(&mut self, winner: NodeIndex, msg: Message) -> EngineRecord {
         let dest = msg.dest();
         let addr_cycles = dest.wire_bits() as u64;
 
         // Resolve destinations through the address index (rebuilt only
-        // when specs change) into a reused scratch buffer.
-        let mut dest_nodes = std::mem::take(&mut self.scratch_dest);
-        dest_nodes.clear();
-        let bucket: &[NodeIndex] = match dest {
-            Address::Broadcast { channel } => &self.addr_index.broadcast[channel.raw() as usize],
-            Address::Short { prefix, .. } => &self.addr_index.short[prefix.raw() as usize],
-            Address::Full { prefix, .. } => self
-                .addr_index
-                .full
-                .get(&prefix.raw())
-                .map_or(&[][..], Vec::as_slice),
-        };
-        dest_nodes.extend(bucket.iter().copied().filter(|&i| i != winner));
+        // when specs change).
+        let mut dest_nodes = self.addr_index.matches(dest);
+        dest_nodes.remove(winner);
 
         // How many payload bytes actually cross the wire before an
         // abort — receiver buffer overrun or mediator length limit. An
@@ -704,7 +574,7 @@ impl AnalyticBus {
         // tiny receive buffers.
         let rx_allowed = dest_nodes
             .iter()
-            .filter_map(|&i| self.nodes[i].spec.rx_buffer_bytes())
+            .filter_map(|i| self.nodes[i].spec.rx_buffer_bytes())
             .min()
             .map(|cap| cap.max(MIN_BYTES_BEFORE_INTERJECT));
 
@@ -715,44 +585,39 @@ impl AnalyticBus {
         // the mediator's runaway flag labels the cut (matching the
         // wire-level record normalization).
         let rx_cut = rx_allowed.filter(|&allowed| allowed < mediator_cap && msg.len() > allowed);
-        let (bytes_on_wire, extra_bits, outcome, interjector, control) =
-            if let Some(allowed) = rx_cut {
-                (
-                    allowed,
-                    1,
-                    TxOutcome::ReceiverAbort,
-                    Interjector::Receiver,
-                    ControlBits::GENERAL_ERROR,
-                )
-            } else if msg.len() > mediator_cap {
-                // Also covers an `rx_allowed >= mediator_cap` overrun:
-                // such a message necessarily exceeds the mediator's cap
-                // too, and the tie rule above says the runaway counter
-                // labels the cut.
-                (
-                    mediator_cap,
-                    1,
-                    TxOutcome::LengthEnforced,
-                    Interjector::Mediator,
-                    ControlBits::GENERAL_ERROR,
-                )
-            } else if dest_nodes.is_empty() {
-                (
-                    msg.len(),
-                    0,
-                    TxOutcome::NoDestination,
-                    Interjector::Transmitter,
-                    ControlBits::END_OF_MESSAGE_NAK,
-                )
-            } else {
-                (
-                    msg.len(),
-                    0,
-                    TxOutcome::Acked,
-                    Interjector::Transmitter,
-                    ControlBits::END_OF_MESSAGE_ACK,
-                )
-            };
+        let (bytes_on_wire, extra_bits, outcome, control) = if let Some(allowed) = rx_cut {
+            (
+                allowed,
+                1,
+                TxOutcome::ReceiverAbort,
+                ControlBits::GENERAL_ERROR,
+            )
+        } else if msg.len() > mediator_cap {
+            // Also covers an `rx_allowed >= mediator_cap` overrun: such
+            // a message necessarily exceeds the mediator's cap too, and
+            // the tie rule above says the runaway counter labels the
+            // cut.
+            (
+                mediator_cap,
+                1,
+                TxOutcome::LengthEnforced,
+                ControlBits::GENERAL_ERROR,
+            )
+        } else if dest_nodes.is_empty() {
+            (
+                msg.len(),
+                0,
+                TxOutcome::NoDestination,
+                ControlBits::END_OF_MESSAGE_NAK,
+            )
+        } else {
+            (
+                msg.len(),
+                0,
+                TxOutcome::Acked,
+                ControlBits::END_OF_MESSAGE_ACK,
+            )
+        };
 
         let data_cycles = 8 * bytes_on_wire as u64 + extra_bits;
         let cycles = ARBITRATION_CYCLES as u64
@@ -762,10 +627,10 @@ impl AnalyticBus {
 
         // Deliver to destination layers on success; wake them first
         // (§4.4: only the destination node powers past the bus ctl).
-        record.delivered_to.clear();
+        let mut delivered_to = NodeSet::new();
         if matches!(outcome, TxOutcome::Acked) {
             let at = self.now + self.config.clock_period() * cycles;
-            for &i in &dest_nodes {
+            for i in dest_nodes.iter() {
                 if !self.nodes[i].power.layer().is_on() {
                     while self.nodes[i].power.clock_edge_toward_layer().is_some() {}
                     self.stats.layer_wakes[i] += 1;
@@ -776,51 +641,59 @@ impl AnalyticBus {
                     payload: msg.payload().to_vec(),
                     at,
                 });
-                record.delivered_to.push(i);
             }
+            delivered_to = dest_nodes;
         }
 
         // Activity: winner transmits, address-matched nodes receive
         // (even on an abort — their controller latched bits), every
-        // other node forwards. Bits = full cycle count, which is what
-        // the paper's E_message formula charges (overhead + 8n).
-        transaction_activity_into(
-            &mut record.activity,
-            self.nodes.len(),
-            Some(winner),
-            &dest_nodes,
+        // other node forwards.
+        self.finish_transaction(
             cycles,
-        );
-
-        record.seq = self.seq;
-        record.start = self.now;
-        record.cycles = cycles;
-        record.winner = Some(winner);
-        record.outcome = outcome;
-        record.interjector = interjector;
-        record.control = control;
-        record.bytes_on_wire = bytes_on_wire;
-        self.finish_transaction(record);
-        self.scratch_dest = dest_nodes;
+            Some(winner),
+            dest_nodes,
+            delivered_to,
+            outcome,
+            control,
+        )
     }
 
-    fn finish_transaction(&mut self, record: &TransactionRecord) {
+    /// Charges the transaction's role bits, advances the sequence
+    /// number and bus time, and returns its record.
+    fn finish_transaction(
+        &mut self,
+        cycles: u64,
+        winner: Option<NodeIndex>,
+        receivers: NodeSet,
+        delivered_to: NodeSet,
+        outcome: TxOutcome,
+        control: ControlBits,
+    ) -> EngineRecord {
+        let record = EngineRecord {
+            seq: self.seq,
+            cycles,
+            winner,
+            delivered_to,
+            outcome,
+            control,
+        };
         self.seq += 1;
         self.stats
-            .record_transaction(record.cycles, &record.activity);
+            .record_transaction(cycles, self.nodes.len(), winner, receivers);
         let wakeup = self.config.clock_period() * self.config.mediator_wakeup_cycles() as u64;
-        self.now += wakeup + self.config.clock_period() * record.cycles;
+        self.now += wakeup + self.config.clock_period() * cycles;
+        record
     }
 
     fn return_power_aware_nodes_to_sleep(&mut self) {
         // Only power-aware nodes can regate; visit just those.
-        let mut i = 0;
-        while let Some(j) = self.power_aware.next_at_or_after(i) {
-            i = j + 1;
-            if !self.tx_pending.contains(j) && !self.wake_pending.contains(j) {
-                self.nodes[j].power.sleep();
-                self.gated_bus_ctl.insert(j);
-            }
+        let idle = self
+            .power_aware
+            .difference(self.tx_pending)
+            .difference(self.wake_pending);
+        for j in idle.iter() {
+            self.nodes[j].power.sleep();
+            self.gated_bus_ctl.insert(j);
         }
     }
 }
@@ -859,18 +732,7 @@ impl BusEngine for AnalyticBus {
     }
 
     fn run_transaction(&mut self) -> Option<EngineRecord> {
-        self.step()
-            .then(|| EngineRecord::from(&self.scratch_record))
-    }
-
-    fn run_until_quiescent(&mut self) -> Vec<EngineRecord> {
-        let mut records = Vec::new();
-        AnalyticBus::run_until_quiescent_with(self, |r| records.push(EngineRecord::from(r)));
-        records
-    }
-
-    fn run_until_quiescent_with(&mut self, visit: &mut dyn FnMut(&EngineRecord)) {
-        AnalyticBus::run_until_quiescent_with(self, |r| visit(&EngineRecord::from(r)));
+        AnalyticBus::run_transaction(self)
     }
 
     fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
@@ -1000,7 +862,7 @@ mod tests {
         let msg = Message::new(Address::broadcast(BroadcastChannel::CONFIGURATION), vec![9]);
         bus.queue(0, msg).unwrap();
         let r = bus.run_transaction().unwrap();
-        assert_eq!(r.delivered_to, vec![1, 2]);
+        assert_eq!(r.delivered_to, NodeSet::from_iter([1, 2]));
         assert_eq!(bus.take_rx(1).len(), 1);
         assert_eq!(bus.take_rx(2).len(), 1);
         assert!(bus.take_rx(0).is_empty(), "sender does not hear itself");
@@ -1019,7 +881,11 @@ mod tests {
         bus.queue(0, Message::new(Address::broadcast(ch7), vec![1]))
             .unwrap();
         let r = bus.run_transaction().unwrap();
-        assert_eq!(r.delivered_to, vec![2], "only subscribers hear the channel");
+        assert_eq!(
+            r.delivered_to,
+            NodeSet::from_iter([2]),
+            "only subscribers hear the channel"
+        );
     }
 
     #[test]
@@ -1040,16 +906,16 @@ mod tests {
             .with_rx_buffer(8);
         bus.queue(0, Message::new(addr(0x2), vec![0; 64])).unwrap();
         let r = bus.run_transaction().unwrap();
+        // The receiver interjected: a `ReceiverAbort` outcome.
         assert_eq!(r.outcome, TxOutcome::ReceiverAbort);
-        assert_eq!(r.interjector, Interjector::Receiver);
-        assert_eq!(r.bytes_on_wire, 8);
+        assert_eq!(r.control, ControlBits::GENERAL_ERROR);
         assert!(
             bus.take_rx(1).is_empty(),
             "aborted message is not delivered"
         );
-        // Cycles: 19 overhead + 64 bits + the 1 excess bit that makes
-        // the overrun observable.
-        assert_eq!(r.cycles, 19 + 64 + 1);
+        // 8 bytes crossed: 19 overhead + 64 bits + the 1 excess bit
+        // that makes the overrun observable.
+        assert_eq!(r.cycles, 19 + 8 * 8 + 1);
     }
 
     #[test]
@@ -1069,7 +935,7 @@ mod tests {
         bus.queue(0, Message::new(addr(0x2), vec![0; 5])).unwrap();
         let r = bus.run_transaction().unwrap();
         assert_eq!(r.outcome, TxOutcome::ReceiverAbort);
-        assert_eq!(r.bytes_on_wire, 4);
+        assert_eq!(r.cycles, 19 + 8 * 4 + 1, "cut after the 4-byte floor");
     }
 
     #[test]
@@ -1079,9 +945,10 @@ mod tests {
         assert!(bus.queue(0, oversized.clone()).is_err());
         bus.queue_unchecked(0, oversized).unwrap();
         let r = bus.run_transaction().unwrap();
+        // The mediator interjected: a `LengthEnforced` outcome after
+        // 1024 bytes plus the excess bit.
         assert_eq!(r.outcome, TxOutcome::LengthEnforced);
-        assert_eq!(r.interjector, Interjector::Mediator);
-        assert_eq!(r.bytes_on_wire, 1024);
+        assert_eq!(r.control, ControlBits::GENERAL_ERROR);
         assert_eq!(r.cycles, 19 + 8 * 1024 + 1);
         assert!(bus.take_rx(1).is_empty());
     }
@@ -1100,10 +967,9 @@ mod tests {
         bus.queue_unchecked(0, Message::new(addr(0x2), vec![0; 2048]))
             .unwrap();
         let r = bus.run_transaction().unwrap();
+        // The receiver, not the mediator, interjected after 8 bytes.
         assert_eq!(r.outcome, TxOutcome::ReceiverAbort);
-        assert_eq!(r.interjector, Interjector::Receiver);
-        assert_eq!(r.bytes_on_wire, 8);
-        assert_eq!(r.cycles, 19 + 64 + 1);
+        assert_eq!(r.cycles, 19 + 8 * 8 + 1);
         assert!(bus.take_rx(1).is_empty());
     }
 
@@ -1222,9 +1088,9 @@ mod tests {
 
     #[test]
     fn trait_stepping_matches_the_batched_drain() {
-        // The trait's `run_transaction` fills the bus's reused scratch
-        // record; stepping through it must reproduce the batched drain
-        // exactly — records, stats, and rx logs.
+        // Hand-stepping `run_transaction` through `dyn BusEngine` must
+        // reproduce the trait's provided `run_until_quiescent` (one call
+        // drains the whole batch) exactly — records, stats, and rx logs.
         let drive = |stepped: bool| {
             let mut bus = AnalyticBus::new(BusConfig::default());
             let engine: &mut dyn BusEngine = &mut bus;
@@ -1462,9 +1328,10 @@ mod tests {
 
     #[test]
     fn batched_drain_matches_single_stepping() {
-        // The batched kernel path must produce the identical record
-        // stream (tests/analytic_batching.rs does this differentially
-        // at scale; this is the in-crate smoke test).
+        // One `run_until_quiescent` call must produce the record stream
+        // of a hand-stepped replay, with traffic queued mid-drain
+        // (tests/analytic_batching.rs does this differentially at
+        // scale; this is the in-crate smoke test).
         let build = || {
             let mut bus = three_node_bus();
             for k in 0..4u8 {
@@ -1474,16 +1341,29 @@ mod tests {
             bus.request_wakeup(1).unwrap();
             bus
         };
-        let mut stepped = Vec::new();
         let mut a = build();
-        while let Some(r) = a.run_transaction() {
-            stepped.push(r);
-        }
-        let mut batched = Vec::new();
+        let mut stepped: Vec<_> = (0..3).map_while(|_| a.run_transaction()).collect();
+        a.queue(1, Message::new(addr(0x3), vec![9])).unwrap();
+        stepped.extend(std::iter::from_fn(|| a.run_transaction()));
         let mut b = build();
-        b.run_until_quiescent_with(|r| batched.push(r.clone()));
+        let mut batched: Vec<_> = (0..3).map_while(|_| b.run_transaction()).collect();
+        b.queue(1, Message::new(addr(0x3), vec![9])).unwrap();
+        batched.extend(b.run_until_quiescent());
+        assert_eq!(stepped.len(), 9, "the wake rides the first message");
         assert_eq!(stepped, batched);
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 nodes")]
+    fn add_node_past_the_bus_cap_panics() {
+        let mut bus = AnalyticBus::new(BusConfig::default());
+        for i in 0..=MAX_BUS_NODES as u32 {
+            bus.add_node(NodeSpec::new(
+                format!("n{i}"),
+                FullPrefix::new(0x700 + i).unwrap(),
+            ));
+        }
     }
 
     #[test]
@@ -1517,7 +1397,7 @@ mod tests {
         bus.queue(0, Message::new(addr(0x7), vec![2])).unwrap();
         let r = bus.run_transaction().unwrap();
         assert_eq!(r.outcome, TxOutcome::Acked);
-        assert_eq!(r.delivered_to, vec![2]);
+        assert_eq!(r.delivered_to, NodeSet::from_iter([2]));
     }
 
     #[test]

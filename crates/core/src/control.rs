@@ -6,28 +6,6 @@
 
 use std::fmt;
 
-/// Who generated the interjection that led to a control phase.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Interjector {
-    /// The transmitter ended its message normally.
-    Transmitter,
-    /// The receiver aborted mid-message (e.g. buffer overrun, §4.8).
-    Receiver,
-    /// The mediator intervened (no arbitration winner — a null
-    /// transaction — or the runaway-message counter fired).
-    Mediator,
-}
-
-impl fmt::Display for Interjector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Interjector::Transmitter => write!(f, "transmitter"),
-            Interjector::Receiver => write!(f, "receiver"),
-            Interjector::Mediator => write!(f, "mediator"),
-        }
-    }
-}
-
 /// The decoded meaning of the two control bits.
 ///
 /// Bit 0 is driven by the interjector on the first control cycle; bit 1
@@ -180,7 +158,6 @@ mod tests {
         assert_eq!(ControlBits::END_OF_MESSAGE_ACK.to_string(), "eom+ack");
         assert_eq!(ControlBits::END_OF_MESSAGE_NAK.to_string(), "eom+nak");
         assert_eq!(ControlBits::GENERAL_ERROR.to_string(), "general error");
-        assert_eq!(Interjector::Mediator.to_string(), "mediator");
     }
 
     #[test]

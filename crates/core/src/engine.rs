@@ -14,9 +14,12 @@
 //! suite compares.
 //!
 //! This module also holds the bookkeeping types the two engines share:
-//! [`BusStats`], [`Role`], [`ReceivedMessage`], and the activity
-//! attribution helper, so the accounting is computed by one code path
-//! regardless of engine.
+//! [`BusStats`] (whose per-role bit accounting is one code path
+//! regardless of engine), [`ReceivedMessage`], and
+//! [`NodeSet`], the 64-bit node set that caps a bus at
+//! [`MAX_BUS_NODES`] and keeps [`EngineRecord`] `Copy`. A record
+//! allocates nothing; what a transaction does allocate is each
+//! delivered payload's copy into its receiver's log.
 //!
 //! # Engine differences
 //!
@@ -75,7 +78,7 @@ use std::fmt;
 use mbus_sim::SimTime;
 
 use crate::addr::Address;
-use crate::analytic::{AnalyticBus, TransactionRecord};
+use crate::analytic::AnalyticBus;
 use crate::config::BusConfig;
 use crate::control::{ControlBits, TxOutcome};
 use crate::error::MbusError;
@@ -86,28 +89,6 @@ use crate::wire::WireEngine;
 /// Index of a node on the bus; the mediator is always index 0 and
 /// topological priority decreases with increasing index (§4.3).
 pub type NodeIndex = usize;
-
-/// The role a node played in one transaction, for energy accounting
-/// (Table 3 distinguishes sending / receiving / forwarding energy).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Role {
-    /// Drove the message onto the bus.
-    Transmit,
-    /// Latched the message as its destination.
-    Receive,
-    /// Passed CLK and DATA through (every other active node).
-    Forward,
-}
-
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Role::Transmit => write!(f, "tx"),
-            Role::Receive => write!(f, "rx"),
-            Role::Forward => write!(f, "fwd"),
-        }
-    }
-}
 
 /// A message delivered to a node's layer controller.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -160,17 +141,32 @@ impl BusStats {
         self.segment_edges.resize(n, 0);
     }
 
-    /// Folds one transaction's activity into the per-role bit counters
-    /// and the transaction/busy totals — the single accounting path
-    /// both engines share.
-    pub(crate) fn record_transaction(&mut self, cycles: u64, activity: &[(NodeIndex, Role, u64)]) {
+    /// Charges one transaction to the per-role bit counters and the
+    /// transaction/busy totals — the single accounting path both
+    /// engines share. The winner transmits, `receivers` (the
+    /// address-matched nodes, whether or not they delivered) receive,
+    /// and every other ring node forwards. Every role is charged the
+    /// full cycle count: the paper's per-message energy formula
+    /// charges `overhead + 8n` bits to every role (§6.2). A null
+    /// transaction (`winner == None`, no receivers) is all-forward.
+    pub(crate) fn record_transaction(
+        &mut self,
+        cycles: u64,
+        node_count: usize,
+        winner: Option<NodeIndex>,
+        receivers: NodeSet,
+    ) {
         self.transactions += 1;
         self.busy_cycles += cycles;
-        for &(node, role, bits) in activity {
-            match role {
-                Role::Transmit => self.tx_bits[node] += bits,
-                Role::Receive => self.rx_bits[node] += bits,
-                Role::Forward => self.fwd_bits[node] += bits,
+        if let Some(w) = winner {
+            self.tx_bits[w] += cycles;
+        }
+        for r in receivers.iter() {
+            self.rx_bits[r] += cycles;
+        }
+        for i in 0..node_count {
+            if Some(i) != winner && !receivers.contains(i) {
+                self.fwd_bits[i] += cycles;
             }
         }
     }
@@ -186,180 +182,137 @@ impl BusStats {
     }
 }
 
-/// Builds the per-node `(role, bits)` activity of one transaction:
-/// the winner transmits, the destinations receive, and every other
-/// ring node forwards. `bits` is the full cycle count — the paper's
-/// per-message energy formula charges `overhead + 8n` bits to every
-/// role (§6.2). A null transaction (`winner == None`) is all-forward.
-pub(crate) fn transaction_activity(
-    node_count: usize,
-    winner: Option<NodeIndex>,
-    delivered_to: &[NodeIndex],
-    bits: u64,
-) -> Vec<(NodeIndex, Role, u64)> {
-    let mut activity = Vec::with_capacity(node_count);
-    transaction_activity_into(&mut activity, node_count, winner, delivered_to, bits);
-    activity
-}
+/// The most nodes one bus may hold — the capacity of a [`NodeSet`].
+/// MBus short prefixes cap a bus at 14 addressable nodes (§4.2), so 64
+/// leaves ample room for full-prefix-only members; both engines'
+/// `add_node` panic past it.
+pub const MAX_BUS_NODES: usize = 64;
 
-/// [`transaction_activity`] into a caller-owned buffer, so batched
-/// drains can reuse one allocation across a whole queue drain.
-pub(crate) fn transaction_activity_into(
-    activity: &mut Vec<(NodeIndex, Role, u64)>,
-    node_count: usize,
-    winner: Option<NodeIndex>,
-    delivered_to: &[NodeIndex],
-    bits: u64,
-) {
-    activity.clear();
-    activity.reserve(node_count);
-    if let Some(w) = winner {
-        activity.push((w, Role::Transmit, bits));
-    }
-    for &d in delivered_to {
-        activity.push((d, Role::Receive, bits));
-    }
-    for i in 0..node_count {
-        if Some(i) != winner && !delivered_to.contains(&i) {
-            activity.push((i, Role::Forward, bits));
-        }
-    }
-}
-
-/// A dense index set over ring node positions, backed by bit words.
+/// A set of ring node positions `0..`[`MAX_BUS_NODES`], one bit each.
 ///
-/// The engines' hot paths used to rediscover per-transaction facts —
-/// who is contending, who has a priority message queued, whose bus
-/// controller is gated — by rescanning every `NodeState` on every
-/// transaction. A `NodeSet` lets that bookkeeping be maintained
-/// *incrementally* at the points where it changes (queue, withdraw,
-/// wake, power transitions) and queried in O(words) with no
-/// allocation: membership, emptiness, and the ring-ordered
-/// next-member scan arbitration needs.
-///
-/// Capacity grows on [`insert`](NodeSet::insert); on a bus it is
-/// pre-grown at `add_node` time so steady-state operation never
-/// allocates.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeSet {
-    words: Vec<u64>,
-}
+/// The engines' hot paths maintain per-transaction facts — who is
+/// contending, who has a priority message queued, whose bus controller
+/// is gated, who received — *incrementally* at the points where they
+/// change, and query them with a few word operations: membership,
+/// emptiness, set algebra, and the ring-ordered next-member scan
+/// arbitration needs. The set is `Copy`, so records carrying one are
+/// too.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct NodeSet(u64);
 
 impl NodeSet {
     /// An empty set.
     pub fn new() -> Self {
-        NodeSet::default()
-    }
-
-    /// Ensures the set can hold indexes `0..n` without reallocating.
-    pub fn grow(&mut self, n: usize) {
-        let words = n.div_ceil(64);
-        if words > self.words.len() {
-            self.words.resize(words, 0);
-        }
+        NodeSet(0)
     }
 
     /// Adds `i` to the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= MAX_BUS_NODES`.
     pub fn insert(&mut self, i: usize) {
-        self.grow(i + 1);
-        self.words[i / 64] |= 1 << (i % 64);
+        assert!(
+            i < MAX_BUS_NODES,
+            "node {i} is past the {MAX_BUS_NODES}-node bus cap"
+        );
+        self.0 |= 1 << i;
     }
 
     /// Removes `i` from the set.
     pub fn remove(&mut self, i: usize) {
-        if let Some(w) = self.words.get_mut(i / 64) {
-            *w &= !(1 << (i % 64));
+        if i < MAX_BUS_NODES {
+            self.0 &= !(1 << i);
         }
     }
 
     /// Whether `i` is a member.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    pub fn contains(self, i: usize) -> bool {
+        i < MAX_BUS_NODES && self.0 & (1 << i) != 0
     }
 
     /// Whether the set has no members.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
     }
 
-    /// Removes every member, keeping the capacity.
+    /// Removes every member.
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        self.0 = 0;
+    }
+
+    /// The members of `self` not in `other`.
+    pub fn difference(self, other: NodeSet) -> NodeSet {
+        NodeSet(self.0 & !other.0)
+    }
+
+    /// The members of both `self` and `other`.
+    pub fn intersection(self, other: NodeSet) -> NodeSet {
+        NodeSet(self.0 & other.0)
     }
 
     /// The smallest member at index `i` or later, if any.
-    pub fn next_at_or_after(&self, i: usize) -> Option<usize> {
-        let mut w = i / 64;
-        let first = *self.words.get(w)? & (!0u64 << (i % 64));
-        if first != 0 {
-            return Some(w * 64 + first.trailing_zeros() as usize);
+    pub fn next_at_or_after(self, i: usize) -> Option<usize> {
+        if i >= MAX_BUS_NODES {
+            return None;
         }
-        loop {
-            w += 1;
-            let word = *self.words.get(w)?;
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
+        let rest = self.0 & (!0u64 << i);
+        (rest != 0).then(|| rest.trailing_zeros() as usize)
     }
 
     /// The first member at ring position `start` or later, wrapping to
     /// position 0 — the arbitration scan: "first contender downstream
     /// of the ring break" (§4.3), without materializing a ring-order
     /// list.
-    pub fn next_from_wrapping(&self, start: usize) -> Option<usize> {
+    pub fn next_from_wrapping(self, start: usize) -> Option<usize> {
         self.next_at_or_after(start)
             .or_else(|| self.next_at_or_after(0))
     }
 
-    /// `self = a \ b`, reusing this set's storage.
-    pub fn assign_difference(&mut self, a: &NodeSet, b: &NodeSet) {
-        self.words.clear();
-        self.words.extend(
-            a.words
-                .iter()
-                .enumerate()
-                .map(|(k, &w)| w & !b.words.get(k).copied().unwrap_or(0)),
-        );
-    }
-
-    /// `self = a ∩ b`, reusing this set's storage.
-    pub fn assign_intersection(&mut self, a: &NodeSet, b: &NodeSet) {
-        self.words.clear();
-        self.words.extend(
-            a.words
-                .iter()
-                .enumerate()
-                .map(|(k, &w)| w & b.words.get(k).copied().unwrap_or(0)),
-        );
-    }
-
     /// Iterates the members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut next = self.next_at_or_after(0);
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
         std::iter::from_fn(move || {
-            let cur = next?;
-            next = self.next_at_or_after(cur + 1);
-            Some(cur)
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (i < MAX_BUS_NODES).then_some(i)
         })
     }
 }
 
+impl FromIterator<NodeIndex> for NodeSet {
+    fn from_iter<I: IntoIterator<Item = NodeIndex>>(iter: I) -> Self {
+        let mut set = NodeSet::new();
+        for i in iter {
+            set.insert(i);
+        }
+        set
+    }
+}
+
+impl fmt::Debug for NodeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// One bus transaction, normalized to the fields both engines can
-/// report identically — what the cross-check suite compares.
+/// report identically — the only transaction record, and what the
+/// cross-check suite compares.
 ///
-/// Unlike [`TransactionRecord`] (the analytic engine's native record)
-/// this carries no virtual-time fields: the engines agree on cycle
+/// It carries no virtual-time fields: the engines agree on cycle
 /// counts but not on wall-clock placement (the wire engine pays
-/// request/propagation latency between transactions).
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// request/propagation latency between transactions). Fields the
+/// analytic kernel could add are implied by these: the closing
+/// interjector by `outcome` (transmitter on `Acked`/`NoDestination`,
+/// receiver on `ReceiverAbort`, mediator otherwise) and the bits on
+/// the wire by `cycles`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineRecord {
     /// Monotonic transaction number (0-based per engine).
     pub seq: u64,
@@ -367,8 +320,8 @@ pub struct EngineRecord {
     pub cycles: u64,
     /// The arbitration winner (`None` for a null transaction).
     pub winner: Option<NodeIndex>,
-    /// Destination nodes whose layer received the payload, ascending.
-    pub delivered_to: Vec<NodeIndex>,
+    /// Destination nodes whose layer received the payload.
+    pub delivered_to: NodeSet,
     /// Outcome from the transmitter's perspective, in the analytic
     /// engine's vocabulary (`Nacked` wire outcomes normalize to
     /// [`TxOutcome::NoDestination`]; a runaway cut normalizes to
@@ -382,19 +335,6 @@ impl EngineRecord {
     /// True for a null (wake-only) transaction.
     pub fn is_null(&self) -> bool {
         self.winner.is_none()
-    }
-}
-
-impl From<&TransactionRecord> for EngineRecord {
-    fn from(r: &TransactionRecord) -> Self {
-        EngineRecord {
-            seq: r.seq,
-            cycles: r.cycles,
-            winner: r.winner,
-            delivered_to: r.delivered_to.clone(),
-            outcome: r.outcome,
-            control: r.control,
-        }
     }
 }
 
@@ -465,10 +405,11 @@ pub trait BusEngine {
     ///
     /// # Panics
     ///
-    /// The wire engine freezes its ring topology at the first queue,
-    /// wakeup, or run call and panics on later `add_node`; check
-    /// [`is_frozen`](BusEngine::is_frozen) first instead of catching
-    /// the panic.
+    /// * Past [`MAX_BUS_NODES`] nodes, on every engine.
+    /// * The wire engine freezes its ring topology at the first queue,
+    ///   wakeup, or run call and panics on later `add_node`; check
+    ///   [`is_frozen`](BusEngine::is_frozen) first instead of catching
+    ///   the panic.
     fn add_node(&mut self, spec: NodeSpec) -> NodeIndex;
 
     /// Whether the ring topology is frozen — `true` exactly when
@@ -523,19 +464,12 @@ pub trait BusEngine {
     fn run_transaction(&mut self) -> Option<EngineRecord>;
 
     /// Runs transactions until no node wants the bus; returns the
-    /// records in order.
-    fn run_until_quiescent(&mut self) -> Vec<EngineRecord>;
-
-    /// Batched drain: runs transactions until no node wants the bus,
-    /// handing each record to `visit` as it completes. Engines with a
-    /// native batched kernel (the analytic engine) override this to
-    /// drain whole queues without per-transaction record allocation;
-    /// the default simply loops
-    /// [`run_transaction`](BusEngine::run_transaction).
-    fn run_until_quiescent_with(&mut self, visit: &mut dyn FnMut(&EngineRecord)) {
-        while let Some(record) = self.run_transaction() {
-            visit(&record);
-        }
+    /// records in order. Loops
+    /// [`run_transaction`](BusEngine::run_transaction), so a drain and
+    /// a hand-stepped replay produce the same records, statistics and
+    /// receive logs.
+    fn run_until_quiescent(&mut self) -> Vec<EngineRecord> {
+        std::iter::from_fn(|| self.run_transaction()).collect()
     }
 
     /// Drains a node's received messages.
@@ -596,7 +530,7 @@ mod tests {
             assert_eq!(records.len(), 1, "{kind}");
             assert_eq!(records[0].cycles, 19 + 24, "{kind}");
             assert_eq!(records[0].winner, Some(a), "{kind}");
-            assert_eq!(records[0].delivered_to, vec![b], "{kind}");
+            assert_eq!(records[0].delivered_to, NodeSet::from_iter([b]), "{kind}");
             assert_eq!(records[0].outcome, TxOutcome::Acked, "{kind}");
             let rx = engine.take_rx(b);
             assert_eq!(rx.len(), 1, "{kind}");
@@ -606,32 +540,61 @@ mod tests {
     }
 
     #[test]
-    fn activity_helper_matches_roles() {
-        let act = transaction_activity(4, Some(1), &[3], 83);
-        assert_eq!(act.len(), 4);
-        assert!(act.contains(&(1, Role::Transmit, 83)));
-        assert!(act.contains(&(3, Role::Receive, 83)));
-        assert!(act.contains(&(0, Role::Forward, 83)));
-        assert!(act.contains(&(2, Role::Forward, 83)));
+    fn record_transaction_charges_roles() {
+        let mut stats = BusStats::default();
+        stats.ensure_nodes(4);
+        stats.record_transaction(83, 4, Some(1), NodeSet::from_iter([3]));
+        assert_eq!(stats.tx_bits, vec![0, 83, 0, 0]);
+        assert_eq!(stats.rx_bits, vec![0, 0, 0, 83]);
+        assert_eq!(stats.fwd_bits, vec![83, 0, 83, 0]);
         // Null transaction: everyone forwards.
-        let null = transaction_activity(3, None, &[], 11);
-        assert!(null.iter().all(|&(_, r, b)| r == Role::Forward && b == 11));
+        stats.record_transaction(11, 4, None, NodeSet::new());
+        assert_eq!(stats.fwd_bits, vec![94, 11, 94, 11]);
+        assert_eq!((stats.transactions, stats.busy_cycles), (2, 94));
+    }
+
+    #[test]
+    fn node_set_algebra_and_ascending_iteration() {
+        let a = NodeSet::from_iter([5, 0, 63, 9]);
+        let b = NodeSet::from_iter([9, 1]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 5, 9, 63]);
+        assert_eq!(a.len(), 4);
+        assert_eq!(a.difference(b), NodeSet::from_iter([0, 5, 63]));
+        assert_eq!(a.intersection(b), NodeSet::from_iter([9]));
+        assert_eq!(a.next_from_wrapping(10), Some(63));
+        assert_eq!(a.next_at_or_after(64), None);
+        assert_eq!(b.next_from_wrapping(10), Some(1));
+        assert!(!a.contains(64) && NodeSet::new().is_empty());
+        assert_eq!(format!("{b:?}"), "{1, 9}");
+    }
+
+    #[test]
+    #[should_panic(expected = "64-node bus cap")]
+    fn node_set_rejects_the_65th_position() {
+        NodeSet::new().insert(MAX_BUS_NODES);
     }
 
     #[test]
     fn engine_record_from_analytic() {
-        let mut bus = AnalyticBus::new(BusConfig::default());
-        two_nodes(&mut bus);
-        bus.queue(
-            0,
-            Message::new(Address::short(sp(0x2), FuId::ZERO), vec![9; 4]),
-        )
-        .unwrap();
-        let native = AnalyticBus::run_transaction(&mut bus).unwrap();
-        let rec = EngineRecord::from(&native);
-        assert_eq!(rec.seq, native.seq);
-        assert_eq!(rec.cycles, native.cycles);
-        assert_eq!(rec.winner, native.winner);
+        // The kernel's inherent step and the trait's return the same
+        // `Copy` record.
+        let run = |via_trait: bool| {
+            let mut bus = AnalyticBus::new(BusConfig::default());
+            two_nodes(&mut bus);
+            bus.queue(
+                0,
+                Message::new(Address::short(sp(0x2), FuId::ZERO), vec![9; 4]),
+            )
+            .unwrap();
+            if via_trait {
+                BusEngine::run_transaction(&mut bus)
+            } else {
+                bus.run_transaction()
+            }
+        };
+        let rec = run(false).unwrap();
+        assert_eq!(run(true), Some(rec));
+        assert_eq!(rec.delivered_to, NodeSet::from_iter([1]));
         assert!(!rec.is_null());
     }
 }

@@ -29,10 +29,9 @@
 //! fleet layer is written against the [`BusEngine`] trait) and drives
 //! them in deterministic epochs with routing only at the quiescence
 //! barriers, under one of two drive loops ([`FleetSchedule`]): the
-//! *batched* cluster-major drain (each epoch drains cluster 0 to
-//! quiescence through the engine's batched
-//! [`BusEngine::run_until_quiescent_with`] kernel, then cluster 1, …)
-//! or the *sharded* interleave ([`shard::ShardedFleet`]: one
+//! *batched* cluster-major drain (each epoch steps cluster 0 to
+//! quiescence through [`BusEngine::run_transaction`], then cluster
+//! 1, …) or the *sharded* interleave ([`shard::ShardedFleet`]: one
 //! [`InterleavedScheduler`] per cluster group, stepping one
 //! transaction per cluster per round so thousands of buses — ideally
 //! [`AnalyticBus`](crate::AnalyticBus)-backed — make progress
@@ -68,7 +67,7 @@
 //! # Ok::<(), mbus_core::MbusError>(())
 //! ```
 
-// The only module in the workspace allowed to write `unsafe` (the
+// The only module outside tests allowed to write `unsafe` (the
 // crate root carries `#![deny(unsafe_code)]`, every other crate
 // `#![forbid(unsafe_code)]`): the engine `Send` wrapper in `shard`,
 // policed by the `mbus-analysis` lint and exercised under Miri — see
@@ -253,7 +252,7 @@ impl fmt::Display for FleetNodeId {
 /// One transaction observed somewhere in the fleet: a per-bus
 /// [`EngineRecord`] tagged with the cluster it ran on. The scheduler
 /// emits these in deterministic round-robin order.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FleetRecord {
     /// The cluster bus the transaction ran on.
     pub cluster: usize,
@@ -1051,13 +1050,11 @@ impl Fleet {
     }
 
     /// Runs the whole fleet until no bus has pending work and no
-    /// envelope is in flight, handing each transaction to `visit` as it
-    /// completes.
+    /// envelope is in flight; returns the records in order.
     ///
     /// The schedule is deterministic *batched* round-robin, in epochs:
-    /// each epoch drains every cluster in index order to quiescence
-    /// through the engine's batched
-    /// [`BusEngine::run_until_quiescent_with`] kernel, then — at the
+    /// each epoch steps every cluster in index order to quiescence
+    /// through [`BusEngine::run_transaction`], then — at the
     /// epoch barrier — routes every cluster's gateway envelopes, again
     /// in index order; epochs repeat until one completes with no
     /// transactions run and nothing forwarded. A forwarded leg is
@@ -1076,26 +1073,22 @@ impl Fleet {
     /// this. The schedule depends only on cluster indexes, so the
     /// interleaving of [`FleetRecord`]s is also identical on every
     /// engine kind.
-    pub fn run_until_quiescent_with(&mut self, visit: &mut dyn FnMut(&FleetRecord)) {
-        self.drain_with(&mut |record| visit(&record));
+    pub fn run_until_quiescent(&mut self) -> Vec<FleetRecord> {
+        let mut records = Vec::new();
+        self.drain_into(&mut records);
+        records
     }
 
-    /// The batched scheduler loop behind the public drains, handing
-    /// each record out *by value* so collecting callers pay one
-    /// [`EngineRecord`] clone per transaction, not two.
-    fn drain_with(&mut self, sink: &mut dyn FnMut(FleetRecord)) {
+    /// The batched scheduler loop behind [`Fleet::run_until_quiescent`],
+    /// appending to `records`.
+    fn drain_into(&mut self, records: &mut Vec<FleetRecord>) {
         loop {
             let mut progressed = false;
             for cluster in 0..self.clusters.len() {
-                let mut ran = false;
-                self.clusters[cluster].run_until_quiescent_with(&mut |record| {
-                    sink(FleetRecord {
-                        cluster,
-                        record: record.clone(),
-                    });
-                    ran = true;
-                });
-                progressed |= ran;
+                while let Some(record) = self.clusters[cluster].run_transaction() {
+                    records.push(FleetRecord { cluster, record });
+                    progressed = true;
+                }
             }
             // Epoch barrier: every cluster is quiescent; route all
             // gateway presences in index order.
@@ -1106,13 +1099,6 @@ impl Fleet {
                 return;
             }
         }
-    }
-
-    /// [`Fleet::run_until_quiescent_with`], collecting the records.
-    pub fn run_until_quiescent(&mut self) -> Vec<FleetRecord> {
-        let mut records = Vec::new();
-        self.drain_with(&mut |r| records.push(r));
-        records
     }
 
     /// Drains a node's received messages. For a gateway presence this
@@ -1144,9 +1130,8 @@ impl Fleet {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetSchedule {
     /// Cluster-major: each epoch drains cluster 0 to quiescence, then
-    /// cluster 1, … — the PR 3 batched drain
-    /// ([`Fleet::run_until_quiescent_with`]). Fastest per bus (each
-    /// cluster stays hot in its engine's batched kernel).
+    /// cluster 1, … ([`Fleet::run_until_quiescent`]). Fastest per bus
+    /// (each cluster stays hot in cache while it drains).
     #[default]
     Batched,
     /// Round-robin: one transaction per cluster per round
@@ -1185,10 +1170,10 @@ impl fmt::Display for FleetSchedule {
 /// Each *round* steps every still-active cluster once through
 /// [`BusEngine::run_transaction`] — which on an
 /// [`AnalyticBus`](crate::AnalyticBus) is exactly one transaction
-/// filled into the bus's reused scratch record, making this the
-/// engine/scheduler pairing that interleaves thousands of buses on one
-/// thread. A cluster that reports no work (`None`) drops out of the
-/// round rotation for the rest of the epoch. [`shard::ShardedFleet`]
+/// returned as a `Copy` record, making this the engine/scheduler
+/// pairing that interleaves thousands of buses on one thread. A
+/// cluster that reports no work (`None`) drops out of the round
+/// rotation for the rest of the epoch. [`shard::ShardedFleet`]
 /// owns one scheduler per shard and the epoch barriers between them:
 /// when every cluster is quiescent, the barrier routes all gateway
 /// envelopes in source-cluster order (identically to the batched
@@ -1199,8 +1184,8 @@ impl fmt::Display for FleetSchedule {
 /// Clusters share no state except through gateway routing, and *both*
 /// schedules route only at epoch barriers, so within an epoch each
 /// cluster performs the same autonomous drain from the same start
-/// state either way — single-stepped here, batched there, which the
-/// kernel guarantees are bit-identical (`tests/analytic_batching.rs`).
+/// state either way — the same `run_transaction` steps, in a different
+/// order across clusters.
 /// Hence per-cluster record streams, receive logs, statistics, and
 /// gateway counters are equal between the two schedules, and the
 /// [`FleetSignature`]s match exactly. What *does* differ is the
@@ -1750,9 +1735,7 @@ impl FleetWorkload {
     /// As [`FleetWorkload::apply`].
     pub fn apply_scheduled(&self, fleet: &mut Fleet, schedule: FleetSchedule) -> FleetReport {
         match schedule {
-            FleetSchedule::Batched => self.apply_with_drain(fleet, &mut |fleet, records| {
-                fleet.drain_with(&mut |r| records.push(r))
-            }),
+            FleetSchedule::Batched => self.apply_with_drain(fleet, &mut Fleet::drain_into),
             FleetSchedule::Interleaved => self.apply_sharded(fleet, &mut ShardedFleet::new(1)),
             FleetSchedule::Sharded { shards } => {
                 self.apply_sharded(fleet, &mut ShardedFleet::new(shards))
@@ -2691,7 +2674,7 @@ impl FleetReport {
             if let Some(bucket) = buckets.get_mut(r.cluster) {
                 bucket.push(EngineRecord {
                     seq: bucket.len() as u64,
-                    ..r.record.clone()
+                    ..r.record
                 });
             }
         }
@@ -3123,7 +3106,7 @@ mod tests {
                     r.records
                         .iter()
                         .filter(|fr| fr.cluster == c)
-                        .map(|fr| fr.record.clone())
+                        .map(|fr| fr.record)
                         .collect()
                 };
                 assert_eq!(
@@ -3331,7 +3314,7 @@ mod tests {
                         .enumerate()
                         .map(|(i, r)| EngineRecord {
                             seq: i as u64,
-                            ..r.clone()
+                            ..*r
                         })
                         .collect()
                 })
@@ -3394,7 +3377,7 @@ mod tests {
                 // report does not have is ignored, not a panic.
                 let stray = FleetRecord {
                     cluster: report.rx.len(),
-                    record: report.records[0].record.clone(),
+                    record: report.records[0].record,
                 };
                 report.records.insert(1, stray);
                 assert_eq!(report.signature(), sig, "{label}: out-of-range record");

@@ -95,13 +95,13 @@ pub mod trace;
 pub mod wire;
 
 pub use addr::{Address, BroadcastChannel, FuId, FullPrefix, ShortPrefix};
-pub use analytic::{AnalyticBus, ArbitrationPolicy, TransactionRecord};
+pub use analytic::{AnalyticBus, ArbitrationPolicy};
 pub use behavior::NodeBehavior;
 pub use config::BusConfig;
-pub use control::{ControlBits, Interjector, TxOutcome};
+pub use control::{ControlBits, TxOutcome};
 pub use engine::{
     build_engine, BusEngine, BusStats, EngineKind, EngineRecord, NodeIndex, NodeSet,
-    ReceivedMessage, Role,
+    ReceivedMessage, MAX_BUS_NODES,
 };
 pub use error::MbusError;
 pub use fleet::{

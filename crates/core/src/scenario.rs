@@ -889,7 +889,7 @@ impl ScenarioReport {
             .enumerate()
             .map(|(i, r)| EngineRecord {
                 seq: i as u64,
-                ..r.clone()
+                ..*r
             })
             .collect();
         let deliveries = self

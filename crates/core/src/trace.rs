@@ -72,7 +72,7 @@ use std::collections::BTreeMap;
 use crate::addr::{Address, BroadcastChannel, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{NodeBehavior, DEFAULT_REPLY_HORIZON, MAX_BEHAVIOR_PAYLOAD};
 use crate::config::BusConfig;
-use crate::engine::{EngineKind, EngineRecord};
+use crate::engine::{EngineKind, EngineRecord, MAX_BUS_NODES};
 use crate::fleet::{
     envelope_message, node_full_prefix, Fleet, FleetNodeId, FleetSchedule, FleetSignature,
     FleetStep, FleetWorkload, MeshRoute, GATEWAY_FORWARD_FU, GATEWAY_NODE, MAX_CLUSTERS,
@@ -967,6 +967,13 @@ impl<'a> Parser<'a> {
                     ));
                 }
                 self.enter(line_no, head, Section::Topology)?;
+                if self.nodes.len() == MAX_BUS_NODES {
+                    return Err(self.err(
+                        line_no,
+                        head.col,
+                        format!("too many nodes (a bus holds at most {MAX_BUS_NODES})"),
+                    ));
+                }
                 self.parse_node(line_no, line, &toks[1..])?;
             }
             "cluster" => {
@@ -1944,7 +1951,7 @@ fn digest_records(h: &mut Fnv, records: &[EngineRecord]) {
             None => h.u8(0),
         }
         h.usize(r.delivered_to.len());
-        for &node in &r.delivered_to {
+        for node in r.delivered_to.iter() {
             h.usize(node);
         }
         h.u8(outcome_code(r.outcome));

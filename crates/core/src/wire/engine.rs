@@ -22,7 +22,8 @@ use mbus_sim::SimTime;
 use crate::config::BusConfig;
 use crate::control::{ControlBits, TxOutcome};
 use crate::engine::{
-    transaction_activity, BusEngine, BusStats, EngineKind, EngineRecord, NodeIndex, ReceivedMessage,
+    BusEngine, BusStats, EngineKind, EngineRecord, NodeIndex, NodeSet, ReceivedMessage,
+    MAX_BUS_NODES,
 };
 use crate::error::MbusError;
 use crate::message::Message;
@@ -60,7 +61,7 @@ pub const DEFAULT_MAX_EVENTS: u64 = 50_000_000;
 /// assert_eq!(records.len(), 1);
 /// assert_eq!(records[0].cycles, 19 + 32);
 /// assert_eq!(records[0].winner, Some(a));
-/// assert_eq!(records[0].delivered_to, vec![b]);
+/// assert_eq!(records[0].delivered_to.iter().collect::<Vec<_>>(), vec![b]);
 /// assert_eq!(bus.take_rx(b)[0].from, a);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -191,8 +192,8 @@ impl WireEngine {
             // is exact.
             let mut winner = None;
             let mut member_outcome = None;
-            let mut receivers: Vec<NodeIndex> = Vec::new();
-            let mut delivered: Vec<NodeIndex> = Vec::new();
+            let mut receivers = NodeSet::new();
+            let mut delivered = NodeSet::new();
             let bus = self.bus.as_ref().expect("built");
             for (i, member) in bus.members.iter().enumerate() {
                 let Some(shared) = member else { continue };
@@ -213,15 +214,15 @@ impl WireEngine {
                     if at > t.idle_at {
                         break;
                     }
-                    delivered.push(i);
-                    receivers.push(i);
+                    delivered.insert(i);
+                    receivers.insert(i);
                     self.rx_cursor[i] += 1;
                 }
                 while let Some(&at) = s.rx_engaged.get(self.engaged_cursor[i]) {
                     if at > t.idle_at {
                         break;
                     }
-                    receivers.push(i);
+                    receivers.insert(i);
                     self.engaged_cursor[i] += 1;
                 }
             }
@@ -249,9 +250,8 @@ impl WireEngine {
                 control,
             };
             self.seq += 1;
-            receivers.sort_unstable();
-            let activity = transaction_activity(n, winner, &receivers, record.cycles);
-            self.stats.record_transaction(record.cycles, &activity);
+            self.stats
+                .record_transaction(record.cycles, n, winner, receivers);
             self.history.push((t.idle_at, winner));
             self.buffered.push_back(record);
         }
@@ -276,6 +276,13 @@ impl BusEngine for WireEngine {
         self.built() || self.exhausted
     }
 
+    /// Adds a node at the next (lowest-priority) ring position and
+    /// returns its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the ring is frozen ([`BusEngine::is_frozen`]), or
+    /// if the bus already holds [`MAX_BUS_NODES`] nodes.
     fn add_node(&mut self, spec: NodeSpec) -> NodeIndex {
         assert!(
             !self.built(),
@@ -283,6 +290,10 @@ impl BusEngine for WireEngine {
              add all nodes before the first queue/wakeup/run"
         );
         let index = self.specs.len();
+        assert!(
+            index < MAX_BUS_NODES,
+            "a bus holds at most {MAX_BUS_NODES} nodes"
+        );
         self.specs.push(spec);
         self.tx_cursor.push(0);
         self.rx_cursor.push(0);
@@ -324,11 +335,6 @@ impl BusEngine for WireEngine {
             self.run_and_absorb();
         }
         self.buffered.pop_front()
-    }
-
-    fn run_until_quiescent(&mut self) -> Vec<EngineRecord> {
-        self.run_and_absorb();
-        self.buffered.drain(..).collect()
     }
 
     fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
@@ -415,7 +421,7 @@ mod tests {
         let records = e.run_until_quiescent();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].winner, Some(1));
-        assert_eq!(records[0].delivered_to, vec![2]);
+        assert_eq!(records[0].delivered_to, NodeSet::from_iter([2]));
         assert_eq!(records[0].outcome, TxOutcome::Acked);
         let rx = e.take_rx(2);
         assert_eq!(rx[0].from, 1);
@@ -457,6 +463,18 @@ mod tests {
         let mut e = three_node_engine();
         e.request_wakeup(1).unwrap();
         e.add_node(NodeSpec::new("late", FullPrefix::new(0x9).unwrap()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 nodes")]
+    fn add_node_past_the_bus_cap_panics() {
+        let mut e = WireEngine::new(BusConfig::default());
+        for i in 0..=MAX_BUS_NODES as u32 {
+            e.add_node(NodeSpec::new(
+                format!("n{i}"),
+                FullPrefix::new(0x700 + i).unwrap(),
+            ));
+        }
     }
 
     #[test]

@@ -94,6 +94,10 @@ const EXPECTED: &[(&str, &str)] = &[
         "cluster_too_many_sensors.mbt:3:22: too many sensors (a cluster holds at most 13)",
     ),
     (
+        "too_many_nodes.mbt",
+        "too_many_nodes.mbt:67:1: too many nodes (a bus holds at most 64)",
+    ),
+    (
         "unknown_directive.mbt",
         "unknown_directive.mbt:3:1: unknown directive `frobnicate`",
     ),

@@ -1,14 +1,15 @@
 //! Differential suite for the analytic engine's transaction kernel.
 //!
 //! The kernel maintains its contender/priority/power bookkeeping
-//! incrementally and offers a batched queue drain
-//! ([`AnalyticBus::run_until_quiescent_with`]) next to the
-//! single-stepping [`AnalyticBus::run_transaction`]. These tests pin
-//! the two paths to *bit-identical* behavior — full
-//! [`TransactionRecord`] streams, statistics, and receive logs — over
-//! hundreds of seeded random workloads ([`Workload::seeded`]), across
-//! both arbitration policies and power-aware/always-on node mixes, and
-//! cross-check the same seeds across every `EngineKind`.
+//! incrementally, and the [`BusEngine`] trait's provided
+//! [`BusEngine::run_until_quiescent`] drains a whole batch of queued
+//! work in one call by looping [`AnalyticBus::run_transaction`]. These
+//! tests pin such *batched* drains to a hand-stepped replay —
+//! *bit-identical* [`EngineRecord`] streams, statistics, and receive
+//! logs — over hundreds of seeded random workloads
+//! ([`Workload::seeded`]), across both arbitration policies and
+//! power-aware/always-on node mixes, and cross-check the same seeds
+//! across every `EngineKind`.
 //!
 //! The seeded generator draws the ROADMAP's hostile-traffic cases too:
 //! oversized/runaway messages past the mediator's limit, back-to-back
@@ -25,29 +26,31 @@
 mod common;
 
 use mbus_core::{
-    AnalyticBus, ArbitrationPolicy, BusStats, EngineKind, ReceivedMessage, Step, TransactionRecord,
-    Workload,
+    AnalyticBus, ArbitrationPolicy, BusEngine, BusStats, EngineKind, EngineRecord, ReceivedMessage,
+    Step, Workload,
 };
 
 /// Replays a workload's steps on a fresh `AnalyticBus`, draining either
-/// by single-stepping `run_transaction` or through the batched kernel.
-/// Partial drains ([`Step::RunTransactions`]) have no batched form and
-/// single-step in both modes — what they add to this suite is batched
-/// drains *entered mid-queue*, after earlier traffic was partially
-/// served and fresh traffic queued on top.
+/// by hand-stepping the inherent `run_transaction` or with one call to
+/// the trait's provided `run_until_quiescent` through `dyn BusEngine`.
+/// Partial drains ([`Step::RunTransactions`]) single-step in both
+/// modes — what they add to this suite is drains *entered mid-queue*,
+/// after earlier traffic was partially served and fresh traffic queued
+/// on top.
 fn replay(
     workload: &Workload,
     policy: ArbitrationPolicy,
     batched: bool,
-) -> (Vec<TransactionRecord>, BusStats, Vec<Vec<ReceivedMessage>>) {
+) -> (Vec<EngineRecord>, BusStats, Vec<Vec<ReceivedMessage>>) {
     let mut bus = AnalyticBus::new(*workload.config()).with_arbitration_policy(policy);
     for spec in workload.node_specs() {
         bus.add_node(spec.clone());
     }
     let mut records = Vec::new();
-    fn drain(bus: &mut AnalyticBus, records: &mut Vec<TransactionRecord>, batched: bool) {
+    fn drain(bus: &mut AnalyticBus, records: &mut Vec<EngineRecord>, batched: bool) {
         if batched {
-            bus.run_until_quiescent_with(|r| records.push(r.clone()));
+            let engine: &mut dyn BusEngine = bus;
+            records.extend(engine.run_until_quiescent());
         } else {
             while let Some(r) = bus.run_transaction() {
                 records.push(r);
@@ -102,8 +105,8 @@ fn batched_drain_is_bit_identical_to_single_stepping_over_200_seeds() {
 #[test]
 fn batched_drain_matches_on_the_paper_suite() {
     // The hand-written paper scenarios (power-gated senders, interrupt
-    // wakeups, overruns, runaways, enumeration broadcasts) through both
-    // kernel paths.
+    // wakeups, overruns, runaways, enumeration broadcasts), stepped by
+    // hand and drained in one call.
     for workload in Workload::paper_suite() {
         for policy in [
             ArbitrationPolicy::FixedTopological,

@@ -6,7 +6,7 @@
 
 use mbus_core::{
     build_engine, timing, Address, BusConfig, BusEngine, EngineKind, FuId, FullPrefix, MbusError,
-    Message, NodeSpec, ShortPrefix, TxOutcome,
+    Message, NodeSet, NodeSpec, ShortPrefix, TxOutcome,
 };
 
 fn sp(x: u8) -> ShortPrefix {
@@ -112,7 +112,7 @@ fn queue_run_take_rx_roundtrip() {
         let record = engine.run_transaction().expect("one transaction");
         assert_eq!(record.seq, 0, "{kind}");
         assert_eq!(record.winner, Some(0), "{kind}");
-        assert_eq!(record.delivered_to, vec![1], "{kind}");
+        assert_eq!(record.delivered_to, NodeSet::from_iter([1]), "{kind}");
         assert_eq!(record.outcome, TxOutcome::Acked, "{kind}");
         assert_eq!(
             record.cycles,
@@ -332,7 +332,11 @@ fn self_waking_node_still_receives_broadcasts() {
             .unwrap();
         let records = engine.run_until_quiescent();
         assert_eq!(records.len(), 1, "{kind}: wake piggybacks, no null");
-        assert_eq!(records[0].delivered_to, vec![1, 2], "{kind}");
+        assert_eq!(
+            records[0].delivered_to,
+            NodeSet::from_iter([1, 2]),
+            "{kind}"
+        );
         assert_eq!(engine.take_rx(1).len(), 1, "{kind}");
         assert_eq!(engine.wake_events(1), 1, "{kind}");
     }

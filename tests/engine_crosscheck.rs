@@ -11,8 +11,8 @@
 mod common;
 
 use mbus_core::{
-    timing, Address, BroadcastChannel, BusConfig, EngineKind, FuId, FullPrefix, Message, NodeSpec,
-    ScenarioReport, ShortPrefix, TxOutcome, Workload,
+    timing, Address, BroadcastChannel, BusConfig, EngineKind, FuId, FullPrefix, Message, NodeSet,
+    NodeSpec, ScenarioReport, ShortPrefix, TxOutcome, Workload,
 };
 
 fn sp(x: u8) -> ShortPrefix {
@@ -116,7 +116,7 @@ fn broadcast_fanout_agrees() {
         ),
     );
     let (analytic, wire) = crosscheck(&workload);
-    assert_eq!(analytic.records[0].delivered_to, vec![1, 2, 3, 4]);
+    assert_eq!(analytic.records[0].delivered_to, NodeSet::from_iter(1..5));
     for node in 1..5 {
         assert_eq!(wire.rx[node].len(), 1, "wire node {node}");
     }

@@ -6,7 +6,8 @@
 use mbus_core::interject::InterjectionDetector;
 use mbus_core::wire::WireBusBuilder;
 use mbus_core::{
-    Address, AnalyticBus, BusConfig, FuId, FullPrefix, Message, NodeSpec, ShortPrefix, TxOutcome,
+    Address, AnalyticBus, BusConfig, BusEngine, FuId, FullPrefix, Message, NodeSpec, ShortPrefix,
+    TxOutcome,
 };
 use mbus_sim::Edge;
 

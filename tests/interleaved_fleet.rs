@@ -36,7 +36,7 @@ fn per_cluster(report: &FleetReport, cluster: usize) -> Vec<EngineRecord> {
         .records
         .iter()
         .filter(|r| r.cluster == cluster)
-        .map(|r| r.record.clone())
+        .map(|r| r.record)
         .collect()
 }
 
