@@ -1,11 +1,13 @@
 //! # mbus-analysis — static analysis for the MBus workspace
 //!
 //! The fleet runtime's soundness rests on a handful of hand-written
-//! invariants: the `unsafe impl Send` engine wrapper in
-//! `fleet/shard.rs` (the workspace's only `unsafe` outside tests),
-//! threads confined to the audited layers, and the determinism
-//! contract that no wall-clock or thread-identity bit may reach a
-//! signature-bearing stream. This crate checks those invariants
+//! invariants: no `unsafe` outside tests (engines are `Send` by
+//! construction, so the sharded runtime needs none, and every crate is
+//! `#![forbid(unsafe_code)]`), threads confined to the audited layers,
+//! and the determinism contract that no wall-clock or thread-identity
+//! bit may reach a signature-bearing stream. The SAFETY-comment and
+//! `Rc`-vs-`Send` rules below have no live subject; they guard against
+//! an `unsafe` site or a shared `Rc` graph coming back. This crate checks those invariants
 //! mechanically, on every change, with zero dependencies:
 //!
 //! * [`lexer`] — a hand-rolled, string/char/comment-aware Rust

@@ -396,7 +396,9 @@ pub fn build_engine(kind: EngineKind, config: BusConfig) -> Box<dyn BusEngine> {
 ///   calls must not assume the bus is paused between records.
 /// * [`take_rx`](BusEngine::take_rx) drains: a second call without new
 ///   traffic returns an empty vec.
-pub trait BusEngine {
+/// * Engines are `Send`: an engine owns its whole state, so the sharded
+///   fleet can lend it to a worker thread for an epoch.
+pub trait BusEngine: Send {
     /// Which implementation this is.
     fn kind(&self) -> EngineKind;
 
@@ -504,6 +506,17 @@ mod tests {
 
     fn sp(x: u8) -> ShortPrefix {
         ShortPrefix::new(x).unwrap()
+    }
+
+    /// Engines, and a fleet of them, are `Send` by construction: each
+    /// owns its state, so this is checked by the compiler, not argued.
+    #[test]
+    fn engines_and_fleets_are_send() {
+        fn send<T: Send>() {}
+        send::<WireEngine>();
+        send::<AnalyticBus>();
+        send::<crate::fleet::Fleet>();
+        send::<Box<dyn BusEngine>>();
     }
 
     fn two_nodes(engine: &mut dyn BusEngine) -> (NodeIndex, NodeIndex) {

@@ -67,12 +67,6 @@
 //! # Ok::<(), mbus_core::MbusError>(())
 //! ```
 
-// The only module outside tests allowed to write `unsafe` (the
-// crate root carries `#![deny(unsafe_code)]`, every other crate
-// `#![forbid(unsafe_code)]`): the engine `Send` wrapper in `shard`,
-// policed by the `mbus-analysis` lint and exercised under Miri — see
-// ARCHITECTURE.md § "Analysis & safety".
-#[allow(unsafe_code)]
 pub mod shard;
 
 use std::collections::BTreeMap;
@@ -970,8 +964,7 @@ impl Fleet {
         payload: &[u8],
         ttl: Option<u8>,
     ) -> Result<Message, MbusError> {
-        let engine = self.engine(dest)?;
-        if dest.node >= engine.node_count() {
+        if dest.node >= self.engine(dest)?.node_count() {
             return Err(MbusError::UnknownNode { index: dest.node });
         }
         if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
@@ -979,7 +972,7 @@ impl Fleet {
                 reason: "a remote message may not target a gateway forwarding port",
             });
         }
-        let msg = envelope_message(engine.spec(dest.node).full_prefix(), fu, payload, ttl);
+        let msg = envelope_message(node_full_prefix(dest), fu, payload, ttl);
         msg.validate(&self.config)?;
         Ok(msg)
     }

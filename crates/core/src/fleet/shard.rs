@@ -59,17 +59,17 @@
 //!
 //! # Threading model
 //!
-//! Engines are single-threaded objects (the wire engine's internals
-//! are `Rc`-based by design); the parallelism contract is *exclusive
-//! engine ownership per shard, per epoch*. Each epoch the calling
-//! thread lends every shard a lease (`ShardLease`): its `(cluster,
-//! &mut engine)` entries and its scheduler, sent to a worker over a
-//! channel. The worker runs the epoch with panics contained and sends
-//! the lease back with the outcome; only when every lease is home does
-//! the barrier touch the engines again. Engines migrate between threads
-//! but are never shared, which is what the `Send` wrapper below
-//! asserts. The scope makes the borrow checker prove that no worker
-//! outlives the engine borrows, so this file needs no other `unsafe`.
+//! Every [`BusEngine`] is `Send` (each owns its whole state, the wire
+//! engine's circuit included) but not shared; the parallelism contract
+//! is *exclusive engine ownership per shard, per epoch*. Each epoch the
+//! calling thread lends every shard a lease (`ShardLease`): its
+//! `(cluster, &mut engine)` entries and its scheduler, sent to a worker
+//! over a channel. The worker runs the epoch with panics contained and
+//! sends the lease back with the outcome; only when every lease is home
+//! does the barrier touch the engines again. Engines migrate between
+//! threads but are never shared: the compiler checks the `Send` bound,
+//! and the scope makes the borrow checker prove that no worker outlives
+//! the engine borrows, so the runtime needs no `unsafe`.
 
 use std::cmp::Reverse;
 use std::fmt;
@@ -88,30 +88,8 @@ use crate::message::Message;
 
 /// One epoch's worth of exclusive engine access for one shard:
 /// `(fleet-global cluster index, engine)` pairs in ascending cluster
-/// order.
+/// order. `Send` because every [`BusEngine`] is.
 type ShardEntries<'a> = Vec<(usize, &'a mut Box<dyn BusEngine>)>;
-
-/// Exclusive access to one shard's engines for the duration of one
-/// epoch, movable onto a worker thread.
-struct ShardEngines<'a>(ShardEntries<'a>);
-
-// SEND-AUDIT: this file pairs an `impl Send` with engines whose
-// internals are `Rc`-based; the audit that no `Rc`/`RefCell` is ever
-// reachable from two threads is the SAFETY argument below.
-//
-// SAFETY: `dyn BusEngine` carries no `Send` bound only because the
-// wire engine's internal object graph uses `Rc<RefCell<…>>`. Every
-// such `Rc` is created inside the engine and reachable only through
-// it: the `BusEngine` surface returns owned plain data (records,
-// messages, stats, specs), never an alias into the graph, and the
-// fleet layer builds its engines internally and touches them through
-// that surface alone. Each boxed engine is therefore an isolated
-// single-owner object graph, and moving the exclusive `&mut` entries
-// to exactly one worker moves access to each graph wholesale — no
-// reference count or `RefCell` borrow can be reached from two threads.
-// The worker sends the entries back over the lease channel before the
-// calling thread touches those engines again.
-unsafe impl Send for ShardEngines<'_> {}
 
 /// What one shard hands back at an epoch barrier.
 #[derive(Default)]
@@ -186,7 +164,7 @@ fn run_shard_epoch(
 /// the [`ShardedFleet`] so its counters travel with the work).
 struct ShardLease<'a> {
     shard: usize,
-    engines: ShardEngines<'a>,
+    engines: ShardEntries<'a>,
     scheduler: InterleavedScheduler,
 }
 
@@ -200,7 +178,7 @@ impl<'a> ShardLease<'a> {
     /// can never strand the barrier.
     fn run(mut self, routes: &GatewayRoutes) -> Returned<'a> {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_shard_epoch(&mut self.engines.0, &mut self.scheduler, routes)
+            run_shard_epoch(&mut self.engines, &mut self.scheduler, routes)
         }));
         (self, outcome)
     }
@@ -498,12 +476,10 @@ impl ShardedFleet {
             .enumerate()
             .map(|(shard, members)| ShardLease {
                 shard,
-                engines: ShardEngines(
-                    members
-                        .iter()
-                        .map(|&c| (c, slots[c].take().expect("cluster assigned to one shard")))
-                        .collect(),
-                ),
+                engines: members
+                    .iter()
+                    .map(|&c| (c, slots[c].take().expect("cluster assigned to one shard")))
+                    .collect(),
                 scheduler: mem::take(&mut schedulers[shard]),
             });
         let local = leases.next().expect("at least one shard");
@@ -520,7 +496,7 @@ impl ShardedFleet {
         let mut first_panic = None;
         let local = local.run(state.routes);
         for (lease, outcome) in std::iter::once(local).chain(done.iter().take(lanes.len())) {
-            for (cluster, engine) in lease.engines.0 {
+            for (cluster, engine) in lease.engines {
                 state.slots[cluster] = Some(engine);
             }
             self.schedulers[lease.shard] = lease.scheduler;
@@ -630,20 +606,10 @@ mod tests {
         fleet
     }
 
-    /// Shard counts the conformance sweep covers; reduced under Miri
-    /// (1 = no worker thread, 2 = smallest real lease hand-off).
-    fn test_shard_counts() -> &'static [usize] {
-        if cfg!(miri) {
-            &[1, 2]
-        } else {
-            &[1, 2, 3, 5, 8, 13]
-        }
-    }
-
     #[test]
     fn sharded_matches_interleaved_stream_exactly() {
         for kind in EngineKind::ALL {
-            for &shards in test_shard_counts() {
+            for shards in [1, 2, 3, 5, 8, 13] {
                 let mut reference = eight_cluster_fleet(kind);
                 let mut sharded = eight_cluster_fleet(kind);
                 for f in [&mut reference, &mut sharded] {
@@ -800,12 +766,11 @@ mod tests {
 
     #[test]
     fn wire_engines_migrate_across_pool_threads() {
-        // The Send-audit's regression test, sized to run un-reduced
-        // under Miri: two Rc-based wire engines on two shards, so every
-        // epoch lends one engine's whole object graph to a worker
-        // thread and the lease channel hands it back — three drives
-        // deep, with cross-cluster traffic so the barrier exchanges
-        // state between the shards too.
+        // Conformance for the lease hand-off on the wire engine: two
+        // wire engines on two shards, so every epoch moves one engine's
+        // whole circuit to a worker thread and the lease channel hands
+        // it back — three drives deep, with cross-cluster traffic so
+        // the barrier exchanges state between the shards too.
         let mut fleet = Fleet::new(EngineKind::Wire, BusConfig::default());
         for _ in 0..2 {
             let c = fleet.add_cluster();

@@ -24,12 +24,12 @@
 //!
 //! # Threading model
 //!
-//! The engines themselves are single-threaded (the wire engine's
-//! shared component state is `Rc`-based by design); the parallelism
-//! contract is therefore *engine per point, inside the worker*, which
-//! the `Fn(&P) -> R + Sync` bound enforces at compile time: the closure
-//! may be called from many threads at once, so it cannot capture an
-//! engine — it must build one per call. This is also why sweeps scale:
+//! Engines are `Send` but never shared, and a sweep never moves one:
+//! the parallelism contract is *engine per point, inside the worker*,
+//! which the `Fn(&P) -> R + Sync` bound enforces at compile time: the
+//! closure may be called from many threads at once, so it cannot
+//! drive a captured engine (that needs `&mut`) — it must build one per
+//! call. This is also why sweeps scale:
 //! points are embarrassingly parallel by construction.
 //!
 //! Worker threads are scoped (`std::thread::scope`), so borrowed

@@ -2,10 +2,7 @@
 //! over the `mbus-sim` kernel and offers a transaction-level API that
 //! mirrors [`AnalyticBus`](crate::AnalyticBus) for cross-checking.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use mbus_sim::{Circuit, Component, Logic, NetId, PinId, SimTime, Trace};
+use mbus_sim::{Circuit, Component, ComponentId, Logic, NetId, PinId, SimTime, Trace};
 
 use crate::addr::Address;
 use crate::config::BusConfig;
@@ -13,10 +10,10 @@ use crate::control::{ControlBits, TxOutcome};
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
-use crate::wire::mediator::{MediatorComp, MediatorShared};
+use crate::wire::mediator::MediatorComp;
 use crate::wire::member::{MemberComp, MemberShared, WireReceived};
 
-/// A completed transaction as reconstructed from the wire-level run.
+/// A completed transaction as the mediator observed it on the wire.
 #[derive(Clone, Debug)]
 pub struct WireTransaction {
     /// When the request first pulled DATA low at the mediator.
@@ -134,6 +131,10 @@ impl WireBusBuilder {
     /// bind. Custom nodes have no member bookkeeping (`take_rx` and
     /// friends panic for their index); they interact with the bus
     /// purely electrically, which is the point.
+    ///
+    /// Like every [`Component`], the occupant must be `Send`: the
+    /// circuit owns it, and the finished bus (and any engine wrapping
+    /// it) may move to another thread.
     pub fn raw_node(
         mut self,
         name: impl Into<String>,
@@ -177,7 +178,6 @@ impl WireBusBuilder {
         } else {
             hop
         };
-        let mediator_shared = Rc::new(RefCell::new(MediatorShared::default()));
         let med = circuit.add_component("mediator");
         let med_clk_in = circuit.input_delayed(med, clk_nets[n], hop);
         let med_data_in = circuit.input_delayed(med, data_nets[n], hop);
@@ -193,7 +193,6 @@ impl WireBusBuilder {
                 period,
                 self.config.mediator_wakeup_cycles(),
                 self.config.max_message_bytes(),
-                Rc::clone(&mediator_shared),
             ),
         );
 
@@ -217,7 +216,6 @@ impl WireBusBuilder {
             };
             match kind {
                 NodeKind::Member(spec) => {
-                    let shared = Rc::new(RefCell::new(MemberShared::new(spec)));
                     circuit.bind(
                         comp,
                         MemberComp::new(
@@ -227,10 +225,10 @@ impl WireBusBuilder {
                             io.data_out,
                             io.int_in,
                             period,
-                            Rc::clone(&shared),
+                            spec,
                         ),
                     );
-                    members.push(Some(shared));
+                    members.push(Some(comp));
                 }
                 NodeKind::Raw { bind, .. } => {
                     let model = bind(io);
@@ -244,12 +242,11 @@ impl WireBusBuilder {
         WireBus {
             circuit,
             config: self.config,
-            mediator: mediator_shared,
+            mediator: med,
             members,
             int_nets,
             clk_nets,
             data_nets,
-            records_taken: 0,
             int_level: vec![false; n],
         }
     }
@@ -263,15 +260,13 @@ impl WireBusBuilder {
 pub struct WireBus {
     circuit: Circuit,
     config: BusConfig,
-    mediator: Rc<RefCell<MediatorShared>>,
-    /// `None` entries are raw/custom ring occupants. The
-    /// [`WireEngine`](crate::wire::WireEngine) wrapper reads the shared
-    /// member state directly to attribute transactions.
-    pub(crate) members: Vec<Option<Rc<RefCell<MemberShared>>>>,
+    mediator: ComponentId,
+    /// Each node's [`MemberComp`]; `None` entries are raw/custom ring
+    /// occupants.
+    members: Vec<Option<ComponentId>>,
     int_nets: Vec<NetId>,
     clk_nets: Vec<NetId>,
     data_nets: Vec<NetId>,
-    records_taken: usize,
     int_level: Vec<bool>,
 }
 
@@ -365,12 +360,10 @@ impl WireBus {
     ///
     /// Returns [`MbusError::UnknownNode`] for an out-of-range index.
     pub fn queue_unchecked(&mut self, node: usize, msg: Message) -> Result<(), MbusError> {
-        let shared = self
-            .members
-            .get(node)
-            .and_then(Option::as_ref)
-            .ok_or(MbusError::UnknownNode { index: node })?;
-        shared.borrow_mut().tx_queue.push_back(msg);
+        self.try_member_mut(node)
+            .ok_or(MbusError::UnknownNode { index: node })?
+            .tx_queue
+            .push_back(msg);
         self.pulse_int(node);
         Ok(())
     }
@@ -382,25 +375,39 @@ impl WireBus {
     ///
     /// Returns [`MbusError::UnknownNode`] for an out-of-range index.
     pub fn request_wakeup(&mut self, node: usize) -> Result<(), MbusError> {
-        let shared = self
-            .members
-            .get(node)
-            .and_then(Option::as_ref)
-            .ok_or(MbusError::UnknownNode { index: node })?;
-        shared.borrow_mut().wake_requested = true;
+        self.try_member_mut(node)
+            .ok_or(MbusError::UnknownNode { index: node })?
+            .wake_requested = true;
         self.pulse_int(node);
         Ok(())
     }
 
-    /// The shared state of member `node`.
+    /// The harness-visible state of member `node`, or `None` if `node`
+    /// is out of range or a raw/custom occupant.
+    pub(crate) fn try_member(&self, node: usize) -> Option<&MemberShared> {
+        let comp = (*self.members.get(node)?)?;
+        Some(&self.circuit.component::<MemberComp>(comp)?.shared)
+    }
+
+    /// Mutable [`WireBus::try_member`].
+    fn try_member_mut(&mut self, node: usize) -> Option<&mut MemberShared> {
+        let comp = (*self.members.get(node)?)?;
+        Some(&mut self.circuit.component_mut::<MemberComp>(comp)?.shared)
+    }
+
+    /// The harness-visible state of member `node`.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range or a raw/custom occupant.
-    fn member(&self, node: usize) -> &Rc<RefCell<MemberShared>> {
-        self.members[node]
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {node} is a raw/custom ring occupant"))
+    fn member(&self, node: usize) -> &MemberShared {
+        self.try_member(node).unwrap_or_else(|| not_a_member(node))
+    }
+
+    /// Mutable [`WireBus::member`].
+    fn member_mut(&mut self, node: usize) -> &mut MemberShared {
+        self.try_member_mut(node)
+            .unwrap_or_else(|| not_a_member(node))
     }
 
     fn pulse_int(&mut self, node: usize) {
@@ -451,23 +458,9 @@ impl WireBus {
     }
 
     fn take_records(&mut self) -> Vec<WireTransaction> {
-        let mediator = self.mediator.borrow();
-        let records = &mediator.records[self.records_taken..];
-        let out: Vec<WireTransaction> = records
-            .iter()
-            .map(|r| WireTransaction {
-                request_at: r.request_at,
-                clock_start: r.clock_start,
-                idle_at: r.idle_at,
-                cycles: r.cycles,
-                control: r.control,
-                null_transaction: r.no_winner,
-                runaway: r.runaway,
-            })
-            .collect();
-        drop(mediator);
-        self.records_taken += out.len();
-        out
+        let mediator = self.circuit.component_mut::<MediatorComp>(self.mediator);
+        let mediator = mediator.expect("mediator slot holds the MediatorComp");
+        std::mem::take(&mut mediator.records)
     }
 
     /// Drains a node's received messages.
@@ -476,7 +469,7 @@ impl WireBus {
     ///
     /// Panics if `node` is out of range.
     pub fn take_rx(&mut self, node: usize) -> Vec<WireReceived> {
-        std::mem::take(&mut self.member(node).borrow_mut().rx_log)
+        std::mem::take(&mut self.member_mut(node).rx_log)
     }
 
     /// Drains a node's transmit outcomes, in completion order.
@@ -485,37 +478,37 @@ impl WireBus {
     ///
     /// Panics if `node` is out of range.
     pub fn take_outcomes(&mut self, node: usize) -> Vec<TxOutcome> {
-        std::mem::take(&mut self.member(node).borrow_mut().outcomes)
+        std::mem::take(&mut self.member_mut(node).outcomes)
     }
 
     /// Number of completed self-wake events on a node.
     pub fn wake_events(&self, node: usize) -> u64 {
-        self.member(node).borrow().wake_events
+        self.member(node).wake_events
     }
 
     /// Whether a node's layer domain is powered.
     pub fn layer_on(&self, node: usize) -> bool {
-        self.member(node).borrow().layer_on
+        self.member(node).layer_on
     }
 
     /// Whether a node's bus-controller domain is powered.
     pub fn bus_ctl_on(&self, node: usize) -> bool {
-        self.member(node).borrow().bus_ctl_on
+        self.member(node).bus_ctl_on
     }
 
     /// Cumulative layer wake count for a node.
     pub fn layer_wakes(&self, node: usize) -> u64 {
-        self.member(node).borrow().layer_wakes
+        self.member(node).layer_wakes
     }
 
     /// Cumulative bus-controller wake count for a node.
     pub fn bus_ctl_wakes(&self, node: usize) -> u64 {
-        self.member(node).borrow().bus_ctl_wakes
+        self.member(node).bus_ctl_wakes
     }
 
     /// A node's spec (prefixes may change under enumeration).
     pub fn spec(&self, node: usize) -> NodeSpec {
-        self.member(node).borrow().spec.clone()
+        self.member(node).spec.clone()
     }
 
     /// Sends one message and runs to quiescence, returning the
@@ -534,4 +527,8 @@ impl WireBus {
         self.queue(node, Message::new(dest, payload))?;
         Ok(self.run_until_quiescent(5_000_000))
     }
+}
+
+fn not_a_member(node: usize) -> ! {
+    panic!("node {node} is out of range or a raw/custom ring occupant")
 }

@@ -195,9 +195,8 @@ impl WireEngine {
             let mut receivers = NodeSet::new();
             let mut delivered = NodeSet::new();
             let bus = self.bus.as_ref().expect("built");
-            for (i, member) in bus.members.iter().enumerate() {
-                let Some(shared) = member else { continue };
-                let s = shared.borrow();
+            for i in 0..n {
+                let Some(s) = bus.try_member(i) else { continue };
                 while let Some(&(at, outcome)) = s.tx_finished.get(self.tx_cursor[i]) {
                     if at > t.idle_at {
                         break;
@@ -356,9 +355,8 @@ impl BusEngine for WireEngine {
         let mut stats = self.stats.clone();
         stats.ensure_nodes(self.specs.len());
         if let Some(bus) = &self.bus {
-            for (i, member) in bus.members.iter().enumerate() {
-                if let Some(shared) = member {
-                    let s = shared.borrow();
+            for i in 0..bus.node_count() {
+                if let Some(s) = bus.try_member(i) {
                     stats.layer_wakes[i] = s.layer_wakes;
                     stats.bus_ctl_wakes[i] = s.bus_ctl_wakes;
                 }

@@ -7,40 +7,10 @@
 //! [`WireBus`](super::WireBus) harness wires it the same way, which is
 //! what gives the mediator-attached node top arbitration priority (§7).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use mbus_sim::{Component, Ctx, Logic, PinId, SimTime};
 
 use crate::control::ControlBits;
-use crate::wire::phase;
-
-/// One completed bus transaction as observed by the mediator.
-#[derive(Clone, Debug)]
-pub(crate) struct MediatorRecord {
-    /// When DATA_IN first fell while idle.
-    pub request_at: SimTime,
-    /// First driven falling edge.
-    pub clock_start: SimTime,
-    /// Return to idle.
-    pub idle_at: SimTime,
-    /// Control bits latched on the mediator's negative edges.
-    pub control: Option<ControlBits>,
-    /// Arbitration found no winner (null transaction).
-    pub no_winner: bool,
-    /// The runaway-message counter fired.
-    pub runaway: bool,
-    /// Cycle slots from clock start to idle — the measured transaction
-    /// length the cross-check tests compare with `timing::*`.
-    pub cycles: u64,
-}
-
-/// Mediator state shared with the harness.
-#[derive(Debug, Default)]
-pub(crate) struct MediatorShared {
-    pub records: Vec<MediatorRecord>,
-    pub busy: bool,
-}
+use crate::wire::{phase, WireTransaction};
 
 // Every mediator timer fires at least a quarter period (625 ns at the
 // default clock) after it is set — two orders of magnitude beyond the
@@ -86,7 +56,9 @@ pub(crate) struct MediatorComp {
     period: SimTime,
     wakeup: SimTime,
     max_message_bytes: usize,
-    shared: Rc<RefCell<MediatorShared>>,
+    /// Transactions completed since the harness last drained them
+    /// through the circuit.
+    pub(crate) records: Vec<WireTransaction>,
 
     gen: u64,
     state: State,
@@ -123,7 +95,6 @@ impl std::fmt::Debug for MediatorComp {
 }
 
 impl MediatorComp {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         clk_in: PinId,
         data_in: PinId,
@@ -132,7 +103,6 @@ impl MediatorComp {
         period: SimTime,
         wakeup_cycles: u32,
         max_message_bytes: usize,
-        shared: Rc<RefCell<MediatorShared>>,
     ) -> Self {
         MediatorComp {
             clk_in,
@@ -142,7 +112,7 @@ impl MediatorComp {
             period,
             wakeup: period * wakeup_cycles as u64,
             max_message_bytes,
-            shared,
+            records: Vec::new(),
             gen: 0,
             state: State::Idle,
             data_forwarding: false,
@@ -174,7 +144,6 @@ impl MediatorComp {
 
     fn begin_transaction(&mut self, ctx: &mut Ctx<'_>) {
         self.state = State::Starting;
-        self.shared.borrow_mut().busy = true;
         self.request_at = ctx.now();
         self.no_winner = false;
         self.runaway = false;
@@ -256,19 +225,15 @@ impl MediatorComp {
             (Some(bit0), Some(bit1)) => Some(ControlBits { bit0, bit1 }),
             _ => None,
         };
-        {
-            let mut shared = self.shared.borrow_mut();
-            shared.records.push(MediatorRecord {
-                request_at: self.request_at,
-                clock_start: self.clock_start,
-                idle_at,
-                control,
-                no_winner: self.no_winner,
-                runaway: self.runaway,
-                cycles,
-            });
-            shared.busy = false;
-        }
+        self.records.push(WireTransaction {
+            request_at: self.request_at,
+            clock_start: self.clock_start,
+            idle_at,
+            cycles,
+            control,
+            null_transaction: self.no_winner,
+            runaway: self.runaway,
+        });
         self.bump_gen();
         // A requester may have pulled DATA low during the control tail,
         // in which case no fresh falling edge will arrive. But the line

@@ -2,9 +2,7 @@
 //! (power-gating + wakeup counting), interrupt frontend, and the bus
 //! controller state machine of Fig. 3 / Fig. 8.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use mbus_sim::{Component, Ctx, Logic, PinId, SimTime};
 
@@ -27,7 +25,9 @@ pub struct WireReceived {
     pub at: SimTime,
 }
 
-/// Member state shared with the [`WireBus`](super::WireBus) harness.
+/// The member state the [`WireBus`](super::WireBus) harness reads and
+/// feeds (queues, logs, power state), owned by the [`MemberComp`] and
+/// reached through the circuit.
 #[derive(Debug)]
 pub(crate) struct MemberShared {
     pub spec: NodeSpec,
@@ -40,9 +40,6 @@ pub(crate) struct MemberShared {
     pub layer_on: bool,
     pub bus_ctl_wakes: u64,
     pub layer_wakes: u64,
-    /// True while this node is the transmitter of the current
-    /// transaction (used by the harness to attribute records).
-    pub transmitting: bool,
     /// Timestamped transmit completions, append-only — the
     /// [`WireEngine`](crate::wire::WireEngine) wrapper attributes each
     /// mediator record to its winner by matching these against the
@@ -58,7 +55,7 @@ pub(crate) struct MemberShared {
 }
 
 impl MemberShared {
-    pub(crate) fn new(spec: NodeSpec) -> Self {
+    fn new(spec: NodeSpec) -> Self {
         let power_aware = spec.is_power_aware();
         MemberShared {
             spec,
@@ -71,7 +68,6 @@ impl MemberShared {
             layer_on: !power_aware,
             bus_ctl_wakes: 0,
             layer_wakes: 0,
-            transmitting: false,
             tx_finished: Vec::new(),
             delivered_at: Vec::new(),
             rx_engaged: Vec::new(),
@@ -144,7 +140,7 @@ pub(crate) struct MemberComp {
     data_out: PinId,
     int_in: PinId,
     period: SimTime,
-    shared: Rc<RefCell<MemberShared>>,
+    pub(crate) shared: MemberShared,
 
     state: State,
     detector: InterjectionDetector,
@@ -156,9 +152,8 @@ pub(crate) struct MemberComp {
 
     /// Wakeup-sequence progress of the gated bus-controller domain.
     bus_ctl_wake_edges: u32,
-    /// Message being transmitted (taken from the queue once the win is
-    /// confirmed at the reserved cycle).
-    current_tx: Option<Message>,
+    /// Bits of the message being transmitted (taken from the queue once
+    /// the win is confirmed at the reserved cycle).
     tx_bits: Vec<bool>,
     /// Latched address bits (Listening) — kept for decode.
     addr_bits: Vec<bool>,
@@ -194,7 +189,7 @@ impl MemberComp {
         data_out: PinId,
         int_in: PinId,
         period: SimTime,
-        shared: Rc<RefCell<MemberShared>>,
+        spec: NodeSpec,
     ) -> Self {
         MemberComp {
             clk_in,
@@ -203,7 +198,7 @@ impl MemberComp {
             data_out,
             int_in,
             period,
-            shared,
+            shared: MemberShared::new(spec),
             state: State::Idle,
             detector: InterjectionDetector::new(),
             data_forward: true,
@@ -212,7 +207,6 @@ impl MemberComp {
             last_data: Logic::High,
             gen: 0,
             bus_ctl_wake_edges: 0,
-            current_tx: None,
             tx_bits: Vec::new(),
             addr_bits: Vec::new(),
             addr_len: None,
@@ -263,28 +257,21 @@ impl MemberComp {
         if self.state != State::Idle {
             return;
         }
-        let (has_tx, wants_wake, bus_on) = {
-            let s = self.shared.borrow();
-            (!s.tx_queue.is_empty(), s.wake_requested, s.bus_ctl_on)
-        };
-        if has_tx && bus_on {
+        let has_tx = !self.shared.tx_queue.is_empty();
+        if has_tx && self.shared.bus_ctl_on {
             self.state = State::Requesting { wake_only: false };
             self.drive_data(ctx, Logic::Low);
-        } else if has_tx || wants_wake {
+        } else if has_tx || self.shared.wake_requested {
             // Power-gated with pending work, or an interrupt-port wake:
             // the always-on frontend issues a null transaction (§4.5).
-            self.shared.borrow_mut().wake_requested = true;
+            self.shared.wake_requested = true;
             self.state = State::Requesting { wake_only: true };
             self.drive_data(ctx, Logic::Low);
         }
     }
 
     fn schedule_request_retry(&mut self, ctx: &mut Ctx<'_>) {
-        let pending = {
-            let s = self.shared.borrow();
-            !s.tx_queue.is_empty() || s.wake_requested
-        };
-        if pending {
+        if !self.shared.tx_queue.is_empty() || self.shared.wake_requested {
             self.gen += 1;
             ctx.set_timer_after(token(self.gen, KIND_REQUEST), self.period * 2);
         }
@@ -293,7 +280,7 @@ impl MemberComp {
     /// The sleep controller: every CLK edge advances the gated
     /// bus-controller domain's 4-edge wakeup (§4.4).
     fn sleep_controller_edge(&mut self) {
-        let mut s = self.shared.borrow_mut();
+        let s = &mut self.shared;
         if !s.bus_ctl_on {
             self.bus_ctl_wake_edges += 1;
             if self.bus_ctl_wake_edges >= 4 {
@@ -305,7 +292,7 @@ impl MemberComp {
     }
 
     fn wake_layer(&mut self) {
-        let mut s = self.shared.borrow_mut();
+        let s = &mut self.shared;
         if !s.layer_on {
             s.layer_on = true;
             s.layer_wakes += 1;
@@ -381,7 +368,6 @@ impl MemberComp {
         self.addr_len = None;
         self.payload_bits.clear();
         self.tx_bits.clear();
-        self.current_tx = None;
         self.rx_allowed_bytes = None;
         self.ctl_role = CtlRole::Passive;
     }
@@ -418,14 +404,9 @@ impl MemberComp {
             2 => {
                 // Priority drive: nodes with a pending priority message
                 // (and an awake bus controller) pull DATA high (§4.3).
-                let wants_priority = {
-                    let s = self.shared.borrow();
-                    s.bus_ctl_on
-                        && s.tx_queue
-                            .front()
-                            .map(Message::is_priority)
-                            .unwrap_or(false)
-                };
+                let s = &self.shared;
+                let wants_priority =
+                    s.bus_ctl_on && s.tx_queue.front().is_some_and(Message::is_priority);
                 if wants_priority && self.role() != Role::Winner {
                     self.set_role(Role::PriorityContending);
                     self.drive_data(ctx, Logic::High);
@@ -457,15 +438,8 @@ impl MemberComp {
                 // Reserved cycle: the confirmed winner parks DATA high
                 // and commits its message.
                 if self.role() == Role::Winner {
-                    let msg = self
-                        .shared
-                        .borrow_mut()
-                        .tx_queue
-                        .pop_front()
-                        .expect("winner has a queued message");
-                    self.tx_bits = msg.to_bits();
-                    self.current_tx = Some(msg);
-                    self.shared.borrow_mut().transmitting = true;
+                    let msg = self.shared.tx_queue.pop_front();
+                    self.tx_bits = msg.expect("winner has a queued message").to_bits();
                     self.drive_data(ctx, Logic::High);
                 }
             }
@@ -535,17 +509,15 @@ impl MemberComp {
         // Full address collected: match against our identity.
         let (bytes, _) = bits_to_bytes(&self.addr_bits);
         let decoded = Address::decode(&bytes);
-        let matched = {
-            let s = self.shared.borrow();
-            match decoded {
-                Ok(Address::Short { prefix, .. }) => s.spec.short_prefix() == Some(prefix),
-                Ok(Address::Full { prefix, .. }) => s.spec.full_prefix() == prefix,
-                Ok(Address::Broadcast { channel }) => s.spec.listens_to(channel.raw()),
-                Err(_) => false,
-            }
+        let spec = &self.shared.spec;
+        let matched = match decoded {
+            Ok(Address::Short { prefix, .. }) => spec.short_prefix() == Some(prefix),
+            Ok(Address::Full { prefix, .. }) => spec.full_prefix() == prefix,
+            Ok(Address::Broadcast { channel }) => spec.listens_to(channel.raw()),
+            Err(_) => false,
         };
         if matched {
-            self.rx_allowed_bytes = self.shared.borrow().spec.rx_buffer_bytes().map(|cap| {
+            self.rx_allowed_bytes = spec.rx_buffer_bytes().map(|cap| {
                 // The bus controller honors the 4-byte progress floor
                 // (§7) even for tiny buffers.
                 cap.max(MIN_BYTES_BEFORE_INTERJECT)
@@ -651,14 +623,14 @@ impl MemberComp {
                 } else {
                     TxOutcome::ReceiverAbort
                 };
-                let mut s = self.shared.borrow_mut();
-                s.outcomes.push(outcome);
-                s.tx_finished.push((now, outcome));
+                self.shared.outcomes.push(outcome);
+                self.shared.tx_finished.push((now, outcome));
             }
             CtlRole::TxAborted => {
-                let mut s = self.shared.borrow_mut();
-                s.outcomes.push(TxOutcome::ReceiverAbort);
-                s.tx_finished.push((now, TxOutcome::ReceiverAbort));
+                self.shared.outcomes.push(TxOutcome::ReceiverAbort);
+                self.shared
+                    .tx_finished
+                    .push((now, TxOutcome::ReceiverAbort));
             }
             CtlRole::RxAck => {
                 if self.ctl_bit0 {
@@ -668,50 +640,44 @@ impl MemberComp {
                     let (bytes, _dropped) = bits_to_bytes(&self.payload_bits);
                     let (addr_bytes, _) = bits_to_bytes(&self.addr_bits);
                     if let Ok(dest) = Address::decode(&addr_bytes) {
-                        let mut s = self.shared.borrow_mut();
-                        s.rx_log.push(WireReceived {
+                        self.shared.rx_log.push(WireReceived {
                             dest,
                             payload: bytes,
                             at: now,
                         });
-                        s.delivered_at.push(now);
+                        self.shared.delivered_at.push(now);
                     }
                 } else {
                     // We were receiving, but the control phase reports
                     // an error (e.g. the mediator cut a runaway).
-                    self.shared.borrow_mut().rx_engaged.push(now);
+                    self.shared.rx_engaged.push(now);
                 }
             }
-            CtlRole::RxAbort => {
-                self.shared.borrow_mut().rx_engaged.push(now);
-            }
+            CtlRole::RxAbort => self.shared.rx_engaged.push(now),
             CtlRole::Passive => {}
         }
     }
 
     fn finish_transaction(&mut self, ctx: &mut Ctx<'_>) {
         self.state = State::Idle;
-        {
-            let mut s = self.shared.borrow_mut();
-            s.transmitting = false;
-            if s.wake_requested {
-                // The transaction's edges completed our self-wake (§4.5).
-                s.wake_requested = false;
-                if !s.layer_on {
-                    s.layer_on = true;
-                    s.layer_wakes += 1;
-                }
-                if !s.bus_ctl_on {
-                    s.bus_ctl_on = true;
-                    s.bus_ctl_wakes += 1;
-                }
-                s.wake_events += 1;
+        let s = &mut self.shared;
+        if s.wake_requested {
+            // The transaction's edges completed our self-wake (§4.5).
+            s.wake_requested = false;
+            if !s.layer_on {
+                s.layer_on = true;
+                s.layer_wakes += 1;
             }
-            // Power-aware nodes with no pending work re-gate (standby).
-            if s.spec.is_power_aware() && s.tx_queue.is_empty() {
-                s.bus_ctl_on = false;
-                s.layer_on = false;
+            if !s.bus_ctl_on {
+                s.bus_ctl_on = true;
+                s.bus_ctl_wakes += 1;
             }
+            s.wake_events += 1;
+        }
+        // Power-aware nodes with no pending work re-gate (standby).
+        if s.spec.is_power_aware() && s.tx_queue.is_empty() {
+            s.bus_ctl_on = false;
+            s.layer_on = false;
         }
         self.bus_ctl_wake_edges = 0;
         self.schedule_request_retry(ctx);

@@ -1,5 +1,6 @@
 //! The circuit: nets, pins, components, and the simulation loop.
 
+use std::any::Any;
 use std::fmt;
 
 use crate::event::{EventKind, Scheduler};
@@ -66,7 +67,12 @@ struct NetState {
 /// Components never call each other directly — all interaction flows
 /// through nets and the event queue, which is what keeps the kernel
 /// deterministic.
-pub trait Component {
+///
+/// A component owns its state outright: the circuit holds the only
+/// handle, and harnesses read a model back through
+/// [`Circuit::component`]. That single ownership is what makes a whole
+/// circuit `Send`, so it can migrate between threads.
+pub trait Component: Any + Send {
     /// Called when a subscribed net's transition reaches `pin` after its
     /// propagation delay.
     fn on_signal(&mut self, pin: PinId, value: Logic, ctx: &mut Ctx<'_>);
@@ -288,7 +294,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if the slot is already bound.
-    pub fn bind(&mut self, component: ComponentId, model: impl Component + 'static) {
+    pub fn bind(&mut self, component: ComponentId, model: impl Component) {
         self.bind_boxed(component, Box::new(model));
     }
 
@@ -616,6 +622,20 @@ impl Circuit {
     pub fn component_name(&self, id: ComponentId) -> &str {
         &self.component_names[id.0 as usize]
     }
+
+    /// The model bound to `id`, if it is a `T`; `None` for an unbound
+    /// slot or a model of another type.
+    pub fn component<T: Component>(&self, id: ComponentId) -> Option<&T> {
+        let model: &dyn Any = self.components[id.0 as usize].as_deref()?;
+        model.downcast_ref()
+    }
+
+    /// Mutable access to the model bound to `id`, if it is a `T` (see
+    /// [`Circuit::component`]).
+    pub fn component_mut<T: Component>(&mut self, id: ComponentId) -> Option<&mut T> {
+        let model: &mut dyn Any = self.components[id.0 as usize].as_deref_mut()?;
+        model.downcast_mut()
+    }
 }
 
 #[cfg(test)]
@@ -627,8 +647,8 @@ mod tests {
         seen: Vec<(SimTime, Logic)>,
     }
 
-    // A pass-through that records what it saw. Shared state is read back
-    // via trace instead; here we assert through output behavior.
+    // Records what it saw; tests read it back through
+    // `Circuit::component`.
     impl Component for Probe {
         fn on_signal(&mut self, pin: PinId, value: Logic, ctx: &mut Ctx<'_>) {
             assert_eq!(pin, self.input);
@@ -886,6 +906,32 @@ mod tests {
                 oracle.trace().net_name(net)
             );
         }
+    }
+
+    #[test]
+    fn component_downcasts_to_the_bound_type_only() {
+        let mut c = Circuit::new();
+        let a = c.net("a");
+        let probe = c.add_component("probe");
+        let input = c.input(probe, a);
+        c.bind(
+            probe,
+            Probe {
+                input,
+                seen: Vec::new(),
+            },
+        );
+        let unbound = c.add_component("unbound");
+        c.drive_external(a, Logic::Low, SimTime::from_ns(3));
+        c.run_to_idle(100);
+        let seen = &c.component::<Probe>(probe).expect("bound probe").seen;
+        assert_eq!(seen, &[(SimTime::from_ns(3), Logic::Low)]);
+        c.component_mut::<Probe>(probe).unwrap().seen.clear();
+        assert!(c.component::<Probe>(probe).unwrap().seen.is_empty());
+        assert!(c.component::<Repeater>(probe).is_none(), "wrong type");
+        assert!(c.component_mut::<Repeater>(probe).is_none(), "wrong type");
+        assert!(c.component::<Probe>(unbound).is_none(), "unbound slot");
+        assert!(c.component_mut::<Probe>(unbound).is_none(), "unbound slot");
     }
 
     #[test]

@@ -24,18 +24,8 @@ pub fn seed_scale() -> u64 {
 }
 
 /// `base * seed_scale()`: the number of seeds a battery should walk.
-///
-/// Under Miri the product is cut to a handful of seeds: the
-/// interpreter is ~100× slower than native and the CI Miri job is
-/// after undefined behavior in the unsafe concurrency layer, not seed
-/// coverage — the native weekly cron owns breadth.
 pub fn scaled_seeds(base: u64) -> u64 {
-    let scaled = base * seed_scale();
-    if cfg!(miri) {
-        scaled.min(3)
-    } else {
-        scaled
-    }
+    base * seed_scale()
 }
 
 /// The engine kinds `workload` can be compared on: all of them, unless

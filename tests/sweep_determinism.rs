@@ -30,8 +30,8 @@ fn analytic_sweep_is_identical_serial_and_parallel() {
 
 #[test]
 fn wire_sweep_is_identical_serial_and_parallel() {
-    // Each worker thread builds its own wire-level circuit per point —
-    // the engine's Rc-based internals never cross a thread boundary.
+    // Each worker thread builds its own wire-level circuit per point,
+    // so no engine is ever shared between workers.
     // The wavefront fast path makes ring sizes up to the paper's
     // ten-chip stack (§6) affordable here; these points were capped at
     // 5 when every CLK hop paid a heap sift.
