@@ -96,6 +96,7 @@ fn bench_scheduler(rows: &mut Vec<(String, f64)>) {
 
 fn bench_trace_queries(rows: &mut Vec<(String, f64)>) {
     let (mut circuit, first) = chain_circuit(20);
+    circuit.record_history();
     for k in 0..1_000u64 {
         circuit.drive_external(
             first,
@@ -104,13 +105,13 @@ fn bench_trace_queries(rows: &mut Vec<(String, f64)>) {
         );
     }
     circuit.run_to_idle(10_000_000);
-    let trace = circuit.trace().clone();
-    let nets: Vec<_> = trace.nets().collect();
+    let history = circuit.history().expect("recorded").clone();
+    let nets: Vec<_> = history.nets().collect();
     let median = bench_timed("trace_value_at_lookups", 20, 5, || {
         let mut acc = 0usize;
         for &net in &nets {
             for t in (0..1_000u64).step_by(97) {
-                acc += trace.value_at(net, SimTime::from_us(t)).is_high() as usize;
+                acc += history.value_at(net, SimTime::from_us(t)).is_high() as usize;
             }
         }
         std::hint::black_box(acc);

@@ -17,6 +17,7 @@ fn main() {
         .node(NodeSpec::new("node1", FullPrefix::new(0x1).unwrap()).with_short_prefix(sp(0x1)))
         .node(NodeSpec::new("node2", FullPrefix::new(0x2).unwrap()).with_short_prefix(sp(0x2)))
         .node(NodeSpec::new("node3", FullPrefix::new(0x3).unwrap()).with_short_prefix(sp(0x3)))
+        .record_history(true)
         .build();
 
     // The paper's scenario: node 1 requests; node 3 wants the bus with
@@ -51,7 +52,7 @@ fn main() {
         .until(start + window)
         .sample_every(SimTime::from_ns(625)) // quarter cycle
         .label_width(8)
-        .render(bus.trace(), &nets);
+        .render(bus.history().expect("recorded"), &nets);
     println!("CLK (mediator out) and DATA ring segments");
     println!("(data0 = mediator->node1, data1 = node1->node2, …):\n");
     println!("{wave}");

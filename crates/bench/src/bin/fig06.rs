@@ -20,6 +20,7 @@ fn main() {
                 .with_short_prefix(ShortPrefix::new(0x2).unwrap())
                 .power_aware(true),
         )
+        .record_history(true)
         .build();
 
     println!(
@@ -51,7 +52,7 @@ fn main() {
         .until(r.idle_at + SimTime::from_us(3))
         .sample_every(SimTime::from_ns(625))
         .label_width(8)
-        .render(bus.trace(), &nets);
+        .render(bus.history().expect("recorded"), &nets);
     println!("{wave}");
     println!("regions: request | mediator wakeup | arbitration (no winner) | interjection | control | idle");
 }

@@ -16,6 +16,7 @@ fn main() {
         .node(NodeSpec::new("node1", FullPrefix::new(0x1).unwrap()).with_short_prefix(sp(0x1)))
         .node(NodeSpec::new("node2", FullPrefix::new(0x2).unwrap()).with_short_prefix(sp(0x2)))
         .node(NodeSpec::new("node3", FullPrefix::new(0x3).unwrap()).with_short_prefix(sp(0x3)))
+        .record_history(true)
         .build();
 
     // Node 2 transmits one byte to node 1; node 3 forwards.
@@ -52,7 +53,7 @@ fn main() {
         .until(r.idle_at + SimTime::from_us(2))
         .sample_every(SimTime::from_ns(312))
         .label_width(8)
-        .render(bus.trace(), &nets);
+        .render(bus.history().expect("recorded"), &nets);
     println!(
         "tail of the transaction (note CLK held high while DATA toggles — the interjection):\n"
     );

@@ -2,7 +2,7 @@
 //! over the `mbus-sim` kernel and offers a transaction-level API that
 //! mirrors [`AnalyticBus`](crate::AnalyticBus) for cross-checking.
 
-use mbus_sim::{Circuit, Component, ComponentId, Logic, NetId, PinId, SimTime, Trace};
+use mbus_sim::{Circuit, Component, ComponentId, History, Logic, NetId, PinId, SimTime, Trace};
 
 use crate::addr::Address;
 use crate::config::BusConfig;
@@ -92,6 +92,7 @@ pub struct WireBusBuilder {
     config: BusConfig,
     specs: Vec<NodeKind>,
     wavefront: bool,
+    record_history: bool,
 }
 
 impl WireBusBuilder {
@@ -101,6 +102,7 @@ impl WireBusBuilder {
             config,
             specs: Vec::new(),
             wavefront: true,
+            record_history: false,
         }
     }
 
@@ -113,6 +115,15 @@ impl WireBusBuilder {
     /// traces, records, and stats are bit-identical.
     pub fn wavefront(mut self, on: bool) -> Self {
         self.wavefront = on;
+        self
+    }
+
+    /// Keeps the timestamped transition history of every ring net
+    /// (default `false`), for waveforms and VCD export through
+    /// [`WireBus::history`]. Without it the bus records only per-net
+    /// edge counts, which is all the energy accounting reads.
+    pub fn record_history(mut self, on: bool) -> Self {
+        self.record_history = on;
         self
     }
 
@@ -157,6 +168,9 @@ impl WireBusBuilder {
         assert!(!self.specs.is_empty(), "a bus needs at least one node");
         let mut circuit = Circuit::new();
         circuit.set_wavefront(self.wavefront);
+        if self.record_history {
+            circuit.record_history();
+        }
         let n = self.specs.len();
         let hop = self.config.hop_delay();
         let period = self.config.clock_period();
@@ -256,7 +270,7 @@ impl WireBusBuilder {
 ///
 /// The API mirrors [`AnalyticBus`](crate::AnalyticBus): queue messages,
 /// request wakeups, run to quiescence, drain receive logs — but every
-/// CLK/DATA edge in between is simulated and traced.
+/// CLK/DATA edge in between is simulated and counted.
 pub struct WireBus {
     circuit: Circuit,
     config: BusConfig,
@@ -295,9 +309,16 @@ impl WireBus {
         self.circuit.now()
     }
 
-    /// The full transition trace (for waveforms and energy accounting).
+    /// Per-net edge counts (for energy accounting).
     pub fn trace(&self) -> &Trace {
         self.circuit.trace()
+    }
+
+    /// The timestamped transition history (for waveforms and VCD
+    /// export), or `None` unless the bus was built with
+    /// [`WireBusBuilder::record_history`].
+    pub fn history(&self) -> Option<&History> {
+        self.circuit.history()
     }
 
     /// Kernel events processed so far (throughput accounting).
@@ -323,7 +344,7 @@ impl WireBus {
         &self.data_nets
     }
 
-    /// Per-node driven-segment transition counts from the trace:
+    /// Per-node driven-segment transition counts from the edge counts:
     /// entry `i` is the total CLK + DATA edge count on the ring
     /// segments member `i` *drives* (`clk[i+1]` and `data[i+1]`) —
     /// the switching activity that node's driver pays ½CV² for in the
@@ -333,8 +354,7 @@ impl WireBus {
         let trace = self.circuit.trace();
         (0..self.members.len())
             .map(|i| {
-                (trace.edge_count(self.clk_nets[i + 1]) + trace.edge_count(self.data_nets[i + 1]))
-                    as u64
+                trace.edge_count(self.clk_nets[i + 1]) + trace.edge_count(self.data_nets[i + 1])
             })
             .collect()
     }

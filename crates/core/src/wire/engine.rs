@@ -72,6 +72,7 @@ pub struct WireEngine {
     bus: Option<WireBus>,
     max_events: u64,
     wavefront: bool,
+    record_history: bool,
     /// Set when a run blew its event budget mid-flight: the circuit is
     /// wedged at an arbitrary point, so the engine freezes and refuses
     /// to run (or hand out records) from then on.
@@ -80,7 +81,7 @@ pub struct WireEngine {
     buffered: VecDeque<EngineRecord>,
     /// `(idle_at, winner)` of every normalized record, in order — used
     /// to attribute `ReceivedMessage::from` when rx logs are drained.
-    history: Vec<(SimTime, Option<NodeIndex>)>,
+    winners: Vec<(SimTime, Option<NodeIndex>)>,
     stats: BusStats,
     seq: u64,
     /// Per-node read cursors into the members' append-only event logs.
@@ -100,9 +101,10 @@ impl WireEngine {
             bus: None,
             max_events: DEFAULT_MAX_EVENTS,
             wavefront: true,
+            record_history: false,
             exhausted: false,
             buffered: VecDeque::new(),
-            history: Vec::new(),
+            winners: Vec::new(),
             stats: BusStats::default(),
             seq: 0,
             tx_cursor: Vec::new(),
@@ -126,6 +128,15 @@ impl WireEngine {
         self
     }
 
+    /// Keeps the ring's timestamped transition history (default
+    /// `false`); see [`WireBusBuilder::record_history`]. Read it
+    /// through [`WireEngine::wire_bus`] and [`WireBus::history`].
+    pub fn with_history(mut self, on: bool) -> Self {
+        assert!(!self.built(), "set history recording before running");
+        self.record_history = on;
+        self
+    }
+
     /// True when a run exhausted its event budget mid-flight. The
     /// engine is then frozen ([`BusEngine::is_frozen`]) and every
     /// subsequent run call returns nothing: the interrupted run's
@@ -136,7 +147,8 @@ impl WireEngine {
     }
 
     /// The underlying wire-level bus, if the ring has been built —
-    /// for trace/waveform access beyond the `BusEngine` surface.
+    /// for edge-count and waveform access beyond the `BusEngine`
+    /// surface.
     pub fn wire_bus(&self) -> Option<&WireBus> {
         self.bus.as_ref()
     }
@@ -151,7 +163,9 @@ impl WireEngine {
                 !self.specs.is_empty(),
                 "a wire engine needs at least one node before running"
             );
-            let mut builder = WireBusBuilder::new(self.config).wavefront(self.wavefront);
+            let mut builder = WireBusBuilder::new(self.config)
+                .wavefront(self.wavefront)
+                .record_history(self.record_history);
             for spec in &self.specs {
                 builder = builder.node(spec.clone());
             }
@@ -251,15 +265,15 @@ impl WireEngine {
             self.seq += 1;
             self.stats
                 .record_transaction(record.cycles, n, winner, receivers);
-            self.history.push((t.idle_at, winner));
+            self.winners.push((t.idle_at, winner));
             self.buffered.push_back(record);
         }
     }
 
     /// The winner of the transaction whose window contains `at`.
     fn winner_at(&self, at: SimTime) -> NodeIndex {
-        let idx = self.history.partition_point(|&(idle, _)| idle < at);
-        self.history
+        let idx = self.winners.partition_point(|&(idle, _)| idle < at);
+        self.winners
             .get(idx)
             .and_then(|&(_, winner)| winner)
             .expect("every delivery belongs to a completed transaction with a winner")
@@ -588,10 +602,11 @@ mod tests {
              pulses on DATA): {:?}",
             stats.segment_edges
         );
-        // The driven-segment counts are exactly what the trace records
-        // on the member-driven nets, the quantity the ½CV² model in
-        // `mbus-power` charges.
+        // The driven-segment counts are exactly the edge counts on the
+        // member-driven nets, the quantity the ½CV² model in
+        // `mbus-power` charges — and they need no transition history.
         let bus = e.wire_bus().unwrap();
+        assert!(bus.history().is_none(), "history is opt-in");
         let from_trace: Vec<u64> = bus.segment_edges();
         assert_eq!(stats.segment_edges, from_trace);
     }

@@ -11,6 +11,16 @@ fn sp(x: u8) -> ShortPrefix {
 }
 
 fn ring(n: usize, clock_hz: u64) -> WireBus {
+    ring_builder(n, clock_hz).build()
+}
+
+/// A ring that keeps its transition history, for VCD export and
+/// edge-timing queries.
+fn recorded_ring(n: usize, clock_hz: u64) -> WireBus {
+    ring_builder(n, clock_hz).record_history(true).build()
+}
+
+fn ring_builder(n: usize, clock_hz: u64) -> WireBusBuilder {
     let config = BusConfig::new(clock_hz).unwrap();
     let mut b = WireBusBuilder::new(config);
     for i in 0..n {
@@ -19,7 +29,7 @@ fn ring(n: usize, clock_hz: u64) -> WireBus {
                 .with_short_prefix(sp((i + 1) as u8)),
         );
     }
-    b.build()
+    b
 }
 
 /// Sends 4 bytes from node 0 to its downstream neighbor and reports
@@ -122,7 +132,7 @@ fn handoff_glitches_exist_and_resolve() {
 
     // Glitch evidence: during the two arbitration windows, DATA
     // segments carry short pulses from losers snapping to forward.
-    let total_data_edges: usize = bus
+    let total_data_edges: u64 = bus
         .data_nets()
         .iter()
         .map(|&net| bus.trace().edge_count(net))
@@ -134,7 +144,7 @@ fn handoff_glitches_exist_and_resolve() {
 
 #[test]
 fn vcd_export_of_a_real_transaction() {
-    let mut bus = ring(3, 400_000);
+    let mut bus = recorded_ring(3, 400_000);
     bus.queue(
         0,
         Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0xDE, 0xAD]),
@@ -143,11 +153,12 @@ fn vcd_export_of_a_real_transaction() {
     bus.run_until_quiescent(50_000_000);
 
     let mut out = Vec::new();
-    VcdWriter::new("mbus").write(bus.trace(), &mut out).unwrap();
+    let history = bus.history().expect("recorded");
+    VcdWriter::new("mbus").write(history, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
 
     // Structure: declarations for every ring net, a dump section, and
-    // one value-change line per traced transition.
+    // one value-change line per recorded transition.
     assert!(text.contains("$scope module mbus $end"));
     for i in 0..=3 {
         assert!(text.contains(&format!(" clk{i} ")), "clk{i} declared");
@@ -158,7 +169,7 @@ fn vcd_export_of_a_real_transaction() {
         .skip_while(|l| !l.starts_with("$dumpvars"))
         .filter(|l| l.starts_with('0') || l.starts_with('1'))
         .count();
-    let traced: usize = bus.trace().nets().map(|n| bus.trace().edge_count(n)).sum();
+    let traced = bus.trace().total_edges() as usize;
     // Dump section re-emits initial values; changes follow.
     assert!(
         change_lines >= traced,
@@ -169,9 +180,9 @@ fn vcd_export_of_a_real_transaction() {
 #[test]
 fn interjection_pulses_are_visible_on_the_trace() {
     // The Fig. 7 signature: DATA toggles while CLK is flat-high. Find
-    // the interjection window in the trace and count DATA edges with
-    // no intervening CLK edge.
-    let mut bus = ring(3, 400_000);
+    // the interjection window in the history and count DATA edges
+    // with no intervening CLK edge.
+    let mut bus = recorded_ring(3, 400_000);
     bus.queue(
         0,
         Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0x42]),
@@ -188,8 +199,9 @@ fn interjection_pulses_are_visible_on_the_trace() {
     // (idle − 3 T).
     let int_start = r.idle_at.saturating_sub(period * 7);
     let int_end = r.idle_at.saturating_sub(period * 3 + period / 4);
-    let clk_edges = bus.trace().edge_count_between(clk, int_start, int_end);
-    let data_edges = bus.trace().edge_count_between(data, int_start, int_end);
+    let history = bus.history().expect("recorded");
+    let clk_edges = history.edge_count_between(clk, int_start, int_end);
+    let data_edges = history.edge_count_between(data, int_start, int_end);
     assert_eq!(clk_edges, 0, "CLK is held through the interjection");
     assert!(
         data_edges >= 3,
@@ -212,7 +224,7 @@ fn per_role_segment_activity_is_ordered() {
     .unwrap();
     bus.run_until_quiescent(50_000_000);
     // CLK segments toggle nearly identically everywhere.
-    let clk_counts: Vec<usize> = bus
+    let clk_counts: Vec<u64> = bus
         .clk_nets()
         .iter()
         .map(|&n| bus.trace().edge_count(n))
@@ -226,7 +238,7 @@ fn per_role_segment_activity_is_ordered() {
     // DATA segments all carry the 0x55 pattern (everyone forwards what
     // the TX drives), so they are also similar — the energy asymmetry
     // comes from which *driver* pays for each segment.
-    let data_counts: Vec<usize> = bus
+    let data_counts: Vec<u64> = bus
         .data_nets()
         .iter()
         .map(|&n| bus.trace().edge_count(n))

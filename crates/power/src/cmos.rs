@@ -84,7 +84,7 @@ impl EnergyReport {
     }
 }
 
-/// Charges every traced transition on the given nets against the
+/// Charges every counted transition on the given nets against the
 /// segment model.
 pub fn account_trace(
     trace: &Trace,
@@ -104,7 +104,8 @@ pub fn account_trace(
     }
 }
 
-/// Convenience: account a [`WireBus`]'s full trace.
+/// Convenience: account every ring segment of a [`WireBus`] from its
+/// edge counts.
 pub fn account_bus(bus: &WireBus, seg: &SegmentModel) -> EnergyReport {
     account_trace(bus.trace(), bus.clk_nets(), bus.data_nets(), seg)
 }
@@ -114,10 +115,10 @@ pub fn account_bus(bus: &WireBus, seg: &SegmentModel) -> EnergyReport {
 ///
 /// `stats.segment_edges[i]` already folds CLK and DATA transitions on
 /// the segment member `i` drives, so any [`BusEngine`] run that fills
-/// it (the wire engine does) can be charged without keeping the full
-/// [`Trace`] alive. The mediator's own drive energy (segment 0) is not
-/// attributed to any member and is therefore absent here — use
-/// [`account_bus`] when the frontend matters.
+/// it (the wire engine does) can be charged without keeping the bus
+/// and its per-net [`Trace`] alive. The mediator's own drive energy
+/// (segment 0) is not attributed to any member and is therefore absent
+/// here — use [`account_bus`] when the frontend matters.
 ///
 /// [`BusEngine`]: mbus_core::engine::BusEngine
 pub fn driver_energy_from_stats(stats: &BusStats, seg: &SegmentModel) -> Vec<Energy> {

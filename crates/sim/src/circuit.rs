@@ -6,7 +6,7 @@ use std::fmt;
 use crate::event::{EventKind, Scheduler};
 use crate::logic::Logic;
 use crate::time::SimTime;
-use crate::trace::Trace;
+use crate::trace::{History, Recorder, Trace};
 
 /// Identifies a net (a wire segment) within a [`Circuit`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, PartialOrd, Ord)]
@@ -91,7 +91,7 @@ pub struct Ctx<'a> {
     nets: &'a mut Vec<NetState>,
     pins: &'a mut Vec<Pin>,
     scheduler: &'a mut Scheduler,
-    trace: &'a mut Trace,
+    recorder: &'a mut Recorder,
 }
 
 impl fmt::Debug for Ctx<'_> {
@@ -117,7 +117,7 @@ impl Ctx<'_> {
     /// Drives `pin` to `value` after `delay`.
     ///
     /// With the wavefront fast path on, an immediate (zero-delay) drive
-    /// is applied *in place* — net updated, transition traced,
+    /// is applied *in place* — net updated, transition recorded,
     /// deliveries scheduled — instead of round-tripping a `Drive` event
     /// through the queue. The observable outcome is the same: the
     /// deferred `Drive` would pop before any event that could read the
@@ -139,7 +139,7 @@ impl Ctx<'_> {
                 self.nets,
                 self.pins,
                 self.scheduler,
-                self.trace,
+                self.recorder,
                 self.now,
                 pin,
                 value,
@@ -171,15 +171,16 @@ impl Ctx<'_> {
     }
 }
 
-/// Applies a drive: pin value, net value, trace record, and one
-/// scheduled delivery per listener. Shared by the event path
-/// (`Circuit::step` popping a `Drive`) and the wavefront fast path
-/// (`Ctx::drive_after` collapsing a zero-delay drive in place).
+/// Applies a drive: pin value, net value, edge count (plus a history
+/// entry when recorded), and one scheduled delivery per listener.
+/// Shared by the event path (`Circuit::step` popping a `Drive`) and the
+/// wavefront fast path (`Ctx::drive_after` collapsing a zero-delay
+/// drive in place).
 fn apply_drive(
     nets: &mut [NetState],
     pins: &mut [Pin],
     scheduler: &mut Scheduler,
-    trace: &mut Trace,
+    recorder: &mut Recorder,
     now: SimTime,
     pin: PinId,
     value: Logic,
@@ -194,7 +195,7 @@ fn apply_drive(
         return;
     }
     net_state.value = value;
-    trace.record(net, now, value);
+    recorder.record(net, now, value);
     if scheduler.wavefront() {
         // Fast path: fan out through the fuse slot / lane — the
         // borrows are disjoint, no listener snapshot needed.
@@ -213,8 +214,8 @@ fn apply_drive(
     }
 }
 
-/// A complete circuit: nets, components, event queue, virtual clock, and
-/// transition trace.
+/// A complete circuit: nets, components, event queue, virtual clock,
+/// per-net edge counts, and (on opt-in) the transition history.
 ///
 /// See the [crate-level documentation](crate) for a worked example.
 pub struct Circuit {
@@ -224,7 +225,7 @@ pub struct Circuit {
     component_names: Vec<String>,
     scheduler: Scheduler,
     now: SimTime,
-    trace: Trace,
+    recorder: Recorder,
     events_processed: u64,
 }
 
@@ -255,7 +256,7 @@ impl Circuit {
             component_names: Vec::new(),
             scheduler: Scheduler::new(),
             now: SimTime::ZERO,
-            trace: Trace::new(),
+            recorder: Recorder::default(),
             events_processed: 0,
         }
     }
@@ -270,7 +271,7 @@ impl Circuit {
     pub fn net_with(&mut self, name: impl Into<String>, initial: Logic) -> NetId {
         let id = NetId(self.nets.len() as u32);
         let name = name.into();
-        self.trace.register_net(id, name.clone(), initial);
+        self.recorder.register_net(id, name.clone(), initial);
         self.nets.push(NetState {
             name,
             value: initial,
@@ -421,9 +422,33 @@ impl Circuit {
         self.now
     }
 
-    /// The transition trace recorded so far.
+    /// The per-net edge counts recorded so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.recorder.trace
+    }
+
+    /// Keeps the timestamped transition history of every net from now
+    /// on, for waveforms, VCD export and edge-timing queries. Without
+    /// it a run stores only edge counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has already processed an event: a history
+    /// that starts mid-run would silently miss the early edges.
+    pub fn record_history(&mut self) {
+        assert_eq!(
+            self.events_processed, 0,
+            "record history before the first event"
+        );
+        if self.recorder.history.is_none() {
+            self.recorder.history = Some(History::mirroring(&self.recorder.trace));
+        }
+    }
+
+    /// The transition history, if [`Circuit::record_history`] was
+    /// called; `None` otherwise.
+    pub fn history(&self) -> Option<&History> {
+        self.recorder.history.as_ref()
     }
 
     /// Total events processed (for throughput benches).
@@ -574,7 +599,7 @@ impl Circuit {
             &mut self.nets,
             &mut self.pins,
             &mut self.scheduler,
-            &mut self.trace,
+            &mut self.recorder,
             self.now,
             pin,
             value,
@@ -598,7 +623,7 @@ impl Circuit {
             nets: &mut self.nets,
             pins: &mut self.pins,
             scheduler: &mut self.scheduler,
-            trace: &mut self.trace,
+            recorder: &mut self.recorder,
         };
         model.on_signal(pin, value, &mut ctx);
     }
@@ -613,7 +638,7 @@ impl Circuit {
             nets: &mut self.nets,
             pins: &mut self.pins,
             scheduler: &mut self.scheduler,
-            trace: &mut self.trace,
+            recorder: &mut self.recorder,
         };
         model.on_timer(token, &mut ctx);
     }
@@ -678,6 +703,7 @@ mod tests {
     #[test]
     fn propagation_delay_is_applied() {
         let mut c = Circuit::new();
+        c.record_history();
         let a = c.net("a");
         let b = c.net("b");
         let comp = c.add_component("rep");
@@ -693,7 +719,7 @@ mod tests {
         c.drive_external(a, Logic::Low, SimTime::from_ns(100));
         c.run_until(SimTime::from_ns(200));
         // Transition on a at 100, delivered at 110, driven out at 112.
-        let b_trace = c.trace().transitions(b);
+        let b_trace = c.history().unwrap().transitions(b);
         assert_eq!(b_trace.len(), 1);
         assert_eq!(b_trace[0].time, SimTime::from_ns(112));
         assert_eq!(b_trace[0].value, Logic::Low);
@@ -706,7 +732,7 @@ mod tests {
         c.drive_external(a, Logic::High, SimTime::from_ns(1));
         c.drive_external(a, Logic::High, SimTime::from_ns(2));
         c.run_until(SimTime::from_ns(10));
-        assert!(c.trace().transitions(a).is_empty());
+        assert_eq!(c.trace().edge_count(a), 0);
     }
 
     #[test]
@@ -714,6 +740,7 @@ mod tests {
         // Three repeaters in a chain, 10 ns input delay each: the Fig. 9
         // topology in miniature.
         let mut c = Circuit::new();
+        c.record_history();
         let hop = SimTime::from_ns(10);
         let n0 = c.net("n0");
         let n1 = c.net("n1");
@@ -734,12 +761,14 @@ mod tests {
         }
         c.drive_external(n0, Logic::Low, SimTime::ZERO);
         c.run_until(SimTime::from_ns(100));
-        assert_eq!(c.trace().transitions(n3)[0].time, SimTime::from_ns(30));
+        let n3_history = c.history().unwrap().transitions(n3);
+        assert_eq!(n3_history[0].time, SimTime::from_ns(30));
     }
 
     #[test]
     fn glitches_propagate_with_transport_delay() {
         let mut c = Circuit::new();
+        c.record_history();
         let a = c.net("a");
         let b = c.net("b");
         let comp = c.add_component("rep");
@@ -756,7 +785,7 @@ mod tests {
         c.drive_external(a, Logic::Low, SimTime::from_ns(10));
         c.drive_external(a, Logic::High, SimTime::from_ns(11));
         c.run_until(SimTime::from_ns(50));
-        let transitions = c.trace().transitions(b);
+        let transitions = c.history().unwrap().transitions(b);
         assert_eq!(transitions.len(), 2, "transport delay keeps glitches");
         assert_eq!(transitions[0].time, SimTime::from_ns(15));
         assert_eq!(transitions[1].time, SimTime::from_ns(16));
@@ -867,6 +896,7 @@ mod tests {
         fn build_and_run(wavefront: bool) -> Circuit {
             let mut c = Circuit::new();
             c.set_wavefront(wavefront);
+            c.record_history();
             let hop = SimTime::from_ns(10);
             let nets: Vec<NetId> = (0..5).map(|i| c.net(format!("n{i}"))).collect();
             for i in 0..4 {
@@ -898,13 +928,15 @@ mod tests {
             fast.events_processed() < oracle.events_processed(),
             "inlined drives must shrink the event stream"
         );
+        let (fast_history, oracle_history) = (fast.history().unwrap(), oracle.history().unwrap());
         for net in oracle.trace().nets() {
             assert_eq!(
-                fast.trace().transitions(net),
-                oracle.trace().transitions(net),
+                fast_history.transitions(net),
+                oracle_history.transitions(net),
                 "net {}",
                 oracle.trace().net_name(net)
             );
+            assert_eq!(fast.trace().edge_count(net), oracle.trace().edge_count(net));
         }
     }
 
@@ -951,6 +983,34 @@ mod tests {
         c.drive_external(a, Logic::High, SimTime::from_ns(7));
         c.run_until(SimTime::from_ns(10));
         assert_eq!(c.now(), SimTime::from_ns(10));
-        assert_eq!(c.trace().transitions(a).len(), 2);
+        assert_eq!(c.trace().edge_count(a), 2);
+    }
+
+    #[test]
+    fn history_is_opt_in_and_covers_every_net() {
+        let mut c = Circuit::new();
+        let early = c.net("early");
+        c.drive_external(early, Logic::Low, SimTime::from_ns(1));
+        assert!(c.history().is_none(), "counts only by default");
+        c.record_history();
+        let late = c.net("late");
+        c.drive_external(late, Logic::Low, SimTime::from_ns(2));
+        c.run_until(SimTime::from_ns(5));
+        let history = c.history().expect("opted in");
+        for net in [early, late] {
+            assert_eq!(history.transitions(net).len(), 1);
+            assert_eq!(c.trace().edge_count(net), 1);
+            assert_eq!(history.net_name(net), c.net_name(net));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first event")]
+    fn record_history_after_the_first_event_panics() {
+        let mut c = Circuit::new();
+        let a = c.net("a");
+        c.drive_external(a, Logic::Low, SimTime::from_ns(1));
+        c.run_until(SimTime::from_ns(5));
+        c.record_history();
     }
 }

@@ -16,8 +16,11 @@
 //!   rings (§4.1 of the paper).
 //! * [`Component`] — behavioral models that react to pin changes and
 //!   timers, and may drive their output pins after a delay.
-//! * [`Trace`] — full transition capture with VCD export, ASCII waveform
-//!   rendering, and edge-count queries used by the energy model.
+//! * [`Trace`] — per-net edge counts, kept on every run, which the
+//!   energy model charges.
+//! * [`History`] — timestamped transitions, kept only after
+//!   [`Circuit::record_history`], feeding VCD export, ASCII waveform
+//!   rendering and edge-timing queries.
 //!
 //! # Example
 //!
@@ -66,6 +69,6 @@ pub use event::{Event, EventKind, Scheduler};
 pub use logic::{Edge, Logic};
 pub use rng::SmallRng;
 pub use time::SimTime;
-pub use trace::{Trace, Transition};
+pub use trace::{History, Trace, Transition};
 pub use vcd::VcdWriter;
 pub use waveform::{WaveformRenderer, WaveformStyle};

@@ -5,9 +5,9 @@ use std::io::{self, Write};
 
 use crate::circuit::NetId;
 use crate::logic::Logic;
-use crate::trace::Trace;
+use crate::trace::History;
 
-/// Serializes a [`Trace`] to the IEEE 1364 VCD format.
+/// Serializes a [`History`] to the IEEE 1364 VCD format.
 ///
 /// # Example
 ///
@@ -15,12 +15,13 @@ use crate::trace::Trace;
 /// use mbus_sim::{Circuit, Logic, SimTime, VcdWriter};
 ///
 /// let mut c = Circuit::new();
+/// c.record_history();
 /// let clk = c.net("clk");
 /// c.drive_external(clk, Logic::Low, SimTime::from_ns(5));
 /// c.run_until(SimTime::from_ns(10));
 ///
 /// let mut out = Vec::new();
-/// VcdWriter::new("mbus").write(c.trace(), &mut out)?;
+/// VcdWriter::new("mbus").write(c.history().expect("recorded"), &mut out)?;
 /// let text = String::from_utf8(out).unwrap();
 /// assert!(text.contains("$var wire 1"));
 /// # Ok::<(), std::io::Error>(())
@@ -38,22 +39,22 @@ impl VcdWriter {
         }
     }
 
-    /// Writes the full trace to `out`.
+    /// Writes every net of `history`, with all its transitions, to `out`.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the underlying writer.
-    pub fn write<W: Write>(&self, trace: &Trace, mut out: W) -> io::Result<()> {
+    pub fn write<W: Write>(&self, history: &History, mut out: W) -> io::Result<()> {
         writeln!(out, "$timescale 1ps $end")?;
         writeln!(out, "$scope module {} $end", self.module)?;
         let mut codes: BTreeMap<NetId, String> = BTreeMap::new();
-        for (i, net) in trace.nets().enumerate() {
+        for (i, net) in history.nets().enumerate() {
             let code = identifier_code(i);
             writeln!(
                 out,
                 "$var wire 1 {} {} $end",
                 code,
-                sanitize(trace.net_name(net))
+                sanitize(history.net_name(net))
             )?;
             codes.insert(net, code);
         }
@@ -61,15 +62,20 @@ impl VcdWriter {
         writeln!(out, "$enddefinitions $end")?;
 
         writeln!(out, "$dumpvars")?;
-        for net in trace.nets() {
-            writeln!(out, "{}{}", vcd_char(trace.initial_value(net)), codes[&net])?;
+        for net in history.nets() {
+            writeln!(
+                out,
+                "{}{}",
+                vcd_char(history.initial_value(net)),
+                codes[&net]
+            )?;
         }
         writeln!(out, "$end")?;
 
         // Merge all per-net transitions into one global time order.
         let mut merged: Vec<(u64, NetId, Logic)> = Vec::new();
-        for net in trace.nets() {
-            for tr in trace.transitions(net) {
+        for net in history.nets() {
+            for tr in history.transitions(net) {
                 merged.push((tr.time.as_ps(), net, tr.value));
             }
         }
@@ -133,6 +139,7 @@ mod tests {
     #[test]
     fn writes_header_and_changes() {
         let mut c = Circuit::new();
+        c.record_history();
         let clk = c.net("bus clk");
         let data = c.net("data");
         c.drive_external(clk, Logic::Low, SimTime::from_ns(1));
@@ -141,7 +148,9 @@ mod tests {
         c.run_until(SimTime::from_ns(5));
 
         let mut out = Vec::new();
-        VcdWriter::new("top").write(c.trace(), &mut out).unwrap();
+        VcdWriter::new("top")
+            .write(c.history().unwrap(), &mut out)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("$scope module top $end"));
         assert!(text.contains("bus_clk"), "whitespace sanitized: {text}");
@@ -153,9 +162,10 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid_vcd() {
-        let c = Circuit::new();
         let mut out = Vec::new();
-        VcdWriter::new("top").write(c.trace(), &mut out).unwrap();
+        VcdWriter::new("top")
+            .write(&History::default(), &mut out)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("$enddefinitions"));
     }

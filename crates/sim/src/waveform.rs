@@ -4,7 +4,7 @@
 use crate::circuit::NetId;
 use crate::logic::Logic;
 use crate::time::SimTime;
-use crate::trace::Trace;
+use crate::trace::History;
 
 /// How to draw levels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -16,7 +16,7 @@ pub enum WaveformStyle {
     Block,
 }
 
-/// Renders a set of nets from a [`Trace`] as text.
+/// Renders a set of nets from a [`History`] as text.
 ///
 /// Each output column represents one sample interval; the renderer
 /// samples net values rather than compressing edges, so the horizontal
@@ -28,6 +28,7 @@ pub enum WaveformStyle {
 /// use mbus_sim::{Circuit, Logic, SimTime, WaveformRenderer};
 ///
 /// let mut c = Circuit::new();
+/// c.record_history();
 /// let clk = c.net("CLK");
 /// c.drive_external(clk, Logic::Low, SimTime::from_ns(10));
 /// c.drive_external(clk, Logic::High, SimTime::from_ns(20));
@@ -36,7 +37,7 @@ pub enum WaveformStyle {
 /// let text = WaveformRenderer::new()
 ///     .sample_every(SimTime::from_ns(5))
 ///     .until(SimTime::from_ns(40))
-///     .render(c.trace(), &[clk]);
+///     .render(c.history().expect("recorded"), &[clk]);
 /// assert!(text.contains("CLK"));
 /// ```
 #[derive(Debug, Clone)]
@@ -102,20 +103,20 @@ impl WaveformRenderer {
         self
     }
 
-    /// Renders `nets` (in the given order) from `trace`.
-    pub fn render(&self, trace: &Trace, nets: &[NetId]) -> String {
-        let end = self.to.unwrap_or_else(|| trace.last_activity());
+    /// Renders `nets` (in the given order) from `history`.
+    pub fn render(&self, history: &History, nets: &[NetId]) -> String {
+        let end = self.to.unwrap_or_else(|| history.last_activity());
         let mut out = String::new();
         let columns = self.column_count(end);
         for &net in nets {
-            let label = truncate_pad(trace.net_name(net), self.label_width);
+            let label = truncate_pad(history.net_name(net), self.label_width);
             match self.style {
                 WaveformStyle::Compact => {
                     out.push_str(&label);
                     out.push('|');
                     for col in 0..columns {
                         let t = self.from + self.sample * col;
-                        out.push(compact_char(trace.value_at(net, t)));
+                        out.push(compact_char(history.value_at(net, t)));
                     }
                     out.push('\n');
                 }
@@ -125,7 +126,7 @@ impl WaveformRenderer {
                     let mut prev: Option<Logic> = None;
                     for col in 0..columns {
                         let t = self.from + self.sample * col;
-                        let v = trace.value_at(net, t);
+                        let v = history.value_at(net, t);
                         let (hi, lo) = block_chars(prev, v);
                         hi_row.push(hi);
                         lo_row.push(lo);
@@ -187,6 +188,7 @@ mod tests {
 
     fn clock_trace() -> (Circuit, NetId) {
         let mut c = Circuit::new();
+        c.record_history();
         let clk = c.net("CLK");
         for i in 0..4u64 {
             c.drive_external(clk, Logic::Low, SimTime::from_ns(10 + 20 * i));
@@ -202,7 +204,7 @@ mod tests {
         let text = WaveformRenderer::new()
             .sample_every(SimTime::from_ns(5))
             .until(SimTime::from_ns(100))
-            .render(c.trace(), &[clk]);
+            .render(c.history().unwrap(), &[clk]);
         assert_eq!(text.lines().count(), 1);
         let row = text.lines().next().unwrap();
         assert!(row.starts_with("CLK"));
@@ -217,7 +219,7 @@ mod tests {
             .sample_every(SimTime::from_ns(5))
             .until(SimTime::from_ns(100))
             .style(WaveformStyle::Block)
-            .render(c.trace(), &[clk]);
+            .render(c.history().unwrap(), &[clk]);
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains('/'));
         assert!(text.contains('\\'));
@@ -229,7 +231,7 @@ mod tests {
         let text = WaveformRenderer::new()
             .from(SimTime::from_ns(50))
             .until(SimTime::from_ns(50))
-            .render(c.trace(), &[clk]);
+            .render(c.history().unwrap(), &[clk]);
         assert_eq!(text, format!("{}|\n", truncate_pad("CLK", 14)));
     }
 

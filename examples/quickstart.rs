@@ -25,6 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_short_prefix(ShortPrefix::new(0x3)?)
                 .power_aware(true),
         )
+        .record_history(true)
         .build();
 
     println!("MBus quickstart: 3-node ring at 400 kHz\n");
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .until(window_end)
         .sample_every(SimTime::from_ns(1_250)) // half a bus cycle
         .label_width(10)
-        .render(bus.trace(), &nets);
+        .render(bus.history().expect("recorded"), &nets);
     println!("\nwaveform (request through early data bits):\n{wave}");
     Ok(())
 }

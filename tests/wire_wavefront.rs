@@ -2,7 +2,7 @@
 //!
 //! The wavefront fast path (see `mbus_sim::Scheduler`'s docs) claims to
 //! be *bit-identical* to the edge-at-a-time heap path, not merely
-//! behaviorally close: same `Trace` transition streams, same
+//! behaviorally close: same `History` transition streams, same
 //! `WireTransaction`-derived records, same `BusStats`, same
 //! `ScenarioSignature` digests. This suite holds it to that claim over
 //! the seeded battery and the golden corpus; any divergence is a bug in
@@ -12,19 +12,48 @@ mod common;
 
 use mbus_core::engine::BusEngine;
 use mbus_core::trace::{fleet_digest, scenario_digest, Trace, TraceFile};
-use mbus_core::wire::WireEngine;
+use mbus_core::wire::{WireBus, WireEngine};
 use mbus_core::{EngineKind, ScenarioReport, Workload};
 
-/// Runs `w` on a wire engine with the chosen propagation path,
-/// returning the report *and* the engine so the raw kernel trace stays
-/// inspectable.
+/// Runs `w` on a wire engine with the chosen propagation path and the
+/// transition history on, returning the report *and* the engine so the
+/// raw kernel history stays inspectable.
 fn run_wire(w: &Workload, wavefront: bool) -> (ScenarioReport, WireEngine) {
-    let mut engine = WireEngine::new(*w.config()).with_wavefront(wavefront);
+    let mut engine = WireEngine::new(*w.config())
+        .with_wavefront(wavefront)
+        .with_history(true);
     for spec in w.node_specs() {
         engine.add_node(spec.clone());
     }
     let report = w.apply(&mut engine);
     (report, engine)
+}
+
+/// The always-on edge counts and the opt-in history are two records of
+/// one transition stream: every net's count must equal its history
+/// length, and the per-member `segment_edges` the energy model charges
+/// must equal the same sum taken from the history.
+fn assert_counts_match_history(w: &Workload, bus: &WireBus) {
+    let (trace, history) = (bus.trace(), bus.history().expect("recorded"));
+    for net in trace.nets() {
+        assert_eq!(
+            trace.edge_count(net),
+            history.transitions(net).len() as u64,
+            "{}: net {} count drifted from its history",
+            w.name(),
+            trace.net_name(net)
+        );
+    }
+    let from_history: Vec<u64> = (0..bus.node_count())
+        .map(|i| {
+            let driven = [bus.clk_nets()[i + 1], bus.data_nets()[i + 1]];
+            driven
+                .iter()
+                .map(|&net| history.transitions(net).len() as u64)
+                .sum()
+        })
+        .collect();
+    assert_eq!(bus.segment_edges(), from_history, "{}", w.name());
 }
 
 /// The full bit-identity assertion: every observable of the two runs,
@@ -42,15 +71,21 @@ fn assert_bit_identical(w: &Workload) {
     );
     let (ft, ot) = (fast_bus.trace(), oracle_bus.trace());
     assert_eq!(ft.total_edges(), ot.total_edges(), "{}", w.name());
+    let (fh, oh) = (
+        fast_bus.history().expect("recorded"),
+        oracle_bus.history().expect("recorded"),
+    );
     for net in ot.nets() {
         assert_eq!(
-            ft.transitions(net),
-            ot.transitions(net),
+            fh.transitions(net),
+            oh.transitions(net),
             "{}: net {} diverged",
             w.name(),
             ot.net_name(net)
         );
     }
+    assert_counts_match_history(w, fast_bus);
+    assert_counts_match_history(w, oracle_bus);
 
     // Engine level: records, receive logs, wake accounting, stats
     // (including the new per-segment edge counters).
