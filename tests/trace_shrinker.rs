@@ -194,3 +194,131 @@ fn minimized_trace_reproduces_from_disk_alone() {
         "re-parsed minimized trace no longer reproduces the failure"
     );
 }
+
+/// Still "diverges" while the marker arrives, a behavior answers at
+/// least one delivery, and a partial drain with a nonzero count
+/// survives — so the shrinker must keep one behavior entry and one
+/// partial drain, and walks the count-halving path to get there.
+fn workload_replies_after_partial_drain(w: &Workload) -> bool {
+    let partial = w
+        .steps()
+        .iter()
+        .any(|s| matches!(s, Step::RunTransactions { count } if *count >= 1));
+    partial && {
+        let report = w.run_on(EngineKind::Analytic);
+        report.injected_replies >= 1
+            && report
+                .rx
+                .iter()
+                .flatten()
+                .any(|rx| rx.payload.contains(&MARKER))
+    }
+}
+
+/// The fleet counterpart: the marker crosses the mesh, a behavior
+/// answers, and a `drain-rounds` step with a nonzero count survives.
+fn fleet_replies_after_partial_drain(w: &FleetWorkload) -> bool {
+    let partial = w
+        .steps()
+        .iter()
+        .any(|s| matches!(s, FleetStep::RunRounds { rounds } if *rounds >= 1));
+    partial && {
+        let report = w.run_on(EngineKind::Analytic);
+        report.injected_replies >= 1
+            && report
+                .rx
+                .iter()
+                .flatten()
+                .flatten()
+                .any(|rx| rx.payload.contains(&MARKER))
+    }
+}
+
+fn parse(text: &str) -> mbus_core::trace::Trace {
+    TraceFile::parse_str("pin.mbt", text)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .trace
+}
+
+/// Pins the exact minimized text of a workload that exercises the
+/// behavior-drop pass, the `drain-partial` count pass, and node
+/// dropping with behavior-index remapping.
+#[test]
+fn minimized_workload_text_is_pinned() {
+    let mbus_core::trace::Trace::Workload(w) = parse(
+        "mbt 2 workload\n\
+         name shrinker/pin_workload\n\
+         config clock=400000 maxmsg=1024\n\
+         node prefix=0x00400 short=0x1 name=n0\n\
+         node prefix=0x00401 short=0x2 name=n1\n\
+         node prefix=0x00402 short=0x3 name=n2\n\
+         node prefix=0x00403 short=0x4 name=n3\n\
+         behavior 2 reply 1 ac\n\
+         behavior 3 reply 1 bd\n\
+         send 1 0x3.0 5a000000\n\
+         send 0 0x4.0 10\n\
+         drain-partial 6\n\
+         send 3 0x2.0 20\n\
+         drain\n",
+    ) else {
+        panic!("workload fixture");
+    };
+    assert!(workload_replies_after_partial_drain(&w));
+    let min = shrink_workload(&w, &mut workload_replies_after_partial_drain);
+    assert_eq!(
+        TraceFile::workload(min).to_mbt(),
+        "mbt 2 workload\n\
+         name shrinker/pin_workload\n\
+         config clock=400000 maxmsg=1024\n\
+         node prefix=0x00401 short=0x2 name=n1\n\
+         node prefix=0x00402 short=0x3 name=n2\n\
+         behavior 1 reply 1 ac\n\
+         send 0 0x3.0 5a\n\
+         drain-partial 1\n"
+    );
+}
+
+/// Pins the exact minimized text of a two-domain fleet that exercises
+/// the behavior-drop and mesh-route-drop passes, the route-range and
+/// domain remap when a cluster is dropped, trailing-sensor trimming,
+/// `drain-rounds` count shrinking, and payload shrinking on a `ttl=`
+/// remote.
+#[test]
+fn minimized_fleet_text_is_pinned() {
+    let mbus_core::trace::Trace::Fleet(w) = parse(
+        "mbt 2 fleet\n\
+         name shrinker/pin_fleet\n\
+         config clock=400000 maxmsg=1024\n\
+         cluster aaa domain=0\n\
+         cluster a domain=0\n\
+         cluster aa domain=1\n\
+         cluster a domain=1\n\
+         route 0 2..3 2\n\
+         route 1 0..1 0\n\
+         route 1 0..1 1\n\
+         behavior 2.1 reply 3 ac\n\
+         behavior 0.2 reply 3 bd\n\
+         remote 0.1 2.1 3 5a000000 ttl=4\n\
+         local 0.2 0x2.0 11\n\
+         remote 3.1 0.3 2 20\n\
+         drain-rounds 5\n\
+         wakeup 1.1\n\
+         drain\n",
+    ) else {
+        panic!("fleet fixture");
+    };
+    assert!(fleet_replies_after_partial_drain(&w));
+    let min = shrink_fleet(&w, &mut fleet_replies_after_partial_drain);
+    assert_eq!(
+        TraceFile::fleet(min).to_mbt(),
+        "mbt 2 fleet\n\
+         name shrinker/pin_fleet\n\
+         config clock=400000 maxmsg=1024\n\
+         cluster a\n\
+         cluster a domain=1\n\
+         route 0 1..2 1\n\
+         behavior 1.1 reply 3 ac\n\
+         remote 0.1 1.1 3 5a ttl=4\n\
+         drain-rounds 1\n"
+    );
+}
