@@ -484,7 +484,7 @@ impl GatewayRoutes {
                     counters.forwarded += 1;
                     return GatewayVerdict::Forward {
                         dest_cluster,
-                        msg: Message::new(Address::full(prefix, fu), inner),
+                        msg: Message::new(Address::full(prefix, fu), inner.to_vec()),
                     };
                 }
             }
@@ -583,20 +583,6 @@ impl GatewayNode {
         bytes
     }
 
-    /// Parses a forwarding envelope back into destination and inner
-    /// payload; `None` if the header is not a 4-byte full address.
-    /// Reads the legacy v1 form only — mesh-aware callers want
-    /// [`GatewayNode::open`].
-    pub fn decapsulate(payload: &[u8]) -> Option<(FullPrefix, FuId, Vec<u8>)> {
-        if payload.len() < 4 {
-            return None;
-        }
-        match Address::decode(&payload[..4]) {
-            Ok(Address::Full { prefix, fu_id }) => Some((prefix, fu_id, payload[4..].to_vec())),
-            _ => None,
-        }
-    }
-
     /// Builds a **v2** forwarding envelope carrying an explicit TTL:
     /// `[ENVELOPE_MAGIC, (ttl << 4) | hops, 4-byte full address,
     /// inner...]` with hop count 0. Panics unless `ttl` is in
@@ -617,23 +603,17 @@ impl GatewayNode {
     /// hops, inner payload)`: the v2 6-byte header when the payload
     /// leads with [`ENVELOPE_MAGIC`], the v1 4-byte header otherwise
     /// (entering with [`DEFAULT_TTL`] and hop count 0). `None` if
-    /// neither header parses.
-    pub fn open(payload: &[u8]) -> Option<(FullPrefix, FuId, u8, u8, Vec<u8>)> {
-        if payload.first() == Some(&ENVELOPE_MAGIC) {
-            if payload.len() < 6 {
-                return None;
-            }
-            let ttl = payload[1] >> 4;
-            let hops = payload[1] & 0xF;
-            match Address::decode(&payload[2..6]) {
-                Ok(Address::Full { prefix, fu_id }) => {
-                    Some((prefix, fu_id, ttl, hops, payload[6..].to_vec()))
-                }
-                _ => None,
-            }
-        } else {
-            let (prefix, fu, inner) = GatewayNode::decapsulate(payload)?;
-            Some((prefix, fu, DEFAULT_TTL, 0, inner))
+    /// neither header parses. The inner payload is borrowed from
+    /// `payload`.
+    pub fn open(payload: &[u8]) -> Option<(FullPrefix, FuId, u8, u8, &[u8])> {
+        let (ttl, hops, rest) = match payload {
+            [ENVELOPE_MAGIC, budget, rest @ ..] => (budget >> 4, budget & 0xF, rest),
+            _ => (DEFAULT_TTL, 0, payload),
+        };
+        let (address, inner) = rest.split_at_checked(4)?;
+        match Address::decode(address) {
+            Ok(Address::Full { prefix, fu_id }) => Some((prefix, fu_id, ttl, hops, inner)),
+            _ => None,
         }
     }
 }
@@ -2773,11 +2753,11 @@ mod tests {
         let fu = FuId::new(0x3).unwrap();
         let bytes = GatewayNode::encapsulate(dest, fu, &[1, 2, 3]);
         assert_eq!(bytes.len(), 4 + 3);
-        let (p, f, inner) = GatewayNode::decapsulate(&bytes).unwrap();
-        assert_eq!((p, f), (dest, fu));
-        assert_eq!(inner, vec![1, 2, 3]);
-        assert!(GatewayNode::decapsulate(&[0xF0]).is_none());
-        assert!(GatewayNode::decapsulate(&[0x12, 0x34, 0x56, 0x78]).is_none());
+        let (p, f, ttl, hops, inner) = GatewayNode::open(&bytes).unwrap();
+        assert_eq!((p, f, ttl, hops), (dest, fu, DEFAULT_TTL, 0));
+        assert_eq!(inner, [1, 2, 3]);
+        assert!(GatewayNode::open(&[0xF0]).is_none());
+        assert!(GatewayNode::open(&[0x12, 0x34, 0x56, 0x78]).is_none());
     }
 
     #[test]
@@ -3148,12 +3128,12 @@ mod tests {
         assert_eq!(bytes[0], ENVELOPE_MAGIC);
         let (p, f, ttl, hops, inner) = GatewayNode::open(&bytes).unwrap();
         assert_eq!((p, f, ttl, hops), (dest, fu, 5, 0));
-        assert_eq!(inner, vec![7, 8]);
+        assert_eq!(inner, [7, 8]);
         // v1 envelopes still open, defaulting the TTL budget.
         let v1 = GatewayNode::encapsulate(dest, fu, &[9]);
         let (p, f, ttl, hops, inner) = GatewayNode::open(&v1).unwrap();
         assert_eq!((p, f, ttl, hops), (dest, fu, DEFAULT_TTL, 0));
-        assert_eq!(inner, vec![9]);
+        assert_eq!(inner, [9]);
         // Truncated v2 headers are malformed, not panics.
         assert!(GatewayNode::open(&bytes[..5]).is_none());
         assert!(

@@ -67,8 +67,6 @@ pub mod shrink;
 
 use std::fmt;
 
-use std::collections::BTreeMap;
-
 use crate::addr::{Address, BroadcastChannel, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{NodeBehavior, DEFAULT_REPLY_HORIZON, MAX_BEHAVIOR_PAYLOAD};
 use crate::config::BusConfig;
@@ -551,83 +549,144 @@ fn write_fleet_step(out: &mut String, step: &FleetStep) {
 }
 
 // ----------------------------------------------------------------------
-// Rebuilding workloads from parsed (or shrunk) parts
+// Traces split into parts
 // ----------------------------------------------------------------------
 
-/// Reassembles a [`Workload`] through its public builders — shared by
-/// the parser and the [`shrink`] passes.
-pub(crate) fn rebuild_workload(
-    name: &str,
-    config: BusConfig,
-    nodes: &[NodeSpec],
-    behaviors: &BTreeMap<usize, NodeBehavior>,
-    horizon: u32,
-    steps: &[Step],
-    strict_nulls: bool,
-) -> Workload {
-    let mut w = Workload::new(name, config);
-    for spec in nodes {
-        w = w.node(spec.clone());
-    }
-    for (&node, b) in behaviors {
-        w = w.behavior(node, b.clone());
-    }
-    w = w.with_reply_horizon(horizon);
-    for step in steps {
-        w = match step {
-            Step::Queue { node, msg } => w.send(*node, msg.clone()),
-            Step::QueueUnchecked { node, msg } => w.send_unchecked(*node, msg.clone()),
-            Step::Wakeup { node } => w.wakeup(*node),
-            Step::Run => w.drain(),
-            Step::RunTransactions { count } => w.drain_partial(*count),
-        };
-    }
-    if !strict_nulls {
-        w = w.allow_wake_nulls();
-    }
-    w
+/// A trace split into the parts its public builders take: what the
+/// parser fills line by line and what the [`shrink`] passes edit.
+/// [`Parts::build`] moves every part back through the builders, so a
+/// parts value only ever becomes a workload they accept.
+trait Parts: Clone {
+    /// The workload the parts build.
+    type Built;
+
+    /// Assembles the workload through its public builders.
+    fn build(self) -> Self::Built;
 }
 
-/// Reassembles a [`FleetWorkload`] through its public builders —
-/// shared by the parser and the [`shrink`] passes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rebuild_fleet(
-    name: &str,
+/// A single-bus [`Workload`] split into parts.
+#[derive(Clone, Default)]
+struct WorkloadParts {
+    name: String,
     config: BusConfig,
-    clusters: &[Vec<bool>],
-    domains: &[usize],
-    routes: &[MeshRoute],
-    behaviors: &BTreeMap<FleetNodeId, NodeBehavior>,
+    nodes: Vec<NodeSpec>,
+    /// Applied in order, so a later entry for a node replaces an
+    /// earlier one (as a repeated `behavior` line does).
+    behaviors: Vec<(usize, NodeBehavior)>,
     horizon: u32,
-    steps: &[FleetStep],
+    steps: Vec<Step>,
     strict_nulls: bool,
-) -> FleetWorkload {
-    let mut w = FleetWorkload::new(name, config);
-    for (i, sensors) in clusters.iter().enumerate() {
-        w = w.cluster_in(domains.get(i).copied().unwrap_or(0), sensors.clone());
+}
+
+impl WorkloadParts {
+    fn of(w: &Workload) -> Self {
+        WorkloadParts {
+            name: w.name().to_string(),
+            config: *w.config(),
+            nodes: w.node_specs().to_vec(),
+            behaviors: w.behaviors().iter().map(|(&n, b)| (n, b.clone())).collect(),
+            horizon: w.reply_horizon(),
+            steps: w.steps().to_vec(),
+            strict_nulls: w.strict_nulls(),
+        }
     }
-    for r in routes {
-        w = w.route(r.domain, r.lo, r.hi, r.via);
+}
+
+impl Parts for WorkloadParts {
+    type Built = Workload;
+
+    fn build(self) -> Workload {
+        let mut w = Workload::new(self.name, self.config);
+        for spec in self.nodes {
+            w = w.node(spec);
+        }
+        for (node, b) in self.behaviors {
+            w = w.behavior(node, b);
+        }
+        w = w.with_reply_horizon(self.horizon);
+        for step in self.steps {
+            w = match step {
+                Step::Queue { node, msg } => w.send(node, msg),
+                Step::QueueUnchecked { node, msg } => w.send_unchecked(node, msg),
+                Step::Wakeup { node } => w.wakeup(node),
+                Step::Run => w.drain(),
+                Step::RunTransactions { count } => w.drain_partial(count),
+            };
+        }
+        if !self.strict_nulls {
+            w = w.allow_wake_nulls();
+        }
+        w
     }
-    for (&id, b) in behaviors {
-        w = w.behavior(id, b.clone());
+}
+
+/// A [`FleetWorkload`] split into parts.
+#[derive(Clone, Default)]
+struct FleetParts {
+    name: String,
+    config: BusConfig,
+    clusters: Vec<Vec<bool>>,
+    /// Each cluster's mesh domain, parallel to `clusters`.
+    domains: Vec<usize>,
+    routes: Vec<MeshRoute>,
+    /// Applied in order, like [`WorkloadParts::behaviors`].
+    behaviors: Vec<(FleetNodeId, NodeBehavior)>,
+    horizon: u32,
+    steps: Vec<FleetStep>,
+    strict_nulls: bool,
+}
+
+impl FleetParts {
+    fn of(w: &FleetWorkload) -> Self {
+        FleetParts {
+            name: w.name().to_string(),
+            config: *w.config(),
+            clusters: w.cluster_specs().to_vec(),
+            domains: w.cluster_domains().to_vec(),
+            routes: w.mesh_routes().to_vec(),
+            behaviors: w
+                .behaviors()
+                .iter()
+                .map(|(&id, b)| (id, b.clone()))
+                .collect(),
+            horizon: w.reply_horizon(),
+            steps: w.steps().to_vec(),
+            strict_nulls: w.strict_nulls(),
+        }
     }
-    w = w.with_reply_horizon(horizon);
-    for step in steps {
-        w = match step {
-            FleetStep::Local { src, msg } => w.send_local(*src, msg.clone()),
-            // Pushed verbatim: `ttl` composes with `prio` in the file
-            // format, a pairing the convenience builders don't offer.
-            FleetStep::Remote { .. } => w.push_step(step.clone()),
-            FleetStep::Wakeup { node } => w.wakeup(*node),
-            FleetStep::Drain => w.drain(),
-            FleetStep::RunRounds { rounds } => w.drain_rounds(*rounds),
-        };
+}
+
+impl Parts for FleetParts {
+    type Built = FleetWorkload;
+
+    fn build(self) -> FleetWorkload {
+        let mut w = FleetWorkload::new(self.name, self.config);
+        for (sensors, domain) in self.clusters.into_iter().zip(self.domains) {
+            w = w.cluster_in(domain, sensors);
+        }
+        for r in self.routes {
+            w = w.route(r.domain, r.lo, r.hi, r.via);
+        }
+        for (id, b) in self.behaviors {
+            w = w.behavior(id, b);
+        }
+        w = w.with_reply_horizon(self.horizon);
+        for step in self.steps {
+            w = match step {
+                FleetStep::Local { src, msg } => w.send_local(src, msg),
+                // Pushed verbatim: `ttl` composes with `prio` in the file
+                // format, a pairing the convenience builders don't offer.
+                FleetStep::Remote { .. } => w.push_step(step),
+                FleetStep::Wakeup { node } => w.wakeup(node),
+                FleetStep::Drain => w.drain(),
+                FleetStep::RunRounds { rounds } => w.drain_rounds(rounds),
+            };
+        }
+        if !self.strict_nulls {
+            w = w.allow_wake_nulls();
+        }
+        w
     }
-    if !strict_nulls {
-        w = w.allow_wake_nulls();
-    }
-    w
 }
 
 // ----------------------------------------------------------------------
@@ -638,6 +697,12 @@ pub(crate) fn rebuild_fleet(
 enum TraceKind {
     Workload,
     Fleet,
+}
+
+/// The parts a trace fills, of the kind its magic line declares.
+enum TraceParts {
+    Workload(WorkloadParts),
+    Fleet(FleetParts),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -651,7 +716,6 @@ struct Parser<'a> {
     file: &'a str,
     text: &'a str,
     version: u32,
-    kind: Option<TraceKind>,
     section: Section,
     name: Option<String>,
     config: BusConfig,
@@ -659,14 +723,8 @@ struct Parser<'a> {
     meta: TraceMeta,
     wake_nulls: bool,
     horizon: Option<u32>,
-    nodes: Vec<NodeSpec>,
-    clusters: Vec<Vec<bool>>,
-    cluster_domains: Vec<usize>,
-    routes: Vec<MeshRoute>,
-    wbehaviors: BTreeMap<usize, NodeBehavior>,
-    fbehaviors: BTreeMap<FleetNodeId, NodeBehavior>,
-    wsteps: Vec<Step>,
-    fsteps: Vec<FleetStep>,
+    /// `None` until the magic line names the kind.
+    parts: Option<TraceParts>,
 }
 
 /// One whitespace-separated token with its 1-based byte column.
@@ -706,7 +764,6 @@ impl<'a> Parser<'a> {
             file,
             text,
             version: 1,
-            kind: None,
             section: Section::Header,
             name: None,
             config: BusConfig::default(),
@@ -714,14 +771,30 @@ impl<'a> Parser<'a> {
             meta: TraceMeta::default(),
             wake_nulls: false,
             horizon: None,
-            nodes: Vec::new(),
-            clusters: Vec::new(),
-            cluster_domains: Vec::new(),
-            routes: Vec::new(),
-            wbehaviors: BTreeMap::new(),
-            fbehaviors: BTreeMap::new(),
-            wsteps: Vec::new(),
-            fsteps: Vec::new(),
+            parts: None,
+        }
+    }
+
+    fn kind(&self) -> Option<TraceKind> {
+        self.parts.as_ref().map(|parts| match parts {
+            TraceParts::Workload(_) => TraceKind::Workload,
+            TraceParts::Fleet(_) => TraceKind::Fleet,
+        })
+    }
+
+    /// The single-bus parts; reached only past a single-bus kind check.
+    fn workload(&mut self) -> &mut WorkloadParts {
+        match &mut self.parts {
+            Some(TraceParts::Workload(parts)) => parts,
+            _ => unreachable!("single-bus directive outside a workload trace"),
+        }
+    }
+
+    /// The fleet parts; reached only past a fleet kind check.
+    fn fleet(&mut self) -> &mut FleetParts {
+        match &mut self.parts {
+            Some(TraceParts::Fleet(parts)) => parts,
+            _ => unreachable!("fleet directive outside a fleet trace"),
         }
     }
 
@@ -750,13 +823,13 @@ impl<'a> Parser<'a> {
                 continue;
             }
             let toks = tokens_of(line);
-            if self.kind.is_none() {
+            if self.parts.is_none() {
                 self.parse_magic(line_no, line, &toks)?;
                 continue;
             }
             self.parse_directive(line_no, line, &toks)?;
         }
-        let Some(kind) = self.kind else {
+        let Some(parts) = self.parts.take() else {
             return Err(self.err(
                 lines.max(1),
                 0,
@@ -766,28 +839,30 @@ impl<'a> Parser<'a> {
         let Some(name) = self.name.take() else {
             return Err(self.err(lines.max(1), 0, "missing `name` header"));
         };
+        let config = self.config;
         let horizon = self.horizon.unwrap_or(DEFAULT_REPLY_HORIZON);
-        let trace = match kind {
-            TraceKind::Workload => Trace::Workload(rebuild_workload(
-                &name,
-                self.config,
-                &self.nodes,
-                &self.wbehaviors,
-                horizon,
-                &self.wsteps,
-                !self.wake_nulls,
-            )),
-            TraceKind::Fleet => Trace::Fleet(rebuild_fleet(
-                &name,
-                self.config,
-                &self.clusters,
-                &self.cluster_domains,
-                &self.routes,
-                &self.fbehaviors,
-                horizon,
-                &self.fsteps,
-                !self.wake_nulls,
-            )),
+        let strict_nulls = !self.wake_nulls;
+        let trace = match parts {
+            TraceParts::Workload(parts) => Trace::Workload(
+                WorkloadParts {
+                    name,
+                    config,
+                    horizon,
+                    strict_nulls,
+                    ..parts
+                }
+                .build(),
+            ),
+            TraceParts::Fleet(parts) => Trace::Fleet(
+                FleetParts {
+                    name,
+                    config,
+                    horizon,
+                    strict_nulls,
+                    ..parts
+                }
+                .build(),
+            ),
         };
         Ok(TraceFile {
             trace,
@@ -825,9 +900,9 @@ impl<'a> Parser<'a> {
             }
         };
         let kind = self.need(line_no, line, toks, 2, "trace kind (workload|fleet)")?;
-        self.kind = Some(match kind.text {
-            "workload" => TraceKind::Workload,
-            "fleet" => TraceKind::Fleet,
+        self.parts = Some(match kind.text {
+            "workload" => TraceParts::Workload(WorkloadParts::default()),
+            "fleet" => TraceParts::Fleet(FleetParts::default()),
             other => {
                 return Err(self.err(
                     line_no,
@@ -883,7 +958,7 @@ impl<'a> Parser<'a> {
         line: &str,
         toks: &[Tok<'a>],
     ) -> Result<(), TraceError> {
-        let kind = self.kind.expect("magic parsed before directives");
+        let kind = self.kind().expect("magic parsed before directives");
         let head = toks[0];
         match head.text {
             "name" => {
@@ -967,7 +1042,7 @@ impl<'a> Parser<'a> {
                     ));
                 }
                 self.enter(line_no, head, Section::Topology)?;
-                if self.nodes.len() == MAX_BUS_NODES {
+                if self.workload().nodes.len() == MAX_BUS_NODES {
                     return Err(self.err(
                         line_no,
                         head.col,
@@ -985,7 +1060,7 @@ impl<'a> Parser<'a> {
                     ));
                 }
                 self.enter(line_no, head, Section::Topology)?;
-                if self.clusters.len() == MAX_CLUSTERS {
+                if self.fleet().clusters.len() == MAX_CLUSTERS {
                     return Err(self.err(
                         line_no,
                         head.col,
@@ -1053,8 +1128,9 @@ impl<'a> Parser<'a> {
                         format!("unexpected trailing token `{}`", tok.text),
                     ));
                 }
-                self.clusters.push(sensors);
-                self.cluster_domains.push(domain);
+                let fleet = self.fleet();
+                fleet.clusters.push(sensors);
+                fleet.domains.push(domain);
             }
             "route" => {
                 self.expect_kind(line_no, head, kind, TraceKind::Fleet)?;
@@ -1069,7 +1145,7 @@ impl<'a> Parser<'a> {
                     TraceKind::Workload => {
                         let node = self.parse_node_index(line_no, line, toks, 1)?;
                         let b = self.parse_behavior(line_no, line, toks)?;
-                        self.wbehaviors.insert(node, b);
+                        self.workload().behaviors.push((node, b));
                     }
                     TraceKind::Fleet => {
                         let id = self.parse_fleet_id(line_no, line, toks, 1)?;
@@ -1085,7 +1161,7 @@ impl<'a> Parser<'a> {
                             ));
                         }
                         let b = self.parse_behavior(line_no, line, toks)?;
-                        self.fbehaviors.insert(id, b);
+                        self.fleet().behaviors.push((id, b));
                     }
                 }
             }
@@ -1094,18 +1170,19 @@ impl<'a> Parser<'a> {
                 self.enter(line_no, head, Section::Steps)?;
                 let node = self.parse_node_index(line_no, line, toks, 1)?;
                 let msg = self.parse_msg(line_no, line, toks, 2)?;
-                self.wsteps.push(if head.text == "send" {
+                let step = if head.text == "send" {
                     self.check_len(line_no, toks[3], &msg, " (`send!` queues it unchecked)")?;
                     Step::Queue { node, msg }
                 } else {
                     Step::QueueUnchecked { node, msg }
-                });
+                };
+                self.workload().steps.push(step);
             }
             "drain" => {
                 self.enter(line_no, head, Section::Steps)?;
                 match kind {
-                    TraceKind::Workload => self.wsteps.push(Step::Run),
-                    TraceKind::Fleet => self.fsteps.push(FleetStep::Drain),
+                    TraceKind::Workload => self.workload().steps.push(Step::Run),
+                    TraceKind::Fleet => self.fleet().steps.push(FleetStep::Drain),
                 }
             }
             "drain-partial" => {
@@ -1113,25 +1190,25 @@ impl<'a> Parser<'a> {
                 self.enter(line_no, head, Section::Steps)?;
                 let value = self.need(line_no, line, toks, 1, "transaction count")?;
                 let count = self.parse_u64(line_no, value, "transaction count")? as usize;
-                self.wsteps.push(Step::RunTransactions { count });
+                self.workload().steps.push(Step::RunTransactions { count });
             }
             "drain-rounds" => {
                 self.expect_kind(line_no, head, kind, TraceKind::Fleet)?;
                 self.enter(line_no, head, Section::Steps)?;
                 let value = self.need(line_no, line, toks, 1, "round count")?;
                 let rounds = self.parse_u64(line_no, value, "round count")? as usize;
-                self.fsteps.push(FleetStep::RunRounds { rounds });
+                self.fleet().steps.push(FleetStep::RunRounds { rounds });
             }
             "wakeup" => {
                 self.enter(line_no, head, Section::Steps)?;
                 match kind {
                     TraceKind::Workload => {
                         let node = self.parse_node_index(line_no, line, toks, 1)?;
-                        self.wsteps.push(Step::Wakeup { node });
+                        self.workload().steps.push(Step::Wakeup { node });
                     }
                     TraceKind::Fleet => {
                         let node = self.parse_fleet_id(line_no, line, toks, 1)?;
-                        self.fsteps.push(FleetStep::Wakeup { node });
+                        self.fleet().steps.push(FleetStep::Wakeup { node });
                     }
                 }
             }
@@ -1152,7 +1229,7 @@ impl<'a> Parser<'a> {
                         ),
                     ));
                 }
-                self.fsteps.push(FleetStep::Local { src, msg });
+                self.fleet().steps.push(FleetStep::Local { src, msg });
             }
             "remote" => {
                 self.expect_kind(line_no, head, kind, TraceKind::Fleet)?;
@@ -1232,7 +1309,7 @@ impl<'a> Parser<'a> {
                     };
                     self.check_len(line_no, payload_tok, &envelope, hint)?;
                 }
-                self.fsteps.push(FleetStep::Remote {
+                self.fleet().steps.push(FleetStep::Remote {
                     src,
                     dest,
                     fu,
@@ -1521,10 +1598,8 @@ impl<'a> Parser<'a> {
             let (l, c) = self.after(line_no, line);
             return Err(self.err(l, c, "missing `prefix=` on node line"));
         };
-        let mut spec = NodeSpec::new(
-            name.unwrap_or_else(|| format!("n{}", self.nodes.len())),
-            prefix,
-        );
+        let nodes = &mut self.workload().nodes;
+        let mut spec = NodeSpec::new(name.unwrap_or_else(|| format!("n{}", nodes.len())), prefix);
         if let Some(short) = short {
             spec = spec.with_short_prefix(short);
         }
@@ -1537,12 +1612,12 @@ impl<'a> Parser<'a> {
                 spec = spec.listen(channel);
             }
         }
-        self.nodes.push(spec);
+        nodes.push(spec);
         Ok(())
     }
 
     fn parse_node_index(
-        &self,
+        &mut self,
         line_no: u32,
         line: &str,
         toks: &[Tok<'a>],
@@ -1550,21 +1625,19 @@ impl<'a> Parser<'a> {
     ) -> Result<usize, TraceError> {
         let tok = self.need(line_no, line, toks, i, "node index")?;
         let node = self.parse_u64(line_no, tok, "node index")? as usize;
-        if node >= self.nodes.len() {
+        let declared = self.workload().nodes.len();
+        if node >= declared {
             return Err(self.err(
                 line_no,
                 tok.col,
-                format!(
-                    "node index {node} out of range ({} node(s) declared)",
-                    self.nodes.len()
-                ),
+                format!("node index {node} out of range ({declared} node(s) declared)"),
             ));
         }
         Ok(node)
     }
 
     fn parse_fleet_id(
-        &self,
+        &mut self,
         line_no: u32,
         line: &str,
         toks: &[Tok<'a>],
@@ -1591,17 +1664,15 @@ impl<'a> Parser<'a> {
                 ),
             ));
         };
-        if cluster >= self.clusters.len() {
+        let clusters = &self.fleet().clusters;
+        let declared = clusters.len();
+        let Some(sensors) = clusters.get(cluster).map(Vec::len) else {
             return Err(self.err(
                 line_no,
                 tok.col,
-                format!(
-                    "cluster index {cluster} out of range ({} cluster(s) declared)",
-                    self.clusters.len()
-                ),
+                format!("cluster index {cluster} out of range ({declared} cluster(s) declared)"),
             ));
-        }
-        let sensors = self.clusters[cluster].len();
+        };
         if node > sensors {
             return Err(self.err(
                 line_no,
@@ -1653,17 +1724,16 @@ impl<'a> Parser<'a> {
         }
         let via_tok = self.need(line_no, line, toks, 3, "next-hop cluster")?;
         let via = self.parse_u64(line_no, via_tok, "next-hop cluster")? as usize;
-        if via >= self.clusters.len() {
+        let domains = &self.fleet().domains;
+        let declared = domains.len();
+        let Some(&via_domain) = domains.get(via) else {
             return Err(self.err(
                 line_no,
                 via_tok.col,
-                format!(
-                    "next-hop cluster {via} out of range ({} cluster(s) declared)",
-                    self.clusters.len()
-                ),
+                format!("next-hop cluster {via} out of range ({declared} cluster(s) declared)"),
             ));
-        }
-        if self.cluster_domains[via] == domain {
+        };
+        if via_domain == domain {
             return Err(self.err(
                 line_no,
                 via_tok.col,
@@ -1677,7 +1747,7 @@ impl<'a> Parser<'a> {
                 format!("unexpected trailing token `{}`", tok.text),
             ));
         }
-        self.routes.push(MeshRoute {
+        self.fleet().routes.push(MeshRoute {
             domain,
             lo,
             hi,

@@ -7,35 +7,42 @@
 //! predicate (*"does this still fail?"*) keeps returning `true`, so
 //! fuzz failures ship as minimal `.mbt` repros.
 //!
-//! The passes are classic ddmin plus domain-specific reductions, run
-//! to a fixpoint:
+//! Both shrinkers edit the same split-into-parts form of a trace the
+//! `.mbt` parser fills (`WorkloadParts` / `FleetParts`: header, topology,
+//! behavior table, steps). One helper, `attempt`, does every edit: it
+//! clones the parts, applies the edit, builds the clone through the
+//! public workload builders, and keeps it only if the predicate still
+//! fails — so the shrinker can never manufacture an out-of-range
+//! reference or a scenario the builders would reject. On top of it, in
+//! this order and run to a fixpoint:
 //!
-//! 1. **Drop steps** — chunk sizes halving from `len/2` to 1, so the
-//!    result is 1-minimal: no single remaining step can be removed.
-//! 2. **Shrink payloads** — empty, then first half, then all-zero
-//!    bytes (the fixpoint loop re-halves until nothing shrinks).
-//! 3. **Shrink partial-drain counts** — toward 0, then halving.
-//! 4. **Drop topology** — any node (or cluster) no step references,
-//!    remapping the indices of later ones down; plus, for fleets,
-//!    trimming trailing unreferenced sensors off each cluster.
-//! 5. **Drop reactive table entries** — any [`NodeBehavior`] or mesh
-//!    route the divergence does not need (closed-loop repros keep only
-//!    the behaviors that actually fire).
+//! 1. **Drop steps** — ddmin over the step list, chunk sizes halving
+//!    from `len/2` to 1, so the result is 1-minimal: no single
+//!    remaining step can be removed.
+//! 2. **Shrink each step** by a candidate function: payloads (empty,
+//!    then first half, then all-zero bytes; the fixpoint loop
+//!    re-halves until nothing shrinks), then partial-drain counts
+//!    (toward 0, then halving).
+//! 3. **Drop each entry** of the reactive tables — any [`NodeBehavior`]
+//!    (closed-loop repros keep only the behaviors that fire) and, for
+//!    fleets, any mesh route the divergence does not need.
+//! 4. **Drop topology** — kind-specific passes over the same helper:
+//!    any node (or cluster) nothing references, remapping the indices
+//!    of later ones down; plus, for fleets, trimming trailing
+//!    unreferenced sensors off each cluster.
 //!
-//! Every pass proposes a candidate, rebuilds it through the public
-//! workload builders, and keeps it only if the predicate still fails —
-//! so the shrinker can never manufacture an out-of-range reference or
-//! a scenario the builders would reject. There is no randomness: the
-//! same input and predicate always minimize to the same trace (the
-//! shrinker self-test pins this).
+//! The three generic passes serve both trace kinds. There is no
+//! randomness: the same input and predicate always minimize to the
+//! same trace (the shrinker self-test pins this, and pins the exact
+//! minimized text of fixtures that reach every pass).
+//!
+//! [`NodeBehavior`]: crate::behavior::NodeBehavior
 
-use std::collections::BTreeMap;
-
-use crate::behavior::NodeBehavior;
-use crate::fleet::{FleetNodeId, FleetStep, FleetWorkload, MeshRoute};
+use crate::fleet::{FleetNodeId, FleetStep, FleetWorkload};
+use crate::message::Message;
 use crate::scenario::{Step, Workload};
 
-use super::{rebuild_fleet, rebuild_workload};
+use super::{FleetParts, Parts, WorkloadParts};
 
 /// Minimizes a failing single-bus workload.
 ///
@@ -51,23 +58,23 @@ pub fn shrink_workload(
     if !predicate(workload) {
         return workload.clone();
     }
-    let mut state = WorkloadParts::of(workload);
+    let mut parts = WorkloadParts::of(workload);
     loop {
         let mut progress = false;
-        progress |= ddmin_steps(&mut state, predicate);
-        progress |= shrink_workload_payloads(&mut state, predicate);
-        progress |= shrink_workload_counts(&mut state, predicate);
-        progress |= drop_workload_behaviors(&mut state, predicate);
-        progress |= drop_unreferenced_nodes(&mut state, predicate);
+        progress |= ddmin(&mut parts, predicate, |p| &mut p.steps);
+        progress |= shrink_each(&mut parts, predicate, |p| &mut p.steps, step_payloads);
+        progress |= shrink_each(&mut parts, predicate, |p| &mut p.steps, step_counts);
+        progress |= drop_each(&mut parts, predicate, |p| &mut p.behaviors);
+        progress |= drop_unreferenced_nodes(&mut parts, predicate);
         if !progress {
-            return state.build();
+            return parts.build();
         }
     }
 }
 
 /// Minimizes a failing fleet workload; the fleet counterpart of
-/// [`shrink_workload`] (steps, payloads, round counts, unreferenced
-/// clusters, trailing unreferenced sensors).
+/// [`shrink_workload`] (steps, payloads, round counts, behaviors, mesh
+/// routes, unreferenced clusters, trailing unreferenced sensors).
 pub fn shrink_fleet(
     workload: &FleetWorkload,
     predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
@@ -75,186 +82,59 @@ pub fn shrink_fleet(
     if !predicate(workload) {
         return workload.clone();
     }
-    let mut state = FleetParts::of(workload);
+    let mut parts = FleetParts::of(workload);
     loop {
         let mut progress = false;
-        progress |= ddmin_fleet_steps(&mut state, predicate);
-        progress |= shrink_fleet_payloads(&mut state, predicate);
-        progress |= shrink_fleet_counts(&mut state, predicate);
-        progress |= drop_fleet_behaviors(&mut state, predicate);
-        progress |= drop_fleet_routes(&mut state, predicate);
-        progress |= drop_unreferenced_clusters(&mut state, predicate);
-        progress |= trim_trailing_sensors(&mut state, predicate);
+        progress |= ddmin(&mut parts, predicate, |p| &mut p.steps);
+        progress |= shrink_each(&mut parts, predicate, |p| &mut p.steps, fleet_step_payloads);
+        progress |= shrink_each(&mut parts, predicate, |p| &mut p.steps, fleet_step_counts);
+        progress |= drop_each(&mut parts, predicate, |p| &mut p.behaviors);
+        progress |= drop_each(&mut parts, predicate, |p| &mut p.routes);
+        progress |= drop_unreferenced_clusters(&mut parts, predicate);
+        progress |= trim_trailing_sensors(&mut parts, predicate);
         if !progress {
-            return state.build();
+            return parts.build();
         }
     }
 }
 
-// ----------------------------------------------------------------------
-// Decomposed workload state
-// ----------------------------------------------------------------------
+/// "Does this candidate still fail?"
+type Predicate<'a, P> = dyn FnMut(&<P as Parts>::Built) -> bool + 'a;
 
-struct WorkloadParts {
-    name: String,
-    config: crate::config::BusConfig,
-    nodes: Vec<crate::node::NodeSpec>,
-    behaviors: BTreeMap<usize, NodeBehavior>,
-    horizon: u32,
-    steps: Vec<Step>,
-    strict_nulls: bool,
-}
+/// One list inside a parts value, for the generic passes.
+type List<P, T> = fn(&mut P) -> &mut Vec<T>;
 
-impl WorkloadParts {
-    fn of(w: &Workload) -> Self {
-        WorkloadParts {
-            name: w.name().to_string(),
-            config: *w.config(),
-            nodes: w.node_specs().to_vec(),
-            behaviors: w.behaviors().clone(),
-            horizon: w.reply_horizon(),
-            steps: w.steps().to_vec(),
-            strict_nulls: w.strict_nulls(),
-        }
-    }
-
-    fn build(&self) -> Workload {
-        self.build_with(&self.nodes, &self.behaviors, &self.steps)
-    }
-
-    fn build_with_steps(&self, steps: &[Step]) -> Workload {
-        self.build_with(&self.nodes, &self.behaviors, steps)
-    }
-
-    fn build_with(
-        &self,
-        nodes: &[crate::node::NodeSpec],
-        behaviors: &BTreeMap<usize, NodeBehavior>,
-        steps: &[Step],
-    ) -> Workload {
-        rebuild_workload(
-            &self.name,
-            self.config,
-            nodes,
-            behaviors,
-            self.horizon,
-            steps,
-            self.strict_nulls,
-        )
-    }
-}
-
-struct FleetParts {
-    name: String,
-    config: crate::config::BusConfig,
-    clusters: Vec<Vec<bool>>,
-    domains: Vec<usize>,
-    routes: Vec<MeshRoute>,
-    behaviors: BTreeMap<FleetNodeId, NodeBehavior>,
-    horizon: u32,
-    steps: Vec<FleetStep>,
-    strict_nulls: bool,
-}
-
-impl FleetParts {
-    fn of(w: &FleetWorkload) -> Self {
-        FleetParts {
-            name: w.name().to_string(),
-            config: *w.config(),
-            clusters: w.cluster_specs().to_vec(),
-            domains: w.cluster_domains().to_vec(),
-            routes: w.mesh_routes().to_vec(),
-            behaviors: w.behaviors().clone(),
-            horizon: w.reply_horizon(),
-            steps: w.steps().to_vec(),
-            strict_nulls: w.strict_nulls(),
-        }
-    }
-
-    fn build(&self) -> FleetWorkload {
-        self.build_full(
-            &self.clusters,
-            &self.domains,
-            &self.routes,
-            &self.behaviors,
-            &self.steps,
-        )
-    }
-
-    fn build_with_steps(&self, steps: &[FleetStep]) -> FleetWorkload {
-        self.build_full(
-            &self.clusters,
-            &self.domains,
-            &self.routes,
-            &self.behaviors,
-            steps,
-        )
-    }
-
-    fn build_full(
-        &self,
-        clusters: &[Vec<bool>],
-        domains: &[usize],
-        routes: &[MeshRoute],
-        behaviors: &BTreeMap<FleetNodeId, NodeBehavior>,
-        steps: &[FleetStep],
-    ) -> FleetWorkload {
-        rebuild_fleet(
-            &self.name,
-            self.config,
-            clusters,
-            domains,
-            routes,
-            behaviors,
-            self.horizon,
-            steps,
-            self.strict_nulls,
-        )
-    }
-}
-
-// ----------------------------------------------------------------------
-// Pass 1: ddmin over steps
-// ----------------------------------------------------------------------
-
-fn ddmin_steps(state: &mut WorkloadParts, predicate: &mut dyn FnMut(&Workload) -> bool) -> bool {
-    let mut steps = state.steps.clone();
-    let mut progress = false;
-    let mut chunk = steps.len() / 2;
-    while chunk >= 1 {
-        let mut lo = 0;
-        while lo < steps.len() {
-            let hi = (lo + chunk).min(steps.len());
-            let mut candidate = steps.clone();
-            candidate.drain(lo..hi);
-            if predicate(&state.build_with_steps(&candidate)) {
-                steps = candidate;
-                progress = true;
-            } else {
-                lo = hi;
-            }
-        }
-        chunk /= 2;
-    }
-    state.steps = steps;
-    progress
-}
-
-fn ddmin_fleet_steps(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
+/// Applies `edit` to a copy of `parts`, builds the copy through the
+/// public builders, and keeps it only if the failure survives.
+fn attempt<P: Parts>(
+    parts: &mut P,
+    predicate: &mut Predicate<P>,
+    edit: impl FnOnce(&mut P),
 ) -> bool {
-    let mut steps = state.steps.clone();
+    let mut candidate = parts.clone();
+    edit(&mut candidate);
+    if predicate(&candidate.clone().build()) {
+        *parts = candidate;
+        true
+    } else {
+        false
+    }
+}
+
+// ----------------------------------------------------------------------
+// Generic passes
+// ----------------------------------------------------------------------
+
+/// ddmin: drops chunks of the list, chunk sizes halving from `len/2`
+/// to 1, so no single remaining element can be removed.
+fn ddmin<P: Parts, T>(parts: &mut P, predicate: &mut Predicate<P>, list: List<P, T>) -> bool {
     let mut progress = false;
-    let mut chunk = steps.len() / 2;
+    let mut chunk = list(parts).len() / 2;
     while chunk >= 1 {
         let mut lo = 0;
-        while lo < steps.len() {
-            let hi = (lo + chunk).min(steps.len());
-            let mut candidate = steps.clone();
-            candidate.drain(lo..hi);
-            if predicate(&state.build_with_steps(&candidate)) {
-                steps = candidate;
+        while lo < list(parts).len() {
+            let hi = (lo + chunk).min(list(parts).len());
+            if attempt(parts, predicate, |p| drop(list(p).drain(lo..hi))) {
                 progress = true;
             } else {
                 lo = hi;
@@ -262,30 +142,55 @@ fn ddmin_fleet_steps(
         }
         chunk /= 2;
     }
-    state.steps = steps;
+    progress
+}
+
+/// Replaces each element by the first of its `candidates` (tried in
+/// order) the failure survives.
+fn shrink_each<P: Parts, T>(
+    parts: &mut P,
+    predicate: &mut Predicate<P>,
+    list: List<P, T>,
+    candidates: fn(&T) -> Vec<T>,
+) -> bool {
+    let mut progress = false;
+    for i in 0..list(parts).len() {
+        for candidate in candidates(&list(parts)[i]) {
+            if attempt(parts, predicate, |p| list(p)[i] = candidate) {
+                progress = true;
+                break;
+            }
+        }
+    }
+    progress
+}
+
+/// Removes each entry in turn when the failure survives without it —
+/// behaviors (closed-loop repros keep only those that fire) and mesh
+/// routes (an envelope that loses its only route legally becomes an
+/// unroutable drop; the predicate decides whether that still fails).
+fn drop_each<P: Parts, T>(parts: &mut P, predicate: &mut Predicate<P>, list: List<P, T>) -> bool {
+    let mut progress = false;
+    let mut i = 0;
+    while i < list(parts).len() {
+        if attempt(parts, predicate, |p| drop(list(p).remove(i))) {
+            // Re-check the entry that slid into slot `i`.
+            progress = true;
+        } else {
+            i += 1;
+        }
+    }
     progress
 }
 
 // ----------------------------------------------------------------------
-// Pass 2: payload shrinking
+// Candidate functions
 // ----------------------------------------------------------------------
 
-/// Whether `dest` could be a gateway forwarding port: fu 0 of the
-/// gateway's fixed short prefix (0x1), or fu 0 of any full prefix
-/// (gateway presences own per-cluster full prefixes the shrinker
-/// cannot enumerate, so it stays conservative).
-fn targets_forwarding_port(dest: crate::addr::Address) -> bool {
-    use crate::addr::Address;
-    match dest {
-        Address::Short { prefix, fu_id } => prefix.raw() == 0x1 && fu_id.raw() == 0,
-        Address::Full { fu_id, .. } => fu_id.raw() == 0,
-        Address::Broadcast { .. } => false,
-    }
-}
-
-/// Candidate reductions for one payload, in preference order. The
-/// fixpoint loop re-applies the half-length candidate until it stops
-/// helping, so long payloads shrink logarithmically.
+/// Candidate reductions for one payload, in preference order: empty,
+/// first half, all-zero. The fixpoint loop re-applies the half-length
+/// candidate until it stops helping, so long payloads shrink
+/// logarithmically.
 fn payload_candidates(payload: &[u8]) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     if !payload.is_empty() {
@@ -300,74 +205,15 @@ fn payload_candidates(payload: &[u8]) -> Vec<Vec<u8>> {
     out
 }
 
-fn shrink_workload_payloads(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let payload = match &state.steps[i] {
-            Step::Queue { msg, .. } | Step::QueueUnchecked { msg, .. } => msg.payload().to_vec(),
-            _ => continue,
-        };
-        for candidate in payload_candidates(&payload) {
-            let mut steps = state.steps.clone();
-            match &mut steps[i] {
-                Step::Queue { msg, .. } | Step::QueueUnchecked { msg, .. } => {
-                    *msg = msg.with_payload(candidate);
-                }
-                _ => unreachable!("filtered above"),
-            }
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
-        }
-    }
-    progress
+/// `msg` with each of its [`payload_candidates`]; destination and
+/// priority are kept.
+fn message_candidates(msg: &Message) -> impl Iterator<Item = Message> + '_ {
+    payload_candidates(msg.payload())
+        .into_iter()
+        .map(|payload| msg.with_payload(payload))
 }
 
-fn shrink_fleet_payloads(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let payload = match &state.steps[i] {
-            // A local send to a forwarding port (fu 0 of a gateway
-            // presence) is an envelope *because its payload decodes as
-            // one* — shrinking the payload would turn it into traffic
-            // `Fleet::queue` rejects, and `FleetWorkload::apply`
-            // treats a rejected step as a caller bug. Leave such
-            // payloads alone; the step-removal pass can still drop the
-            // whole send.
-            FleetStep::Local { msg, .. } if targets_forwarding_port(msg.dest()) => continue,
-            FleetStep::Local { msg, .. } => msg.payload().to_vec(),
-            FleetStep::Remote { payload, .. } => payload.clone(),
-            _ => continue,
-        };
-        for candidate in payload_candidates(&payload) {
-            let mut steps = state.steps.clone();
-            match &mut steps[i] {
-                FleetStep::Local { msg, .. } => *msg = msg.with_payload(candidate),
-                FleetStep::Remote { payload, .. } => *payload = candidate,
-                _ => unreachable!("filtered above"),
-            }
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
-        }
-    }
-    progress
-}
-
-// ----------------------------------------------------------------------
-// Pass 3: partial-drain count shrinking
-// ----------------------------------------------------------------------
-
+/// Partial-drain count candidates: 0, then half.
 fn count_candidates(count: usize) -> Vec<usize> {
     let mut out = Vec::new();
     if count > 0 {
@@ -379,190 +225,134 @@ fn count_candidates(count: usize) -> Vec<usize> {
     out
 }
 
-fn shrink_workload_counts(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let Step::RunTransactions { count } = state.steps[i] else {
-            continue;
-        };
-        for candidate in count_candidates(count) {
-            let mut steps = state.steps.clone();
-            steps[i] = Step::RunTransactions { count: candidate };
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
-        }
+fn step_payloads(step: &Step) -> Vec<Step> {
+    match step {
+        Step::Queue { node, msg } => message_candidates(msg)
+            .map(|msg| Step::Queue { node: *node, msg })
+            .collect(),
+        Step::QueueUnchecked { node, msg } => message_candidates(msg)
+            .map(|msg| Step::QueueUnchecked { node: *node, msg })
+            .collect(),
+        _ => Vec::new(),
     }
-    progress
 }
 
-fn shrink_fleet_counts(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let FleetStep::RunRounds { rounds } = state.steps[i] else {
-            continue;
-        };
-        for candidate in count_candidates(rounds) {
-            let mut steps = state.steps.clone();
-            steps[i] = FleetStep::RunRounds { rounds: candidate };
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
-        }
+fn step_counts(step: &Step) -> Vec<Step> {
+    match *step {
+        Step::RunTransactions { count } => count_candidates(count)
+            .into_iter()
+            .map(|count| Step::RunTransactions { count })
+            .collect(),
+        _ => Vec::new(),
     }
-    progress
 }
 
-// ----------------------------------------------------------------------
-// Pass 4: reactive-table dropping
-// ----------------------------------------------------------------------
-
-/// Removes each behavior entry in turn when the failure survives
-/// without it, so closed-loop repros carry only the behaviors that
-/// actually fire.
-fn drop_workload_behaviors(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for node in state.behaviors.keys().copied().collect::<Vec<_>>() {
-        let mut behaviors = state.behaviors.clone();
-        behaviors.remove(&node);
-        if predicate(&state.build_with(&state.nodes, &behaviors, &state.steps)) {
-            state.behaviors = behaviors;
-            progress = true;
-        }
+/// Whether `dest` could be a gateway forwarding port: fu 0 of the
+/// gateway's fixed short prefix (0x1), or fu 0 of any full prefix
+/// (gateway presences own per-cluster full prefixes the shrinker
+/// cannot enumerate, so it stays conservative).
+fn targets_forwarding_port(dest: crate::addr::Address) -> bool {
+    use crate::addr::Address;
+    match dest {
+        Address::Short { prefix, fu_id } => prefix.raw() == 0x1 && fu_id.raw() == 0,
+        Address::Full { fu_id, .. } => fu_id.raw() == 0,
+        Address::Broadcast { .. } => false,
     }
-    progress
 }
 
-/// The fleet counterpart of [`drop_workload_behaviors`].
-fn drop_fleet_behaviors(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for id in state.behaviors.keys().copied().collect::<Vec<_>>() {
-        let mut behaviors = state.behaviors.clone();
-        behaviors.remove(&id);
-        let candidate = state.build_full(
-            &state.clusters,
-            &state.domains,
-            &state.routes,
-            &behaviors,
-            &state.steps,
-        );
-        if predicate(&candidate) {
-            state.behaviors = behaviors;
-            progress = true;
-        }
+fn fleet_step_payloads(step: &FleetStep) -> Vec<FleetStep> {
+    match step {
+        // A local send to a forwarding port (fu 0 of a gateway
+        // presence) is an envelope *because its payload decodes as
+        // one* — shrinking the payload would turn it into traffic
+        // `Fleet::queue` rejects, and `FleetWorkload::apply` treats a
+        // rejected step as a caller bug. Leave such payloads alone;
+        // the step-removal pass can still drop the whole send.
+        FleetStep::Local { msg, .. } if targets_forwarding_port(msg.dest()) => Vec::new(),
+        FleetStep::Local { src, msg } => message_candidates(msg)
+            .map(|msg| FleetStep::Local { src: *src, msg })
+            .collect(),
+        FleetStep::Remote {
+            src,
+            dest,
+            fu,
+            payload,
+            priority,
+            ttl,
+        } => payload_candidates(payload)
+            .into_iter()
+            .map(|payload| FleetStep::Remote {
+                src: *src,
+                dest: *dest,
+                fu: *fu,
+                payload,
+                priority: *priority,
+                ttl: *ttl,
+            })
+            .collect(),
+        _ => Vec::new(),
     }
-    progress
 }
 
-/// Removes each mesh route in turn when the failure survives without
-/// it (an envelope that loses its only route legally becomes an
-/// unroutable drop; the predicate decides whether that still fails).
-fn drop_fleet_routes(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    let mut i = 0;
-    while i < state.routes.len() {
-        let mut routes = state.routes.clone();
-        routes.remove(i);
-        let candidate = state.build_full(
-            &state.clusters,
-            &state.domains,
-            &routes,
-            &state.behaviors,
-            &state.steps,
-        );
-        if predicate(&candidate) {
-            state.routes = routes;
-            progress = true;
-            // Re-check the route that slid into slot `i`.
-        } else {
-            i += 1;
-        }
+fn fleet_step_counts(step: &FleetStep) -> Vec<FleetStep> {
+    match *step {
+        FleetStep::RunRounds { rounds } => count_candidates(rounds)
+            .into_iter()
+            .map(|rounds| FleetStep::RunRounds { rounds })
+            .collect(),
+        _ => Vec::new(),
     }
-    progress
 }
 
 // ----------------------------------------------------------------------
-// Pass 5: topology dropping
+// Topology passes
 // ----------------------------------------------------------------------
 
-/// Drops any node no step references by index, remapping the indices
-/// of later nodes down by one. Destination *addresses* are left alone
-/// — a send whose receiver disappears legally resolves to
-/// [`crate::TxOutcome::NoDestination`], and the predicate decides
+/// The node a step names: its sender or woken node.
+fn step_node(step: &mut Step) -> Option<&mut usize> {
+    match step {
+        Step::Queue { node, .. } | Step::QueueUnchecked { node, .. } | Step::Wakeup { node } => {
+            Some(node)
+        }
+        Step::Run | Step::RunTransactions { .. } => None,
+    }
+}
+
+/// Drops any node no step or behavior references by index, remapping
+/// the indices of later nodes down by one. Destination *addresses*
+/// are left alone — a send whose receiver disappears legally resolves
+/// to [`crate::TxOutcome::NoDestination`], and the predicate decides
 /// whether the failure survives.
 fn drop_unreferenced_nodes(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
+    parts: &mut WorkloadParts,
+    predicate: &mut Predicate<WorkloadParts>,
 ) -> bool {
     let mut progress = false;
     let mut i = 0;
-    while i < state.nodes.len() {
+    while i < parts.nodes.len() {
         // A behavior entry is a reference too: the drop-behaviors pass
         // clears it first when it is not needed, then the node falls
         // on the next fixpoint iteration.
-        let referenced = state.behaviors.contains_key(&i)
-            || state.steps.iter().any(|s| match s {
-                Step::Queue { node, .. }
-                | Step::QueueUnchecked { node, .. }
-                | Step::Wakeup { node } => *node == i,
-                _ => false,
+        let referenced = parts.behaviors.iter().any(|&(node, _)| node == i)
+            || parts
+                .steps
+                .iter_mut()
+                .filter_map(step_node)
+                .any(|node| *node == i);
+        let shift = |node: &mut usize| *node -= usize::from(*node > i);
+        let dropped = !referenced
+            && attempt(parts, predicate, |p| {
+                p.nodes.remove(i);
+                for (node, _) in &mut p.behaviors {
+                    shift(node);
+                }
+                for node in p.steps.iter_mut().filter_map(step_node) {
+                    shift(node);
+                }
             });
-        if referenced {
-            i += 1;
-            continue;
-        }
-        let mut nodes = state.nodes.clone();
-        nodes.remove(i);
-        let behaviors: BTreeMap<usize, NodeBehavior> = state
-            .behaviors
-            .iter()
-            .map(|(&node, b)| (node - usize::from(node > i), b.clone()))
-            .collect();
-        let steps: Vec<Step> = state
-            .steps
-            .iter()
-            .cloned()
-            .map(|s| match s {
-                Step::Queue { node, msg } => Step::Queue {
-                    node: node - usize::from(node > i),
-                    msg,
-                },
-                Step::QueueUnchecked { node, msg } => Step::QueueUnchecked {
-                    node: node - usize::from(node > i),
-                    msg,
-                },
-                Step::Wakeup { node } => Step::Wakeup {
-                    node: node - usize::from(node > i),
-                },
-                other => other,
-            })
-            .collect();
-        let candidate = state.build_with(&nodes, &behaviors, &steps);
-        if predicate(&candidate) {
-            state.nodes = nodes;
-            state.behaviors = behaviors;
-            state.steps = steps;
-            progress = true;
+        if dropped {
             // Re-check the node that slid into slot `i`.
+            progress = true;
         } else {
             i += 1;
         }
@@ -570,94 +360,59 @@ fn drop_unreferenced_nodes(
     progress
 }
 
-/// Drops any cluster no step references, remapping later cluster
+/// Every fleet node a step names: its source, remote destination, or
+/// woken node.
+fn step_ids(step: &mut FleetStep) -> Vec<&mut FleetNodeId> {
+    match step {
+        FleetStep::Local { src, .. } | FleetStep::Wakeup { node: src } => vec![src],
+        FleetStep::Remote { src, dest, .. } => vec![src, dest],
+        FleetStep::Drain | FleetStep::RunRounds { .. } => Vec::new(),
+    }
+}
+
+/// Drops any cluster nothing references, remapping later cluster
 /// indices down by one — the fleet analog of
 /// [`drop_unreferenced_nodes`]. Remote destinations naming a dropped
 /// cluster would dangle, so a cluster referenced *anywhere* (src,
 /// dest, or wakeup) is kept.
 fn drop_unreferenced_clusters(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
+    parts: &mut FleetParts,
+    predicate: &mut Predicate<FleetParts>,
 ) -> bool {
     let mut progress = false;
     let mut i = 0;
-    while i < state.clusters.len() {
+    while i < parts.clusters.len() {
         // Behaviors hosted on the cluster and mesh routes hopping
         // *through* it count as references; the reactive-table passes
         // clear those first when they are not load-bearing.
-        let referenced = state.behaviors.keys().any(|id| id.cluster == i)
-            || state.routes.iter().any(|r| r.via == i)
-            || state.steps.iter().any(|s| match s {
-                FleetStep::Local { src, .. } => src.cluster == i,
-                FleetStep::Remote { src, dest, .. } => src.cluster == i || dest.cluster == i,
-                FleetStep::Wakeup { node } => node.cluster == i,
-                _ => false,
+        let referenced = parts.behaviors.iter().any(|(id, _)| id.cluster == i)
+            || parts.routes.iter().any(|r| r.via == i)
+            || parts
+                .steps
+                .iter_mut()
+                .flat_map(step_ids)
+                .any(|id| id.cluster == i);
+        let shift = |c: &mut usize| *c -= usize::from(*c > i);
+        let dropped = !referenced
+            && attempt(parts, predicate, |p| {
+                p.clusters.remove(i);
+                p.domains.remove(i);
+                // Route range bounds live in cluster-index space; shift
+                // them with the clusters they cover (`via == i` is
+                // excluded above).
+                for r in &mut p.routes {
+                    shift(&mut r.lo);
+                    shift(&mut r.hi);
+                    shift(&mut r.via);
+                }
+                for (id, _) in &mut p.behaviors {
+                    shift(&mut id.cluster);
+                }
+                for id in p.steps.iter_mut().flat_map(step_ids) {
+                    shift(&mut id.cluster);
+                }
             });
-        if referenced {
-            i += 1;
-            continue;
-        }
-        let mut clusters = state.clusters.clone();
-        clusters.remove(i);
-        let mut domains = state.domains.clone();
-        domains.remove(i);
-        let shift = |c: usize| c - usize::from(c > i);
-        // Route range bounds live in cluster-index space; shift them
-        // with the clusters they cover (`via == i` is excluded above).
-        let routes: Vec<MeshRoute> = state
-            .routes
-            .iter()
-            .map(|r| MeshRoute {
-                domain: r.domain,
-                lo: shift(r.lo),
-                hi: shift(r.hi),
-                via: shift(r.via),
-            })
-            .collect();
-        let remap = |mut id: FleetNodeId| {
-            id.cluster = shift(id.cluster);
-            id
-        };
-        let behaviors: BTreeMap<FleetNodeId, NodeBehavior> = state
-            .behaviors
-            .iter()
-            .map(|(&id, b)| (remap(id), b.clone()))
-            .collect();
-        let steps: Vec<FleetStep> = state
-            .steps
-            .iter()
-            .cloned()
-            .map(|s| match s {
-                FleetStep::Local { src, msg } => FleetStep::Local {
-                    src: remap(src),
-                    msg,
-                },
-                FleetStep::Remote {
-                    src,
-                    dest,
-                    fu,
-                    payload,
-                    priority,
-                    ttl,
-                } => FleetStep::Remote {
-                    src: remap(src),
-                    dest: remap(dest),
-                    fu,
-                    payload,
-                    priority,
-                    ttl,
-                },
-                FleetStep::Wakeup { node } => FleetStep::Wakeup { node: remap(node) },
-                other => other,
-            })
-            .collect();
-        let candidate = state.build_full(&clusters, &domains, &routes, &behaviors, &steps);
-        if predicate(&candidate) {
-            state.clusters = clusters;
-            state.domains = domains;
-            state.routes = routes;
-            state.behaviors = behaviors;
-            state.steps = steps;
+        if dropped {
             progress = true;
         } else {
             i += 1;
@@ -667,43 +422,23 @@ fn drop_unreferenced_clusters(
 }
 
 /// Trims each cluster's sensor list down to the highest ring position
-/// any step still references (position 0 is the gateway; sensors are
-/// 1-based), one cluster at a time.
-fn trim_trailing_sensors(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
+/// any step or behavior still references (position 0 is the gateway;
+/// sensors are 1-based), one cluster at a time.
+fn trim_trailing_sensors(parts: &mut FleetParts, predicate: &mut Predicate<FleetParts>) -> bool {
     let mut progress = false;
-    for c in 0..state.clusters.len() {
-        let max_node = state
+    for c in 0..parts.clusters.len() {
+        let max_node = parts
             .steps
-            .iter()
-            .flat_map(|s| match s {
-                FleetStep::Local { src, .. } => vec![*src],
-                FleetStep::Remote { src, dest, .. } => vec![*src, *dest],
-                FleetStep::Wakeup { node } => vec![*node],
-                _ => Vec::new(),
-            })
-            .chain(state.behaviors.keys().copied())
+            .iter_mut()
+            .flat_map(step_ids)
+            .map(|id| *id)
+            .chain(parts.behaviors.iter().map(|&(id, _)| id))
             .filter(|id| id.cluster == c)
             .map(|id| id.node)
             .max()
             .unwrap_or(0);
-        if max_node >= state.clusters[c].len() {
-            continue;
-        }
-        let mut clusters = state.clusters.clone();
-        clusters[c].truncate(max_node);
-        let candidate = state.build_full(
-            &clusters,
-            &state.domains,
-            &state.routes,
-            &state.behaviors,
-            &state.steps,
-        );
-        if predicate(&candidate) {
-            state.clusters = clusters;
-            progress = true;
+        if max_node < parts.clusters[c].len() {
+            progress |= attempt(parts, predicate, |p| p.clusters[c].truncate(max_node));
         }
     }
     progress

@@ -410,7 +410,7 @@ impl WireBus {
     }
 
     /// Mutable [`WireBus::try_member`].
-    fn try_member_mut(&mut self, node: usize) -> Option<&mut MemberShared> {
+    pub(crate) fn try_member_mut(&mut self, node: usize) -> Option<&mut MemberShared> {
         let comp = (*self.members.get(node)?)?;
         Some(&mut self.circuit.component_mut::<MemberComp>(comp)?.shared)
     }

@@ -79,15 +79,11 @@ pub struct WireEngine {
     exhausted: bool,
     /// Normalized records not yet handed out by `run_transaction`.
     buffered: VecDeque<EngineRecord>,
-    /// `(idle_at, winner)` of every normalized record, in order — used
-    /// to attribute `ReceivedMessage::from` when rx logs are drained.
-    winners: Vec<(SimTime, Option<NodeIndex>)>,
+    /// Per-node deliveries of absorbed transactions, `from` attributed,
+    /// not yet taken by `take_rx`.
+    rx: Vec<Vec<ReceivedMessage>>,
     stats: BusStats,
     seq: u64,
-    /// Per-node read cursors into the members' append-only event logs.
-    tx_cursor: Vec<usize>,
-    rx_cursor: Vec<usize>,
-    engaged_cursor: Vec<usize>,
 }
 
 impl WireEngine {
@@ -104,12 +100,9 @@ impl WireEngine {
             record_history: false,
             exhausted: false,
             buffered: VecDeque::new(),
-            winners: Vec::new(),
+            rx: Vec::new(),
             stats: BusStats::default(),
             seq: 0,
-            tx_cursor: Vec::new(),
-            rx_cursor: Vec::new(),
-            engaged_cursor: Vec::new(),
         }
     }
 
@@ -181,8 +174,12 @@ impl WireEngine {
         Ok(())
     }
 
-    /// Runs the circuit to quiescence and normalizes every newly
-    /// completed mediator record into an [`EngineRecord`].
+    /// Runs the circuit to quiescence, normalizes every newly completed
+    /// mediator record into an [`EngineRecord`], and moves the member
+    /// events those records absorbed out of the members' logs —
+    /// deliveries into the engine's rx logs with `from` set. A run
+    /// that exhausts its budget absorbs nothing, so an interrupted
+    /// transaction's deliveries are withheld with its record.
     fn run_and_absorb(&mut self) {
         if self.specs.is_empty() || self.exhausted {
             return;
@@ -198,6 +195,13 @@ impl WireEngine {
         };
         let n = self.specs.len();
         self.stats.ensure_nodes(n);
+        let bus = self.bus.as_mut().expect("built");
+        // Per-member counts of log entries absorbed so far in this run.
+        let mut tx_read = vec![0; n];
+        let mut rx_read = vec![0; n];
+        let mut engaged_read = vec![0; n];
+        // `(idle_at, winner)` of each record of this run, in order.
+        let mut windows = Vec::with_capacity(raw.len());
         for t in raw {
             // Attribute the transaction to the member whose transmit
             // completed inside this record's window. Events are
@@ -208,10 +212,9 @@ impl WireEngine {
             let mut member_outcome = None;
             let mut receivers = NodeSet::new();
             let mut delivered = NodeSet::new();
-            let bus = self.bus.as_ref().expect("built");
             for i in 0..n {
                 let Some(s) = bus.try_member(i) else { continue };
-                while let Some(&(at, outcome)) = s.tx_finished.get(self.tx_cursor[i]) {
+                while let Some(&(at, outcome)) = s.tx_finished.get(tx_read[i]) {
                     if at > t.idle_at {
                         break;
                     }
@@ -221,22 +224,22 @@ impl WireEngine {
                     );
                     winner = Some(i);
                     member_outcome = Some(outcome);
-                    self.tx_cursor[i] += 1;
+                    tx_read[i] += 1;
                 }
-                while let Some(&at) = s.delivered_at.get(self.rx_cursor[i]) {
-                    if at > t.idle_at {
+                while let Some(w) = s.rx_log.get(rx_read[i]) {
+                    if w.at > t.idle_at {
                         break;
                     }
                     delivered.insert(i);
                     receivers.insert(i);
-                    self.rx_cursor[i] += 1;
+                    rx_read[i] += 1;
                 }
-                while let Some(&at) = s.rx_engaged.get(self.engaged_cursor[i]) {
+                while let Some(&at) = s.rx_engaged.get(engaged_read[i]) {
                     if at > t.idle_at {
                         break;
                     }
                     receivers.insert(i);
-                    self.engaged_cursor[i] += 1;
+                    engaged_read[i] += 1;
                 }
             }
 
@@ -265,18 +268,27 @@ impl WireEngine {
             self.seq += 1;
             self.stats
                 .record_transaction(record.cycles, n, winner, receivers);
-            self.winners.push((t.idle_at, winner));
+            windows.push((t.idle_at, winner));
             self.buffered.push_back(record);
         }
-    }
-
-    /// The winner of the transaction whose window contains `at`.
-    fn winner_at(&self, at: SimTime) -> NodeIndex {
-        let idx = self.winners.partition_point(|&(idle, _)| idle < at);
-        self.winners
-            .get(idx)
-            .and_then(|&(_, winner)| winner)
-            .expect("every delivery belongs to a completed transaction with a winner")
+        for (i, rx) in self.rx.iter_mut().enumerate() {
+            let Some(s) = bus.try_member_mut(i) else {
+                continue;
+            };
+            s.tx_finished.drain(..tx_read[i]);
+            s.rx_engaged.drain(..engaged_read[i]);
+            rx.extend(s.rx_log.drain(..rx_read[i]).map(|w| {
+                let window = windows.partition_point(|&(idle, _)| idle < w.at);
+                ReceivedMessage {
+                    from: windows[window]
+                        .1
+                        .expect("a delivering transaction has a winner"),
+                    dest: w.dest,
+                    payload: w.payload,
+                    at: w.at,
+                }
+            }));
+        }
     }
 }
 
@@ -308,9 +320,7 @@ impl BusEngine for WireEngine {
             "a bus holds at most {MAX_BUS_NODES} nodes"
         );
         self.specs.push(spec);
-        self.tx_cursor.push(0);
-        self.rx_cursor.push(0);
-        self.engaged_cursor.push(0);
+        self.rx.push(Vec::new());
         self.stats.ensure_nodes(self.specs.len());
         index
     }
@@ -351,18 +361,7 @@ impl BusEngine for WireEngine {
     }
 
     fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
-        let Some(bus) = self.bus.as_mut() else {
-            return Vec::new();
-        };
-        let raw = bus.take_rx(node);
-        raw.into_iter()
-            .map(|w| ReceivedMessage {
-                from: self.winner_at(w.at),
-                dest: w.dest,
-                payload: w.payload,
-                at: w.at,
-            })
-            .collect()
+        std::mem::take(&mut self.rx[node])
     }
 
     fn stats(&self) -> BusStats {
@@ -627,5 +626,41 @@ mod tests {
         assert_eq!(stats.fwd_bits[2], bits);
         assert_eq!(stats.busy_cycles, bits);
         assert_eq!(stats.transactions, 1);
+    }
+
+    #[test]
+    fn take_rx_after_any_event_budget_names_handed_out_records() {
+        // Sweep the event budget across one transaction's whole life:
+        // wherever the budget runs out, `take_rx` must not panic, and
+        // every delivery it returns belongs to a record the engine
+        // handed out. A budget that runs out after a delivery but
+        // before quiescence withholds the delivery with its record.
+        let mut delivered = 0;
+        for budget in 1..4000 {
+            let mut e = WireEngine::new(BusConfig::default()).with_max_events(budget);
+            let a = e.add_node(
+                NodeSpec::new("a", FullPrefix::new(0x1).unwrap()).with_short_prefix(sp(1)),
+            );
+            let b = e.add_node(
+                NodeSpec::new("b", FullPrefix::new(0x2).unwrap()).with_short_prefix(sp(2)),
+            );
+            e.queue(
+                a,
+                Message::new(Address::short(sp(2), FuId::ZERO), vec![7; 4]),
+            )
+            .unwrap();
+            let records = e.run_until_quiescent();
+            for rx in e.take_rx(b) {
+                delivered += 1;
+                assert!(
+                    records
+                        .iter()
+                        .any(|r| r.winner == Some(rx.from) && r.delivered_to.contains(b)),
+                    "budget {budget}: delivery from {} has no handed-out record",
+                    rx.from
+                );
+            }
+        }
+        assert!(delivered > 0, "the sweep reaches a completed delivery");
     }
 }

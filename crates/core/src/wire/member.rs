@@ -40,14 +40,12 @@ pub(crate) struct MemberShared {
     pub layer_on: bool,
     pub bus_ctl_wakes: u64,
     pub layer_wakes: u64,
-    /// Timestamped transmit completions, append-only — the
+    /// Timestamped transmit completions — the
     /// [`WireEngine`](crate::wire::WireEngine) wrapper attributes each
-    /// mediator record to its winner by matching these against the
-    /// record's idle window.
+    /// mediator record to its winner by matching these (and `rx_log`
+    /// timestamps) against the record's idle window, draining each
+    /// entry once its record is absorbed.
     pub tx_finished: Vec<(SimTime, TxOutcome)>,
-    /// Timestamp of each delivery pushed to `rx_log`, append-only
-    /// (deliveries are attributed even after `rx_log` is drained).
-    pub delivered_at: Vec<SimTime>,
     /// Timestamps where this node was an address-matched receiver that
     /// did *not* deliver (its own abort, or a mediator cut) — it still
     /// spent receive energy on the bits that crossed.
@@ -69,7 +67,6 @@ impl MemberShared {
             bus_ctl_wakes: 0,
             layer_wakes: 0,
             tx_finished: Vec::new(),
-            delivered_at: Vec::new(),
             rx_engaged: Vec::new(),
         }
     }
@@ -645,7 +642,6 @@ impl MemberComp {
                             payload: bytes,
                             at: now,
                         });
-                        self.shared.delivered_at.push(now);
                     }
                 } else {
                     // We were receiving, but the control phase reports
