@@ -27,6 +27,10 @@
 //!    row also times `FleetReport::signature()` apart from its drain,
 //!    and the bin exits non-zero if the signature took longer than the
 //!    drain (a ratio measured in one process, so machine-independent).
+//!    Each row reports its engine polls (`run_transaction` calls)
+//!    beside its transactions, then drives the drained fleet once more:
+//!    the bin exits non-zero if that quiescent drive polled any engine
+//!    or emitted a record (counts, so machine-independent too).
 //! 3. **64k-bus fleet** — a 65536-cluster, 262144-node cross-storm
 //!    drained by the sharded runtime, the population headline.
 //! 4. **Schedule equivalence check** — the same workload, batched vs
@@ -52,7 +56,7 @@ use mbus_bench::harness::smoke_mode;
 use mbus_bench::json::Json;
 use mbus_bench::two_col_table;
 use mbus_core::{
-    EngineKind, FleetReport, FleetSchedule, FleetSignature, FleetWorkload, ShardedFleet,
+    EngineKind, Fleet, FleetReport, FleetSchedule, FleetSignature, FleetWorkload, ShardedFleet,
     SweepRunner,
 };
 
@@ -91,6 +95,8 @@ fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
 /// apart from the drain.
 struct TimedDrain {
     report: FleetReport,
+    /// The drained fleet, kept for the quiescent re-drive.
+    fleet: Fleet,
     drain_s: f64,
     signature_s: f64,
 }
@@ -111,7 +117,8 @@ fn timed_drain(
     label: &str,
 ) -> TimedDrain {
     let start = Instant::now();
-    let report = workload.run_sharded_on(EngineKind::Analytic, sharded);
+    let mut fleet = workload.instantiate(EngineKind::Analytic);
+    let report = workload.apply_sharded(&mut fleet, sharded);
     let drain_s = start.elapsed().as_secs_f64();
     assert_eq!(
         reference.records, report.records,
@@ -126,14 +133,25 @@ fn timed_drain(
     );
     TimedDrain {
         report,
+        fleet,
         drain_s,
         signature_s,
     }
 }
 
+/// Drives an already-drained fleet once more and returns whether that
+/// drive did nothing: no engine polled, no record emitted.
+fn quiescent_drive_is_free(fleet: &mut Fleet, sharded: &mut ShardedFleet) -> bool {
+    let polls = sharded.polls();
+    let mut records = 0u64;
+    sharded.drive(fleet, &mut |_| records += 1);
+    sharded.polls() == polls && records == 0
+}
+
 /// The worker-scaling stage. Returns its artifact and whether every
-/// row passed the signature gate: `FleetReport::signature()` must take
-/// no longer than the drain that produced the report.
+/// row passed both gates: `FleetReport::signature()` must take no
+/// longer than the drain that produced the report, and re-driving the
+/// drained fleet must poll no engine and emit no record.
 fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: bool) -> (Json, bool) {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
     println!(
@@ -159,7 +177,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     );
     let reference_sig = reference.signature();
     let mut rows = Vec::new();
-    let mut gate_pass = true;
+    let (mut signature_gate, mut quiescent_gate) = (true, true);
     for &workers in &worker_counts {
         // Fresh scoped threads every epoch.
         let mut spawn = ShardedFleet::per_epoch_spawn(workers);
@@ -173,7 +191,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
         .txn_per_s();
         // One set of workers per drive.
         let mut per_drive = ShardedFleet::new(workers);
-        let drive = timed_drain(
+        let mut drive = timed_drain(
             &workload,
             &mut per_drive,
             &reference,
@@ -181,8 +199,11 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             "per-drive",
         );
         let drive_txn_s = drive.txn_per_s();
-        let row_pass = drive.signature_s <= drive.drain_s;
-        gate_pass &= row_pass;
+        let (transactions, polls) = (per_drive.transactions(), per_drive.polls());
+        let signature_pass = drive.signature_s <= drive.drain_s;
+        let quiescent_pass = quiescent_drive_is_free(&mut drive.fleet, &mut per_drive);
+        signature_gate &= signature_pass;
+        quiescent_gate &= quiescent_pass;
         let fairness = drive
             .report
             .fairness
@@ -227,10 +248,18 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             fairness.epochs,
         );
         println!(
+            "      {transactions} txns, {polls} engine polls | quiescent re-drive {}",
+            if quiescent_pass {
+                "polled nothing"
+            } else {
+                "<-- FAIL: polled an engine or emitted a record"
+            },
+        );
+        println!(
             "      signature {:.1} ms vs drain {:.1} ms{}",
             drive.signature_s * 1e3,
             drive.drain_s * 1e3,
-            if row_pass {
+            if signature_pass {
                 ""
             } else {
                 "  <-- FAIL: signature > drain"
@@ -254,6 +283,9 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
                 Json::arr(fairness.shard_wall_nanos.iter().copied()),
             ),
             ("shard_wall_imbalance", fairness.shard_imbalance().into()),
+            ("transactions", transactions.into()),
+            ("polls", polls.into()),
+            ("quiescent_drive_pass", quiescent_pass.into()),
             ("drain_s", drive.drain_s.into()),
             ("signature_s", drive.signature_s.into()),
         ]));
@@ -265,9 +297,10 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
         ("rounds", rounds.into()),
         ("baseline_txn_per_s", base_txn_s.into()),
         ("rows", Json::Arr(rows)),
-        ("signature_gate_pass", gate_pass.into()),
+        ("signature_gate_pass", signature_gate.into()),
+        ("quiescent_gate_pass", quiescent_gate.into()),
     ]);
-    (artifact, gate_pass)
+    (artifact, signature_gate && quiescent_gate)
 }
 
 fn run_fleet_64k() -> Json {
@@ -413,7 +446,7 @@ fn main() {
     let headline = run_headline(clusters, sensors, rounds);
     // The worker-scaling stage drives 8192 buses in both modes (one
     // round in smoke so CI still exercises the full comparison shape).
-    let (scaling, signature_gate) = if smoke {
+    let (scaling, scaling_gates) = if smoke {
         run_worker_scaling(8192, 3, 1, true)
     } else {
         run_worker_scaling(8192, 3, 4, false)
@@ -439,9 +472,10 @@ fn main() {
         .expect("write BENCH_interleave.json");
     println!("\nwrote BENCH_interleave.json");
 
-    if !signature_gate {
+    if !scaling_gates {
         eprintln!(
-            "FAIL: a worker-scaling row's FleetReport::signature() took longer than its drain"
+            "FAIL: a worker-scaling row's FleetReport::signature() took longer than its drain, \
+             or re-driving its drained fleet polled an engine or emitted a record"
         );
         std::process::exit(1);
     }

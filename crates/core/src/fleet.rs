@@ -639,6 +639,50 @@ pub struct Fleet {
     /// (broadcasts, messages to `fu != 0`), kept per cluster so
     /// [`Fleet::take_rx`] on a gateway presence still works.
     gateway_rx: Vec<Vec<ReceivedMessage>>,
+    /// Clusters that may have pending work or an unrouted gateway
+    /// delivery. [`Fleet::queue`] and [`Fleet::request_wakeup`] add
+    /// their cluster on success, the sharded barrier adds each
+    /// forwarded leg's destination, and only a drive removes members.
+    /// Invariant: outside a drive this is a superset of the clusters
+    /// with pending work, so a [`FleetStep::RunRounds`] partial drain
+    /// (which runs only clusters with work) needs no entry of its own,
+    /// and the sharded drive polls only these clusters.
+    pending: ClusterSet,
+}
+
+/// A set of cluster indexes, one bit per cluster.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ClusterSet {
+    words: Vec<u64>,
+}
+
+impl ClusterSet {
+    /// Adds `cluster`.
+    pub(crate) fn insert(&mut self, cluster: usize) {
+        let word = cluster / 64;
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (cluster % 64);
+    }
+
+    /// Whether the set has no members.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Removes every member, returning them in ascending order.
+    pub(crate) fn take(&mut self) -> Vec<usize> {
+        let mut members = Vec::new();
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                members.push(i * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        members
+    }
 }
 
 impl Fleet {
@@ -651,6 +695,7 @@ impl Fleet {
             clusters: Vec::new(),
             gateway: GatewayNode::default(),
             gateway_rx: Vec::new(),
+            pending: ClusterSet::default(),
         }
     }
 
@@ -880,7 +925,9 @@ impl Fleet {
         if Fleet::misuses_forwarding_port(src.cluster, &msg) {
             return Err(MbusError::ReservedForwardingPort);
         }
-        self.engine_mut(src)?.queue(src.node, msg)
+        self.engine_mut(src)?.queue(src.node, msg)?;
+        self.pending.insert(src.cluster);
+        Ok(())
     }
 
     /// Builds the envelope [`Message`] that, queued on *any* cluster
@@ -982,7 +1029,9 @@ impl Fleet {
     /// [`MbusError::UnknownCluster`] / [`MbusError::UnknownNode`] for an
     /// unknown cluster / node.
     pub fn request_wakeup(&mut self, id: FleetNodeId) -> Result<(), MbusError> {
-        self.engine_mut(id)?.request_wakeup(id.node)
+        self.engine_mut(id)?.request_wakeup(id.node)?;
+        self.pending.insert(id.cluster);
+        Ok(())
     }
 
     /// Drains one gateway presence's receive log: envelopes are routed
@@ -1053,7 +1102,9 @@ impl Fleet {
     }
 
     /// The batched scheduler loop behind [`Fleet::run_until_quiescent`],
-    /// appending to `records`.
+    /// appending to `records`. It sweeps every cluster, pending or not,
+    /// so it stays the oracle that catches a missing pending-set entry
+    /// in the sharded drive.
     fn drain_into(&mut self, records: &mut Vec<FleetRecord>) {
         loop {
             let mut progressed = false;
@@ -1069,6 +1120,7 @@ impl Fleet {
                 progressed |= self.route_cluster(cluster);
             }
             if !progressed {
+                self.pending = ClusterSet::default();
                 return;
             }
         }
@@ -1085,9 +1137,10 @@ impl Fleet {
     /// Panics for an unknown cluster.
     pub fn take_rx(&mut self, id: FleetNodeId) -> Vec<ReceivedMessage> {
         if id.node == GATEWAY_NODE {
-            // The engine-side rx log is always empty here: frontends
-            // only receive during runs, and every run ends with a
-            // no-progress pass that routed (and stashed) everything.
+            // The engine-side rx log is empty after a drive: frontends
+            // only receive during runs, every cluster that ran since
+            // the last drive is in the pending set, and a drive routes
+            // (or stashes) the gateway log of every cluster it polls.
             std::mem::take(&mut self.gateway_rx[id.cluster])
         } else {
             self.clusters[id.cluster].take_rx(id.node)
@@ -1197,6 +1250,9 @@ pub struct InterleavedScheduler {
     /// the epoch's entries (scratch, reused across epochs and drives).
     active: Vec<usize>,
     transactions: u64,
+    /// `run_transaction` calls, the final `None` of each cluster's
+    /// epoch included.
+    polls: u64,
     /// Transactions per cluster across all drives, indexed by the
     /// cluster's fleet-global index.
     cluster_transactions: Vec<u64>,
@@ -1222,6 +1278,14 @@ impl InterleavedScheduler {
         self.transactions
     }
 
+    /// Engine polls this scheduler made across all epochs: every
+    /// [`BusEngine::run_transaction`] call, including the `None` that
+    /// ends each cluster's epoch. The cost the sharded drive keeps
+    /// proportional to the clusters with work, not to fleet size.
+    pub fn polls(&self) -> u64 {
+        self.polls
+    }
+
     /// Transactions each cluster ran across all epochs, indexed by the
     /// cluster's fleet-global index (clusters this scheduler never
     /// polled may be absent). Schedule-independent: the per-cluster
@@ -1233,7 +1297,8 @@ impl InterleavedScheduler {
 
     /// The starvation gauge: the most transactions that ran between
     /// two consecutive turns of any single cluster (measured within an
-    /// epoch — the barrier re-admits every cluster). Round-robin
+    /// epoch — each epoch starts a fresh rotation over the clusters it
+    /// polls). Round-robin
     /// fairness bounds this by the number of simultaneously active
     /// clusters; a cluster-major drain of the same traffic would let
     /// it grow to a whole cluster's backlog.
@@ -1300,6 +1365,7 @@ impl InterleavedScheduler {
             // round costs O(active) even when thousands of clusters
             // quiesce at once.
             let mut kept = 0;
+            self.polls += self.active.len() as u64;
             for i in 0..self.active.len() {
                 let pos = self.active[i];
                 let (cluster, engine) = &mut entries[pos];
@@ -1933,7 +1999,9 @@ impl FleetWorkload {
                     }
                     self.respond(fleet, id, b, m, agg_seen, &mut batch);
                 }
-                collected.entry(id).or_default().extend(triggers);
+                if !triggers.is_empty() {
+                    collected.entry(id).or_default().extend(triggers);
+                }
             }
             if batch.is_empty() {
                 return;
@@ -3110,7 +3178,7 @@ mod tests {
         interleaved.drive(&mut fleet, &mut |_| n += 1);
         assert_eq!(n, 2, "envelope leg + forwarded leg");
         // Epoch 1 runs the envelope and routes; epoch 2 runs the
-        // forwarded leg; the empty terminating epoch is not counted.
+        // forwarded leg, and with nothing forwarded the drive ends.
         assert_eq!(interleaved.epochs(), 2);
         let scheduler = &interleaved.shard_schedulers()[0];
         assert_eq!(scheduler.transactions(), 2);

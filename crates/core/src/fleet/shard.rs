@@ -2,9 +2,13 @@
 //! worker threads, synchronized at cross-worker gateway barriers, with
 //! shards rebalanced by measured load.
 //!
-//! This is the fleet's one interleaved drive loop. A [`ShardedFleet`]
-//! partitions a fleet's clusters into **shards**, repacked every epoch
-//! by measured per-cluster load, and, each epoch, runs one
+//! This is the fleet's one interleaved drive loop. Each epoch polls
+//! only the clusters that may have work: the first epoch of a drive
+//! takes the fleet's pending set (every cluster queued to or woken
+//! since the last drive), and each later epoch takes the destinations
+//! of the previous barrier's forwarded legs. A [`ShardedFleet`]
+//! partitions those clusters into **shards**, packed every epoch by
+//! measured per-cluster load, and, each epoch, runs one
 //! [`InterleavedScheduler`] per shard: shard 0 on the calling thread,
 //! the others on workers of a `std::thread::scope` that lives for the
 //! whole drive (or, in the [`ShardedFleet::per_epoch_spawn`] mode, for
@@ -21,6 +25,12 @@
 //! shard assignment — not just per-cluster, but in the fleet-wide
 //! record order too:
 //!
+//! * **Omitted clusters.** A cluster an epoch does not poll has no
+//!   work: it was neither queued to nor woken since its last poll, and
+//!   forwarded legs are queued only at barriers, onto clusters the
+//!   next epoch polls. Polled, it would have returned `None` at once
+//!   and handed over an empty gateway log, so it would have emitted
+//!   nothing; leaving it out changes no record, delivery or counter.
 //! * **Per-cluster streams.** Clusters share no state except through
 //!   barrier routing, and a shard's epoch issues each of its clusters
 //!   the identical `run_transaction`-until-quiescent call sequence a
@@ -80,8 +90,8 @@ use std::thread;
 use std::time::Instant;
 
 use super::{
-    Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayNode, GatewayRoutes, GatewayVerdict,
-    InterleavedScheduler, GATEWAY_NODE,
+    ClusterSet, Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayNode, GatewayRoutes,
+    GatewayVerdict, InterleavedScheduler, GATEWAY_NODE,
 };
 use crate::engine::{BusEngine, EngineRecord, ReceivedMessage};
 use crate::message::Message;
@@ -118,7 +128,7 @@ struct ShardEpoch {
 }
 
 /// One shard's epoch: interleave the shard's clusters to quiescence,
-/// then classify their gateway presences' receive logs against the
+/// then classify those clusters' gateway receive logs against the
 /// shared routing table into the shard's outbox.
 fn run_shard_epoch(
     entries: &mut ShardEntries<'_>,
@@ -186,11 +196,14 @@ impl<'a> ShardLease<'a> {
 
 /// The fleet, split for one drive: workers share the read-only routing
 /// table while the calling thread keeps the counters, the gateway
-/// stash, and every engine no shard is currently holding.
+/// stash, the pending set, and every engine no shard is currently
+/// holding.
 struct DriveState<'f> {
     routes: &'f GatewayRoutes,
     counters: &'f mut GatewayCounters,
     gateway_rx: &'f mut [Vec<ReceivedMessage>],
+    /// The clusters the next epoch polls.
+    pending: &'f mut ClusterSet,
     /// Engines by cluster; `None` while lent to a shard.
     slots: Vec<Option<&'f mut Box<dyn BusEngine>>>,
 }
@@ -203,13 +216,15 @@ struct DriveState<'f> {
 /// Every shard count yields the same record stream, receive logs,
 /// statistics and gateway counters (see the [module docs](self) for
 /// why); more shards only spread the per-epoch bus work across up to
-/// `shards` cores. Before every epoch the clusters are repacked onto
-/// the shards by greedy bin-packing on the schedulers' accumulated
-/// per-cluster transaction counters (heaviest cluster first onto the
-/// lightest shard, every tie broken by index); the counters are a pure
-/// function of the deterministic record stream, so the assignment
-/// replays identically run-to-run. `ShardedFleet::new(1)` is the
-/// single-threaded interleaved drain
+/// `shards` cores. Each epoch polls only the clusters that may have
+/// work, so a drive's cost follows its traffic, not the fleet size,
+/// and driving a quiescent fleet does nothing. Before every epoch
+/// those clusters are packed onto the shards by greedy bin-packing on
+/// the schedulers' accumulated per-cluster transaction counters
+/// (heaviest cluster first onto the lightest shard, every tie broken
+/// by index); the counters are a pure function of the deterministic
+/// record stream, so the assignment replays identically run-to-run.
+/// `ShardedFleet::new(1)` is the single-threaded interleaved drain
 /// ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved)).
 /// Each drive opens one thread scope whose workers serve every epoch of
 /// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
@@ -248,9 +263,9 @@ pub struct ShardedFleet {
     /// epochs and drives. Lent to the shard's worker during an epoch.
     schedulers: Vec<InterleavedScheduler>,
     epochs: u64,
-    /// Current cluster-to-shard assignment: `assignment[s]` lists
-    /// shard `s`'s clusters in ascending order; together the lists
-    /// partition the driven fleet's clusters.
+    /// The last epoch's cluster-to-shard assignment: `assignment[s]`
+    /// lists shard `s`'s clusters in ascending order; together the
+    /// lists partition the clusters that epoch polled.
     assignment: Vec<Vec<usize>>,
     /// Cumulative wall-clock nanoseconds per shard (epoch bodies only,
     /// barrier time excluded), indexed by shard.
@@ -296,9 +311,12 @@ impl ShardedFleet {
         self.shards
     }
 
-    /// The current cluster-to-shard assignment: entry `s` lists shard
-    /// `s`'s clusters in ascending order. Empty before the first
-    /// drive; repacked before every epoch.
+    /// The last epoch's cluster-to-shard assignment: entry `s` lists
+    /// shard `s`'s clusters in ascending order, and together the lists
+    /// partition the clusters that epoch polled — not the whole fleet,
+    /// since an epoch polls only clusters that may have work. Empty
+    /// before the first drive; repacked before every epoch, and left
+    /// as it was by a drive with nothing to do.
     pub fn shard_assignment(&self) -> &[Vec<usize>] {
         &self.assignment
     }
@@ -309,11 +327,18 @@ impl ShardedFleet {
         self.schedulers.iter().map(|s| s.transactions()).sum()
     }
 
+    /// Engine polls across all drives, summed over every shard (see
+    /// [`InterleavedScheduler::polls`]).
+    pub fn polls(&self) -> u64 {
+        self.schedulers.iter().map(|s| s.polls()).sum()
+    }
+
     /// Progress epochs (cross-worker barriers that ran a transaction
-    /// or routed an envelope) across all drives. The empty terminating
-    /// epoch every drive ends with is *not* counted, so driving an
-    /// already-quiescent fleet leaves the counter unchanged and
-    /// back-to-back drives don't inflate it:
+    /// or routed an envelope) across all drives. A drive ends as soon
+    /// as no cluster is left to poll, and an epoch that polled only
+    /// idle clusters is not counted, so driving an already-quiescent
+    /// fleet leaves the counter unchanged and back-to-back drives
+    /// don't inflate it:
     ///
     /// ```
     /// use mbus_core::fleet::{Fleet, ShardedFleet};
@@ -369,16 +394,27 @@ impl ShardedFleet {
         merged
     }
 
-    /// Repacks the fleet's `clusters` onto `workers` shards by the
-    /// schedulers' accumulated per-cluster transaction counters.
-    fn rebalance(&mut self, clusters: usize, workers: usize) {
-        let mut weights = vec![0u64; clusters];
-        for s in &self.schedulers {
-            for (c, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
-                weights[c] += n;
+    /// Packs the epoch's `active` clusters (ascending) onto `workers`
+    /// shards by the schedulers' accumulated per-cluster transaction
+    /// counters.
+    fn rebalance(&mut self, active: &[usize], workers: usize) {
+        let weights: Vec<u64> = active
+            .iter()
+            .map(|&c| {
+                self.schedulers
+                    .iter()
+                    .map(|s| s.cluster_transactions().get(c).copied().unwrap_or(0))
+                    .sum()
+            })
+            .collect();
+        self.assignment = balance_by_weight(&weights, workers);
+        // Positions into `active` become cluster indexes; `active` is
+        // ascending, so each shard's list stays ascending.
+        for members in &mut self.assignment {
+            for c in members.iter_mut() {
+                *c = active[*c];
             }
         }
-        self.assignment = balance_by_weight(&weights, workers);
     }
 
     /// Runs `fleet` until no bus has pending work and no envelope is
@@ -387,11 +423,10 @@ impl ShardedFleet {
     /// barrier merges the shards' emissions by `(round, cluster)`;
     /// records therefore reach `sink` in epoch-sized batches).
     pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        let n = fleet.clusters.len();
-        if n == 0 {
+        if fleet.pending.is_empty() {
             return;
         }
-        let workers = self.shards.min(n);
+        let workers = self.shards.min(fleet.clusters.len());
         if self.schedulers.len() < workers {
             self.schedulers
                 .resize_with(workers, InterleavedScheduler::new);
@@ -403,6 +438,7 @@ impl ShardedFleet {
             clusters,
             gateway,
             gateway_rx,
+            pending,
             ..
         } = fleet;
         let GatewayNode { routes, counters } = gateway;
@@ -411,10 +447,10 @@ impl ShardedFleet {
             routes,
             counters,
             gateway_rx,
+            pending,
             slots: clusters.iter_mut().map(Some).collect(),
         };
-        let mut progressed = true;
-        while progressed {
+        while !state.pending.is_empty() {
             // Shard 0 runs on this thread; shards 1.. each get a
             // worker that serves leases until its channel closes. The
             // scope outlives every lease, so the borrow checker proves
@@ -436,8 +472,8 @@ impl ShardedFleet {
                     })
                     .unzip();
                 loop {
-                    progressed = self.epoch(&mut state, &lanes, &done, sink);
-                    if !progressed || !self.scope_per_drive {
+                    self.epoch(&mut state, &lanes, &done, sink);
+                    if state.pending.is_empty() || !self.scope_per_drive {
                         break;
                     }
                 }
@@ -454,17 +490,20 @@ impl ShardedFleet {
         }
     }
 
-    /// Runs one epoch — shard 0 here, shard `s` on `lanes[s - 1]` —
-    /// and its barrier. Returns whether the epoch made progress (ran a
-    /// transaction or routed an envelope).
+    /// Runs one epoch over the pending clusters — shard 0 here, shard
+    /// `s` on `lanes[s - 1]` — and its barrier, which leaves the
+    /// destinations of the epoch's forwarded legs as the next pending
+    /// set. Counts the epoch if it made progress (ran a transaction or
+    /// routed an envelope).
     fn epoch<'f>(
         &mut self,
         state: &mut DriveState<'f>,
         lanes: &[Sender<ShardLease<'f>>],
         done: &Receiver<Returned<'f>>,
         sink: &mut dyn FnMut(FleetRecord),
-    ) -> bool {
-        self.rebalance(state.slots.len(), lanes.len() + 1);
+    ) {
+        let active = state.pending.take();
+        self.rebalance(&active, lanes.len() + 1);
 
         // Lend each shard exclusive access to exactly its clusters'
         // engines, plus its scheduler.
@@ -508,6 +547,11 @@ impl ShardedFleet {
             }
         }
         if let Some(payload) = first_panic {
+            // The panicking shard's clusters may still have work; keep
+            // the pending set a superset of them.
+            for c in active {
+                state.pending.insert(c);
+            }
             panic::resume_unwind(payload);
         }
 
@@ -541,7 +585,8 @@ impl ShardedFleet {
         // Barrier, part 3: queue forwarded legs on their destination
         // buses in (source cluster, receive position) order — the
         // stable sort restores the batched route_cluster loop's order
-        // across non-contiguous shards.
+        // across non-contiguous shards. The destinations are exactly
+        // the clusters the next epoch polls.
         forwards.sort_by_key(|&(src, _, _)| src);
         let routed = !forwards.is_empty();
         for (_, dest_cluster, msg) in forwards {
@@ -550,12 +595,11 @@ impl ShardedFleet {
                 .expect("every lease is home at the barrier")
                 .queue(GATEWAY_NODE, msg)
                 .expect("forwarded leg is shorter than its envelope");
+            state.pending.insert(dest_cluster);
         }
-        if !ran && !routed {
-            return false;
+        if ran || routed {
+            self.epochs += 1;
         }
-        self.epochs += 1;
-        true
     }
 }
 
@@ -655,8 +699,9 @@ mod tests {
             assert_eq!(n, 2, "envelope + forwarded leg");
         }
         assert_eq!(sharded.transactions(), 4);
-        // Each drive: envelope epoch + forwarded epoch; the empty
-        // terminating epoch is not counted (see `epochs`).
+        // Each drive: envelope epoch + forwarded epoch; the drive ends
+        // once no cluster is pending, with no empty sweep (see
+        // `epochs`).
         assert_eq!(sharded.epochs(), 4);
         sharded.drive(&mut fleet, &mut |_| {});
         assert_eq!(sharded.epochs(), 4, "quiescent drive adds no epoch");
@@ -798,22 +843,89 @@ mod tests {
 
     #[test]
     fn assignment_refreshes_on_rebalance_and_resize() {
+        // The assignment partitions the clusters the last epoch polled:
+        // the destinations of the drive's final forwarded legs, not the
+        // whole fleet.
         let mut sharded = ShardedFleet::new(2);
         let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
-        fleet
-            .queue_remote(
-                FleetNodeId::new(0, 1),
-                FleetNodeId::new(4, 1),
-                FuId::ZERO,
-                vec![1],
-            )
-            .unwrap();
-        sharded.drive(&mut fleet, &mut |_| {});
-        let assignment = sharded.shard_assignment().to_vec();
-        assert_eq!(assignment.len(), 2);
-        let mut all: Vec<usize> = assignment.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>(), "partition of the fleet");
+        let mut last_epoch = |fleet: &mut Fleet, pairs: &[(usize, usize)]| {
+            for &(src, dst) in pairs {
+                fleet
+                    .queue_remote(
+                        FleetNodeId::new(src, 1),
+                        FleetNodeId::new(dst, 1),
+                        FuId::ZERO,
+                        vec![src as u8],
+                    )
+                    .unwrap();
+            }
+            sharded.drive(fleet, &mut |_| {});
+            let assignment = sharded.shard_assignment().to_vec();
+            assert_eq!(assignment.len(), 2);
+            for members in &assignment {
+                assert!(members.is_sorted(), "{assignment:?} lists ascend");
+            }
+            let mut all: Vec<usize> = assignment.into_iter().flatten().collect();
+            all.sort_unstable();
+            all
+        };
+        assert_eq!(last_epoch(&mut fleet, &[(0, 4), (3, 6)]), vec![4, 6]);
+        assert_eq!(
+            last_epoch(&mut fleet, &[(1, 5), (2, 5), (7, 2)]),
+            vec![2, 5],
+            "refreshed by the next drive"
+        );
+        assert_eq!(
+            last_epoch(&mut fleet, &[]),
+            vec![2, 5],
+            "a quiescent drive leaves it as it was"
+        );
+    }
+
+    #[test]
+    fn polls_scale_with_traffic_not_fleet_size() {
+        // The same two-cluster exchange on an 8-cluster and a
+        // 4096-cluster fleet makes exactly the same engine polls: each
+        // epoch polls only the clusters with work. Driving the
+        // quiescent fleet again polls nothing and counts no epoch.
+        for shards in [1, 2, 7] {
+            let counts: Vec<(u64, u64, u64)> = [8, 4096]
+                .into_iter()
+                .map(|clusters| {
+                    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+                    for _ in 0..clusters {
+                        let c = fleet.add_cluster();
+                        fleet.add_sensor(c, false);
+                    }
+                    for (src, dst) in [(2, 5), (5, 2)] {
+                        fleet
+                            .queue_remote(
+                                FleetNodeId::new(src, 1),
+                                FleetNodeId::new(dst, 1),
+                                FuId::ZERO,
+                                vec![src as u8],
+                            )
+                            .unwrap();
+                    }
+                    let mut sharded = ShardedFleet::new(shards);
+                    let mut records = 0;
+                    sharded.drive(&mut fleet, &mut |_| records += 1);
+                    assert_eq!(records, 4, "two envelopes + two forwarded legs");
+                    let counts = (sharded.polls(), sharded.transactions(), sharded.epochs());
+                    sharded.drive(&mut fleet, &mut |_| panic!("quiescent: no records"));
+                    assert_eq!(
+                        (sharded.polls(), sharded.transactions(), sharded.epochs()),
+                        counts,
+                        "shards={shards} clusters={clusters}: a quiescent drive is free"
+                    );
+                    counts
+                })
+                .collect();
+            // Epoch 1 polls clusters 2 and 5 twice each (envelope,
+            // then `None`); epoch 2 polls them again for the legs.
+            assert_eq!(counts[0], (8, 4, 2), "shards={shards}");
+            assert_eq!(counts[0], counts[1], "shards={shards}");
+        }
     }
 
     #[test]

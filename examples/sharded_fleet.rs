@@ -93,14 +93,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 4. Measured rebalancing. -----------------------------------
     // Sense-and-aggregate funnels every reading to cluster 0, so after
     // a drive's worth of transaction counters the greedy packer
-    // isolates the hot cluster on its own shard.
+    // isolates the hot cluster on its own shard. Each epoch packs only
+    // the clusters it polls, so the assignment printed is the last
+    // epoch's: the clusters its forwarded legs landed on.
     let hot = FleetWorkload::sense_and_aggregate(9, 3, 3);
     let mut balanced = ShardedFleet::new(3);
     let once = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
     let twice = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
     assert_eq!(once.records, twice.records, "rebalancing never moves a bit");
     println!(
-        "\nmeasured balance after a hot aggregation drive: shards {:?}",
+        "\nmeasured balance of the last epoch's polled clusters after a hot aggregation drive: shards {:?}",
         balanced.shard_assignment(),
     );
     Ok(())

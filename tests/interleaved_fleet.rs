@@ -173,7 +173,7 @@ fn scheduler_counters_and_reuse_across_drives() {
     assert_eq!(interleaved.transactions(), 4);
     assert_eq!(interleaved.shard_schedulers()[0].transactions(), 4);
     // Two progress epochs per drive (envelope, then forwarded leg);
-    // the terminating empty epochs are not counted — see the
+    // each drive ends once no cluster is pending — see the
     // `ShardedFleet::epochs` contract.
     assert_eq!(interleaved.epochs(), 4);
     // A drive over an already-quiescent fleet adds nothing: the

@@ -22,10 +22,11 @@
 
 mod common;
 
+use mbus_core::behavior::with_return_address;
 use mbus_core::fleet::{Fleet, FleetNodeId, GatewayNode, ShardedFleet, GATEWAY_NODE};
 use mbus_core::{
     Address, BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId, FullPrefix, Message,
-    ShortPrefix,
+    NodeBehavior, ShortPrefix,
 };
 
 /// The acceptance-bar shard counts: degenerate, even, ragged, and
@@ -324,4 +325,105 @@ fn sharded_scheduler_reuse_reports_per_shard() {
         assert_eq!(fleet.take_rx(FleetNodeId::new(c, 1)).len(), 2);
         assert!(fleet.take_rx(FleetNodeId::new(c, GATEWAY_NODE)).is_empty());
     }
+}
+
+/// batched ≡ interleaved ≡ sharded {2, 7} on both engine kinds. The
+/// batched drain sweeps every cluster, so it is the oracle for the
+/// sharded drive's pending set: a cluster the set misses is never
+/// polled there, and the signatures part.
+fn assert_schedules_agree(w: &FleetWorkload) {
+    for kind in EngineKind::ALL {
+        let batched = w.run_scheduled_on(kind, FleetSchedule::Batched);
+        let interleaved = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
+        assert_eq!(batched.signature(), interleaved.signature(), "{kind}");
+        for shards in [2, 7] {
+            common::sharded_crosscheck(w, kind, &interleaved, shards);
+        }
+    }
+}
+
+#[test]
+fn pending_set_covers_a_wakeup_on_an_idle_cluster() {
+    // `Fleet::request_wakeup` must mark its cluster: cluster 2 has no
+    // queued traffic, only the interrupt.
+    let w = FleetWorkload::new("pending/wakeup", BusConfig::default())
+        .cluster(vec![false])
+        .cluster(vec![false])
+        .cluster(vec![true, false])
+        .send_remote(
+            FleetNodeId::new(0, 1),
+            FleetNodeId::new(1, 1),
+            FuId::ZERO,
+            vec![1],
+        )
+        .drain()
+        .wakeup(FleetNodeId::new(2, 1))
+        .drain();
+    // Strict nulls: the wakeup's null transaction is in the signature.
+    assert!(w.strict_nulls());
+    assert_schedules_agree(&w);
+}
+
+#[test]
+fn pending_set_keeps_a_partly_drained_cluster_until_a_drive() {
+    // `drain-rounds 1` runs cluster 0's only envelope leg, so cluster
+    // 0 has no work left — but its gateway still holds the unrouted
+    // envelope. The next drain brings no new traffic to cluster 0 and
+    // must still route it: a partial drain clears nothing.
+    let w = FleetWorkload::new("pending/partial", BusConfig::default())
+        .cluster(vec![false])
+        .cluster(vec![false])
+        .cluster(vec![false, false])
+        .send_remote(
+            FleetNodeId::new(0, 1),
+            FleetNodeId::new(1, 1),
+            FuId::ZERO,
+            vec![0xA0],
+        )
+        .drain_rounds(1)
+        .send_local(
+            FleetNodeId::new(2, 1),
+            Message::new(
+                Address::short(ShortPrefix::new(0x3).unwrap(), FuId::ZERO),
+                vec![0xB0],
+            ),
+        )
+        .drain();
+    assert_schedules_agree(&w);
+}
+
+#[test]
+fn pending_set_follows_forwarded_legs_and_replies_to_idle_clusters() {
+    // Cluster 0 asks cluster 1, naming cluster 2's sensor as the
+    // return address. The forwarded request lands on cluster 1 and
+    // the behavior reply's forwarded leg on cluster 2, both idle until
+    // then: the barrier and the reply's `Fleet::queue` must mark them.
+    let reply_fu = FuId::new(0x3).unwrap();
+    let topology = FleetWorkload::new("pending/reply", BusConfig::default())
+        .cluster(vec![false])
+        .cluster(vec![false])
+        .cluster(vec![false]);
+    let return_to = topology
+        .instantiate(EngineKind::Analytic)
+        .spec(FleetNodeId::new(2, 1))
+        .full_prefix();
+    let w = topology
+        .behavior(
+            FleetNodeId::new(1, 1),
+            NodeBehavior::Reply {
+                fu: reply_fu,
+                payload: vec![0xAC],
+            },
+        )
+        .send_remote(
+            FleetNodeId::new(0, 1),
+            FleetNodeId::new(1, 1),
+            FuId::ZERO,
+            with_return_address(return_to, reply_fu, &[0x01]),
+        )
+        .drain();
+    let report = w.run_on(EngineKind::Analytic);
+    assert_eq!(report.injected_replies, 1);
+    assert_eq!(report.rx[2][1].len(), 1, "the reply reached cluster 2");
+    assert_schedules_agree(&w);
 }
