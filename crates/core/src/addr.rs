@@ -221,6 +221,14 @@ pub const FULL_ADDRESS_ESCAPE: u8 = 0xF;
 /// The prefix nibble reserved for broadcast messages.
 pub const BROADCAST_PREFIX: u8 = 0x0;
 
+/// The 4 on-wire bytes of [`Address::Full`] `{ prefix, fu_id }`, as an
+/// array, so envelope builders can write them into a buffer sized once.
+pub(crate) fn full_address_bytes(prefix: FullPrefix, fu_id: FuId) -> [u8; 4] {
+    let word: u32 =
+        ((FULL_ADDRESS_ESCAPE as u32) << 28) | (prefix.raw() << 8) | ((fu_id.raw() as u32) << 4);
+    word.to_be_bytes()
+}
+
 impl Address {
     /// Convenience constructor for a short unicast address.
     pub fn short(prefix: ShortPrefix, fu_id: FuId) -> Self {
@@ -256,12 +264,7 @@ impl Address {
         match *self {
             Address::Short { prefix, fu_id } => vec![(prefix.raw() << 4) | fu_id.raw()],
             Address::Broadcast { channel } => vec![(BROADCAST_PREFIX << 4) | channel.raw()],
-            Address::Full { prefix, fu_id } => {
-                let word: u32 = ((FULL_ADDRESS_ESCAPE as u32) << 28)
-                    | (prefix.raw() << 8)
-                    | ((fu_id.raw() as u32) << 4);
-                word.to_be_bytes().to_vec()
-            }
+            Address::Full { prefix, fu_id } => full_address_bytes(prefix, fu_id).to_vec(),
         }
     }
 

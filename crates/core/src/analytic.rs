@@ -384,9 +384,15 @@ impl AnalyticBus {
         withdrew
     }
 
+    /// Moves a node's received messages onto the end of `out` (see
+    /// [`BusEngine::drain_rx`]).
+    pub fn drain_rx(&mut self, node: NodeIndex, out: &mut Vec<ReceivedMessage>) {
+        out.append(&mut self.nodes[node].rx_log);
+    }
+
     /// Drains a node's received messages.
     pub fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
-        std::mem::take(&mut self.nodes[node].rx_log)
+        BusEngine::take_rx(self, node)
     }
 
     /// Number of completed self-wake events on a node.
@@ -627,18 +633,28 @@ impl AnalyticBus {
 
         // Deliver to destination layers on success; wake them first
         // (§4.4: only the destination node powers past the bus ctl).
+        // The payload moves into the last receiver's log; only the
+        // earlier receivers of a multicast or broadcast get a copy.
         let mut delivered_to = NodeSet::new();
         if matches!(outcome, TxOutcome::Acked) {
             let at = self.now + self.config.clock_period() * cycles;
+            let mut payload = msg.into_payload();
+            let mut copies = dest_nodes.len();
             for i in dest_nodes.iter() {
                 if !self.nodes[i].power.layer().is_on() {
                     while self.nodes[i].power.clock_edge_toward_layer().is_some() {}
                     self.stats.layer_wakes[i] += 1;
                 }
+                copies -= 1;
+                let payload = if copies == 0 {
+                    std::mem::take(&mut payload)
+                } else {
+                    payload.clone()
+                };
                 self.nodes[i].rx_log.push(ReceivedMessage {
                     from: winner,
                     dest,
-                    payload: msg.payload().to_vec(),
+                    payload,
                     at,
                 });
             }
@@ -735,8 +751,8 @@ impl BusEngine for AnalyticBus {
         AnalyticBus::run_transaction(self)
     }
 
-    fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
-        AnalyticBus::take_rx(self, node)
+    fn drain_rx(&mut self, node: NodeIndex, out: &mut Vec<ReceivedMessage>) {
+        AnalyticBus::drain_rx(self, node, out)
     }
 
     fn stats(&self) -> BusStats {

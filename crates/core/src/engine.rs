@@ -256,6 +256,11 @@ impl NodeSet {
         NodeSet(self.0 & other.0)
     }
 
+    /// The members of `self`, `other`, or both.
+    pub fn union(self, other: NodeSet) -> NodeSet {
+        NodeSet(self.0 | other.0)
+    }
+
     /// The smallest member at index `i` or later, if any.
     pub fn next_at_or_after(self, i: usize) -> Option<usize> {
         if i >= MAX_BUS_NODES {
@@ -394,8 +399,9 @@ pub fn build_engine(kind: EngineKind, config: BusConfig) -> Box<dyn BusEngine> {
 ///   wire engine runs its event queue to quiescence and buffers the
 ///   records), so interleaving `queue` calls between `run_transaction`
 ///   calls must not assume the bus is paused between records.
-/// * [`take_rx`](BusEngine::take_rx) drains: a second call without new
-///   traffic returns an empty vec.
+/// * [`drain_rx`](BusEngine::drain_rx) and
+///   [`take_rx`](BusEngine::take_rx) drain: a second call without new
+///   traffic yields nothing.
 /// * Engines are `Send`: an engine owns its whole state, so the sharded
 ///   fleet can lend it to a worker thread for an epoch.
 pub trait BusEngine: Send {
@@ -474,8 +480,19 @@ pub trait BusEngine: Send {
         std::iter::from_fn(|| self.run_transaction()).collect()
     }
 
-    /// Drains a node's received messages.
-    fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage>;
+    /// Moves a node's received messages, in delivery order, onto the
+    /// end of `out`. The engine's log keeps its capacity, so a caller
+    /// that drains into one reused buffer allocates nothing per call
+    /// once both have grown.
+    fn drain_rx(&mut self, node: NodeIndex, out: &mut Vec<ReceivedMessage>);
+
+    /// Drains a node's received messages into a new vec:
+    /// [`drain_rx`](BusEngine::drain_rx) into an empty one.
+    fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
+        let mut rx = Vec::new();
+        self.drain_rx(node, &mut rx);
+        rx
+    }
 
     /// A snapshot of the cumulative statistics.
     fn stats(&self) -> BusStats;

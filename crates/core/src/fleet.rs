@@ -74,11 +74,12 @@ use std::fmt;
 
 pub use shard::ShardedFleet;
 
-use crate::addr::{Address, FuId, FullPrefix, ShortPrefix};
+use crate::addr::{full_address_bytes, Address, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{self, NodeBehavior, DEFAULT_REPLY_HORIZON};
 use crate::config::BusConfig;
 use crate::engine::{
-    build_engine, BusEngine, BusStats, EngineKind, EngineRecord, NodeIndex, ReceivedMessage,
+    build_engine, BusEngine, BusStats, EngineKind, EngineRecord, NodeIndex, NodeSet,
+    ReceivedMessage,
 };
 use crate::error::MbusError;
 use crate::message::Message;
@@ -439,7 +440,10 @@ impl GatewayRoutes {
 
     /// Classifies one message a gateway presence received: local
     /// traffic, a routable envelope (with its forwarded leg built), or
-    /// a drop. Pure with respect to the routes, so shard
+    /// a drop. A forwarded leg is built in place: the envelope header
+    /// is drained from the front of the received payload, so the leg
+    /// reuses the envelope's buffer instead of copying the inner bytes.
+    /// Pure with respect to the routes, so shard
     /// workers can run it concurrently against per-shard `counters`;
     /// every counter update classification implies (forwards, hop
     /// forwards, per-hop drops) happens in here, keeping the
@@ -467,6 +471,7 @@ impl GatewayRoutes {
             counters.drop_on(cluster);
             return GatewayVerdict::Drop;
         };
+        let header = m.payload.len() - inner.len();
         if ttl == 0 {
             // A hand-built v2 header with a spent TTL cannot take even
             // the terminal leg.
@@ -482,9 +487,12 @@ impl GatewayRoutes {
             if let Some(dest_cluster) = host {
                 if self.domain_of(dest_cluster) == self.domain_of(at) {
                     counters.forwarded += 1;
+                    // The forwarded leg reuses the envelope's buffer.
+                    let mut inner = m.payload;
+                    inner.drain(..header);
                     return GatewayVerdict::Forward {
                         dest_cluster,
-                        msg: Message::new(Address::full(prefix, fu), inner.to_vec()),
+                        msg: Message::new(Address::full(prefix, fu), inner),
                     };
                 }
             }
@@ -578,7 +586,8 @@ impl GatewayNode {
     /// what the sender puts on its own bus, addressed to the gateway's
     /// forwarding port (`0x1.fu0`).
     pub fn encapsulate(dest: FullPrefix, fu: FuId, payload: &[u8]) -> Vec<u8> {
-        let mut bytes = Address::full(dest, fu).encode();
+        let mut bytes = Vec::with_capacity(4 + payload.len());
+        bytes.extend_from_slice(&full_address_bytes(dest, fu));
         bytes.extend_from_slice(payload);
         bytes
     }
@@ -593,8 +602,9 @@ impl GatewayNode {
             (1..=MAX_TTL).contains(&ttl),
             "envelope TTL must be in 1..={MAX_TTL}"
         );
-        let mut bytes = vec![ENVELOPE_MAGIC, ttl << 4];
-        bytes.extend_from_slice(&Address::full(dest, fu).encode());
+        let mut bytes = Vec::with_capacity(MAX_ENVELOPE_HEADER + payload.len());
+        bytes.extend_from_slice(&[ENVELOPE_MAGIC, ttl << 4]);
+        bytes.extend_from_slice(&full_address_bytes(dest, fu));
         bytes.extend_from_slice(payload);
         bytes
     }
@@ -671,16 +681,22 @@ impl ClusterSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The members in ascending order, leaving the set unchanged.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| i * 64 + bits.trailing_zeros() as usize);
+                bits &= bits.wrapping_sub(1);
+                bit
+            })
+        })
+    }
+
     /// Removes every member, returning them in ascending order.
     pub(crate) fn take(&mut self) -> Vec<usize> {
-        let mut members = Vec::new();
-        for (i, word) in self.words.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                members.push(i * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+        let members = self.iter().collect();
+        self.words.fill(0);
         members
     }
 }
@@ -974,16 +990,12 @@ impl Fleet {
         payload: Vec<u8>,
         ttl: u8,
     ) -> Result<Message, MbusError> {
-        if !(1..=MAX_TTL).contains(&ttl) {
-            return Err(MbusError::MalformedAddress {
-                reason: "envelope TTL out of range (1..=15)",
-            });
-        }
         self.remote_envelope(dest, fu, &payload, Some(ttl))
     }
 
     /// The shared body of [`Fleet::remote_message`] and
-    /// [`Fleet::remote_message_ttl`].
+    /// [`Fleet::remote_message_ttl`], borrowing the payload so a
+    /// replayed [`FleetStep::Remote`] copies it only into the envelope.
     fn remote_envelope(
         &self,
         dest: FleetNodeId,
@@ -991,6 +1003,11 @@ impl Fleet {
         payload: &[u8],
         ttl: Option<u8>,
     ) -> Result<Message, MbusError> {
+        if ttl.is_some_and(|t| !(1..=MAX_TTL).contains(&t)) {
+            return Err(MbusError::MalformedAddress {
+                reason: "envelope TTL out of range (1..=15)",
+            });
+        }
         if dest.node >= self.engine(dest)?.node_count() {
             return Err(MbusError::UnknownNode { index: dest.node });
         }
@@ -1034,7 +1051,8 @@ impl Fleet {
         Ok(())
     }
 
-    /// Drains one gateway presence's receive log: envelopes are routed
+    /// Drains one gateway presence's receive log through the caller's
+    /// reused `inbox` (left empty again): envelopes are routed
     /// (queued full-prefix addressed on the destination bus), everything
     /// else is stashed for [`Fleet::take_rx`]. Returns whether any
     /// envelope was routed.
@@ -1045,7 +1063,7 @@ impl Fleet {
     /// that reaches the port through a path the queue-time check never
     /// saw, is still counted against the receiving cluster rather than
     /// vanishing.
-    fn route_cluster(&mut self, cluster: usize) -> bool {
+    fn route_cluster(&mut self, cluster: usize, inbox: &mut Vec<ReceivedMessage>) -> bool {
         // Disjoint field borrows: the routing table stays shared while
         // the counters and destination engines take mutable borrows.
         let Fleet {
@@ -1056,7 +1074,8 @@ impl Fleet {
         } = self;
         let GatewayNode { routes, counters } = gateway;
         let mut progressed = false;
-        for m in clusters[cluster].take_rx(GATEWAY_NODE) {
+        clusters[cluster].drain_rx(GATEWAY_NODE, inbox);
+        for m in inbox.drain(..) {
             match routes.classify(cluster, m, counters) {
                 GatewayVerdict::Local(m) => gateway_rx[cluster].push(m),
                 GatewayVerdict::Forward { dest_cluster, msg } => {
@@ -1106,6 +1125,7 @@ impl Fleet {
     /// so it stays the oracle that catches a missing pending-set entry
     /// in the sharded drive.
     fn drain_into(&mut self, records: &mut Vec<FleetRecord>) {
+        let mut inbox = Vec::new();
         loop {
             let mut progressed = false;
             for cluster in 0..self.clusters.len() {
@@ -1117,7 +1137,7 @@ impl Fleet {
             // Epoch barrier: every cluster is quiescent; route all
             // gateway presences in index order.
             for cluster in 0..self.clusters.len() {
-                progressed |= self.route_cluster(cluster);
+                progressed |= self.route_cluster(cluster, &mut inbox);
             }
             if !progressed {
                 self.pending = ClusterSet::default();
@@ -1136,14 +1156,23 @@ impl Fleet {
     ///
     /// Panics for an unknown cluster.
     pub fn take_rx(&mut self, id: FleetNodeId) -> Vec<ReceivedMessage> {
+        let mut rx = Vec::new();
+        self.drain_rx(id, &mut rx);
+        rx
+    }
+
+    /// [`Fleet::take_rx`], appending to `out` instead: the
+    /// [`BusEngine::drain_rx`] of the fleet, so behavior settle moves
+    /// deliveries straight into each node's collected log.
+    pub(crate) fn drain_rx(&mut self, id: FleetNodeId, out: &mut Vec<ReceivedMessage>) {
         if id.node == GATEWAY_NODE {
             // The engine-side rx log is empty after a drive: frontends
             // only receive during runs, every cluster that ran since
             // the last drive is in the pending set, and a drive routes
             // (or stashes) the gateway log of every cluster it polls.
-            std::mem::take(&mut self.gateway_rx[id.cluster])
+            out.append(&mut self.gateway_rx[id.cluster]);
         } else {
-            self.clusters[id.cluster].take_rx(id.node)
+            self.clusters[id.cluster].drain_rx(id.node, out);
         }
     }
 }
@@ -1853,11 +1882,18 @@ impl FleetWorkload {
             "fleet mesh routes do not match workload '{}'",
             self.name
         );
+        self.replay(fleet, drain, &mut SettleState::new(self))
+    }
+
+    /// Replays the steps on a topology-checked fleet, settling
+    /// behaviors through `settle`, and assembles the report.
+    fn replay(
+        &self,
+        fleet: &mut Fleet,
+        drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
+        settle: &mut SettleState<'_>,
+    ) -> FleetReport {
         let mut records = Vec::new();
-        let mut collected: BTreeMap<FleetNodeId, Vec<ReceivedMessage>> = BTreeMap::new();
-        let mut agg_seen: BTreeMap<FleetNodeId, u32> = BTreeMap::new();
-        let mut injected_replies = 0u64;
-        let mut reply_rounds = 0u64;
         for step in &self.steps {
             match step {
                 FleetStep::Local { src, msg } => {
@@ -1871,11 +1907,9 @@ impl FleetWorkload {
                     priority,
                     ttl,
                 } => {
-                    let mut msg = match ttl {
-                        Some(t) => fleet.remote_message_ttl(*dest, *fu, payload.clone(), *t),
-                        None => fleet.remote_message(*dest, *fu, payload.clone()),
-                    }
-                    .expect("fleet remote step");
+                    let mut msg = fleet
+                        .remote_envelope(*dest, *fu, payload, *ttl)
+                        .expect("fleet remote step");
                     if *priority {
                         msg = msg.with_priority();
                     }
@@ -1886,23 +1920,21 @@ impl FleetWorkload {
                 }
                 FleetStep::Drain => {
                     drain(fleet, &mut records);
-                    self.settle_behaviors(
-                        fleet,
-                        drain,
-                        &mut records,
-                        &mut collected,
-                        &mut agg_seen,
-                        &mut injected_replies,
-                        &mut reply_rounds,
-                    );
+                    self.settle_behaviors(fleet, drain, &mut records, settle);
                 }
                 // One fixed round-robin mini-drain regardless of the
                 // schedule, so partial drains cannot break
-                // schedule-independence (see the step docs).
+                // schedule-independence (see the step docs). Only
+                // pending clusters can have work; any other would
+                // return `None`, so polling just those (ascending)
+                // emits the same records.
                 FleetStep::RunRounds { rounds } => {
+                    let Fleet {
+                        clusters, pending, ..
+                    } = &mut *fleet;
                     for _ in 0..*rounds {
-                        for cluster in 0..fleet.clusters.len() {
-                            if let Some(record) = fleet.clusters[cluster].run_transaction() {
+                        for cluster in pending.iter() {
+                            if let Some(record) = clusters[cluster].run_transaction() {
                                 records.push(FleetRecord { cluster, record });
                             }
                         }
@@ -1912,15 +1944,7 @@ impl FleetWorkload {
         }
         if !matches!(self.steps.last(), Some(FleetStep::Drain)) {
             drain(fleet, &mut records);
-            self.settle_behaviors(
-                fleet,
-                drain,
-                &mut records,
-                &mut collected,
-                &mut agg_seen,
-                &mut injected_replies,
-                &mut reply_rounds,
-            );
+            self.settle_behaviors(fleet, drain, &mut records, settle);
         }
         let clusters = fleet.cluster_count();
         let rx = (0..clusters)
@@ -1931,8 +1955,8 @@ impl FleetWorkload {
                         // drained at the settle barriers; splice them
                         // back in delivery order ahead of the rest.
                         let id = FleetNodeId::new(c, n);
-                        let mut log = collected.remove(&id).unwrap_or_default();
-                        log.extend(fleet.take_rx(id));
+                        let mut log = settle.take_collected(id);
+                        fleet.drain_rx(id, &mut log);
                         log
                     })
                     .collect()
@@ -1961,85 +1985,108 @@ impl FleetWorkload {
             ttl_drops: (0..clusters)
                 .map(|c| fleet.gateway().ttl_dropped_on(c))
                 .collect(),
-            injected_replies,
-            reply_rounds,
+            injected_replies: settle.injected,
+            reply_rounds: settle.rounds,
             fairness: None,
             strict_nulls: self.strict_nulls,
         }
     }
 
     /// Runs the horizon-bounded reply-injection loop at a drain
-    /// barrier: each round drains every behavior node's receive log,
-    /// computes responses in node order, queues them, and re-drains
-    /// the fleet through the *same* schedule-generic `drain` the
-    /// quiescence barriers use — so every schedule (and shard count)
-    /// reaches the identical pre-injection state and injects the
-    /// identical batch.
-    #[allow(clippy::too_many_arguments)]
+    /// barrier: each round drains the receive log of every behavior
+    /// node that may have received something, computes responses in
+    /// node order, queues them, and re-drains the fleet through the
+    /// *same* schedule-generic `drain` the quiescence barriers use —
+    /// so every schedule (and shard count) reaches the identical
+    /// pre-injection state and injects the identical batch.
+    ///
+    /// A round visits only the behavior nodes named in the
+    /// `delivered_to` set of a record emitted since the previous visit
+    /// (every behavior node on an apply's first visit, since the
+    /// caller's fleet may already hold deliveries), clusters ascending
+    /// and nodes ascending within each. That is the behavior table's
+    /// own order restricted to the nodes whose logs are non-empty, so
+    /// the batch matches a walk over the whole table while a round
+    /// costs what its deliveries cost. It is exact because both
+    /// engines put a delivery in a receive log together with the
+    /// record naming it, and settle runs only after a full drive,
+    /// which leaves no record buffered.
     fn settle_behaviors(
         &self,
         fleet: &mut Fleet,
         drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
         records: &mut Vec<FleetRecord>,
-        collected: &mut BTreeMap<FleetNodeId, Vec<ReceivedMessage>>,
-        agg_seen: &mut BTreeMap<FleetNodeId, u32>,
-        injected: &mut u64,
-        rounds: &mut u64,
+        settle: &mut SettleState<'_>,
     ) {
-        if self.behaviors.is_empty() {
+        if settle.behaviors.is_empty() {
             return;
         }
         for _ in 0..self.reply_horizon {
             let mut batch: Vec<(FleetNodeId, Message)> = Vec::new();
-            for (&id, b) in &self.behaviors {
-                let triggers = fleet.take_rx(id);
-                for m in &triggers {
-                    if m.from == id.node {
-                        continue;
+            settle.mark(records);
+            #[cfg(test)]
+            settle.visits.push(0);
+            for cluster in settle.marked_clusters.take() {
+                for node in std::mem::take(&mut settle.marked[cluster]).iter() {
+                    let id = FleetNodeId::new(cluster, node);
+                    let slot = settle.slot(id);
+                    let b = settle.behaviors[slot];
+                    // Deliveries move straight into the node's
+                    // collected log; the new tail is this round's
+                    // triggers.
+                    let log = &mut settle.collected[slot];
+                    let start = log.len();
+                    fleet.drain_rx(id, log);
+                    for m in &log[start..] {
+                        if m.from == id.node {
+                            continue;
+                        }
+                        self.respond(fleet, id, b, m, &mut settle.agg_seen[slot], &mut batch);
                     }
-                    self.respond(fleet, id, b, m, agg_seen, &mut batch);
-                }
-                if !triggers.is_empty() {
-                    collected.entry(id).or_default().extend(triggers);
+                    #[cfg(test)]
+                    {
+                        *settle.visits.last_mut().expect("pushed this round") += 1;
+                    }
                 }
             }
+            #[cfg(debug_assertions)]
+            settle.assert_drained(fleet);
             if batch.is_empty() {
                 return;
             }
             for (id, msg) in batch {
                 fleet.queue(id, msg).expect("behavior response");
-                *injected += 1;
+                settle.injected += 1;
             }
             drain(fleet, records);
-            *rounds += 1;
+            settle.rounds += 1;
         }
     }
 
     /// Computes one behavior node's responses to one trigger, pushing
     /// them onto `batch` (see the [`behavior`](crate::behavior) module
-    /// docs for the addressing rules).
+    /// docs for the addressing rules). `seen` is the node's
+    /// aggregate-ack trigger counter.
     fn respond(
         &self,
         fleet: &Fleet,
         id: FleetNodeId,
         b: &NodeBehavior,
         trigger: &ReceivedMessage,
-        agg_seen: &mut BTreeMap<FleetNodeId, u32>,
+        seen: &mut u32,
         batch: &mut Vec<(FleetNodeId, Message)>,
     ) {
         match b {
             NodeBehavior::Inert => {}
             NodeBehavior::Reply { fu, payload } => {
-                if let Some(msg) = self.reply_message(fleet, id, trigger, *fu, payload.clone()) {
+                if let Some(msg) = self.reply_message(fleet, id, trigger, *fu, payload) {
                     batch.push((id, msg));
                 }
             }
             NodeBehavior::AggregateAck { n, fu, payload } => {
-                let seen = agg_seen.entry(id).or_insert(0);
                 *seen += 1;
                 if (*seen).is_multiple_of(*n) {
-                    if let Some(msg) = self.reply_message(fleet, id, trigger, *fu, payload.clone())
-                    {
+                    if let Some(msg) = self.reply_message(fleet, id, trigger, *fu, payload) {
                         batch.push((id, msg));
                     }
                 }
@@ -2062,7 +2109,7 @@ impl FleetWorkload {
                     let sensors = self.clusters[target_cluster].len();
                     let target = FleetNodeId::new(target_cluster, 1 + (id.node - 1) % sensors);
                     let msg = fleet
-                        .remote_message(target, *fu, payload.clone())
+                        .remote_envelope(target, *fu, payload, None)
                         .expect("behavior cascade envelope");
                     batch.push((id, msg));
                 }
@@ -2072,14 +2119,15 @@ impl FleetWorkload {
 
     /// Builds one directed reply from `id` to `trigger`'s originator,
     /// or `None` when no legal reply destination exists (see the
-    /// [`behavior`](crate::behavior) module docs).
+    /// [`behavior`](crate::behavior) module docs). The payload is
+    /// copied once, into the reply (or its envelope).
     fn reply_message(
         &self,
         fleet: &Fleet,
         id: FleetNodeId,
         trigger: &ReceivedMessage,
         fu: FuId,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) -> Option<Message> {
         if let Some((prefix, rfu)) = behavior::return_address(&trigger.payload) {
             // The request/response idiom: answer the embedded return
@@ -2088,13 +2136,9 @@ impl FleetWorkload {
             // An unroutable return address becomes a counted gateway
             // drop, not a workload error.
             if fleet.gateway().route(prefix) == Some(id.cluster) {
-                return Some(Message::new(Address::full(prefix, rfu), payload));
+                return Some(Message::new(Address::full(prefix, rfu), payload.to_vec()));
             }
-            let envelope = GatewayNode::encapsulate(prefix, rfu, &payload);
-            return Some(Message::new(
-                Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
-                envelope,
-            ));
+            return Some(envelope_message(prefix, rfu, payload, None));
         }
         if trigger.from == GATEWAY_NODE {
             // A forwarded leg's bus-level sender is the gateway
@@ -2106,13 +2150,13 @@ impl FleetWorkload {
             }
             return Some(Message::new(
                 Address::short(gateway_short_prefix(), fu),
-                payload,
+                payload.to_vec(),
             ));
         }
         // A sensor on the same bus: ring position n holds short
         // prefix n + 1.
         let prefix = ShortPrefix::new((trigger.from + 1) as u8).ok()?;
-        Some(Message::new(Address::short(prefix, fu), payload))
+        Some(Message::new(Address::short(prefix, fu), payload.to_vec()))
     }
 
     /// Builds a fleet of `kind` and runs the workload on it with the
@@ -2597,6 +2641,134 @@ impl FleetWorkload {
             w = w.allow_wake_nulls();
         }
         w
+    }
+}
+
+/// Behavior-settle bookkeeping for one [`FleetWorkload`] apply: which
+/// behavior nodes a settle round must visit, and what they collected.
+///
+/// Behavior nodes get dense slots in `(cluster, node)` order: a
+/// node's slot is its cluster's first slot plus its rank among that
+/// cluster's behavior nodes.
+#[derive(Debug)]
+struct SettleState<'w> {
+    /// Per cluster: its behavior nodes.
+    masks: Vec<NodeSet>,
+    /// Per cluster: the slot of its first behavior node.
+    first_slot: Vec<usize>,
+    /// By slot: the node's behavior.
+    behaviors: Vec<&'w NodeBehavior>,
+    /// By slot: deliveries settle drained, in delivery order.
+    collected: Vec<Vec<ReceivedMessage>>,
+    /// By slot: the aggregate-ack trigger counter.
+    agg_seen: Vec<u32>,
+    /// Per cluster: behavior nodes the next visit drains.
+    marked: Vec<NodeSet>,
+    /// Clusters with a non-empty `marked` entry.
+    marked_clusters: ClusterSet,
+    /// Records before this index have been marked; `None` until the
+    /// apply's first visit.
+    cursor: Option<usize>,
+    injected: u64,
+    rounds: u64,
+    /// Behavior nodes visited, one entry per settle round.
+    #[cfg(test)]
+    visits: Vec<u64>,
+}
+
+impl<'w> SettleState<'w> {
+    fn new(workload: &'w FleetWorkload) -> Self {
+        let clusters = workload.clusters.len();
+        let mut masks = vec![NodeSet::new(); clusters];
+        let mut behaviors = Vec::with_capacity(workload.behaviors.len());
+        for (id, b) in &workload.behaviors {
+            masks[id.cluster].insert(id.node);
+            behaviors.push(b);
+        }
+        let first_slot = masks
+            .iter()
+            .scan(0, |next, mask| {
+                let first = *next;
+                *next += mask.len();
+                Some(first)
+            })
+            .collect();
+        SettleState {
+            masks,
+            first_slot,
+            collected: vec![Vec::new(); behaviors.len()],
+            agg_seen: vec![0; behaviors.len()],
+            behaviors,
+            marked: vec![NodeSet::new(); clusters],
+            marked_clusters: ClusterSet::default(),
+            cursor: None,
+            injected: 0,
+            rounds: 0,
+            #[cfg(test)]
+            visits: Vec::new(),
+        }
+    }
+
+    /// The slot of behavior node `id`.
+    fn slot(&self, id: FleetNodeId) -> usize {
+        let rank = self.masks[id.cluster]
+            .iter()
+            .take_while(|&node| node < id.node)
+            .count();
+        self.first_slot[id.cluster] + rank
+    }
+
+    /// Marks the behavior nodes the next visit drains: every one on
+    /// the apply's first visit, then those named by the records since
+    /// the last mark.
+    fn mark(&mut self, records: &[FleetRecord]) {
+        match self.cursor {
+            None => {
+                self.marked.clone_from(&self.masks);
+                for (cluster, mask) in self.masks.iter().enumerate() {
+                    if !mask.is_empty() {
+                        self.marked_clusters.insert(cluster);
+                    }
+                }
+            }
+            Some(cursor) => {
+                for r in &records[cursor..] {
+                    let hit = r.record.delivered_to.intersection(self.masks[r.cluster]);
+                    if !hit.is_empty() {
+                        self.marked[r.cluster] = self.marked[r.cluster].union(hit);
+                        self.marked_clusters.insert(r.cluster);
+                    }
+                }
+            }
+        }
+        self.cursor = Some(records.len());
+    }
+
+    /// Removes and returns what settle collected for node `id` (empty
+    /// for a node without a behavior).
+    fn take_collected(&mut self, id: FleetNodeId) -> Vec<ReceivedMessage> {
+        if !self.masks[id.cluster].contains(id.node) {
+            return Vec::new();
+        }
+        let slot = self.slot(id);
+        std::mem::take(&mut self.collected[slot])
+    }
+
+    /// Checks the visit-set claim: after a visit, no behavior node's
+    /// receive log holds anything.
+    #[cfg(debug_assertions)]
+    fn assert_drained(&self, fleet: &mut Fleet) {
+        let mut left = Vec::new();
+        for (cluster, mask) in self.masks.iter().enumerate() {
+            for node in mask.iter() {
+                let id = FleetNodeId::new(cluster, node);
+                fleet.drain_rx(id, &mut left);
+                assert!(
+                    left.is_empty(),
+                    "settle skipped behavior node {id} with deliveries"
+                );
+            }
+        }
     }
 }
 
@@ -3440,5 +3612,67 @@ mod tests {
             fleet.add_sensor(c, false)
         }))
         .is_err());
+    }
+
+    #[test]
+    fn settle_visits_scale_with_deliveries_not_fleet_size() {
+        // One request/reply exchange across the mesh, on an 8-cluster
+        // and a 4096-cluster fleet with a `Reply` behavior on every
+        // responder cluster. A leading drain makes the apply's first
+        // settle visit (every behavior node) before any traffic; after
+        // it, each round visits only the nodes the records delivered
+        // to: the responder, then nobody.
+        let counts: Vec<(Vec<u64>, u64, u64)> = [8, 4096]
+            .into_iter()
+            .map(|clusters| {
+                let half = clusters / 2;
+                let reply_fu = FuId::new(0x3).unwrap();
+                let mut w = FleetWorkload::new("settle/visits", BusConfig::default());
+                for c in 0..clusters {
+                    w = w.cluster_in(usize::from(c >= half), vec![false]);
+                }
+                w = w
+                    .route(0, half, clusters - 1, half)
+                    .route(1, 0, half - 1, 0);
+                for c in half..clusters {
+                    w = w.behavior(
+                        FleetNodeId::new(c, 1),
+                        NodeBehavior::Reply {
+                            fu: reply_fu,
+                            payload: vec![0xAC],
+                        },
+                    );
+                }
+                let requester = FleetNodeId::new(1, 1);
+                let request =
+                    behavior::with_return_address(node_full_prefix(requester), reply_fu, &[0x5A]);
+                w = w
+                    .drain()
+                    .send_remote(
+                        requester,
+                        FleetNodeId::new(half + 2, 1),
+                        FuId::ZERO,
+                        request,
+                    )
+                    .drain();
+                let mut fleet = w.instantiate(EngineKind::Analytic);
+                let mut sharded = ShardedFleet::new(1);
+                let mut settle = SettleState::new(&w);
+                let report = w.replay(
+                    &mut fleet,
+                    &mut |fleet, records| sharded.drive(fleet, &mut |r| records.push(r)),
+                    &mut settle,
+                );
+                assert_eq!(settle.visits[0], half as u64, "clusters={clusters}");
+                assert_eq!(report.rx[1][1].len(), 1, "the reply reached the requester");
+                (
+                    settle.visits[1..].to_vec(),
+                    report.injected_replies,
+                    report.reply_rounds,
+                )
+            })
+            .collect();
+        assert_eq!(counts[0], (vec![1, 0], 1, 1));
+        assert_eq!(counts[0], counts[1]);
     }
 }

@@ -31,6 +31,10 @@
 //!   next epoch polls. Polled, it would have returned `None` at once
 //!   and handed over an empty gateway log, so it would have emitted
 //!   nothing; leaving it out changes no record, delivery or counter.
+//!   The same argument lets a
+//!   [`FleetStep::RunRounds`](super::FleetStep::RunRounds) partial
+//!   drain poll only the pending set's members, ascending: outside a
+//!   drive, that set holds every cluster with work.
 //! * **Per-cluster streams.** Clusters share no state except through
 //!   barrier routing, and a shard's epoch issues each of its clusters
 //!   the identical `run_transaction`-until-quiescent call sequence a
@@ -55,7 +59,7 @@
 //!   `route_cluster` loop's order — even when a rebalance has made
 //!   shards non-contiguous. Queueing never executes bus work (engines
 //!   only run inside epochs), so barrier-internal interleaving of
-//!   `take_rx` and `queue` calls is immaterial.
+//!   `drain_rx` and `queue` calls is immaterial.
 //! * **Rebalancing is deterministic.** Each epoch's assignment is
 //!   packed from the schedulers' per-cluster transaction counters,
 //!   which are themselves a pure function of the (deterministic)
@@ -149,9 +153,12 @@ fn run_shard_epoch(
         records,
         ..ShardEpoch::default()
     };
+    // One inbox, reused for every cluster's gateway log.
+    let mut inbox = Vec::new();
     for (cluster, engine) in entries.iter_mut() {
         let cluster = *cluster;
-        for m in engine.take_rx(GATEWAY_NODE) {
+        engine.drain_rx(GATEWAY_NODE, &mut inbox);
+        for m in inbox.drain(..) {
             // All counting (forwards, mesh hops, per-hop drops)
             // happens inside `classify`, against this shard's epoch
             // counters — merged at the barrier, so the totals do not

@@ -360,8 +360,8 @@ impl BusEngine for WireEngine {
         self.buffered.pop_front()
     }
 
-    fn take_rx(&mut self, node: NodeIndex) -> Vec<ReceivedMessage> {
-        std::mem::take(&mut self.rx[node])
+    fn drain_rx(&mut self, node: NodeIndex, out: &mut Vec<ReceivedMessage>) {
+        out.append(&mut self.rx[node]);
     }
 
     fn stats(&self) -> BusStats {
