@@ -41,7 +41,7 @@ fn markdown(findings: &[Finding], files_scanned: usize) -> String {
     out.push_str("## mbus-analysis lint\n\n");
     if findings.is_empty() {
         out.push_str(&format!(
-            "✅ No findings across {files_scanned} files — all five invariants hold.\n"
+            "✅ No findings across {files_scanned} files — all four invariants hold.\n"
         ));
         return out;
     }

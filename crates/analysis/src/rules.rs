@@ -1,6 +1,6 @@
 //! The workspace's repo-specific lint rules.
 //!
-//! Five rules, each an invariant the codebase states in prose (module
+//! Four rules, each an invariant the codebase states in prose (module
 //! docs, ARCHITECTURE.md) and that used to be enforced only by
 //! convention. In the spirit of integrity-constraint checking: state
 //! the constraint once, verify it mechanically on every change.
@@ -8,9 +8,8 @@
 //! | id | constraint |
 //! |----|------------|
 //! | `unsafe-safety-comment` | every `unsafe` block/fn/impl is immediately preceded by a `// SAFETY:` comment (an `unsafe fn` may carry a `# Safety` doc section instead) |
-//! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layers: `fleet/shard.rs`, `sweep.rs` |
+//! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layer, `fleet/shard.rs` |
 //! | `nondeterministic-clock` | `Instant::now` / `SystemTime` appear only in `crates/bench/` or under an explicit `// WALL-CLOCK:` marker — signatures must be pure functions of seeds |
-//! | `rc-send-audit` | a file containing `impl Send` may not also use `Rc`/`RefCell` unless it carries a `// SEND-AUDIT:` comment |
 //! | `hot-path-unwrap` | `.unwrap()` / `.expect(` are forbidden in the engine hot paths (`core/src/analytic.rs`, `core/src/engine.rs`) outside `#[cfg(test)]` |
 //!
 //! All rules work on the [`crate::lexer`] token stream, so strings and
@@ -27,17 +26,15 @@ pub enum RuleId {
     UnsafeSafetyComment,
     ThreadOutsideAudited,
     NondeterministicClock,
-    RcSendAudit,
     HotPathUnwrap,
 }
 
 impl RuleId {
     /// Every rule, in reporting order.
-    pub const ALL: [RuleId; 5] = [
+    pub const ALL: [RuleId; 4] = [
         RuleId::UnsafeSafetyComment,
         RuleId::ThreadOutsideAudited,
         RuleId::NondeterministicClock,
-        RuleId::RcSendAudit,
         RuleId::HotPathUnwrap,
     ];
 
@@ -47,7 +44,6 @@ impl RuleId {
             RuleId::UnsafeSafetyComment => "unsafe-safety-comment",
             RuleId::ThreadOutsideAudited => "thread-outside-audited",
             RuleId::NondeterministicClock => "nondeterministic-clock",
-            RuleId::RcSendAudit => "rc-send-audit",
             RuleId::HotPathUnwrap => "hot-path-unwrap",
         }
     }
@@ -81,8 +77,8 @@ impl fmt::Display for Finding {
 }
 
 /// Files (suffix match) where `std::thread` primitives are allowed:
-/// the audited threading layers every other module must go through.
-const THREAD_AUDITED: [&str; 2] = ["fleet/shard.rs", "core/src/sweep.rs"];
+/// the one audited threading layer every other module must go through.
+const THREAD_AUDITED: [&str; 1] = ["fleet/shard.rs"];
 
 /// The engine hot-path files for the unwrap/expect ban.
 const HOT_PATHS: [&str; 2] = ["core/src/analytic.rs", "core/src/engine.rs"];
@@ -101,7 +97,6 @@ pub fn check_file(file: &str, source: &str) -> Vec<Finding> {
     ctx.unsafe_safety_comment(&mut findings);
     ctx.thread_outside_audited(&mut findings);
     ctx.nondeterministic_clock(&mut findings);
-    ctx.rc_send_audit(&mut findings);
     ctx.hot_path_unwrap(&mut findings);
     findings.sort_by_key(|f| f.line);
     findings
@@ -236,7 +231,7 @@ impl<'a> FileContext<'a> {
     }
 
     /// `thread-outside-audited`: `thread::spawn` / `thread::scope` /
-    /// `thread::Builder` only in the audited layers. Matching the
+    /// `thread::Builder` only in the audited layer. Matching the
     /// `thread :: name` token sequence catches both direct calls and
     /// `use` imports of the forbidden items.
     fn thread_outside_audited(&self, findings: &mut Vec<Finding>) {
@@ -257,9 +252,8 @@ impl<'a> FileContext<'a> {
                         t.line,
                         RuleId::ThreadOutsideAudited,
                         format!(
-                            "`thread::{name}` outside the audited threading layers \
-                             (fleet/shard.rs, sweep.rs) — route threading through \
-                             ShardedFleet or SweepRunner"
+                            "`thread::{name}` outside the audited threading layer \
+                             (fleet/shard.rs) — route threading through ShardedFleet"
                         ),
                     ));
                 }
@@ -301,70 +295,6 @@ impl<'a> FileContext<'a> {
                      contract: signatures are pure functions of seeds)"
                 ),
             ));
-        }
-    }
-
-    /// `rc-send-audit`: a file that declares `impl … Send` and also
-    /// names `Rc`/`RefCell` in code must carry a `// SEND-AUDIT:`
-    /// comment recording the audit that those single-threaded types
-    /// can never be reached from two threads.
-    fn rc_send_audit(&self, findings: &mut Vec<Finding>) {
-        let has_audit = self
-            .tokens
-            .iter()
-            .filter(|t| !t.is_code())
-            .any(|t| comment_body(&t.text).starts_with("SEND-AUDIT:"));
-        if has_audit {
-            return;
-        }
-        let mut has_impl_send = false;
-        for ci in 0..self.code.len() {
-            if !self.is_ident(ci, "impl") {
-                continue;
-            }
-            // Skip a generics list: `impl<T: Bound> Send for …`.
-            let mut next = ci + 1;
-            if self.is_punct(next, '<') {
-                let mut depth = 0i32;
-                while let Some(t) = self.code_tok(next) {
-                    if t.kind == TokenKind::Punct {
-                        match t.text.as_str() {
-                            "<" => depth += 1,
-                            ">" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    next += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    next += 1;
-                }
-            }
-            if self.is_ident(next, "Send") {
-                has_impl_send = true;
-                break;
-            }
-        }
-        if !has_impl_send {
-            return;
-        }
-        for ci in 0..self.code.len() {
-            let t = self.code_tok(ci).expect("index in range");
-            if t.kind == TokenKind::Ident && (t.text == "Rc" || t.text == "RefCell") {
-                findings.push(self.finding(
-                    t.line,
-                    RuleId::RcSendAudit,
-                    format!(
-                        "`{}` in a file with an `impl Send` and no `// SEND-AUDIT:` \
-                         comment — record the audit that the single-threaded graph \
-                         is never reachable from two threads",
-                        t.text
-                    ),
-                ));
-            }
         }
     }
 
@@ -451,7 +381,7 @@ impl<'a> FileContext<'a> {
 }
 
 /// Strips the comment sigil and leading whitespace: `// SAFETY: x` →
-/// `SAFETY: x`, `/* SEND-AUDIT: y */` → `SEND-AUDIT: y */` (prefix
+/// `SAFETY: x`, `/* WALL-CLOCK: y */` → `WALL-CLOCK: y */` (prefix
 /// matching still works).
 fn comment_body(text: &str) -> &str {
     text.trim_start_matches('/')
@@ -506,7 +436,11 @@ mod tests {
             vec![RuleId::ThreadOutsideAudited]
         );
         assert!(rules_hit("crates/core/src/fleet/shard.rs", src).is_empty());
-        assert!(rules_hit("crates/core/src/sweep.rs", src).is_empty());
+        // One threading layer: no other core file is allowlisted.
+        assert_eq!(
+            rules_hit("crates/core/src/sweep.rs", src),
+            vec![RuleId::ThreadOutsideAudited]
+        );
     }
 
     #[test]
@@ -519,31 +453,6 @@ mod tests {
         assert!(rules_hit("crates/bench/src/harness.rs", src).is_empty());
         let marked = "fn f() {\n    // WALL-CLOCK: load gauge only, never in signatures.\n    let t = Instant::now();\n}";
         assert!(rules_hit("crates/core/src/x.rs", marked).is_empty());
-    }
-
-    #[test]
-    fn send_audit_rule_needs_both_halves() {
-        let rc_only = "use std::rc::Rc;\nfn f(x: Rc<u32>) {}";
-        assert!(rules_hit("a.rs", rc_only).is_empty());
-        let send_only = "struct S;\n// SAFETY: S owns nothing.\nunsafe impl Send for S {}";
-        assert!(rules_hit("a.rs", send_only).is_empty());
-        let both = "use std::rc::Rc;\nstruct S(Rc<u32>);\n// SAFETY: moved whole.\nunsafe impl Send for S {}";
-        assert_eq!(
-            rules_hit("a.rs", both),
-            vec![RuleId::RcSendAudit, RuleId::RcSendAudit],
-            "one finding per Rc mention"
-        );
-        let audited = "// SEND-AUDIT: graph is single-owner; moved wholesale.\nuse std::rc::Rc;\nstruct S(Rc<u32>);\n// SAFETY: moved whole.\nunsafe impl Send for S {}";
-        assert!(rules_hit("a.rs", audited).is_empty());
-    }
-
-    #[test]
-    fn generic_impl_send_is_detected() {
-        let src = "use std::rc::Rc;\nstruct S<T>(Rc<T>);\n// SAFETY: audited.\nunsafe impl<T: Clone> Send for S<T> {}";
-        assert_eq!(
-            rules_hit("a.rs", src),
-            vec![RuleId::RcSendAudit, RuleId::RcSendAudit]
-        );
     }
 
     #[test]

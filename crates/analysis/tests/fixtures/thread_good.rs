@@ -1,6 +1,7 @@
-// Fixture: fans work out through the audited sweep layer instead of
+// Fixture: fans work out through the audited shard layer instead of
 // spawning raw threads.
 
-pub fn fan_out(jobs: Vec<Job>) -> Vec<Outcome> {
-    SweepRunner::with_threads(jobs.len().min(8)).run(&jobs, |job| job.run())
+pub fn fan_out(workload: &FleetWorkload) -> FleetReport {
+    let mut sharded = ShardedFleet::new(4);
+    workload.run_sharded_on(EngineKind::Analytic, &mut sharded)
 }

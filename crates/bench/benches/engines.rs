@@ -3,7 +3,8 @@
 //! analytic-vs-wire-level speed gap that justifies keeping both
 //! engines (DESIGN.md ablation #4) and guard the analytic kernel's
 //! steady-state drain (the 14-node storm points — README records
-//! the before/after numbers).
+//! the before/after numbers), the cross-engine storm point, and the
+//! 224-node fleet row.
 //!
 //! Run with `cargo bench -p mbus-bench --bench engines`; CI runs it
 //! with `-- --smoke` to keep the harness from rotting.
@@ -11,8 +12,8 @@
 use mbus_bench::harness::bench;
 use mbus_core::wire::WireBusBuilder;
 use mbus_core::{
-    Address, AnalyticBus, BusConfig, EngineKind, FuId, FullPrefix, Message, NodeSpec, ShortPrefix,
-    Workload,
+    Address, AnalyticBus, BusConfig, EngineKind, FleetWorkload, FuId, FullPrefix, Message,
+    NodeSpec, ShortPrefix, Workload,
 };
 
 fn sp(x: u8) -> ShortPrefix {
@@ -49,11 +50,32 @@ fn bench_analytic_transactions() {
     }
 }
 
-/// The ISSUE-2 tentpole point: a full 14-node contention storm on the
-/// analytic engine, drained through the `BusEngine` trait exactly as
-/// the scenario layer does it. This is the number the kernel's
-/// incremental contender index must keep ≥2× over the pre-batching
-/// kernel (see README).
+/// The 14-node analytic ring the steady-state drain point drives.
+fn storm_ring() -> AnalyticBus {
+    let mut bus = AnalyticBus::new(BusConfig::default());
+    for i in 0..14u32 {
+        bus.add_node(
+            NodeSpec::new(format!("n{i}"), FullPrefix::new(0x500 + i).unwrap())
+                .with_short_prefix(sp((i + 1) as u8)),
+        );
+    }
+    bus
+}
+
+/// Queues one storm round on a [`storm_ring`] bus: members 1..=13 each
+/// send a 3-byte message to the mediator node.
+fn queue_storm_round(bus: &mut AnalyticBus, round: usize) {
+    let dest = Address::short(sp(0x1), FuId::ZERO);
+    for i in 1..14usize {
+        bus.queue(i, Message::new(dest, vec![round as u8, i as u8, 0]))
+            .unwrap();
+    }
+}
+
+/// A full 14-node contention storm on the analytic engine, drained
+/// through the `BusEngine` trait exactly as the scenario layer does
+/// it. This is the number the kernel's incremental contender index
+/// must keep ≥2× over the pre-batching kernel (see README).
 fn bench_analytic_storm() {
     let workload = Workload::many_node_storm(14, 32);
     bench("analytic_engine/storm/14n32r", 100, 5, || {
@@ -63,12 +85,11 @@ fn bench_analytic_storm() {
 
     // Steady-state drain on a long-lived engine: queue one storm round,
     // step it to quiescence with `run_transaction`, repeat — no engine
-    // construction in the loop. Shares its ring with the `storm` bin
-    // via `mbus_bench::storm_ring`.
-    let mut bus = mbus_bench::storm_ring();
+    // construction in the loop.
+    let mut bus = storm_ring();
     let mut round = 0usize;
     bench("analytic_engine/storm_drain/14n", 2_000, 5, || {
-        mbus_bench::queue_storm_round(&mut bus, round);
+        queue_storm_round(&mut bus, round);
         round += 1;
         let mut transactions = 0usize;
         while bus.run_transaction().is_some() {
@@ -76,6 +97,30 @@ fn bench_analytic_storm() {
         }
         bus.take_rx(0);
         std::hint::black_box(transactions);
+    });
+}
+
+/// The 42-transaction storm point (14 nodes, 3 rounds) on both
+/// engines: identical traffic, so the two rows are the
+/// analytic-vs-wire speed gap.
+fn bench_cross_engine_storm() {
+    let workload = Workload::many_node_storm(14, 3);
+    for (kind, iters) in [(EngineKind::Analytic, 500), (EngineKind::Wire, 10)] {
+        bench(&format!("{kind}_engine/storm/14n3r"), iters, 5, || {
+            let report = workload.run_on(kind);
+            std::hint::black_box(report.records.len());
+        });
+    }
+}
+
+/// The 224-node fleet row: 16 gateway-bridged analytic buses of 13
+/// sensors each, 8 sense-and-aggregate rounds, built and drained per
+/// iteration.
+fn bench_fleet() {
+    let workload = FleetWorkload::sense_and_aggregate(16, 13, 8);
+    bench("fleet/sense_aggregate/224n8r", 50, 5, || {
+        let report = workload.run_on(EngineKind::Analytic);
+        std::hint::black_box(report.transactions());
     });
 }
 
@@ -147,6 +192,8 @@ fn bench_enumeration() {
 fn main() {
     bench_analytic_transactions();
     bench_analytic_storm();
+    bench_cross_engine_storm();
+    bench_fleet();
     bench_wire_transactions();
     bench_ring_scaling();
     bench_enumeration();

@@ -1,10 +1,10 @@
 //! Interleaved fleet driver: thousands of analytic buses on ONE
 //! thread — then tens of thousands across the sharded runtime.
 //!
-//! Where the `fleet` bin scales population by draining each cluster
-//! bus to quiescence in turn, this bin exercises the serving shape:
-//! every cluster runs on an `AnalyticBus` stepped one transaction per
-//! `run_transaction` call, and the `ShardedFleet`'s
+//! Where a batched drain takes each cluster bus to quiescence in
+//! turn, this bin exercises the serving shape: every cluster runs on
+//! an `AnalyticBus` stepped one transaction per `run_transaction`
+//! call, and the `ShardedFleet`'s
 //! `InterleavedScheduler` round-robins one transaction per bus per
 //! round — all buses make progress together, no bus ever blocks the
 //! thread.
@@ -37,12 +37,11 @@
 //!    interleaved: the per-cluster `FleetSignature`s must be
 //!    identical (the schedule-independence contract
 //!    `tests/interleaved_fleet.rs` pins).
-//! 5. **Engine-kind × fleet-size grid** —
-//!    `SweepRunner::run_engine_fleet_grid` shards whole fleets over
-//!    analytic × wire kinds and growing populations,
-//!    serial-identical — and re-run under the sharded schedule, which
-//!    must produce the identical samples (schedule-independence at
-//!    sweep scale).
+//! 5. **Engine-kind × fleet-size grid** — whole sense-and-aggregate
+//!    fleets over analytic × wire kinds and growing populations, each
+//!    point drained batched and under `Sharded { shards: 4 }`, which
+//!    must produce identical samples (schedule-independence at grid
+//!    scale).
 //!
 //! Every stage's numbers are also written to `BENCH_interleave.json`
 //! in the working directory (CI uploads it as an artifact).
@@ -57,7 +56,6 @@ use mbus_bench::json::Json;
 use mbus_bench::two_col_table;
 use mbus_core::{
     EngineKind, Fleet, FleetReport, FleetSchedule, FleetSignature, FleetWorkload, ShardedFleet,
-    SweepRunner,
 };
 
 fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
@@ -310,7 +308,7 @@ fn run_fleet_64k() -> Json {
     let clusters = 65536usize;
     let sensors = 3usize;
     let workload = FleetWorkload::cross_storm(clusters, sensors, 1);
-    let workers = SweepRunner::auto().threads().clamp(1, 8);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
     println!(
         "64k-bus fleet '{}': {} nodes across {} buses on {} workers",
         workload.name(),
@@ -388,34 +386,37 @@ fn run_engine_grid(smoke: bool) {
     } else {
         vec![(16, 3), (64, 3), (256, 3), (1024, 3)]
     };
-    let kinds = EngineKind::ALL;
-    let runner = SweepRunner::with_threads(SweepRunner::auto().threads().max(4));
+    // What one point cost: total nodes, transactions, forwarded
+    // envelopes, bus cycles.
+    let sample = |kind, clusters, sensors, schedule| {
+        let report = FleetWorkload::sense_and_aggregate(clusters, sensors, 2)
+            .run_scheduled_on(kind, schedule);
+        (
+            report.total_nodes(),
+            report.transactions(),
+            report.forwarded,
+            report.total_cycles(),
+        )
+    };
     let start = Instant::now();
-    let grid = runner.run_engine_fleet_grid(&kinds, &sizes, 2);
-    let wall = start.elapsed();
-    let serial = SweepRunner::serial().run_engine_fleet_grid(&kinds, &sizes, 2);
-    assert_eq!(grid, serial, "sharded engine grid diverged from serial");
-    // Schedule-independence at sweep scale: the same grid drained
-    // through the sharded schedule must produce identical samples.
-    let sharded = runner.run_engine_fleet_grid_scheduled(
-        &kinds,
-        &sizes,
-        2,
-        FleetSchedule::Sharded { shards: 4 },
-    );
-    assert_eq!(grid, sharded, "sharded-schedule grid diverged from batched");
-    println!(
-        "engine-kind x fleet-size grid: {} whole-fleet points in {:.2?} on {} threads, serial-identical: true, sharded-schedule-identical: true",
-        grid.len(),
-        wall,
-        runner.threads(),
-    );
-    for kind in kinds {
-        let rows: Vec<(f64, f64)> = grid
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| (s.total_nodes as f64, s.transactions as f64))
-            .collect();
+    for kind in EngineKind::ALL {
+        let mut rows = Vec::new();
+        for &(clusters, sensors) in &sizes {
+            let batched = sample(kind, clusters, sensors, FleetSchedule::Batched);
+            // Schedule-independence at grid scale: the same point
+            // drained through the sharded schedule is identical.
+            let sharded = sample(
+                kind,
+                clusters,
+                sensors,
+                FleetSchedule::Sharded { shards: 4 },
+            );
+            assert_eq!(
+                batched, sharded,
+                "sharded-schedule point diverged from batched ({kind}, {clusters} clusters)"
+            );
+            rows.push((batched.0 as f64, batched.1 as f64));
+        }
         print!(
             "{}",
             two_col_table(
@@ -426,6 +427,11 @@ fn run_engine_grid(smoke: bool) {
             )
         );
     }
+    println!(
+        "engine-kind x fleet-size grid: {} whole-fleet points in {:.2?}, sharded-schedule-identical: true",
+        EngineKind::ALL.len() * sizes.len(),
+        start.elapsed(),
+    );
 }
 
 fn main() {

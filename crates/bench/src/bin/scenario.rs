@@ -40,9 +40,11 @@ use mbus_core::{
     shrink_fleet, shrink_workload, EngineKind, FleetSchedule, FleetWorkload, Workload,
 };
 
-fn usage() -> ExitCode {
+/// Prints `error` (a command-line mistake) and the usage text; exit 2.
+fn usage(error: &str) -> ExitCode {
     eprintln!(
-        "usage: scenario replay <file.mbt>... [--shards n,m] [--out <path>]\n\
+        "error: {error}\n\
+         usage: scenario replay <file.mbt>... [--shards n,m] [--out <path>]\n\
          \x20      scenario export <builtin> [--pin] [--out <path>]\n\
          \x20      scenario fuzz [--seeds <n>] [--start <n>] [--out-dir <dir>]\n\
          builtins: {} seeded:<n> fleet-seeded:<n>",
@@ -51,24 +53,49 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Pulls the value following `flag` out of `args`, removing both.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
+/// A subcommand's outcome, or the command-line mistake that stopped
+/// it before it ran (reported by [`usage`]).
+type CmdResult = Result<ExitCode, String>;
+
+/// Pulls the value following `flag` out of `args`, removing both. A
+/// `flag` with no value after it is an error.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
     if i + 1 >= args.len() {
-        return None;
+        return Err(format!("{flag} needs a value"));
     }
     let value = args.remove(i + 1);
     args.remove(i);
-    Some(value)
+    Ok(Some(value))
 }
 
-fn cmd_replay(mut args: Vec<String>) -> ExitCode {
-    let out = take_flag(&mut args, "--out").unwrap_or_else(|| "BENCH_scenario.json".to_string());
-    let shards: Vec<usize> = take_flag(&mut args, "--shards")
-        .map(|s| s.split(',').filter_map(|n| n.parse().ok()).collect())
-        .unwrap_or_else(|| vec![2]);
+/// Parses the number `value` given to `flag`.
+fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: `{value}` is not a number"))
+}
+
+/// Parses a `--shards` list: comma-separated shard counts, each ≥ 1.
+fn parse_shards(list: &str) -> Result<Vec<usize>, String> {
+    list.split(',')
+        .map(|n| match parse_num("--shards", n)? {
+            0 => Err("--shards: a shard count must be at least 1".to_string()),
+            n => Ok(n),
+        })
+        .collect()
+}
+
+fn cmd_replay(mut args: Vec<String>) -> CmdResult {
+    let out = take_flag(&mut args, "--out")?.unwrap_or_else(|| "BENCH_scenario.json".to_string());
+    let shards = match take_flag(&mut args, "--shards")? {
+        Some(list) => parse_shards(&list)?,
+        None => vec![2],
+    };
     if args.is_empty() {
-        return usage();
+        return Err("replay needs at least one trace file".to_string());
     }
     let mut traces = Vec::new();
     let mut all_ok = true;
@@ -114,18 +141,18 @@ fn cmd_replay(mut args: Vec<String>) -> ExitCode {
     ]);
     if let Err(err) = std::fs::write(&out, format!("{artifact}\n")) {
         eprintln!("error: cannot write {out}: {err}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("wrote {out}");
-    if all_ok {
+    Ok(if all_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_export(mut args: Vec<String>) -> ExitCode {
-    let out = take_flag(&mut args, "--out");
+fn cmd_export(mut args: Vec<String>) -> CmdResult {
+    let out = take_flag(&mut args, "--out")?;
     let pin = if let Some(i) = args.iter().position(|a| a == "--pin") {
         args.remove(i);
         true
@@ -133,27 +160,26 @@ fn cmd_export(mut args: Vec<String>) -> ExitCode {
         false
     };
     let [name] = args.as_slice() else {
-        return usage();
+        return Err("export takes exactly one builtin".to_string());
     };
     let Some(mut tf) = builtin(name) else {
-        eprintln!("error: unknown builtin `{name}`");
-        return usage();
+        return Err(format!("unknown builtin `{name}`"));
     };
     if pin {
         let result = replay_trace(name, &tf, &[2]);
         if !result.ok {
             eprintln!("error: `{name}` does not replay cleanly; refusing to pin");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         tf = tf.with_expect_sig(result.digest);
     }
     let path = out.unwrap_or_else(|| format!("{}.mbt", name.replace([':', '/'], "-")));
     if let Err(err) = std::fs::write(&path, tf.to_mbt()) {
         eprintln!("error: cannot write {path}: {err}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("wrote {path}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Digests of one single-bus workload on every comparable engine kind.
@@ -212,17 +238,19 @@ fn write_repro(dir: &str, stem: &str, seed: u64, full: &TraceFile, min: &TraceFi
     }
 }
 
-fn cmd_fuzz(mut args: Vec<String>) -> ExitCode {
-    let dir = take_flag(&mut args, "--out-dir").unwrap_or_else(|| ".".to_string());
-    let start: u64 = take_flag(&mut args, "--start")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let default_seeds = if smoke_mode() { 10 } else { 100 };
-    let seeds: u64 = take_flag(&mut args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_seeds);
-    if !args.is_empty() {
-        return usage();
+fn cmd_fuzz(mut args: Vec<String>) -> CmdResult {
+    let dir = take_flag(&mut args, "--out-dir")?.unwrap_or_else(|| ".".to_string());
+    let start: u64 = match take_flag(&mut args, "--start")? {
+        Some(v) => parse_num("--start", &v)?,
+        None => 0,
+    };
+    let seeds: u64 = match take_flag(&mut args, "--seeds")? {
+        Some(v) => parse_num("--seeds", &v)?,
+        None if smoke_mode() => 10,
+        None => 100,
+    };
+    if let Some(extra) = args.first() {
+        return Err(format!("fuzz: unexpected argument `{extra}`"));
     }
     println!("scenario fuzz: seeds {start}..{} into {dir}", start + seeds);
     let mut failures = 0u64;
@@ -259,10 +287,10 @@ fn cmd_fuzz(mut args: Vec<String>) -> ExitCode {
     }
     if failures == 0 {
         println!("all {seeds} seeds agree across engines and schedules");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!("{failures} diverging seed(s); minimized repros written to {dir}");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -271,10 +299,12 @@ fn main() -> ExitCode {
     // `--smoke` is a harness-wide flag; strip it so subcommand
     // parsing doesn't trip over it (smoke_mode() already saw it).
     args.retain(|a| a != "--smoke");
-    match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         Some("replay") => cmd_replay(args.split_off(1)),
         Some("export") => cmd_export(args.split_off(1)),
         Some("fuzz") => cmd_fuzz(args.split_off(1)),
-        _ => usage(),
-    }
+        Some(other) => Err(format!("unknown subcommand `{other}`")),
+        None => Err("missing subcommand".to_string()),
+    };
+    result.unwrap_or_else(|error| usage(&error))
 }

@@ -20,9 +20,8 @@
 //! | `fig15` | parallel-MBus goodput |
 //! | `sense_and_send` | §6.3.1 numbers, engine-generic (both engines) |
 //! | `monitor_alert` | §6.3.2 numbers, engine-generic (both engines) |
-//! | `storm` | many-node contention storms on both engines |
-//! | `sweep` | parallel engine-backed sweeps, serial-vs-sharded verified |
-//! | `fleet` | gateway-bridged 100+-node fleets, cross-checked on both engines |
+//! | `interleave` | fleet scaling: 1024 buses on one thread, worker scaling, a 65536-bus fleet |
+//! | `scenario` | `.mbt` trace replay, export and differential fuzzing |
 //! | `bitbang` | §6.6 numbers |
 //! | `ablations` | DESIGN.md's design-choice studies |
 //!
@@ -39,37 +38,9 @@
 
 use std::fmt::Write as _;
 
-use mbus_core::{
-    Address, AnalyticBus, BusConfig, FuId, FullPrefix, Message, NodeSpec, ShortPrefix,
-};
-
 pub mod harness;
 pub mod json;
 pub mod scenario;
-
-/// Builds the 14-node analytic ring both the `storm` bin and the
-/// `engines` bench drive for the steady-state drain point, so the README
-/// number and the bin measure the same configuration.
-pub fn storm_ring() -> AnalyticBus {
-    let mut bus = AnalyticBus::new(BusConfig::default());
-    for i in 0..14u32 {
-        bus.add_node(
-            NodeSpec::new(format!("n{i}"), FullPrefix::new(0x500 + i).expect("prefix"))
-                .with_short_prefix(ShortPrefix::new((i + 1) as u8).expect("prefix")),
-        );
-    }
-    bus
-}
-
-/// Queues one storm round on a [`storm_ring`] bus: members 1..=13 each
-/// send a 3-byte message to the mediator node.
-pub fn queue_storm_round(bus: &mut AnalyticBus, round: usize) {
-    let dest = Address::short(ShortPrefix::new(0x1).expect("prefix"), FuId::ZERO);
-    for i in 1..14usize {
-        bus.queue(i, Message::new(dest, vec![round as u8, i as u8, 0]))
-            .expect("storm queue");
-    }
-}
 
 /// Formats a numeric series as an aligned two-column table.
 pub fn two_col_table(title: &str, x_label: &str, y_label: &str, rows: &[(f64, f64)]) -> String {

@@ -32,11 +32,11 @@
 //!   with per-hop propagation delays.
 //!
 //! The integration test-suite cross-checks the engines cycle for
-//! cycle. Above the engines sit three engine-generic layers — the
-//! declarative [`scenario`] workloads, the deterministic [`sweep`]
-//! sharding, and the multi-bus [`fleet`] composition that scales
-//! population past the 14-node short-prefix limit through a
-//! store-and-forward gateway. `ARCHITECTURE.md` at the repository root
+//! cycle. Above the engines sit two engine-generic layers — the
+//! declarative [`scenario`] workloads and the multi-bus [`fleet`]
+//! composition that scales population past the 14-node short-prefix
+//! limit through a store-and-forward gateway, whose [`ShardedFleet`]
+//! is the one place work runs on threads. `ARCHITECTURE.md` at the repository root
 //! maps the layers and the paper sections onto modules.
 //!
 //! ## Quickstart
@@ -89,7 +89,6 @@ pub mod node;
 pub mod parallel;
 pub mod power_domain;
 pub mod scenario;
-pub mod sweep;
 pub mod timing;
 pub mod trace;
 pub mod wire;
@@ -112,7 +111,6 @@ pub use message::Message;
 pub use node::NodeSpec;
 pub use parallel::ParallelMbus;
 pub use scenario::{ScenarioReport, Step, Workload};
-pub use sweep::SweepRunner;
 pub use trace::{
     fleet_digest, scenario_digest, shrink::shrink_fleet, shrink::shrink_workload, Trace,
     TraceError, TraceFile, TraceMeta,

@@ -206,6 +206,15 @@ fn storm_scales_to_the_fourteen_node_limit() {
 }
 
 #[test]
+fn storm_agrees_at_every_population_from_two_to_ten() {
+    // Every ring size up to the paper's ten-chip stack (§6), not just
+    // the fourteen-node limit above.
+    for n in 2..=10 {
+        crosscheck(&Workload::many_node_storm(n, 2));
+    }
+}
+
+#[test]
 fn oversized_message_to_small_buffer_cuts_at_the_receiver() {
     // Hostile-traffic overlap case: when a runaway message targets a
     // small-buffer receiver, the receiver's abort (one bit past its
