@@ -144,6 +144,14 @@ const EXPECTED: &[(&str, &str)] = &[
         "remote_ttl_too_long.mbt:6:18: payload too long: message of 1025 bytes exceeds \
          maximum length 1024 (counting the 6-byte `ttl=` envelope header)",
     ),
+    // CRLF line ends and tab, VT, FF, U+00A0 and U+3000 separators:
+    // columns count bytes, so `zz` sits at byte 26 after the
+    // three-byte U+3000 and the two-byte U+00A0.
+    (
+        "whitespace_columns.mbt",
+        "whitespace_columns.mbt:7:26: unexpected trailing token `zz` (only `ttl=<n>` and \
+         `prio` may follow)",
+    ),
     (
         "remote_to_forwarding_port.mbt",
         "remote_to_forwarding_port.mbt:5:16: a remote message may not target a gateway \

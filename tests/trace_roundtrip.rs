@@ -119,6 +119,46 @@ fn seeded_fleet_battery_covers_the_v2_constructs() {
     assert!(v2 * 3 >= seeds, "v2 serializations: {v2}/{seeds}");
 }
 
+/// Every separator `char::is_whitespace` accepts splits tokens alike:
+/// a fleet trace written with tab, VT, FF, U+00A0 and U+3000
+/// separators and CRLF line ends serializes exactly as its
+/// space-separated form.
+#[test]
+fn unicode_separators_parse_like_spaces() {
+    let spaced = "mbt 2 fleet\n\
+                  name ws\n\
+                  config clock=400000 maxmsg=1024 medwake=3\n\
+                  cluster aa domain=1\n\
+                  cluster ag\n\
+                  route 0 0..0 0\n\
+                  behavior 1.2 agg 2 3 beef\n\
+                  local 0.1 0x2.0 0511 prio\n\
+                  remote 0.1 1.2 1 a0a1 ttl=3 prio\n\
+                  wakeup 1.1\n\
+                  drain-rounds 2\n";
+    let separated = "mbt\t2\u{3000}fleet\r\n\
+                     \u{c}# a comment after a form feed\r\n\
+                     \u{3000}\r\n\
+                     name\u{a0}ws\r\n\
+                     config\u{b}clock=400000\tmaxmsg=1024\u{3000}medwake=3\r\n\
+                     cluster\u{c}aa\u{a0}domain=1\r\n\
+                     \tcluster ag\u{3000}\r\n\
+                     route\u{3000}0\t0..0\u{b}0\r\n\
+                     behavior\u{a0}1.2 agg\t2\u{c}3\u{3000}beef\r\n\
+                     local\t0.1\u{b}0x2.0\u{c}0511\u{a0}prio\r\n\
+                     remote\u{3000}0.1\t1.2\u{b}1\u{c}a0a1\u{a0}ttl=3\u{3000}prio\r\n\
+                     \u{3000}wakeup\u{3000}1.1\u{3000}\r\n\
+                     drain-rounds\u{b}2\r\n";
+    let parse = |what: &str, text: &str| {
+        TraceFile::parse_str(what, text)
+            .unwrap_or_else(|e| panic!("{what} failed to parse: {e}"))
+            .to_mbt()
+    };
+    let expected = parse("spaced", spaced);
+    assert_eq!(parse("separated", separated), expected);
+    assert_eq!(parse("reparsed", &expected), expected);
+}
+
 /// The parsed fleet honors the schedule-independence contract exactly
 /// like the original (spot-checked on a slice of seeds: the full
 /// schedule grid per seed is what `tests/corpus_replay.rs` pins for
