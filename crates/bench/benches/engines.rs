@@ -3,13 +3,14 @@
 //! analytic-vs-wire-level speed gap that justifies keeping both
 //! engines (DESIGN.md ablation #4) and guard the analytic kernel's
 //! steady-state drain (the 14-node storm points — README records
-//! the before/after numbers), the cross-engine storm point, and the
-//! 224-node fleet row.
+//! the before/after numbers), the cross-engine storm point, the
+//! 224-node fleet row, and the `.mbt` parser's throughput.
 //!
 //! Run with `cargo bench -p mbus-bench --bench engines`; CI runs it
 //! with `-- --smoke` to keep the harness from rotting.
 
-use mbus_bench::harness::bench;
+use mbus_bench::harness::{bench, bench_timed};
+use mbus_core::trace::TraceFile;
 use mbus_core::wire::WireBusBuilder;
 use mbus_core::{
     Address, AnalyticBus, BusConfig, EngineKind, FleetWorkload, FuId, FullPrefix, Message,
@@ -124,6 +125,24 @@ fn bench_fleet() {
     });
 }
 
+/// The `.mbt` parser over a ≈1.3 MB fleet trace: the 4096-bus,
+/// 16-round duty-cycle day (the shape of fleetbench's `duty_closed`),
+/// serialized once and parsed per iteration.
+fn bench_trace_parse() {
+    let name = "trace/parse/duty_day_4096r16";
+    let text = TraceFile::fleet(FleetWorkload::duty_cycle_day(4096, 16)).to_mbt();
+    let secs = bench_timed(name, 10, 5, || {
+        let file = TraceFile::parse_str(name, &text).expect("a serialized trace parses");
+        std::hint::black_box(file);
+    });
+    println!(
+        "{:<44} {:>9.1} MB/s  ({} bytes)",
+        format!("{name} (throughput)"),
+        text.len() as f64 / secs / 1e6,
+        text.len()
+    );
+}
+
 fn bench_wire_transactions() {
     for payload in [8usize, 64] {
         bench(
@@ -194,6 +213,7 @@ fn main() {
     bench_analytic_storm();
     bench_cross_engine_storm();
     bench_fleet();
+    bench_trace_parse();
     bench_wire_transactions();
     bench_ring_scaling();
     bench_enumeration();

@@ -1652,12 +1652,13 @@ impl FleetWorkload {
         self
     }
 
-    /// Appends a pre-built step verbatim. Crate-internal: the trace
-    /// parser and shrinker reassemble steps (including combinations the
-    /// convenience builders cannot express, such as a priority envelope
-    /// with an explicit TTL) without re-deriving them.
-    pub(crate) fn push_step(mut self, step: FleetStep) -> Self {
-        self.steps.push(step);
+    /// Replaces the step list with `steps`, moved in one go.
+    /// Crate-internal: the trace parser and shrinker hand over a whole
+    /// list, which may hold combinations the convenience builders
+    /// cannot express (a priority envelope with an explicit TTL). Every
+    /// step builder is a bare push, so this checks nothing they would.
+    pub(crate) fn with_steps(mut self, steps: Vec<FleetStep>) -> Self {
+        self.steps = steps;
         self
     }
 

@@ -138,6 +138,15 @@ impl Workload {
         self
     }
 
+    /// Replaces the step list with `steps`, moved in one go.
+    /// Crate-internal: the trace parser and shrinker hand over a whole
+    /// list. Every step builder is a bare push, so this checks nothing
+    /// they would.
+    pub(crate) fn with_steps(mut self, steps: Vec<Step>) -> Self {
+        self.steps = steps;
+        self
+    }
+
     /// Appends a partial-drain step: run at most `count` transactions,
     /// then stop mid-drain (see [`Step::RunTransactions`] for the
     /// engine-comparability caveat).

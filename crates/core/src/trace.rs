@@ -554,8 +554,10 @@ fn write_fleet_step(out: &mut String, step: &FleetStep) {
 
 /// A trace split into the parts its public builders take: what the
 /// parser fills line by line and what the [`shrink`] passes edit.
-/// [`Parts::build`] moves every part back through the builders, so a
-/// parts value only ever becomes a workload they accept.
+/// [`Parts::build`] moves the topology and behaviors back through the
+/// builders and the step list across as one `Vec` (every step builder
+/// is a bare push), so a parts value only ever becomes a workload they
+/// accept.
 trait Parts: Clone {
     /// The workload the parts build.
     type Built;
@@ -603,16 +605,7 @@ impl Parts for WorkloadParts {
         for (node, b) in self.behaviors {
             w = w.behavior(node, b);
         }
-        w = w.with_reply_horizon(self.horizon);
-        for step in self.steps {
-            w = match step {
-                Step::Queue { node, msg } => w.send(node, msg),
-                Step::QueueUnchecked { node, msg } => w.send_unchecked(node, msg),
-                Step::Wakeup { node } => w.wakeup(node),
-                Step::Run => w.drain(),
-                Step::RunTransactions { count } => w.drain_partial(count),
-            };
-        }
+        w = w.with_reply_horizon(self.horizon).with_steps(self.steps);
         if !self.strict_nulls {
             w = w.allow_wake_nulls();
         }
@@ -670,18 +663,9 @@ impl Parts for FleetParts {
         for (id, b) in self.behaviors {
             w = w.behavior(id, b);
         }
-        w = w.with_reply_horizon(self.horizon);
-        for step in self.steps {
-            w = match step {
-                FleetStep::Local { src, msg } => w.send_local(src, msg),
-                // Pushed verbatim: `ttl` composes with `prio` in the file
-                // format, a pairing the convenience builders don't offer.
-                FleetStep::Remote { .. } => w.push_step(step),
-                FleetStep::Wakeup { node } => w.wakeup(node),
-                FleetStep::Drain => w.drain(),
-                FleetStep::RunRounds { rounds } => w.drain_rounds(rounds),
-            };
-        }
+        // `ttl` composes with `prio` in the file format, a pairing the
+        // convenience builders don't offer, so the list moves verbatim.
+        w = w.with_reply_horizon(self.horizon).with_steps(self.steps);
         if !self.strict_nulls {
             w = w.allow_wake_nulls();
         }
@@ -734,13 +718,32 @@ struct Tok<'a> {
     text: &'a str,
 }
 
-fn tokens_of(line: &str) -> Vec<Tok<'_>> {
-    let mut out = Vec::new();
+/// Whether an ASCII byte is [`char::is_whitespace`]: space, `\t`,
+/// `\n`, `\x0B`, `\x0C` or `\r` (`u8::is_ascii_whitespace` leaves out
+/// `\x0B`).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r')
+}
+
+/// Splits `line` into `toks` at every [`char::is_whitespace`] char,
+/// clearing `toks` first so one buffer serves every line. ASCII bytes
+/// take the byte test; a non-ASCII byte starts a char, decoded in
+/// place, so columns stay byte columns on every input.
+fn tokenize<'a>(line: &'a str, toks: &mut Vec<Tok<'a>>) {
+    toks.clear();
+    let bytes = line.as_bytes();
     let mut start: Option<usize> = None;
-    for (i, ch) in line.char_indices() {
-        if ch.is_whitespace() {
+    let mut i = 0;
+    while i < bytes.len() {
+        let (space, width) = if bytes[i].is_ascii() {
+            (is_ascii_space(bytes[i]), 1)
+        } else {
+            let ch = line[i..].chars().next().expect("i steps by whole chars");
+            (ch.is_whitespace(), ch.len_utf8())
+        };
+        if space {
             if let Some(s) = start.take() {
-                out.push(Tok {
+                toks.push(Tok {
                     col: (s + 1) as u32,
                     text: &line[s..i],
                 });
@@ -748,14 +751,14 @@ fn tokens_of(line: &str) -> Vec<Tok<'_>> {
         } else if start.is_none() {
             start = Some(i);
         }
+        i += width;
     }
     if let Some(s) = start {
-        out.push(Tok {
+        toks.push(Tok {
             col: (s + 1) as u32,
             text: &line[s..],
         });
     }
-    out
 }
 
 impl<'a> Parser<'a> {
@@ -815,14 +818,15 @@ impl<'a> Parser<'a> {
 
     fn parse(mut self) -> Result<TraceFile, TraceError> {
         let mut lines = 0u32;
+        let mut toks = Vec::new();
         for (idx, line) in self.text.lines().enumerate() {
             let line_no = (idx + 1) as u32;
             lines = line_no;
-            let trimmed = line.trim_start();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
+            tokenize(line, &mut toks);
+            // Blank lines and whole-line `#` comments.
+            if toks.first().is_none_or(|tok| tok.text.starts_with('#')) {
                 continue;
             }
-            let toks = tokens_of(line);
             if self.parts.is_none() {
                 self.parse_magic(line_no, line, &toks)?;
                 continue;
@@ -961,6 +965,9 @@ impl<'a> Parser<'a> {
         let kind = self.kind().expect("magic parsed before directives");
         let head = toks[0];
         match head.text {
+            // Most lines of a large fleet trace are `remote` steps, and
+            // the arms are tried in order.
+            "remote" => self.parse_remote(line_no, line, toks, head, kind)?,
             "name" => {
                 self.enter(line_no, head, Section::Header)?;
                 if self.name.is_some() {
@@ -1231,97 +1238,100 @@ impl<'a> Parser<'a> {
                 }
                 self.fleet().steps.push(FleetStep::Local { src, msg });
             }
-            "remote" => {
-                self.expect_kind(line_no, head, kind, TraceKind::Fleet)?;
-                self.enter(line_no, head, Section::Steps)?;
-                let src = self.parse_fleet_id(line_no, line, toks, 1)?;
-                let dest = self.parse_fleet_id(line_no, line, toks, 2)?;
-                let fu_tok = self.need(line_no, line, toks, 3, "destination functional unit")?;
-                let fu_raw = self.parse_u64(line_no, fu_tok, "functional unit")?;
-                let fu = FuId::new(fu_raw as u8).map_err(|_| {
-                    self.err(
-                        line_no,
-                        fu_tok.col,
-                        format!("functional unit {fu_raw} out of range (0..=15)"),
-                    )
-                })?;
-                if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
-                    return Err(self.err(
-                        line_no,
-                        fu_tok.col,
-                        "a remote message may not target a gateway forwarding port \
-                         (node 0, fu 0)",
-                    ));
-                }
-                let payload_tok = self.need(line_no, line, toks, 4, "payload hex (or -)")?;
-                let payload = self.parse_payload(line_no, payload_tok)?;
-                let mut ttl: Option<u8> = None;
-                let mut priority = false;
-                for &tok in &toks[5.min(toks.len())..] {
-                    if let Some(value) = tok.text.strip_prefix("ttl=") {
-                        if ttl.is_some() || priority {
-                            return Err(self.err(
-                                line_no,
-                                tok.col,
-                                "`ttl=` may appear once, before `prio`",
-                            ));
-                        }
-                        self.need_v2(line_no, tok)?;
-                        let value_tok = Tok {
-                            col: tok.col + "ttl=".len() as u32,
-                            text: value,
-                        };
-                        let raw = self.parse_u64(line_no, value_tok, "envelope TTL")?;
-                        if raw < 1 || raw > MAX_TTL as u64 {
-                            return Err(self.err(
-                                line_no,
-                                value_tok.col,
-                                format!("envelope TTL {raw} out of range (1..={MAX_TTL})"),
-                            ));
-                        }
-                        ttl = Some(raw as u8);
-                    } else if tok.text == "prio" {
-                        if priority {
-                            return Err(self.err(line_no, tok.col, "duplicate `prio` token"));
-                        }
-                        priority = true;
-                    } else {
-                        return Err(self.err(
-                            line_no,
-                            tok.col,
-                            format!(
-                                "unexpected trailing token `{}` (only `ttl=<n>` and `prio` \
-                                 may follow)",
-                                tok.text
-                            ),
-                        ));
-                    }
-                }
-                // Only a payload within an envelope header of `maxmsg`
-                // can overflow it, so only those pay for building the
-                // envelope and validating it like any queued message.
-                if payload.len() + MAX_ENVELOPE_HEADER > self.config.max_message_bytes() {
-                    let envelope = envelope_message(node_full_prefix(dest), fu, &payload, ttl);
-                    let hint = if ttl.is_some() {
-                        " (counting the 6-byte `ttl=` envelope header)"
-                    } else {
-                        " (counting the 4-byte envelope header)"
-                    };
-                    self.check_len(line_no, payload_tok, &envelope, hint)?;
-                }
-                self.fleet().steps.push(FleetStep::Remote {
-                    src,
-                    dest,
-                    fu,
-                    payload,
-                    priority,
-                    ttl,
-                });
-            }
             other => {
                 return Err(self.err(line_no, head.col, format!("unknown directive `{other}`")));
             }
         }
+        Ok(())
+    }
+
+    /// Parses `remote <c.n> <c.n> <fu> <payload> [ttl=<n>] [prio]`.
+    fn parse_remote(
+        &mut self,
+        line_no: u32,
+        line: &str,
+        toks: &[Tok<'a>],
+        head: Tok<'a>,
+        kind: TraceKind,
+    ) -> Result<(), TraceError> {
+        self.expect_kind(line_no, head, kind, TraceKind::Fleet)?;
+        self.enter(line_no, head, Section::Steps)?;
+        let src = self.parse_fleet_id(line_no, line, toks, 1)?;
+        let dest = self.parse_fleet_id(line_no, line, toks, 2)?;
+        let fu_tok = self.need(line_no, line, toks, 3, "destination functional unit")?;
+        let fu = self.parse_fu(line_no, fu_tok)?;
+        if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
+            return Err(self.err(
+                line_no,
+                fu_tok.col,
+                "a remote message may not target a gateway forwarding port \
+                 (node 0, fu 0)",
+            ));
+        }
+        let payload_tok = self.need(line_no, line, toks, 4, "payload hex (or -)")?;
+        let payload = self.parse_payload(line_no, payload_tok)?;
+        let mut ttl: Option<u8> = None;
+        let mut priority = false;
+        for &tok in &toks[5.min(toks.len())..] {
+            if let Some(value) = tok.text.strip_prefix("ttl=") {
+                if ttl.is_some() || priority {
+                    return Err(self.err(
+                        line_no,
+                        tok.col,
+                        "`ttl=` may appear once, before `prio`",
+                    ));
+                }
+                self.need_v2(line_no, tok)?;
+                let value_tok = Tok {
+                    col: tok.col + "ttl=".len() as u32,
+                    text: value,
+                };
+                let raw = self.parse_u64(line_no, value_tok, "envelope TTL")?;
+                if raw < 1 || raw > MAX_TTL as u64 {
+                    return Err(self.err(
+                        line_no,
+                        value_tok.col,
+                        format!("envelope TTL {raw} out of range (1..={MAX_TTL})"),
+                    ));
+                }
+                ttl = Some(raw as u8);
+            } else if tok.text == "prio" {
+                if priority {
+                    return Err(self.err(line_no, tok.col, "duplicate `prio` token"));
+                }
+                priority = true;
+            } else {
+                return Err(self.err(
+                    line_no,
+                    tok.col,
+                    format!(
+                        "unexpected trailing token `{}` (only `ttl=<n>` and `prio` \
+                         may follow)",
+                        tok.text
+                    ),
+                ));
+            }
+        }
+        // Only a payload within an envelope header of `maxmsg`
+        // can overflow it, so only those pay for building the
+        // envelope and validating it like any queued message.
+        if payload.len() + MAX_ENVELOPE_HEADER > self.config.max_message_bytes() {
+            let envelope = envelope_message(node_full_prefix(dest), fu, &payload, ttl);
+            let hint = if ttl.is_some() {
+                " (counting the 6-byte `ttl=` envelope header)"
+            } else {
+                " (counting the 4-byte envelope header)"
+            };
+            self.check_len(line_no, payload_tok, &envelope, hint)?;
+        }
+        self.fleet().steps.push(FleetStep::Remote {
+            src,
+            dest,
+            fu,
+            payload,
+            priority,
+            ttl,
+        });
         Ok(())
     }
 
@@ -1373,6 +1383,35 @@ impl<'a> Parser<'a> {
                 ),
             )
         })
+    }
+
+    /// A decimal functional unit, 0..=15.
+    fn parse_fu(&self, line_no: u32, tok: Tok<'a>) -> Result<FuId, TraceError> {
+        match tok
+            .text
+            .parse::<u8>()
+            .ok()
+            .and_then(|raw| FuId::new(raw).ok())
+        {
+            Some(fu) => Ok(fu),
+            None => Err(self.fu_error(line_no, tok)),
+        }
+    }
+
+    /// Why `tok` is no functional unit: malformed, or out of range.
+    /// Kept out of line, so the hot path of [`Parser::parse_fu`] stays
+    /// small.
+    #[cold]
+    #[inline(never)]
+    fn fu_error(&self, line_no: u32, tok: Tok<'a>) -> TraceError {
+        match self.parse_u64(line_no, tok, "functional unit") {
+            Err(malformed) => malformed,
+            Ok(raw) => self.err(
+                line_no,
+                tok.col,
+                format!("functional unit {raw} out of range (0..=15)"),
+            ),
+        }
     }
 
     fn parse_hex_u32(&self, line_no: u32, tok: Tok<'a>, what: &str) -> Result<u32, TraceError> {
@@ -1439,8 +1478,15 @@ impl<'a> Parser<'a> {
                 .with_hop_delay(mbus_sim::SimTime::from_ps(ps))
                 .map_err(|e| self.err(line_no, tok.col, format!("bad hop_ps: {e}")))?;
         }
-        if let Some((cycles, _)) = medwake {
-            config = config.with_mediator_wakeup_cycles(cycles as u32);
+        if let Some((cycles, tok)) = medwake {
+            let cycles = u32::try_from(cycles).map_err(|_| {
+                self.err(
+                    line_no,
+                    tok.col,
+                    format!("medwake {cycles} out of range (0..={})", u32::MAX),
+                )
+            })?;
+            config = config.with_mediator_wakeup_cycles(cycles);
         }
         self.config = config;
         Ok(())
@@ -1555,7 +1601,7 @@ impl<'a> Parser<'a> {
                         text: &tok.text["short=".len()..],
                     };
                     let raw = self.parse_hex_u32(line_no, value, "short prefix")?;
-                    short = Some(ShortPrefix::new(raw as u8).map_err(|_| {
+                    short = Some(short_prefix(raw).ok_or_else(|| {
                         self.err(
                             line_no,
                             value.col,
@@ -1644,7 +1690,7 @@ impl<'a> Parser<'a> {
         i: usize,
     ) -> Result<FleetNodeId, TraceError> {
         let tok = self.need(line_no, line, toks, i, "fleet node id (cluster.node)")?;
-        let Some((c, n)) = tok.text.split_once('.') else {
+        let Some((c, n)) = split_at_dot(tok.text) else {
             return Err(self.err(
                 line_no,
                 tok.col,
@@ -1800,14 +1846,7 @@ impl<'a> Parser<'a> {
             }
         };
         let fu_tok = self.need(line_no, line, toks, next, "behavior functional unit")?;
-        let fu_raw = self.parse_u64(line_no, fu_tok, "functional unit")?;
-        let fu = FuId::new(fu_raw as u8).map_err(|_| {
-            self.err(
-                line_no,
-                fu_tok.col,
-                format!("functional unit {fu_raw} out of range (0..=15)"),
-            )
-        })?;
+        let fu = self.parse_fu(line_no, fu_tok)?;
         let payload_tok = self.need(line_no, line, toks, next + 1, "payload hex (or -)")?;
         let payload = self.parse_payload(line_no, payload_tok)?;
         if payload.len() > MAX_BEHAVIOR_PAYLOAD {
@@ -1874,8 +1913,8 @@ impl<'a> Parser<'a> {
                 .map_err(|_| bad("full prefix out of range (20 bits)"))?;
             Ok(Address::full(prefix, fu))
         } else {
-            let prefix = ShortPrefix::new(prefix_raw as u8)
-                .map_err(|_| bad("short prefix out of range (0x1..=0xE)"))?;
+            let prefix = short_prefix(prefix_raw)
+                .ok_or_else(|| bad("short prefix out of range (0x1..=0xE)"))?;
             Ok(Address::short(prefix, fu))
         }
     }
@@ -1893,15 +1932,22 @@ impl<'a> Parser<'a> {
             ));
         }
         let mut payload = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let byte = u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| {
-                self.err(
+        for (pair, digits) in hex.as_bytes().chunks_exact(2).enumerate() {
+            let (high, low) = (HEX_VALUE[digits[0] as usize], HEX_VALUE[digits[1] as usize]);
+            if high == NOT_HEX || low == NOT_HEX {
+                // Every earlier pair was two ASCII digits, so this one
+                // starts a char; show it up to the next char boundary.
+                let at = 2 * pair;
+                let end = (at + 2..hex.len())
+                    .find(|&end| hex.is_char_boundary(end))
+                    .unwrap_or(hex.len());
+                return Err(self.err(
                     line_no,
-                    tok.col + i as u32,
-                    format!("invalid payload hex digit in `{}`", &hex[i..i + 2]),
-                )
-            })?;
-            payload.push(byte);
+                    tok.col + at as u32,
+                    format!("invalid payload hex digit in `{}`", &hex[at..end]),
+                ));
+            }
+            payload.push(high << 4 | low);
         }
         Ok(payload)
     }
@@ -1952,6 +1998,36 @@ impl<'a> Parser<'a> {
         Ok(msg)
     }
 }
+
+/// `text.split_once('.')` by a byte search: the char-pattern searcher
+/// costs more than the rest of a fleet node id's parse.
+fn split_at_dot(text: &str) -> Option<(&str, &str)> {
+    let dot = text.bytes().position(|b| b == b'.')?;
+    Some((&text[..dot], &text[dot + 1..]))
+}
+
+/// A short prefix from its parsed hex: `None` unless it is 0x1..=0xE.
+fn short_prefix(raw: u32) -> Option<ShortPrefix> {
+    u8::try_from(raw)
+        .ok()
+        .and_then(|raw| ShortPrefix::new(raw).ok())
+}
+
+/// Marks a byte that is no hex digit in [`HEX_VALUE`].
+const NOT_HEX: u8 = 0xFF;
+
+/// Each byte's hex digit value (either case), or [`NOT_HEX`].
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        let digit = b"0123456789abcdef"[i];
+        table[digit as usize] = i as u8;
+        table[digit.to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 // ----------------------------------------------------------------------
 // Signature digests

@@ -66,6 +66,12 @@ const EXPECTED: &[(&str, &str)] = &[
         "bad_payload_digit.mbt",
         "bad_payload_digit.mbt:4:16: invalid payload hex digit in `zz`",
     ),
+    // The bad pair cuts a multi-byte char, so it shows up to the
+    // char's end.
+    (
+        "payload_multibyte_digit.mbt",
+        "payload_multibyte_digit.mbt:4:14: invalid payload hex digit in `aé`",
+    ),
     (
         "topology_after_steps.mbt",
         "topology_after_steps.mbt:5:1: `node` appears after a later section \
@@ -156,6 +162,29 @@ const EXPECTED: &[(&str, &str)] = &[
         "remote_to_forwarding_port.mbt",
         "remote_to_forwarding_port.mbt:5:16: a remote message may not target a gateway \
          forwarding port (node 0, fu 0)",
+    ),
+    // Out-of-range numbers are rejected where they would otherwise
+    // wrap in a narrowing cast (257 → fu 1, 0x102 → short 0x2, …).
+    (
+        "remote_fu_range.mbt",
+        "remote_fu_range.mbt:5:16: functional unit 257 out of range (0..=15)",
+    ),
+    (
+        "behavior_fu_range.mbt",
+        "behavior_fu_range.mbt:4:20: functional unit 259 out of range (0..=15)",
+    ),
+    (
+        "short_prefix_range.mbt",
+        "short_prefix_range.mbt:3:27: short prefix 0x102 out of range (0x1..=0xE)",
+    ),
+    (
+        "address_prefix_range.mbt",
+        "address_prefix_range.mbt:5:8: malformed address `0x103.0` (short prefix out of range \
+         (0x1..=0xE); expected 0xP.F, full:0xPPPPP.F, or bcast.C)",
+    ),
+    (
+        "medwake_range.mbt",
+        "medwake_range.mbt:3:41: medwake 4294967297 out of range (0..=4294967295)",
     ),
 ];
 
