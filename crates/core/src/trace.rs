@@ -1387,14 +1387,9 @@ impl<'a> Parser<'a> {
 
     /// A decimal functional unit, 0..=15.
     fn parse_fu(&self, line_no: u32, tok: Tok<'a>) -> Result<FuId, TraceError> {
-        match tok
-            .text
-            .parse::<u8>()
-            .ok()
-            .and_then(|raw| FuId::new(raw).ok())
-        {
-            Some(fu) => Ok(fu),
-            None => Err(self.fu_error(line_no, tok)),
+        match tok.text.parse::<u8>().map(FuId::new) {
+            Ok(Ok(fu)) => Ok(fu),
+            _ => Err(self.fu_error(line_no, tok)),
         }
     }
 

@@ -166,7 +166,7 @@ fn shape(line: &str) -> String {
     out
 }
 
-/// Each line's byte offset, for the first line of each shape.
+/// The first line of each shape: its index, byte offset and text.
 fn fresh_lines(text: &str) -> Vec<(usize, usize, &str)> {
     let mut shapes = std::collections::HashSet::new();
     let mut offset = 0;
@@ -277,6 +277,9 @@ fn token_mutants(name: &str, text: &str, failures: &mut Vec<String>) -> usize {
     for (line_no, _, line) in fresh_lines(text) {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         let at = |i: usize| format!("{name}:{}: token {i}", line_no + 1);
+        let written = with_line(&lines, line_no, &tokens);
+        let written = check(&format!("{name}:{}", line_no + 1), &written, failures);
+        count += 1;
         for i in 0..tokens.len() {
             let mut dropped = tokens.clone();
             dropped.remove(i);
@@ -299,16 +302,11 @@ fn token_mutants(name: &str, text: &str, failures: &mut Vec<String>) -> usize {
             for slot in slots(tokens[i]) {
                 let digits = &tokens[i][slot.start..slot.end];
                 let radix = if slot.hex { 16 } else { 10 };
-                // Parsed, by value: the original line and each
+                // Parsed, by value: the line as written and each
                 // substitution that still parses.
                 let mut seen: Vec<(u128, String)> = Vec::new();
-                if let Ok(value) = u128::from_str_radix(digits, radix) {
-                    let original = with_line(&lines, line_no, &tokens);
-                    if let Some(mbt) = check(&format!("{} as written", at(i)), &original, failures)
-                    {
-                        seen.push((value, mbt));
-                    }
-                    count += 1;
+                if let (Ok(value), Some(mbt)) = (u128::from_str_radix(digits, radix), &written) {
+                    seen.push((value, mbt.clone()));
                 }
                 for &value in BOUNDARIES {
                     let number = if slot.hex {
