@@ -18,8 +18,8 @@
 //! 2. **Worker scaling** — 8192 analytic buses (32768 nodes) at 1,
 //!    2, 4, and 8 workers, each count run twice: workers spawned per
 //!    epoch (`ShardedFleet::per_epoch_spawn`) vs workers kept for the
-//!    whole drive (`ShardedFleet::new`), both rebalanced by measured
-//!    load every epoch, so their ratio is the spawn cost alone. Both
+//!    whole drive (`ShardedFleet::new`), both with cluster `c` on
+//!    shard `c % workers`, so their ratio is the spawn cost alone. Both
 //!    streams are asserted bit-identical to the single-threaded
 //!    interleaved reference; per-shard transaction and wall-time
 //!    gauges come from

@@ -767,8 +767,8 @@ impl BusEngine for AnalyticBus {
         AnalyticBus::layer_on(self, node)
     }
 
-    fn spec(&self, node: NodeIndex) -> NodeSpec {
-        AnalyticBus::spec(self, node).clone()
+    fn spec(&self, node: NodeIndex) -> &NodeSpec {
+        AnalyticBus::spec(self, node)
     }
 }
 

@@ -504,7 +504,7 @@ pub trait BusEngine: Send {
     fn layer_on(&self, node: NodeIndex) -> bool;
 
     /// A node's spec (prefixes may change under enumeration).
-    fn spec(&self, node: NodeIndex) -> NodeSpec;
+    fn spec(&self, node: NodeIndex) -> &NodeSpec;
 }
 
 impl fmt::Debug for dyn BusEngine {

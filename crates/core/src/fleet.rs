@@ -35,9 +35,10 @@
 //! [`InterleavedScheduler`] per cluster group, stepping one
 //! transaction per cluster per round so thousands of buses — ideally
 //! [`AnalyticBus`](crate::AnalyticBus)-backed — make progress
-//! together; groups run on scoped worker threads, rebalanced by
-//! measured load, with gateway envelopes exchanged at cross-worker
-//! epoch barriers; one group is the single-threaded interleave).
+//! together; groups run on scoped worker threads, cluster `c` always
+//! on group `c % workers`, with gateway envelopes exchanged at
+//! cross-worker epoch barriers; one group is the single-threaded
+//! interleave).
 //! Barrier routing makes cross-bus
 //! causality (which epoch a forwarded message lands in) reproducible,
 //! engine-independent, *and* schedule-independent: all schedules
@@ -857,7 +858,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics for an unknown cluster.
-    pub fn spec(&self, id: FleetNodeId) -> NodeSpec {
+    pub fn spec(&self, id: FleetNodeId) -> &NodeSpec {
         self.clusters[id.cluster].spec(id.node)
     }
 
@@ -1195,12 +1196,11 @@ pub enum FleetSchedule {
     /// thread. Runs as `Sharded { shards: 1 }`.
     Interleaved,
     /// Sharded interleave ([`shard::ShardedFleet`]): cluster groups on
-    /// scoped worker threads, one interleaved scheduler each, shards
-    /// rebalanced every epoch by measured per-cluster load, gateway
-    /// envelopes exchanged at cross-worker epoch barriers — tens of
-    /// thousands of buses across cores. The record stream stays
-    /// bit-identical to [`FleetSchedule::Interleaved`] regardless of
-    /// worker count or shard assignment.
+    /// scoped worker threads, one interleaved scheduler each, cluster
+    /// `c` always on shard `c % workers`, gateway envelopes exchanged
+    /// at cross-worker epoch barriers — tens of thousands of buses
+    /// across cores. The record stream stays bit-identical to
+    /// [`FleetSchedule::Interleaved`] regardless of worker count.
     Sharded {
         /// Worker-thread count (clamped to the cluster count; 0 is
         /// treated as 1).
@@ -2841,9 +2841,10 @@ pub struct FleetFairness {
     pub epochs: u64,
     /// Transactions each shard's scheduler ran, indexed by shard —
     /// the load-balance view of a sharded drain. An interleaved drain
-    /// is one shard, so it carries one entry. Deterministic (it
-    /// follows the shard assignment, which is a pure function of the
-    /// record stream).
+    /// is one shard, so it carries one entry. Deterministic: cluster
+    /// `c` runs on shard `c % shards`, so entry `s` sums
+    /// [`cluster_transactions`](Self::cluster_transactions) over
+    /// those clusters.
     pub shard_transactions: Vec<u64>,
     /// Wall-clock nanoseconds each shard spent inside its epoch
     /// bodies, summed across epochs, indexed by shard — the barrier

@@ -1,23 +1,24 @@
 //! Sharded fleet drains: groups of interleaved clusters on scoped
 //! worker threads, synchronized at cross-worker gateway barriers, with
-//! shards rebalanced by measured load.
+//! each cluster on one fixed shard.
 //!
 //! This is the fleet's one interleaved drive loop. Each epoch polls
 //! only the clusters that may have work: the first epoch of a drive
 //! takes the fleet's pending set (every cluster queued to or woken
 //! since the last drive), and each later epoch takes the destinations
 //! of the previous barrier's forwarded legs. A [`ShardedFleet`]
-//! partitions those clusters into **shards**, packed every epoch by
-//! measured per-cluster load, and, each epoch, runs one
-//! [`InterleavedScheduler`] per shard: shard 0 on the calling thread,
-//! the others on workers of a `std::thread::scope` that lives for the
-//! whole drive (or, in the [`ShardedFleet::per_epoch_spawn`] mode, for
-//! one epoch). With one shard no thread is spawned at all. When every
-//! shard's clusters are quiescent, the shards hand back **per-shard
-//! outboxes** (classified gateway envelopes plus local-traffic stashes
-//! and drop counters) and the barrier exchanges them: forwarded legs
-//! are queued onto their destination buses in **global source-cluster
-//! order**, exactly as a single-threaded routing pass would.
+//! partitions those clusters into **shards** by one fixed map —
+//! cluster `c` always runs on shard `c % workers` — and, each epoch,
+//! runs one [`InterleavedScheduler`] per shard: shard 0 on the calling
+//! thread, the others on workers of a `std::thread::scope` that lives
+//! for the whole drive (or, in the [`ShardedFleet::per_epoch_spawn`]
+//! mode, for one epoch). With one shard no thread is spawned at all.
+//! When every shard's clusters are quiescent, the shards hand back
+//! **per-shard outboxes** (classified gateway envelopes plus
+//! local-traffic stashes and drop counters) and the barrier exchanges
+//! them: forwarded legs are queued onto their destination buses in
+//! **global source-cluster order**, exactly as a single-threaded
+//! routing pass would.
 //!
 //! # Equivalence argument
 //!
@@ -56,16 +57,10 @@
 //! * **Routing order.** Forwarded legs are tagged with their source
 //!   cluster and stably sorted by it at the barrier, so they are
 //!   queued by (source cluster, receive position) — the batched
-//!   `route_cluster` loop's order — even when a rebalance has made
-//!   shards non-contiguous. Queueing never executes bus work (engines
-//!   only run inside epochs), so barrier-internal interleaving of
-//!   `drain_rx` and `queue` calls is immaterial.
-//! * **Rebalancing is deterministic.** Each epoch's assignment is
-//!   packed from the schedulers' per-cluster transaction counters,
-//!   which are themselves a pure function of the (deterministic)
-//!   record stream; the greedy bin-packing breaks every tie by index.
-//!   The assignment therefore replays identically run-to-run, and by
-//!   the points above the *output* never depends on it anyway.
+//!   `route_cluster` loop's order — even though the fixed map strides
+//!   each shard's clusters across the fleet. Queueing never executes
+//!   bus work (engines only run inside epochs), so barrier-internal
+//!   interleaving of `drain_rx` and `queue` calls is immaterial.
 //!
 //! `tests/sharded_fleet.rs` pins all of this over hundreds of seeds,
 //! every [`EngineKind`](crate::engine::EngineKind), shard counts
@@ -85,7 +80,6 @@
 //! and the scope makes the borrow checker prove that no worker outlives
 //! the engine borrows, so the runtime needs no `unsafe`.
 
-use std::cmp::Reverse;
 use std::fmt;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
@@ -120,7 +114,7 @@ struct ShardEpoch {
     /// Forwarded legs as `(source cluster, destination cluster,
     /// message)`, in (source cluster, receive position) order within
     /// the shard; the barrier's stable source sort restores the global
-    /// routing order across (possibly non-contiguous) shards.
+    /// routing order across the strided shards.
     forwards: Vec<(usize, usize, Message)>,
     /// This shard's forwarding/drop accounting for the epoch, merged
     /// into the fleet's [`GatewayNode`] at the barrier.
@@ -217,21 +211,19 @@ struct DriveState<'f> {
 
 /// The fleet drive loop: cluster shards on scoped worker threads, one
 /// [`InterleavedScheduler`] per shard, gateway envelopes exchanged at
-/// cross-worker epoch barriers, shards rebalanced by measured
-/// per-cluster load.
+/// cross-worker epoch barriers, cluster `c` always on shard
+/// `c % workers`.
 ///
 /// Every shard count yields the same record stream, receive logs,
 /// statistics and gateway counters (see the [module docs](self) for
 /// why); more shards only spread the per-epoch bus work across up to
 /// `shards` cores. Each epoch polls only the clusters that may have
 /// work, so a drive's cost follows its traffic, not the fleet size,
-/// and driving a quiescent fleet does nothing. Before every epoch
-/// those clusters are packed onto the shards by greedy bin-packing on
-/// the schedulers' accumulated per-cluster transaction counters
-/// (heaviest cluster first onto the lightest shard, every tie broken
-/// by index); the counters are a pure function of the deterministic
-/// record stream, so the assignment replays identically run-to-run.
-/// `ShardedFleet::new(1)` is the single-threaded interleaved drain
+/// and driving a quiescent fleet does nothing. Cluster `c` runs on
+/// shard `c % workers`, where `workers` is the shard count clamped to
+/// the fleet's cluster count, so a cluster keeps its shard across
+/// epochs and drives. `ShardedFleet::new(1)` is the single-threaded
+/// interleaved drain
 /// ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved)).
 /// Each drive opens one thread scope whose workers serve every epoch of
 /// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
@@ -270,10 +262,6 @@ pub struct ShardedFleet {
     /// epochs and drives. Lent to the shard's worker during an epoch.
     schedulers: Vec<InterleavedScheduler>,
     epochs: u64,
-    /// The last epoch's cluster-to-shard assignment: `assignment[s]`
-    /// lists shard `s`'s clusters in ascending order; together the
-    /// lists partition the clusters that epoch polled.
-    assignment: Vec<Vec<usize>>,
     /// Cumulative wall-clock nanoseconds per shard (epoch bodies only,
     /// barrier time excluded), indexed by shard.
     shard_wall_nanos: Vec<u64>,
@@ -289,15 +277,13 @@ impl ShardedFleet {
     /// Creates a driver that spreads each epoch across up to `shards`
     /// workers (0 is treated as 1; the effective worker count is
     /// further clamped to the driven fleet's cluster count), keeping
-    /// one set of worker threads per drive and rebalancing by measured
-    /// load every epoch.
+    /// one set of worker threads per drive.
     pub fn new(shards: usize) -> Self {
         ShardedFleet {
             shards: shards.max(1),
             scope_per_drive: true,
             schedulers: Vec::new(),
             epochs: 0,
-            assignment: Vec::new(),
             shard_wall_nanos: Vec::new(),
         }
     }
@@ -316,16 +302,6 @@ impl ShardedFleet {
     /// The configured shard (worker) count.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The last epoch's cluster-to-shard assignment: entry `s` lists
-    /// shard `s`'s clusters in ascending order, and together the lists
-    /// partition the clusters that epoch polled — not the whole fleet,
-    /// since an epoch polls only clusters that may have work. Empty
-    /// before the first drive; repacked before every epoch, and left
-    /// as it was by a drive with nothing to do.
-    pub fn shard_assignment(&self) -> &[Vec<usize>] {
-        &self.assignment
     }
 
     /// Transactions driven across all [`drive`](Self::drive) calls,
@@ -380,7 +356,8 @@ impl ShardedFleet {
     /// (shards own disjoint clusters, so this is exact), the
     /// starvation and hog gauges are maxima over shards,
     /// [`FleetFairness::epochs`] is the global barrier count, and the
-    /// per-shard transaction/wall-time gauges expose the load balance.
+    /// per-shard transaction/wall-time gauges show how the fixed
+    /// cluster-to-shard map spread the load.
     pub fn fairness(&self, clusters: usize) -> FleetFairness {
         let mut merged = FleetFairness {
             cluster_transactions: vec![0; clusters],
@@ -399,29 +376,6 @@ impl ShardedFleet {
                 .max(s.max_cluster_epoch_transactions());
         }
         merged
-    }
-
-    /// Packs the epoch's `active` clusters (ascending) onto `workers`
-    /// shards by the schedulers' accumulated per-cluster transaction
-    /// counters.
-    fn rebalance(&mut self, active: &[usize], workers: usize) {
-        let weights: Vec<u64> = active
-            .iter()
-            .map(|&c| {
-                self.schedulers
-                    .iter()
-                    .map(|s| s.cluster_transactions().get(c).copied().unwrap_or(0))
-                    .sum()
-            })
-            .collect();
-        self.assignment = balance_by_weight(&weights, workers);
-        // Positions into `active` become cluster indexes; `active` is
-        // ascending, so each shard's list stays ascending.
-        for members in &mut self.assignment {
-            for c in members.iter_mut() {
-                *c = active[*c];
-            }
-        }
     }
 
     /// Runs `fleet` until no bus has pending work and no envelope is
@@ -510,24 +464,31 @@ impl ShardedFleet {
         sink: &mut dyn FnMut(FleetRecord),
     ) {
         let active = state.pending.take();
-        self.rebalance(&active, lanes.len() + 1);
 
         // Lend each shard exclusive access to exactly its clusters'
-        // engines, plus its scheduler.
-        let slots = &mut state.slots;
-        let schedulers = &mut self.schedulers;
-        let mut leases = self
-            .assignment
-            .iter()
+        // engines — cluster `c` to shard `c % workers`, in one pass, so
+        // each shard's entries ascend — plus its scheduler. A run of
+        // consecutive clusters fills every shard's share exactly.
+        let workers = lanes.len() + 1;
+        let share = active.len().div_ceil(workers);
+        let mut leases: Vec<ShardLease<'f>> = self
+            .schedulers
+            .iter_mut()
+            .take(workers)
             .enumerate()
-            .map(|(shard, members)| ShardLease {
+            .map(|(shard, scheduler)| ShardLease {
                 shard,
-                engines: members
-                    .iter()
-                    .map(|&c| (c, slots[c].take().expect("cluster assigned to one shard")))
-                    .collect(),
-                scheduler: mem::take(&mut schedulers[shard]),
-            });
+                engines: Vec::with_capacity(share),
+                scheduler: mem::take(scheduler),
+            })
+            .collect();
+        for &c in &active {
+            let engine = state.slots[c]
+                .take()
+                .expect("each cluster polls once an epoch");
+            leases[c % workers].engines.push((c, engine));
+        }
+        let mut leases = leases.into_iter();
         let local = leases.next().expect("at least one shard");
         for (lease, lane) in leases.zip(lanes) {
             lane.send(lease)
@@ -608,29 +569,6 @@ impl ShardedFleet {
             self.epochs += 1;
         }
     }
-}
-
-/// Deterministic greedy bin-packing: clusters in descending weight
-/// (index-ascending within a weight) each go to the currently
-/// lightest shard (lowest index on ties); each shard's list is then
-/// sorted ascending. Zero weights are floored to 1 so an unmeasured
-/// fleet deals out evenly instead of piling onto shard 0.
-fn balance_by_weight(weights: &[u64], shards: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&c| (Reverse(weights[c].max(1)), c));
-    let mut loads = vec![0u64; shards];
-    let mut assignment = vec![Vec::new(); shards];
-    for c in order {
-        let shard = (0..shards)
-            .min_by_key(|&s| loads[s])
-            .expect("at least one shard");
-        loads[shard] += weights[c].max(1);
-        assignment[shard].push(c);
-    }
-    for members in &mut assignment {
-        members.sort_unstable();
-    }
-    assignment
 }
 
 impl fmt::Display for ShardedFleet {
@@ -800,23 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_balance_is_deterministic_and_even() {
-        // Unmeasured weights deal out strided; a dominant cluster gets
-        // a shard to itself.
-        assert_eq!(
-            balance_by_weight(&[0, 0, 0, 0, 0, 0], 3),
-            vec![vec![0, 3], vec![1, 4], vec![2, 5]]
-        );
-        assert_eq!(
-            balance_by_weight(&[100, 1, 1, 1], 2),
-            vec![vec![0], vec![1, 2, 3]],
-            "hot cluster isolated"
-        );
-        // Ties break by index, shards sorted ascending.
-        assert_eq!(balance_by_weight(&[5, 5, 5], 2), vec![vec![0, 2], vec![1]]);
-    }
-
-    #[test]
     fn wire_engines_migrate_across_pool_threads() {
         // Conformance for the lease hand-off on the wire engine: two
         // wire engines on two shards, so every epoch moves one engine's
@@ -846,47 +767,6 @@ mod tests {
             assert_eq!(n, 4, "round {round}: two envelopes + two forwarded legs");
         }
         assert_eq!(sharded.transactions(), 12);
-    }
-
-    #[test]
-    fn assignment_refreshes_on_rebalance_and_resize() {
-        // The assignment partitions the clusters the last epoch polled:
-        // the destinations of the drive's final forwarded legs, not the
-        // whole fleet.
-        let mut sharded = ShardedFleet::new(2);
-        let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
-        let mut last_epoch = |fleet: &mut Fleet, pairs: &[(usize, usize)]| {
-            for &(src, dst) in pairs {
-                fleet
-                    .queue_remote(
-                        FleetNodeId::new(src, 1),
-                        FleetNodeId::new(dst, 1),
-                        FuId::ZERO,
-                        vec![src as u8],
-                    )
-                    .unwrap();
-            }
-            sharded.drive(fleet, &mut |_| {});
-            let assignment = sharded.shard_assignment().to_vec();
-            assert_eq!(assignment.len(), 2);
-            for members in &assignment {
-                assert!(members.is_sorted(), "{assignment:?} lists ascend");
-            }
-            let mut all: Vec<usize> = assignment.into_iter().flatten().collect();
-            all.sort_unstable();
-            all
-        };
-        assert_eq!(last_epoch(&mut fleet, &[(0, 4), (3, 6)]), vec![4, 6]);
-        assert_eq!(
-            last_epoch(&mut fleet, &[(1, 5), (2, 5), (7, 2)]),
-            vec![2, 5],
-            "refreshed by the next drive"
-        );
-        assert_eq!(
-            last_epoch(&mut fleet, &[]),
-            vec![2, 5],
-            "a quiescent drive leaves it as it was"
-        );
     }
 
     #[test]

@@ -49,8 +49,11 @@
 //!
 //! Sections are ordered — headers, then topology (`node` / `cluster`),
 //! then steps — and comments are whole lines starting with `#` (so
-//! payload and name fields never need escaping). Parse errors carry an
-//! exact `file:line:col` span and never panic; see [`TraceError`].
+//! payload and name fields never need escaping). A line ends after its
+//! directive's last argument: any further token is an error, except in
+//! the rest-of-line `name` values, which end before a trailing `\r`.
+//! Parse errors carry an exact `file:line:col` span and never panic;
+//! see [`TraceError`].
 //!
 //! # Round-trip and determinism contract
 //!
@@ -915,7 +918,7 @@ impl<'a> Parser<'a> {
                 ))
             }
         });
-        Ok(())
+        self.end(line_no, toks, 3)
     }
 
     fn need(
@@ -930,6 +933,19 @@ impl<'a> Parser<'a> {
             let (l, c) = self.after(line_no, line);
             self.err(l, c, format!("missing {what}"))
         })
+    }
+
+    /// Rejects a token at index `i` or later: the line must end after
+    /// its last argument.
+    fn end(&self, line_no: u32, toks: &[Tok<'a>], i: usize) -> Result<(), TraceError> {
+        match toks.get(i) {
+            None => Ok(()),
+            Some(tok) => Err(self.err(
+                line_no,
+                tok.col,
+                format!("unexpected trailing token `{}`", tok.text),
+            )),
+        }
     }
 
     fn enter(&mut self, line_no: u32, tok: Tok<'a>, section: Section) -> Result<(), TraceError> {
@@ -974,8 +990,7 @@ impl<'a> Parser<'a> {
                     return Err(self.err(line_no, head.col, "duplicate `name` header"));
                 }
                 let value = self.need(line_no, line, toks, 1, "workload name")?;
-                // The name is the rest of the line, spaces included.
-                self.name = Some(line[(value.col - 1) as usize..].to_string());
+                self.name = Some(rest_of_line(line, value.col as usize - 1).to_string());
             }
             "seed" => {
                 self.enter(line_no, head, Section::Header)?;
@@ -984,6 +999,7 @@ impl<'a> Parser<'a> {
                 }
                 let value = self.need(line_no, line, toks, 1, "seed value")?;
                 self.meta.seed = Some(self.parse_u64(line_no, value, "seed")?);
+                self.end(line_no, toks, 2)?;
             }
             "config" => {
                 self.enter(line_no, head, Section::Header)?;
@@ -1017,10 +1033,12 @@ impl<'a> Parser<'a> {
                         format!("malformed signature digest `{hex}` (expected 64-bit hex)"),
                     )
                 })?;
+                self.end(line_no, toks, 2)?;
                 self.meta.expect_sig = Some(sig);
             }
             "wake-nulls" => {
                 self.enter(line_no, head, Section::Header)?;
+                self.end(line_no, toks, 1)?;
                 self.wake_nulls = true;
             }
             "horizon" => {
@@ -1038,6 +1056,7 @@ impl<'a> Parser<'a> {
                         format!("reply horizon {rounds} out of range (1..=4294967295)"),
                     ));
                 }
+                self.end(line_no, toks, 2)?;
                 self.horizon = Some(rounds as u32);
             }
             "node" => {
@@ -1128,13 +1147,7 @@ impl<'a> Parser<'a> {
                     };
                     domain = self.parse_u64(line_no, value_tok, "mesh domain")? as usize;
                 }
-                if let Some(&tok) = toks.get(3) {
-                    return Err(self.err(
-                        line_no,
-                        tok.col,
-                        format!("unexpected trailing token `{}`", tok.text),
-                    ));
-                }
+                self.end(line_no, toks, 3)?;
                 let fleet = self.fleet();
                 fleet.clusters.push(sensors);
                 fleet.domains.push(domain);
@@ -1187,6 +1200,7 @@ impl<'a> Parser<'a> {
             }
             "drain" => {
                 self.enter(line_no, head, Section::Steps)?;
+                self.end(line_no, toks, 1)?;
                 match kind {
                     TraceKind::Workload => self.workload().steps.push(Step::Run),
                     TraceKind::Fleet => self.fleet().steps.push(FleetStep::Drain),
@@ -1197,6 +1211,7 @@ impl<'a> Parser<'a> {
                 self.enter(line_no, head, Section::Steps)?;
                 let value = self.need(line_no, line, toks, 1, "transaction count")?;
                 let count = self.parse_u64(line_no, value, "transaction count")? as usize;
+                self.end(line_no, toks, 2)?;
                 self.workload().steps.push(Step::RunTransactions { count });
             }
             "drain-rounds" => {
@@ -1204,6 +1219,7 @@ impl<'a> Parser<'a> {
                 self.enter(line_no, head, Section::Steps)?;
                 let value = self.need(line_no, line, toks, 1, "round count")?;
                 let rounds = self.parse_u64(line_no, value, "round count")? as usize;
+                self.end(line_no, toks, 2)?;
                 self.fleet().steps.push(FleetStep::RunRounds { rounds });
             }
             "wakeup" => {
@@ -1211,10 +1227,12 @@ impl<'a> Parser<'a> {
                 match kind {
                     TraceKind::Workload => {
                         let node = self.parse_node_index(line_no, line, toks, 1)?;
+                        self.end(line_no, toks, 2)?;
                         self.workload().steps.push(Step::Wakeup { node });
                     }
                     TraceKind::Fleet => {
                         let node = self.parse_fleet_id(line_no, line, toks, 1)?;
+                        self.end(line_no, toks, 2)?;
                         self.fleet().steps.push(FleetStep::Wakeup { node });
                     }
                 }
@@ -1560,11 +1578,9 @@ impl<'a> Parser<'a> {
         let mut listen: Vec<u8> = Vec::new();
         let mut name: Option<String> = None;
         for &tok in toks {
-            if let Some(rest) = tok.text.strip_prefix("name=") {
-                // `name=` consumes the rest of the line, spaces and all.
+            if tok.text.starts_with("name=") {
                 let start = (tok.col - 1) as usize + "name=".len();
-                let _ = rest;
-                name = Some(line[start..].to_string());
+                name = Some(rest_of_line(line, start).to_string());
                 break;
             }
             match tok.text.split_once('=') {
@@ -1781,13 +1797,7 @@ impl<'a> Parser<'a> {
                 format!("mesh route cycle: next hop {via} is in the route's own domain {domain}"),
             ));
         }
-        if let Some(&tok) = toks.get(4) {
-            return Err(self.err(
-                line_no,
-                tok.col,
-                format!("unexpected trailing token `{}`", tok.text),
-            ));
-        }
+        self.end(line_no, toks, 4)?;
         self.fleet().routes.push(MeshRoute {
             domain,
             lo,
@@ -1854,13 +1864,7 @@ impl<'a> Parser<'a> {
                 ),
             ));
         }
-        if let Some(&tok) = toks.get(next + 2) {
-            return Err(self.err(
-                line_no,
-                tok.col,
-                format!("unexpected trailing token `{}`", tok.text),
-            ));
-        }
+        self.end(line_no, toks, next + 2)?;
         Ok(match (threshold, fanout) {
             (Some(n), None) => NodeBehavior::AggregateAck { n, fu, payload },
             (None, Some(fanout)) => NodeBehavior::AlarmCascade {
@@ -1950,7 +1954,7 @@ impl<'a> Parser<'a> {
     fn parse_prio(&self, line_no: u32, toks: &[Tok<'a>], i: usize) -> Result<bool, TraceError> {
         match toks.get(i) {
             None => Ok(false),
-            Some(tok) if tok.text == "prio" => Ok(true),
+            Some(tok) if tok.text == "prio" => self.end(line_no, toks, i + 1).map(|()| true),
             Some(tok) => Err(self.err(
                 line_no,
                 tok.col,
@@ -1992,6 +1996,14 @@ impl<'a> Parser<'a> {
         }
         Ok(msg)
     }
+}
+
+/// A rest-of-line value (`name`, node `name=`): the line from byte
+/// `start` on, spaces included, up to any trailing `\r`. `to_mbt`
+/// ends the value with `\n`, and a kept `\r` would turn that into a
+/// CRLF ending that `str::lines` strips on the next parse.
+fn rest_of_line(line: &str, start: usize) -> &str {
+    line[start..].trim_end_matches('\r')
 }
 
 /// `text.split_once('.')` by a byte search: the char-pattern searcher

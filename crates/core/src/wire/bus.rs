@@ -527,8 +527,8 @@ impl WireBus {
     }
 
     /// A node's spec (prefixes may change under enumeration).
-    pub fn spec(&self, node: usize) -> NodeSpec {
-        self.member(node).spec.clone()
+    pub fn spec(&self, node: usize) -> &NodeSpec {
+        &self.member(node).spec
     }
 
     /// Sends one message and runs to quiescence, returning the

@@ -393,10 +393,10 @@ impl BusEngine for WireEngine {
         }
     }
 
-    fn spec(&self, node: NodeIndex) -> NodeSpec {
+    fn spec(&self, node: NodeIndex) -> &NodeSpec {
         match &self.bus {
             Some(bus) => bus.spec(node),
-            None => self.specs[node].clone(),
+            None => &self.specs[node],
         }
     }
 }

@@ -186,6 +186,56 @@ const EXPECTED: &[(&str, &str)] = &[
         "medwake_range.mbt",
         "medwake_range.mbt:3:41: medwake 4294967297 out of range (0..=4294967295)",
     ),
+    // Every directive ends after its last argument: a token past it
+    // is rejected where it starts, never silently dropped.
+    (
+        "trailing_magic.mbt",
+        "trailing_magic.mbt:1:16: unexpected trailing token `extra`",
+    ),
+    (
+        "trailing_seed.mbt",
+        "trailing_seed.mbt:3:8: unexpected trailing token `junk`",
+    ),
+    (
+        "trailing_expect.mbt",
+        "trailing_expect.mbt:3:29: unexpected trailing token `extra`",
+    ),
+    (
+        "trailing_wake_nulls.mbt",
+        "trailing_wake_nulls.mbt:3:12: unexpected trailing token `on`",
+    ),
+    (
+        "trailing_horizon.mbt",
+        "trailing_horizon.mbt:3:11: unexpected trailing token `rounds`",
+    ),
+    (
+        "trailing_drain.mbt",
+        "trailing_drain.mbt:6:7: unexpected trailing token `now`",
+    ),
+    (
+        "trailing_drain_partial.mbt",
+        "trailing_drain_partial.mbt:6:17: unexpected trailing token `more`",
+    ),
+    (
+        "trailing_drain_rounds.mbt",
+        "trailing_drain_rounds.mbt:6:16: unexpected trailing token `more`",
+    ),
+    (
+        "trailing_wakeup.mbt",
+        "trailing_wakeup.mbt:4:10: unexpected trailing token `now`",
+    ),
+    (
+        "trailing_fleet_wakeup.mbt",
+        "trailing_fleet_wakeup.mbt:4:12: unexpected trailing token `junk`",
+    ),
+    (
+        "trailing_after_prio.mbt",
+        "trailing_after_prio.mbt:5:22: unexpected trailing token `junk`",
+    ),
+    (
+        "trailing_local_prio.mbt",
+        "trailing_local_prio.mbt:4:25: unexpected trailing token `junk`",
+    ),
 ];
 
 #[test]

@@ -13,8 +13,10 @@
 //! 3. Run a workload through every [`FleetSchedule`] (batched,
 //!    interleaved, sharded at several widths) and verify one shared
 //!    [`FleetSignature`](mbus_core::FleetSignature).
-//! 4. Watch measured load balancing hand a hot cluster its own shard
-//!    without moving a bit of the record stream.
+//! 4. Drain a skewed workload: each cluster stays on its fixed shard
+//!    (`c % workers`), so every shard's transaction count is its
+//!    clusters' sum, and the record stream matches the single-shard
+//!    drain bit for bit.
 //!
 //! Run with: `cargo run --release --example sharded_fleet`
 
@@ -90,20 +92,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("schedule {schedule}: signature identical to batched");
     }
 
-    // --- 4. Measured rebalancing. -----------------------------------
-    // Sense-and-aggregate funnels every reading to cluster 0, so after
-    // a drive's worth of transaction counters the greedy packer
-    // isolates the hot cluster on its own shard. Each epoch packs only
-    // the clusters it polls, so the assignment printed is the last
-    // epoch's: the clusters its forwarded legs landed on.
+    // --- 4. One fixed cluster-to-shard map. ------------------------
+    // Sense-and-aggregate funnels every reading to cluster 0, so the
+    // load is skewed; cluster `c` still runs on shard `c % workers`,
+    // and the stream matches the single-shard drain exactly.
     let hot = FleetWorkload::sense_and_aggregate(9, 3, 3);
-    let mut balanced = ShardedFleet::new(3);
-    let once = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
-    let twice = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
-    assert_eq!(once.records, twice.records, "rebalancing never moves a bit");
-    println!(
-        "\nmeasured balance of the last epoch's polled clusters after a hot aggregation drive: shards {:?}",
-        balanced.shard_assignment(),
-    );
+    let single = hot.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
+    let mut mapped = ShardedFleet::new(3);
+    let report = hot.run_sharded_on(EngineKind::Analytic, &mut mapped);
+    assert_eq!(single.records, report.records, "the map never moves a bit");
+    let fairness = report.fairness.as_ref().expect("sharded drains report");
+    println!("\nskewed aggregation drive, cluster c on shard c % 3:");
+    for (s, &n) in fairness.shard_transactions.iter().enumerate() {
+        let clusters: Vec<usize> = (s..9).step_by(3).collect();
+        let sum: u64 = clusters
+            .iter()
+            .map(|&c| fairness.cluster_transactions[c])
+            .sum();
+        assert_eq!(n, sum, "shard {s} runs exactly clusters {clusters:?}");
+        println!("  shard {s} runs clusters {clusters:?}: {n} transactions");
+    }
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! the programmed responses — and everything they trigger, including
 //! multi-hop mesh forwards and TTL deaths — must be bit-identical on
 //! the analytic and wire engines, under batched, interleaved,
-//! and sharded(1|2|4) schedules, with rebalancing on or off.
+//! and sharded(1|2|4) schedules.
 
 mod common;
 
@@ -15,7 +15,7 @@ use mbus_core::{EngineKind, FleetSchedule, FleetWorkload};
 
 /// The acceptance grid: seeded reactive fleets produce identical
 /// [`mbus_core::FleetSignature`]s across both engines ×
-/// batched/interleaved/sharded(1,2,4) × both balance modes, over ≥200
+/// batched/interleaved/sharded(1,2,4), over ≥200
 /// seeds at the default `MBUS_SEED_SCALE`. The census assertions at
 /// the bottom keep the battery honest: if the generator ever stops
 /// drawing behaviors or mesh routes, this fails instead of silently
@@ -30,7 +30,7 @@ fn reactive_seeded_fleets_agree_across_the_full_grid() {
         meshed += u64::from(!w.mesh_routes().is_empty());
         // Cross-engine identity first (the helper asserts)...
         common::fleet_crosscheck_all_engines(&w);
-        // ...then the schedule × shard × balance grid per kind.
+        // ...then the schedule × shard grid per kind.
         for kind in common::fleet_comparable_kinds(&w) {
             let (_, interleaved) = common::schedule_crosscheck(&w, kind);
             for shards in [1, 2, 4] {
@@ -84,8 +84,8 @@ fn duty_cycle_day_closes_the_loop_at_1024_buses() {
         "reply share fell below 30% ({} replies / {transactions} transactions)",
         report.injected_replies
     );
-    // The same day, sharded 4-ways with rebalancing on and off, is
-    // bit-identical to the single-threaded interleaved drain.
+    // The same day, sharded 4-ways, is bit-identical to the
+    // single-threaded interleaved drain.
     let interleaved = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     common::sharded_crosscheck(&w, EngineKind::Analytic, &interleaved, 4);
 }

@@ -1,8 +1,9 @@
 //! Deterministic mutation battery for the `.mbt` parser.
 //!
-//! Every small golden trace under `tests/corpus/` and every rejected
-//! fixture under `crates/core/tests/trace_fixtures/` is mutated at
-//! the byte and at the token level, and every mutant must either
+//! Every small golden trace under `tests/corpus/` (one of them also
+//! with CRLF line ends) and every rejected fixture under
+//! `crates/core/tests/trace_fixtures/` is mutated at the byte and at
+//! the token level, and every mutant must either
 //!
 //! - parse, with a `to_mbt` that re-parses to identical text, or
 //! - fail with a span whose line is within the file (1 ≤ line ≤ the
@@ -11,7 +12,10 @@
 //! No mutant may panic. Byte-level mutants delete, duplicate or
 //! replace one character (ASCII or multi-byte), so every mutant stays
 //! valid UTF-8. Token-level mutants drop a token, swap two neighbours,
-//! or substitute a numeric boundary into a number inside a token.
+//! append a ` zz` token, or substitute a numeric boundary into a
+//! number inside a token. An appended token must be rejected or change
+//! the serialization: a parser that silently drops it fails the
+//! battery.
 //!
 //! Substitutions also check that the parser keeps the value it read:
 //! two different values written into the same number of the same line
@@ -34,6 +38,11 @@ use mbus_core::trace::TraceFile;
 /// same line shapes.
 const MAX_CORPUS_LINES: usize = 100;
 
+/// The corpus trace also mutated with CRLF line ends: it parses, and
+/// its `name` and node `name=` lines end in rest-of-line values, so a
+/// duplicated `\r` ends such a value's line `\r\r\n`.
+const CRLF_TRACE: &str = "storm.mbt";
+
 /// Lines longer than this mutate only their head and tail characters.
 const LONG_LINE: usize = 64;
 const HEAD: usize = 40;
@@ -45,11 +54,12 @@ const LONG_TOKEN: usize = 32;
 
 /// The characters a byte-level mutant writes in place of another:
 /// separators, digits, hex letters, punctuation the grammar uses, a
-/// line break, and one- to four-byte non-ASCII characters (two of
-/// them whitespace). Each point takes [`PER_POINT`] of them, in
-/// rotation.
+/// line break, a carriage return, and one- to four-byte non-ASCII
+/// characters (two of them whitespace). Each point takes
+/// [`PER_POINT`] of them, in rotation.
 const REPLACEMENTS: &[char] = &[
-    ' ', '\t', '\n', '0', '9', 'f', 'x', '.', '=', ':', '-', '#', 'é', '\u{a0}', '\u{3000}', '🦀',
+    ' ', '\t', '\n', '\r', '0', '9', 'f', 'x', '.', '=', ':', '-', '#', 'é', '\u{a0}', '\u{3000}',
+    '🦀',
 ];
 const PER_POINT: usize = 8;
 
@@ -84,15 +94,21 @@ fn read_dir_sorted(dir: &Path) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The battery's inputs: the small corpus traces, then every rejected
-/// fixture.
+/// The battery's inputs: the small corpus traces, [`CRLF_TRACE`] again
+/// with CRLF line ends, then every rejected fixture.
 fn inputs() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let corpus: Vec<_> = read_dir_sorted(&root.join("tests/corpus"))
+    let mut corpus: Vec<_> = read_dir_sorted(&root.join("tests/corpus"))
         .into_iter()
         .filter(|(_, text)| text.lines().count() <= MAX_CORPUS_LINES)
         .collect();
     assert!(corpus.len() >= 5, "small corpus traces: {}", corpus.len());
+    let crlf = corpus
+        .iter()
+        .find(|(name, _)| name == CRLF_TRACE)
+        .map(|(name, text)| (format!("{name} (CRLF)"), text.replace('\n', "\r\n")))
+        .expect("the CRLF trace is a small corpus trace");
+    corpus.push(crlf);
     let fixtures = read_dir_sorted(&root.join("crates/core/tests/trace_fixtures"));
     assert!(
         fixtures.len() >= 20,
@@ -280,6 +296,19 @@ fn token_mutants(name: &str, text: &str, failures: &mut Vec<String>) -> usize {
         let written = with_line(&lines, line_no, &tokens);
         let written = check(&format!("{name}:{}", line_no + 1), &written, failures);
         count += 1;
+        if tokens.first().is_some_and(|t| !t.starts_with('#')) {
+            // A token appended to a directive is either rejected or
+            // read into the value (a rest-of-line name): never dropped.
+            let appended = with_line(&lines, line_no, &[tokens.as_slice(), &["zz"]].concat());
+            let label = format!("{name}:{}: ` zz` appended", line_no + 1);
+            let mbt = check(&label, &appended, failures);
+            count += 1;
+            if mbt.is_some() && mbt == written {
+                failures.push(format!(
+                    "{label}: the trailing token was dropped\n{appended}"
+                ));
+            }
+        }
         for i in 0..tokens.len() {
             let mut dropped = tokens.clone();
             dropped.remove(i);

@@ -159,6 +159,35 @@ fn unicode_separators_parse_like_spaces() {
     assert_eq!(parse("reparsed", &expected), expected);
 }
 
+/// A rest-of-line value (`name`, node `name=`) ends before any `\r`
+/// left at the end of its line, so a line ending `\r\r\n` (or a bare
+/// `\r` at the end of the file) serializes as if it ended `\n`, and
+/// `to_mbt` reaches its fixed point in one pass.
+#[test]
+fn rest_of_line_values_drop_trailing_carriage_returns() {
+    let lf = "mbt 1 workload\n\
+              name foo\n\
+              node prefix=0x00300 short=0x1 name=n 0\n\
+              node prefix=0x00301 short=0x2 name=last\n";
+    let cr = "mbt 1 workload\r\n\
+              name foo\r\r\n\
+              node prefix=0x00300 short=0x1 name=n 0\r\r\r\n\
+              node prefix=0x00301 short=0x2 name=last\r";
+    let parse = |what: &str, text: &str| {
+        TraceFile::parse_str(what, text)
+            .unwrap_or_else(|e| panic!("{what} failed to parse: {e}"))
+            .to_mbt()
+    };
+    let expected = parse("lf", lf);
+    let first = parse("cr", cr);
+    assert_eq!(first, expected);
+    assert_eq!(parse("reparsed", &first), first);
+    let Trace::Workload(w) = TraceFile::parse_str("cr", cr).unwrap().trace else {
+        panic!("a workload trace");
+    };
+    assert_eq!(w.name(), "foo");
+}
+
 /// The parsed fleet honors the schedule-independence contract exactly
 /// like the original (spot-checked on a slice of seeds: the full
 /// schedule grid per seed is what `tests/corpus_replay.rs` pins for
