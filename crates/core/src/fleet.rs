@@ -28,17 +28,16 @@
 //! A [`Fleet`] owns the per-cluster engines (any [`EngineKind`] — the
 //! fleet layer is written against the [`BusEngine`] trait) and drives
 //! them in deterministic epochs with routing only at the quiescence
-//! barriers, under one of two drive loops ([`FleetSchedule`]): the
-//! *batched* cluster-major drain (each epoch steps cluster 0 to
-//! quiescence through [`BusEngine::run_transaction`], then cluster
-//! 1, …) or the *sharded* interleave ([`shard::ShardedFleet`]: one
+//! barriers, through one drive loop ([`shard::ShardedFleet`]): one
 //! [`InterleavedScheduler`] per cluster group, stepping one
 //! transaction per cluster per round so thousands of buses — ideally
 //! [`AnalyticBus`](crate::AnalyticBus)-backed — make progress
 //! together; groups run on scoped worker threads, cluster `c` always
 //! on group `c % workers`, with gateway envelopes exchanged at
 //! cross-worker epoch barriers; one group is the single-threaded
-//! interleave).
+//! interleave. A [`FleetSchedule`] picks the group count and the
+//! order each epoch's records come out in: round-robin, or
+//! cluster-major for the *batched* schedule.
 //! Barrier routing makes cross-bus
 //! causality (which epoch a forwarded message lands in) reproducible,
 //! engine-independent, *and* schedule-independent: all schedules
@@ -1052,99 +1051,34 @@ impl Fleet {
         Ok(())
     }
 
-    /// Drains one gateway presence's receive log through the caller's
-    /// reused `inbox` (left empty again): envelopes are routed
-    /// (queued full-prefix addressed on the destination bus), everything
-    /// else is stashed for [`Fleet::take_rx`]. Returns whether any
-    /// envelope was routed.
-    ///
-    /// [`Fleet::queue`] rejects non-envelope traffic to the forwarding
-    /// port up front, but the drop accounting here stays: an envelope
-    /// whose destination prefix routes nowhere, or malformed traffic
-    /// that reaches the port through a path the queue-time check never
-    /// saw, is still counted against the receiving cluster rather than
-    /// vanishing.
-    fn route_cluster(&mut self, cluster: usize, inbox: &mut Vec<ReceivedMessage>) -> bool {
-        // Disjoint field borrows: the routing table stays shared while
-        // the counters and destination engines take mutable borrows.
-        let Fleet {
-            clusters,
-            gateway,
-            gateway_rx,
-            ..
-        } = self;
-        let GatewayNode { routes, counters } = gateway;
-        let mut progressed = false;
-        clusters[cluster].drain_rx(GATEWAY_NODE, inbox);
-        for m in inbox.drain(..) {
-            match routes.classify(cluster, m, counters) {
-                GatewayVerdict::Local(m) => gateway_rx[cluster].push(m),
-                GatewayVerdict::Forward { dest_cluster, msg } => {
-                    clusters[dest_cluster]
-                        .queue(GATEWAY_NODE, msg)
-                        .expect("forwarded leg is shorter than its envelope");
-                    progressed = true;
-                }
-                GatewayVerdict::Drop => {}
-            }
-        }
-        progressed
-    }
-
     /// Runs the whole fleet until no bus has pending work and no
     /// envelope is in flight; returns the records in order.
     ///
-    /// The schedule is deterministic *batched* round-robin, in epochs:
-    /// each epoch steps every cluster in index order to quiescence
-    /// through [`BusEngine::run_transaction`], then — at the
-    /// epoch barrier — routes every cluster's gateway envelopes, again
-    /// in index order; epochs repeat until one completes with no
-    /// transactions run and nothing forwarded. A forwarded leg is
-    /// therefore always queued *between* epochs (store-and-forward: the
-    /// gateway holds it until the destination bus's next-epoch drain),
-    /// regardless of the source and destination cluster indexes.
+    /// This is the [`FleetSchedule::Batched`] drain: the one drive loop
+    /// ([`ShardedFleet::drive`]) on one shard, in epochs. Each epoch
+    /// steps the clusters that may have work to quiescence through
+    /// [`BusEngine::run_transaction`], then — at the epoch barrier —
+    /// routes their gateway envelopes in source-cluster order; epochs
+    /// repeat until no forwarded leg is left to run. A forwarded leg
+    /// is therefore always queued *between* epochs (store-and-forward:
+    /// the gateway holds it until the destination bus's next-epoch
+    /// drain), regardless of the source and destination cluster
+    /// indexes. Each epoch's records come out cluster-major: all of
+    /// cluster 0's, then all of cluster 1's, …
     ///
     /// Because routing happens only at epoch barriers, each cluster's
     /// own record stream is an autonomous drain of whatever was pending
     /// at its epoch start — independent of *how* the scheduler walks
-    /// the clusters. This is the schedule-independence contract the
-    /// fine-grained [`InterleavedScheduler`] relies on: batched and
-    /// interleaved drains produce identical per-cluster streams and
-    /// differ only in the fleet-wide emission order (cluster-major
-    /// here, round-robin there); `tests/interleaved_fleet.rs` pins
-    /// this. The schedule depends only on cluster indexes, so the
-    /// interleaving of [`FleetRecord`]s is also identical on every
-    /// engine kind.
+    /// the clusters. Batched and interleaved drains therefore produce
+    /// identical per-cluster streams and differ only in the fleet-wide
+    /// emission order (cluster-major here, round-robin there);
+    /// `tests/interleaved_fleet.rs` pins this. The order depends only
+    /// on cluster indexes, so the interleaving of [`FleetRecord`]s is
+    /// also identical on every engine kind.
     pub fn run_until_quiescent(&mut self) -> Vec<FleetRecord> {
         let mut records = Vec::new();
-        self.drain_into(&mut records);
+        ShardedFleet::batched().drive(self, &mut |r| records.push(r));
         records
-    }
-
-    /// The batched scheduler loop behind [`Fleet::run_until_quiescent`],
-    /// appending to `records`. It sweeps every cluster, pending or not,
-    /// so it stays the oracle that catches a missing pending-set entry
-    /// in the sharded drive.
-    fn drain_into(&mut self, records: &mut Vec<FleetRecord>) {
-        let mut inbox = Vec::new();
-        loop {
-            let mut progressed = false;
-            for cluster in 0..self.clusters.len() {
-                while let Some(record) = self.clusters[cluster].run_transaction() {
-                    records.push(FleetRecord { cluster, record });
-                    progressed = true;
-                }
-            }
-            // Epoch barrier: every cluster is quiescent; route all
-            // gateway presences in index order.
-            for cluster in 0..self.clusters.len() {
-                progressed |= self.route_cluster(cluster, &mut inbox);
-            }
-            if !progressed {
-                self.pending = ClusterSet::default();
-                return;
-            }
-        }
     }
 
     /// Drains a node's received messages. For a gateway presence this
@@ -1178,16 +1112,18 @@ impl Fleet {
     }
 }
 
-/// Which drive loop a fleet drain uses. Every schedule produces
-/// identical per-cluster record streams (and therefore identical
-/// [`FleetSignature`]s); they differ only in the fleet-wide order the
-/// [`FleetRecord`]s come out in — and `Interleaved` and every
-/// `Sharded` count share even that, being one drive loop.
+/// How the fleet's one drive loop ([`shard::ShardedFleet`]) runs a
+/// drain: on how many shards, and in which fleet-wide record order.
+/// Every schedule produces identical per-cluster record streams (and
+/// therefore identical [`FleetSignature`]s); they differ only in the
+/// fleet-wide order the [`FleetRecord`]s come out in — and
+/// `Interleaved` and every `Sharded` count share even that.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetSchedule {
-    /// Cluster-major: each epoch drains cluster 0 to quiescence, then
-    /// cluster 1, … ([`Fleet::run_until_quiescent`]). Fastest per bus
-    /// (each cluster stays hot in cache while it drains).
+    /// Cluster-major: each epoch emits all of cluster 0's records,
+    /// then all of cluster 1's, … ([`Fleet::run_until_quiescent`]).
+    /// Runs as `Interleaved`, with the barrier merging each epoch's
+    /// records by `(cluster, round)` instead of `(round, cluster)`.
     #[default]
     Batched,
     /// Round-robin: one transaction per cluster per round
@@ -1231,25 +1167,22 @@ impl fmt::Display for FleetSchedule {
 /// rotation for the rest of the epoch. [`shard::ShardedFleet`]
 /// owns one scheduler per shard and the epoch barriers between them:
 /// when every cluster is quiescent, the barrier routes all gateway
-/// envelopes in source-cluster order (identically to the batched
-/// drain) and a new epoch begins.
+/// envelopes in source-cluster order and a new epoch begins.
 ///
-/// # Equivalence with the batched drain
+/// # The batched order
 ///
-/// Clusters share no state except through gateway routing, and *both*
-/// schedules route only at epoch barriers, so within an epoch each
-/// cluster performs the same autonomous drain from the same start
-/// state either way — the same `run_transaction` steps, in a different
-/// order across clusters.
-/// Hence per-cluster record streams, receive logs, statistics, and
-/// gateway counters are equal between the two schedules, and the
-/// [`FleetSignature`]s match exactly. What *does* differ is the
-/// fleet-wide [`FleetRecord`] order: the batched drain emits each
-/// epoch cluster-major (all of cluster 0's transactions, then all of
-/// cluster 1's, …) while the interleave emits the first transaction of
-/// every active cluster, then the second of every cluster still
-/// active, and so on. `tests/interleaved_fleet.rs` pins both the
-/// per-cluster equality and the reordering.
+/// Every schedule runs this same kernel; the batched one differs only
+/// in how the barrier orders an epoch's records. A cluster's `j`-th
+/// transaction of an epoch runs in round `j`, so its records already
+/// ascend by round: merging by `(round, cluster)` gives the
+/// round-robin order (the first transaction of every active cluster,
+/// then the second of every cluster still active, …), and merging by
+/// `(cluster, round)` gives the cluster-major order (all of cluster
+/// 0's transactions, then all of cluster 1's, …). Per-cluster record
+/// streams, receive logs, statistics, gateway counters and
+/// [`FleetSignature`]s are the same either way.
+/// `tests/interleaved_fleet.rs` pins both the per-cluster equality
+/// and the reordering.
 ///
 /// # Example
 ///
@@ -1318,8 +1251,8 @@ impl InterleavedScheduler {
     /// Transactions each cluster ran across all epochs, indexed by the
     /// cluster's fleet-global index (clusters this scheduler never
     /// polled may be absent). Schedule-independent: the per-cluster
-    /// totals equal the batched drain's, because the per-cluster
-    /// streams themselves do.
+    /// totals are the same under every schedule and shard count,
+    /// because the per-cluster streams themselves are.
     pub fn cluster_transactions(&self) -> &[u64] {
         &self.cluster_transactions
     }
@@ -1803,13 +1736,12 @@ impl FleetWorkload {
     ///
     /// As [`FleetWorkload::apply`].
     pub fn apply_scheduled(&self, fleet: &mut Fleet, schedule: FleetSchedule) -> FleetReport {
-        match schedule {
-            FleetSchedule::Batched => self.apply_with_drain(fleet, &mut Fleet::drain_into),
-            FleetSchedule::Interleaved => self.apply_sharded(fleet, &mut ShardedFleet::new(1)),
-            FleetSchedule::Sharded { shards } => {
-                self.apply_sharded(fleet, &mut ShardedFleet::new(shards))
-            }
-        }
+        let mut sharded = match schedule {
+            FleetSchedule::Batched => ShardedFleet::batched(),
+            FleetSchedule::Interleaved => ShardedFleet::new(1),
+            FleetSchedule::Sharded { shards } => ShardedFleet::new(shards),
+        };
+        self.apply_sharded(fleet, &mut sharded)
     }
 
     /// [`FleetWorkload::apply_scheduled`] with a caller-owned
@@ -1823,31 +1755,6 @@ impl FleetWorkload {
     ///
     /// As [`FleetWorkload::apply`].
     pub fn apply_sharded(&self, fleet: &mut Fleet, sharded: &mut ShardedFleet) -> FleetReport {
-        let clusters = fleet.cluster_count();
-        let mut report = self.apply_with_drain(fleet, &mut |fleet, records| {
-            sharded.drive(fleet, &mut |r| records.push(r))
-        });
-        report.fairness = Some(sharded.fairness(clusters));
-        report
-    }
-
-    /// Builds a fleet of `kind` and runs the workload on it through a
-    /// caller-owned [`ShardedFleet`] (see
-    /// [`FleetWorkload::apply_sharded`]).
-    pub fn run_sharded_on(&self, kind: EngineKind, sharded: &mut ShardedFleet) -> FleetReport {
-        let mut fleet = self.instantiate(kind);
-        self.apply_sharded(&mut fleet, sharded)
-    }
-
-    /// The shared body of every schedule's apply: asserts the fleet
-    /// matches the workload topology, replays the steps with `drain`
-    /// as the quiescence driver, and assembles the report (with
-    /// `fairness: None` — schedule-specific callers fill it in).
-    fn apply_with_drain(
-        &self,
-        fleet: &mut Fleet,
-        drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
-    ) -> FleetReport {
         assert_eq!(
             fleet.cluster_count(),
             self.clusters.len(),
@@ -1883,15 +1790,24 @@ impl FleetWorkload {
             "fleet mesh routes do not match workload '{}'",
             self.name
         );
-        self.replay(fleet, drain, &mut SettleState::new(self))
+        self.replay(fleet, sharded, &mut SettleState::new(self))
     }
 
-    /// Replays the steps on a topology-checked fleet, settling
-    /// behaviors through `settle`, and assembles the report.
+    /// Builds a fleet of `kind` and runs the workload on it through a
+    /// caller-owned [`ShardedFleet`] (see
+    /// [`FleetWorkload::apply_sharded`]).
+    pub fn run_sharded_on(&self, kind: EngineKind, sharded: &mut ShardedFleet) -> FleetReport {
+        let mut fleet = self.instantiate(kind);
+        self.apply_sharded(&mut fleet, sharded)
+    }
+
+    /// Replays the steps on a topology-checked fleet, driving every
+    /// drain through `sharded` and settling behaviors through `settle`,
+    /// and assembles the report.
     fn replay(
         &self,
         fleet: &mut Fleet,
-        drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
+        sharded: &mut ShardedFleet,
         settle: &mut SettleState<'_>,
     ) -> FleetReport {
         let mut records = Vec::new();
@@ -1920,8 +1836,8 @@ impl FleetWorkload {
                     fleet.request_wakeup(*node).expect("fleet wakeup step");
                 }
                 FleetStep::Drain => {
-                    drain(fleet, &mut records);
-                    self.settle_behaviors(fleet, drain, &mut records, settle);
+                    sharded.drive(fleet, &mut |r| records.push(r));
+                    self.settle_behaviors(fleet, sharded, &mut records, settle);
                 }
                 // One fixed round-robin mini-drain regardless of the
                 // schedule, so partial drains cannot break
@@ -1944,8 +1860,8 @@ impl FleetWorkload {
             }
         }
         if !matches!(self.steps.last(), Some(FleetStep::Drain)) {
-            drain(fleet, &mut records);
-            self.settle_behaviors(fleet, drain, &mut records, settle);
+            sharded.drive(fleet, &mut |r| records.push(r));
+            self.settle_behaviors(fleet, sharded, &mut records, settle);
         }
         let clusters = fleet.cluster_count();
         let rx = (0..clusters)
@@ -1988,7 +1904,7 @@ impl FleetWorkload {
                 .collect(),
             injected_replies: settle.injected,
             reply_rounds: settle.rounds,
-            fairness: None,
+            fairness: Some(sharded.fairness(clusters)),
             strict_nulls: self.strict_nulls,
         }
     }
@@ -1997,7 +1913,7 @@ impl FleetWorkload {
     /// barrier: each round drains the receive log of every behavior
     /// node that may have received something, computes responses in
     /// node order, queues them, and re-drains the fleet through the
-    /// *same* schedule-generic `drain` the quiescence barriers use —
+    /// *same* `sharded` drive the quiescence barriers use —
     /// so every schedule (and shard count) reaches the identical
     /// pre-injection state and injects the identical batch.
     ///
@@ -2015,7 +1931,7 @@ impl FleetWorkload {
     fn settle_behaviors(
         &self,
         fleet: &mut Fleet,
-        drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
+        sharded: &mut ShardedFleet,
         records: &mut Vec<FleetRecord>,
         settle: &mut SettleState<'_>,
     ) {
@@ -2059,7 +1975,7 @@ impl FleetWorkload {
                 fleet.queue(id, msg).expect("behavior response");
                 settle.injected += 1;
             }
-            drain(fleet, records);
+            sharded.drive(fleet, &mut |r| records.push(r));
             settle.rounds += 1;
         }
     }
@@ -2812,8 +2728,8 @@ pub struct FleetReport {
     /// deliveries-to-quiescence latency gauge of the closed loop.
     /// Reporting only, like `injected_replies`.
     pub reply_rounds: u64,
-    /// Scheduler fairness counters — `Some` for drains driven by the
-    /// interleaved or sharded scheduler, `None` for batched drains.
+    /// Scheduler fairness counters — `Some` for every
+    /// [`FleetWorkload`] apply, whatever its schedule.
     /// Reporting only: not part of [`FleetSignature`] (the turn-gap
     /// gauge is schedule-dependent by design).
     pub fairness: Option<FleetFairness>,
@@ -3660,11 +3576,7 @@ mod tests {
                 let mut fleet = w.instantiate(EngineKind::Analytic);
                 let mut sharded = ShardedFleet::new(1);
                 let mut settle = SettleState::new(&w);
-                let report = w.replay(
-                    &mut fleet,
-                    &mut |fleet, records| sharded.drive(fleet, &mut |r| records.push(r)),
-                    &mut settle,
-                );
+                let report = w.replay(&mut fleet, &mut sharded, &mut settle);
                 assert_eq!(settle.visits[0], half as u64, "clusters={clusters}");
                 assert_eq!(report.rx[1][1].len(), 1, "the reply reached the requester");
                 (

@@ -2,8 +2,9 @@
 //! worker threads, synchronized at cross-worker gateway barriers, with
 //! each cluster on one fixed shard.
 //!
-//! This is the fleet's one interleaved drive loop. Each epoch polls
-//! only the clusters that may have work: the first epoch of a drive
+//! This is the fleet's one drive loop: every
+//! [`FleetSchedule`](super::FleetSchedule) runs through it. Each epoch
+//! polls only the clusters that may have work: the first epoch of a drive
 //! takes the fleet's pending set (every cluster queued to or woken
 //! since the last drive), and each later epoch takes the destinations
 //! of the previous barrier's forwarded legs. A [`ShardedFleet`]
@@ -18,7 +19,9 @@
 //! local-traffic stashes and drop counters) and the barrier exchanges
 //! them: forwarded legs are queued onto their destination buses in
 //! **global source-cluster order**, exactly as a single-threaded
-//! routing pass would.
+//! routing pass would. The batched schedule is this drive on one shard
+//! with each epoch's records merged cluster-major, by
+//! `(cluster, round)` instead of `(round, cluster)`.
 //!
 //! # Equivalence argument
 //!
@@ -48,7 +51,10 @@
 //!   work runs out). A single shard therefore emits an epoch's records
 //!   sorted by `(round, cluster index)` — and merging all shards'
 //!   `(round, cluster, record)` emissions by that same key reproduces
-//!   the order exactly, whatever the shard assignment.
+//!   the order exactly, whatever the shard assignment. The same
+//!   independence makes a cluster's records ascend by round, so
+//!   merging by `(cluster, round)` instead gives the batched
+//!   cluster-major order exactly.
 //! * **Gateway counters.** Shards classify their own clusters'
 //!   envelopes against the shared read-only [`GatewayRoutes`] table
 //!   into per-shard counters; every counter is a sum, so the
@@ -56,8 +62,8 @@
 //!   attribution included.
 //! * **Routing order.** Forwarded legs are tagged with their source
 //!   cluster and stably sorted by it at the barrier, so they are
-//!   queued by (source cluster, receive position) — the batched
-//!   `route_cluster` loop's order — even though the fixed map strides
+//!   queued by (source cluster, receive position) — the order of one
+//!   routing pass in cluster order — even though the fixed map strides
 //!   each shard's clusters across the fleet. Queueing never executes
 //!   bus work (engines only run inside epochs), so barrier-internal
 //!   interleaving of `drain_rx` and `queue` calls is immaterial.
@@ -65,6 +71,12 @@
 //! `tests/sharded_fleet.rs` pins all of this over hundreds of seeds,
 //! every [`EngineKind`](crate::engine::EngineKind), shard counts
 //! 1/2/4/7, and workers kept per drive vs spawned per epoch.
+//!
+//! The omitted-clusters bullet rests on the pending set being a
+//! superset of the clusters with work. Debug builds check it: after
+//! every drive, including one that found nothing pending, every
+//! cluster's engine must return `None` and hold an empty gateway
+//! receive log.
 //!
 //! # Threading model
 //!
@@ -224,7 +236,9 @@ struct DriveState<'f> {
 /// the fleet's cluster count, so a cluster keeps its shard across
 /// epochs and drives. `ShardedFleet::new(1)` is the single-threaded
 /// interleaved drain
-/// ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved)).
+/// ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved));
+/// the same single shard with cluster-major emission is the batched
+/// drain ([`FleetSchedule::Batched`](super::FleetSchedule::Batched)).
 /// Each drive opens one thread scope whose workers serve every epoch of
 /// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
 /// instead. A `ShardedFleet` is reusable across drives and accumulates
@@ -256,6 +270,9 @@ struct DriveState<'f> {
 #[derive(Debug)]
 pub struct ShardedFleet {
     shards: usize,
+    /// Merge each epoch's records by `(cluster, round)`, the batched
+    /// order, instead of `(round, cluster)`.
+    cluster_major: bool,
     /// One thread scope per drive (the default) vs one per epoch.
     scope_per_drive: bool,
     /// One scheduler per shard, so fairness counters accumulate across
@@ -281,10 +298,20 @@ impl ShardedFleet {
     pub fn new(shards: usize) -> Self {
         ShardedFleet {
             shards: shards.max(1),
+            cluster_major: false,
             scope_per_drive: true,
             schedulers: Vec::new(),
             epochs: 0,
             shard_wall_nanos: Vec::new(),
+        }
+    }
+
+    /// The one-shard, cluster-major drive of
+    /// [`FleetSchedule::Batched`](super::FleetSchedule::Batched).
+    pub(crate) fn batched() -> Self {
+        ShardedFleet {
+            cluster_major: true,
+            ..ShardedFleet::new(1)
         }
     }
 
@@ -381,10 +408,14 @@ impl ShardedFleet {
     /// Runs `fleet` until no bus has pending work and no envelope is
     /// in flight, handing each completed transaction to `sink` in the
     /// single-threaded interleaved drain's round-robin order (the
-    /// barrier merges the shards' emissions by `(round, cluster)`;
-    /// records therefore reach `sink` in epoch-sized batches).
+    /// barrier merges the shards' emissions by `(round, cluster)`, or
+    /// by `(cluster, round)` for the batched drive; records therefore
+    /// reach `sink` in epoch-sized batches). Debug builds then check
+    /// that no cluster has work left.
     pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
         if fleet.pending.is_empty() {
+            #[cfg(debug_assertions)]
+            assert_quiescent(fleet);
             return;
         }
         let workers = self.shards.min(fleet.clusters.len());
@@ -401,7 +432,7 @@ impl ShardedFleet {
             gateway_rx,
             pending,
             ..
-        } = fleet;
+        } = &mut *fleet;
         let GatewayNode { routes, counters } = gateway;
         let routes = &*routes;
         let mut state = DriveState {
@@ -449,6 +480,8 @@ impl ShardedFleet {
                 }
             });
         }
+        #[cfg(debug_assertions)]
+        assert_quiescent(fleet);
     }
 
     /// Runs one epoch over the pending clusters — shard 0 here, shard
@@ -544,17 +577,22 @@ impl ShardedFleet {
 
         // Barrier, part 2: emit the epoch's records in the
         // single-shard round-robin order — merge by (round, cluster);
-        // see the module docs for why this is exact.
-        merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
+        // see the module docs for why this is exact — or, for the
+        // batched order, by (cluster, round).
+        if self.cluster_major {
+            merged.sort_by_key(|&(round, cluster, _)| (cluster, round));
+        } else {
+            merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
+        }
         for (_, cluster, record) in merged {
             sink(FleetRecord { cluster, record });
         }
 
         // Barrier, part 3: queue forwarded legs on their destination
         // buses in (source cluster, receive position) order — the
-        // stable sort restores the batched route_cluster loop's order
-        // across non-contiguous shards. The destinations are exactly
-        // the clusters the next epoch polls.
+        // stable sort restores that order across non-contiguous
+        // shards. The destinations are exactly the clusters the next
+        // epoch polls.
         forwards.sort_by_key(|&(src, _, _)| src);
         let routed = !forwards.is_empty();
         for (_, dest_cluster, msg) in forwards {
@@ -568,6 +606,30 @@ impl ShardedFleet {
         if ran || routed {
             self.epochs += 1;
         }
+    }
+}
+
+/// The debug-build check that the pending set missed no cluster (see
+/// the module docs): every engine returns `None` and holds an empty
+/// gateway log. It calls the engines directly, so no scheduler counter
+/// moves. A wire engine with no traffic yet is skipped: it has no
+/// work, and a poll would freeze its topology in debug builds only.
+#[cfg(debug_assertions)]
+fn assert_quiescent(fleet: &mut Fleet) {
+    let mut inbox = Vec::new();
+    for (cluster, engine) in fleet.clusters.iter_mut().enumerate() {
+        if engine.kind() == crate::engine::EngineKind::Wire && !engine.is_frozen() {
+            continue;
+        }
+        assert!(
+            engine.run_transaction().is_none(),
+            "cluster {cluster} has work the pending set missed"
+        );
+        engine.drain_rx(GATEWAY_NODE, &mut inbox);
+        assert!(
+            inbox.is_empty(),
+            "cluster {cluster}'s gateway holds traffic the pending set missed"
+        );
     }
 }
 
@@ -709,6 +771,34 @@ mod tests {
     }
 
     #[test]
+    fn a_drive_leaves_untouched_wire_clusters_open_to_new_sensors() {
+        // A wire engine freezes its ring at first use. A drive polls
+        // only clusters with traffic, and the debug-build check skips
+        // unused wire engines, so an untouched cluster still takes a
+        // sensor after a drive, in the batched order too.
+        for mut sharded in [ShardedFleet::batched(), ShardedFleet::new(2)] {
+            let mut fleet = Fleet::new(EngineKind::Wire, BusConfig::default());
+            for sensors in [2, 1] {
+                let c = fleet.add_cluster();
+                for _ in 0..sensors {
+                    fleet.add_sensor(c, false);
+                }
+            }
+            let to_second = crate::addr::Address::short(
+                crate::addr::ShortPrefix::new(0x3).unwrap(),
+                FuId::ZERO,
+            );
+            fleet
+                .queue(FleetNodeId::new(0, 1), Message::new(to_second, vec![1]))
+                .unwrap();
+            let mut records = 0;
+            sharded.drive(&mut fleet, &mut |_| records += 1);
+            assert_eq!(records, 1);
+            assert_eq!(fleet.add_sensor(1, false), FleetNodeId::new(1, 2));
+        }
+    }
+
+    #[test]
     fn per_epoch_spawn_matches_persistent_modes() {
         // Both execution modes (workers per drive, workers per epoch)
         // produce the identical stream.
@@ -773,9 +863,10 @@ mod tests {
     fn polls_scale_with_traffic_not_fleet_size() {
         // The same two-cluster exchange on an 8-cluster and a
         // 4096-cluster fleet makes exactly the same engine polls: each
-        // epoch polls only the clusters with work. Driving the
+        // epoch polls only the clusters with work, in the batched
+        // (cluster-major) drive too, written `None` below. Driving the
         // quiescent fleet again polls nothing and counts no epoch.
-        for shards in [1, 2, 7] {
+        for shards in [None, Some(1), Some(2), Some(7)] {
             let counts: Vec<(u64, u64, u64)> = [8, 4096]
                 .into_iter()
                 .map(|clusters| {
@@ -794,7 +885,7 @@ mod tests {
                             )
                             .unwrap();
                     }
-                    let mut sharded = ShardedFleet::new(shards);
+                    let mut sharded = shards.map_or_else(ShardedFleet::batched, ShardedFleet::new);
                     let mut records = 0;
                     sharded.drive(&mut fleet, &mut |_| records += 1);
                     assert_eq!(records, 4, "two envelopes + two forwarded legs");
@@ -803,15 +894,15 @@ mod tests {
                     assert_eq!(
                         (sharded.polls(), sharded.transactions(), sharded.epochs()),
                         counts,
-                        "shards={shards} clusters={clusters}: a quiescent drive is free"
+                        "shards={shards:?} clusters={clusters}: a quiescent drive is free"
                     );
                     counts
                 })
                 .collect();
             // Epoch 1 polls clusters 2 and 5 twice each (envelope,
             // then `None`); epoch 2 polls them again for the legs.
-            assert_eq!(counts[0], (8, 4, 2), "shards={shards}");
-            assert_eq!(counts[0], counts[1], "shards={shards}");
+            assert_eq!(counts[0], (8, 4, 2), "shards={shards:?}");
+            assert_eq!(counts[0], counts[1], "shards={shards:?}");
         }
     }
 

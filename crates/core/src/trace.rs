@@ -813,6 +813,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The error for a keyed field (or flag) given twice, reported
+    /// where the second occurrence starts.
+    fn duplicate(&self, line: u32, tok: Tok<'a>, what: &str, key: &str) -> TraceError {
+        self.err(line, tok.col, format!("duplicate {what} `{key}`"))
+    }
+
     /// The span just past the last token — where a missing argument
     /// would have started.
     fn after(&self, line_no: u32, line: &str) -> (u32, u32) {
@@ -1462,11 +1468,11 @@ impl<'a> Parser<'a> {
                 text: value,
             };
             let parsed = self.parse_u64(line_no, value_tok, key)?;
-            match key {
-                "clock" => clock = Some((parsed, value_tok)),
-                "maxmsg" => maxmsg = Some((parsed, value_tok)),
-                "hop_ps" => hop_ps = Some((parsed, value_tok)),
-                "medwake" => medwake = Some((parsed, value_tok)),
+            let slot = match key {
+                "clock" => &mut clock,
+                "maxmsg" => &mut maxmsg,
+                "hop_ps" => &mut hop_ps,
+                "medwake" => &mut medwake,
                 other => {
                     return Err(self.err(
                         line_no,
@@ -1474,7 +1480,11 @@ impl<'a> Parser<'a> {
                         format!("unknown config field `{other}`"),
                     ))
                 }
+            };
+            if slot.is_some() {
+                return Err(self.duplicate(line_no, tok, "config field", key));
             }
+            *slot = Some((parsed, value_tok));
         }
         let mut config = BusConfig::default();
         if let Some((hz, tok)) = clock {
@@ -1514,6 +1524,14 @@ impl<'a> Parser<'a> {
                     format!("malformed replay field `{}` (expected key=value)", tok.text),
                 ));
             };
+            let seen = match key {
+                "engine" => self.meta.engine.is_some(),
+                "schedule" => self.meta.schedule.is_some(),
+                _ => false,
+            };
+            if seen {
+                return Err(self.duplicate(line_no, tok, "replay field", key));
+            }
             match key {
                 "engine" => {
                     // `event` named the analytic kernel's former
@@ -1582,6 +1600,23 @@ impl<'a> Parser<'a> {
                 let start = (tok.col - 1) as usize + "name=".len();
                 name = Some(rest_of_line(line, start).to_string());
                 break;
+            }
+            let (what, key, seen) = match tok.text.split_once('=') {
+                None => ("node flag", tok.text, gated && tok.text == "gated"),
+                Some((key, _)) => {
+                    let seen = match key {
+                        "prefix" => prefix.is_some(),
+                        "short" => short.is_some(),
+                        "rx" => rx.is_some(),
+                        // A `listen=` token adds at least one channel.
+                        "listen" => !listen.is_empty(),
+                        _ => false,
+                    };
+                    ("node field", key, seen)
+                }
+            };
+            if seen {
+                return Err(self.duplicate(line_no, tok, what, key));
             }
             match tok.text.split_once('=') {
                 None if tok.text == "gated" => gated = true,

@@ -46,6 +46,20 @@ const EXPECTED: &[(&str, &str)] = &[
         "duplicate_seed.mbt",
         "duplicate_seed.mbt:4:1: duplicate `seed` header",
     ),
+    // A key given twice on one line is rejected where the second
+    // starts, never kept-last.
+    (
+        "duplicate_config_field.mbt",
+        "duplicate_config_field.mbt:3:21: duplicate config field `clock`",
+    ),
+    (
+        "duplicate_replay_field.mbt",
+        "duplicate_replay_field.mbt:3:24: duplicate replay field `engine`",
+    ),
+    (
+        "duplicate_node_field.mbt",
+        "duplicate_node_field.mbt:3:21: duplicate node field `prefix`",
+    ),
     (
         "node_index_range.mbt",
         "node_index_range.mbt:4:6: node index 1 out of range (1 node(s) declared)",

@@ -314,10 +314,11 @@ fn sharded_scheduler_reuse_reports_per_shard() {
     }
 }
 
-/// batched ≡ interleaved ≡ sharded {2, 7} on both engine kinds. The
-/// batched drain sweeps every cluster, so it is the oracle for the
-/// sharded drive's pending set: a cluster the set misses is never
-/// polled there, and the signatures part.
+/// batched ≡ interleaved ≡ sharded {2, 7} on both engine kinds. Every
+/// schedule polls only the pending set, so a cluster the set misses
+/// never runs under any of them; what catches it is the debug-build
+/// check at the end of every drive (and of every drive that finds
+/// nothing pending), which panics if any cluster still has work.
 fn assert_schedules_agree(w: &FleetWorkload) {
     for kind in EngineKind::ALL {
         let batched = w.run_scheduled_on(kind, FleetSchedule::Batched);

@@ -12,10 +12,11 @@
 //! No mutant may panic. Byte-level mutants delete, duplicate or
 //! replace one character (ASCII or multi-byte), so every mutant stays
 //! valid UTF-8. Token-level mutants drop a token, swap two neighbours,
-//! append a ` zz` token, or substitute a numeric boundary into a
-//! number inside a token. An appended token must be rejected or change
-//! the serialization: a parser that silently drops it fails the
-//! battery.
+//! append a ` zz` token, repeat a `key=value` token, or substitute a
+//! numeric boundary into a number inside a token. An appended token
+//! and a repeated key must each be rejected or change the
+//! serialization: a parser that silently drops the token, or keeps
+//! only one of a key's two values, fails the battery.
 //!
 //! Substitutions also check that the parser keeps the value it read:
 //! two different values written into the same number of the same line
@@ -307,6 +308,21 @@ fn token_mutants(name: &str, text: &str, failures: &mut Vec<String>) -> usize {
                 failures.push(format!(
                     "{label}: the trailing token was dropped\n{appended}"
                 ));
+            }
+            // A `key=value` token given twice is either rejected or
+            // read into the value: never kept once.
+            for (i, &token) in tokens.iter().enumerate().filter(|(_, t)| t.contains('=')) {
+                let mut repeated = tokens.clone();
+                repeated.insert(i + 1, token);
+                let repeated = with_line(&lines, line_no, &repeated);
+                let label = format!("{} repeated", at(i));
+                let mbt = check(&label, &repeated, failures);
+                count += 1;
+                if mbt.is_some() && mbt == written {
+                    failures.push(format!(
+                        "{label}: one of the two values was dropped\n{repeated}"
+                    ));
+                }
             }
         }
         for i in 0..tokens.len() {
