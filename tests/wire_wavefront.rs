@@ -14,6 +14,65 @@ use mbus_core::engine::BusEngine;
 use mbus_core::trace::{fleet_digest, scenario_digest, Trace, TraceFile};
 use mbus_core::wire::{WireBus, WireEngine};
 use mbus_core::{EngineKind, ScenarioReport, Workload};
+use mbus_sim::{History, Logic};
+
+/// FNV-1a over every recorded transition, net by net in id order: the
+/// net index, the time in picoseconds and the level. Two runs with the
+/// same digest put the same edges on the same nets at the same instants.
+fn history_digest(history: &History) -> u64 {
+    let mut h = FNV_OFFSET;
+    for net in history.nets() {
+        for t in history.transitions(net) {
+            let level: u8 = match t.value {
+                Logic::Low => 0,
+                Logic::High => 1,
+                Logic::Floating => 2,
+            };
+            h = fnv1a(h, &(net.index() as u64).to_le_bytes());
+            h = fnv1a(h, &t.time.as_ps().to_le_bytes());
+            h = fnv1a(h, &[level]);
+        }
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Edge digests minted from the heap-only propagation path, one per
+/// named scenario (keyed by `Workload::name`).
+const NAMED_EDGE_PINS: &[(&str, u64)] = &[
+    ("sense_and_send/3", 0x8b9d_7edd_7d3a_0665),
+    ("monitor_alert/4x16", 0xf97b_9e2d_08a0_326d),
+    ("many_node_storm/6n3r", 0x3f2c_bc31_6e59_a671),
+    ("many_node_storm/14n2r", 0x2f2a_7daa_583a_8594),
+    ("fault_injection", 0x5011_d0d9_072f_9bfb),
+];
+
+/// Edge digests minted from the heap-only propagation path, one per
+/// wire-comparable single-bus corpus trace (keyed by file name).
+const CORPUS_EDGE_PINS: &[(&str, u64)] = &[
+    ("hostile.mbt", 0x5011_d0d9_072f_9bfb),
+    ("storm.mbt", 0x3f2c_bc31_6e59_a671),
+];
+
+/// `fnv1a` fold of `(seed, history_digest)` over the wire-comparable
+/// seeds in `Workload::seeded(0..200)`, minted from the heap-only path.
+const SEEDED_EDGE_PIN: u64 = 0x1f86_3bf7_0d86_f7f0;
+
+fn pin_for(pins: &[(&str, u64)], key: &str) -> u64 {
+    pins.iter()
+        .find(|(k, _)| *k == key)
+        .unwrap_or_else(|| panic!("no edge pin for {key}"))
+        .1
+}
 
 /// Runs `w` on a wire engine with the chosen propagation path and the
 /// transition history on, returning the report *and* the engine so the
@@ -58,7 +117,8 @@ fn assert_counts_match_history(w: &Workload, bus: &WireBus) {
 
 /// The full bit-identity assertion: every observable of the two runs,
 /// from kernel-level net transitions up to the signature digest.
-fn assert_bit_identical(w: &Workload) {
+/// Returns the shared edge digest.
+fn assert_bit_identical(w: &Workload) -> u64 {
     let (fast_report, fast) = run_wire(w, true);
     let (oracle_report, oracle) = run_wire(w, false);
 
@@ -108,6 +168,7 @@ fn assert_bit_identical(w: &Workload) {
         "{}",
         w.name()
     );
+    history_digest(oracle_bus.history().expect("recorded"))
 }
 
 /// The 200-seed battery (`MBUS_SEED_SCALE` multiplies it in the weekly
@@ -117,14 +178,23 @@ fn assert_bit_identical(w: &Workload) {
 fn seeded_battery_is_bit_identical_across_paths() {
     let seeds = common::scaled_seeds(200);
     let mut ran = 0u64;
+    let mut fold = FNV_OFFSET;
     for seed in 0..seeds {
         let w = Workload::seeded(seed);
         if !w.wire_comparable() {
             continue;
         }
-        assert_bit_identical(&w);
+        let digest = assert_bit_identical(&w);
+        if seed < 200 {
+            fold = fnv1a(fold, &seed.to_le_bytes());
+            fold = fnv1a(fold, &digest.to_le_bytes());
+        }
         ran += 1;
     }
+    assert_eq!(
+        fold, SEEDED_EDGE_PIN,
+        "seeded 0..200 edge digest fold drifted"
+    );
     // Census guard against the generator collapsing to all-partial
     // drains. ~45% of seeds are wire-comparable since the reactive
     // behavior draws joined the stream; 40% keeps headroom while still
@@ -148,7 +218,8 @@ fn named_scenarios_are_bit_identical_across_paths() {
         Workload::fault_injection(),
     ] {
         if w.wire_comparable() {
-            assert_bit_identical(&w);
+            let digest = assert_bit_identical(&w);
+            assert_eq!(digest, pin_for(NAMED_EDGE_PINS, w.name()), "{}", w.name());
         }
     }
 }
@@ -178,7 +249,12 @@ fn golden_corpus_is_bit_identical_across_paths() {
         match &tf.trace {
             Trace::Workload(w) => {
                 if w.wire_comparable() {
-                    assert_bit_identical(w);
+                    let edges = assert_bit_identical(w);
+                    assert_eq!(
+                        edges,
+                        pin_for(CORPUS_EDGE_PINS, &file),
+                        "{file}: edges drifted"
+                    );
                     let digest = scenario_digest(&run_wire(w, true).0.signature());
                     assert_eq!(digest, pinned, "{file}: wavefront drifted from pin");
                 }
