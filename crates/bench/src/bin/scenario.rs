@@ -33,9 +33,7 @@ use std::process::ExitCode;
 use mbus_bench::harness::smoke_mode;
 use mbus_bench::json::Json;
 use mbus_bench::scenario::{builtin, replay_trace, BUILTINS};
-use mbus_core::engine::BusEngine;
 use mbus_core::trace::{fleet_digest, scenario_digest, TraceFile};
-use mbus_core::wire::WireEngine;
 use mbus_core::{
     shrink_fleet, shrink_workload, EngineKind, FleetSchedule, FleetWorkload, Workload,
 };
@@ -183,24 +181,12 @@ fn cmd_export(mut args: Vec<String>) -> CmdResult {
 }
 
 /// Digests of one single-bus workload on every comparable engine kind.
-/// Wire-comparable workloads contribute *two* wire digests: the
-/// wavefront fast path (the `EngineKind::Wire` default) and the
-/// edge-at-a-time oracle, so the fuzz walk cross-checks the fast path
-/// against the old propagation loop on every seed.
 fn workload_digests(w: &Workload) -> Vec<u64> {
-    let mut digests: Vec<u64> = EngineKind::ALL
+    EngineKind::ALL
         .iter()
         .filter(|&&kind| w.wire_comparable() || kind != EngineKind::Wire)
         .map(|&kind| scenario_digest(&w.run_on(kind).signature()))
-        .collect();
-    if w.wire_comparable() {
-        let mut oracle = WireEngine::new(*w.config()).with_wavefront(false);
-        for spec in w.node_specs() {
-            oracle.add_node(spec.clone());
-        }
-        digests.push(scenario_digest(&w.apply(&mut oracle).signature()));
-    }
-    digests
+        .collect()
 }
 
 /// Digests of one fleet workload on every comparable engine kind ×

@@ -567,7 +567,13 @@ impl ShardedFleet {
             let mut ep = ep.expect("every shard reported an epoch");
             ran |= ep.ran;
             self.shard_wall_nanos[shard] += ep.wall_nanos;
-            merged.append(&mut ep.records);
+            if merged.is_empty() {
+                // The lone shard's (or first shard's) records move, not
+                // copy: batched and one-shard epochs merge nothing.
+                merged = mem::take(&mut ep.records);
+            } else {
+                merged.append(&mut ep.records);
+            }
             state.counters.merge(&ep.counters);
             for (cluster, m) in ep.stash.drain(..) {
                 state.gateway_rx[cluster].push(m);

@@ -91,7 +91,6 @@ impl std::fmt::Debug for NodeKind {
 pub struct WireBusBuilder {
     config: BusConfig,
     specs: Vec<NodeKind>,
-    wavefront: bool,
     record_history: bool,
 }
 
@@ -101,21 +100,8 @@ impl WireBusBuilder {
         WireBusBuilder {
             config,
             specs: Vec::new(),
-            wavefront: true,
             record_history: false,
         }
-    }
-
-    /// Selects the propagation fast path (default `true`): CLK/DATA
-    /// edges ride the kernel's wavefront lane, one O(1) scheduling
-    /// operation per ring segment, instead of paying a binary-heap
-    /// sift per edge event. `false` keeps the original edge-at-a-time
-    /// heap path — the oracle the equivalence suite compares against.
-    /// Both paths pop events in the same `(time, seq)` order, so
-    /// traces, records, and stats are bit-identical.
-    pub fn wavefront(mut self, on: bool) -> Self {
-        self.wavefront = on;
-        self
     }
 
     /// Keeps the timestamped transition history of every ring net
@@ -167,7 +153,6 @@ impl WireBusBuilder {
     pub fn build(self) -> WireBus {
         assert!(!self.specs.is_empty(), "a bus needs at least one node");
         let mut circuit = Circuit::new();
-        circuit.set_wavefront(self.wavefront);
         if self.record_history {
             circuit.record_history();
         }

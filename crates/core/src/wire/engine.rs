@@ -71,7 +71,6 @@ pub struct WireEngine {
     specs: Vec<NodeSpec>,
     bus: Option<WireBus>,
     max_events: u64,
-    wavefront: bool,
     record_history: bool,
     /// Set when a run blew its event budget mid-flight: the circuit is
     /// wedged at an arbitrary point, so the engine freezes and refuses
@@ -96,7 +95,6 @@ impl WireEngine {
             specs: Vec::new(),
             bus: None,
             max_events: DEFAULT_MAX_EVENTS,
-            wavefront: true,
             record_history: false,
             exhausted: false,
             buffered: VecDeque::new(),
@@ -109,15 +107,6 @@ impl WireEngine {
     /// Overrides the per-run event budget (livelock ceiling).
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
-        self
-    }
-
-    /// Selects the propagation fast path (default `true`); see
-    /// [`WireBusBuilder::wavefront`]. `false` is the edge-at-a-time
-    /// oracle the equivalence suite runs against.
-    pub fn with_wavefront(mut self, on: bool) -> Self {
-        assert!(!self.built(), "set the propagation path before running");
-        self.wavefront = on;
         self
     }
 
@@ -156,9 +145,7 @@ impl WireEngine {
                 !self.specs.is_empty(),
                 "a wire engine needs at least one node before running"
             );
-            let mut builder = WireBusBuilder::new(self.config)
-                .wavefront(self.wavefront)
-                .record_history(self.record_history);
+            let mut builder = WireBusBuilder::new(self.config).record_history(self.record_history);
             for spec in &self.specs {
                 builder = builder.node(spec.clone());
             }
@@ -555,33 +542,6 @@ mod tests {
         assert!(e.is_exhausted());
         let stats = e.stats();
         assert_eq!(stats.transactions, 1, "the clean run's accounting stands");
-    }
-
-    #[test]
-    fn wavefront_matches_the_oracle_record_for_record() {
-        let build = |wavefront: bool| {
-            let mut e = WireEngine::new(BusConfig::default()).with_wavefront(wavefront);
-            for i in 0..4u32 {
-                e.add_node(
-                    NodeSpec::new(format!("n{i}"), FullPrefix::new(0x700 + i).unwrap())
-                        .with_short_prefix(sp((i + 1) as u8)),
-                );
-            }
-            for k in 0..3u8 {
-                e.queue(
-                    (k % 3) as usize,
-                    Message::new(Address::short(sp(0x4), FuId::ZERO), vec![k; 5]),
-                )
-                .unwrap();
-            }
-            e
-        };
-        let mut fast = build(true);
-        let mut oracle = build(false);
-        assert_eq!(fast.run_until_quiescent(), oracle.run_until_quiescent());
-        assert_eq!(fast.stats(), oracle.stats());
-        assert_eq!(fast.take_rx(3), oracle.take_rx(3));
-        assert_eq!(fast.now(), oracle.now());
     }
 
     #[test]

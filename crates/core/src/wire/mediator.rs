@@ -14,10 +14,11 @@ use crate::wire::{phase, WireTransaction};
 
 // Every mediator timer fires at least a quarter period (625 ns at the
 // default clock) after it is set — two orders of magnitude beyond the
-// ~10 ns hop delays of in-flight propagation. That gap is what lets the
-// scheduler keep timers on its binary heap while Drive/Deliver events
-// ride the wavefront lane: a timer never lands inside the propagation
-// chain it races, only at the next protocol step.
+// ~10 ns hop delays of in-flight propagation. The scheduler keeps
+// timers on its binary heap and Drive/Deliver events on the wavefront
+// lane and merges the two by `(time, seq)`, so the gap does not decide
+// any order; it keeps the lane cheap: the edges a timer starts find
+// the previous wavefront gone and append at the lane's tail.
 const KIND_START: u64 = 1;
 const KIND_TICK: u64 = 2;
 const KIND_TOGGLE: u64 = 3;

@@ -107,8 +107,8 @@ impl Ctx<'_> {
         self.now
     }
 
-    /// Drives `pin` to `value` immediately (processed after the current
-    /// event, at the same timestamp).
+    /// Drives `pin` to `value` now, in place (see
+    /// [`drive_after`](Ctx::drive_after)).
     #[inline]
     pub fn drive(&mut self, pin: PinId, value: Logic) {
         self.drive_after(pin, value, SimTime::ZERO);
@@ -116,15 +116,18 @@ impl Ctx<'_> {
 
     /// Drives `pin` to `value` after `delay`.
     ///
-    /// With the wavefront fast path on, an immediate (zero-delay) drive
-    /// is applied *in place* — net updated, transition recorded,
-    /// deliveries scheduled — instead of round-tripping a `Drive` event
-    /// through the queue. The observable outcome is the same: the
-    /// deferred `Drive` would pop before any event that could read the
-    /// driven state (deliveries carry wire delays, timers fire protocol
-    /// periods later, and a component's pins are only written by its
-    /// own events), so collapsing it changes no delivery order and no
-    /// trace — which the wavefront-vs-oracle equivalence suite pins.
+    /// A zero-delay drive is applied *in place* — net updated,
+    /// transition recorded, deliveries scheduled — before this call
+    /// returns, instead of round-tripping a `Drive` event through the
+    /// queue. Its deliveries therefore draw their `seq` before anything
+    /// the callback schedules afterwards: a zero-delay listener hears
+    /// the edge before a zero-delay timer armed later in the same
+    /// callback, where a queued `Drive` would have let that timer fire
+    /// first. So the two are not always interchangeable; on the MBus
+    /// ring, where every segment has a hop delay (§6.1), the queued
+    /// drives of the old heap-only kernel produced the same edges at
+    /// the same instants, and the wire engine's pinned `History`
+    /// digests hold the kernel to that.
     ///
     /// # Panics
     ///
@@ -134,7 +137,7 @@ impl Ctx<'_> {
     pub fn drive_after(&mut self, pin: PinId, value: Logic, delay: SimTime) {
         debug_assert_eq!(self.pins[pin.0 as usize].dir, PinDir::Output);
         debug_assert_eq!(self.pins[pin.0 as usize].component, self.component);
-        if delay == SimTime::ZERO && self.scheduler.wavefront() {
+        if delay == SimTime::ZERO {
             apply_drive(
                 self.nets,
                 self.pins,
@@ -172,10 +175,10 @@ impl Ctx<'_> {
 }
 
 /// Applies a drive: pin value, net value, edge count (plus a history
-/// entry when recorded), and one scheduled delivery per listener.
-/// Shared by the event path (`Circuit::step` popping a `Drive`) and the
-/// wavefront fast path (`Ctx::drive_after` collapsing a zero-delay
-/// drive in place).
+/// entry when recorded), and one scheduled delivery per listener, each
+/// through the fuse slot or the lane. Shared by `Circuit::step` popping
+/// a `Drive` and `Ctx::drive_after` applying a zero-delay drive in
+/// place.
 fn apply_drive(
     nets: &mut [NetState],
     pins: &mut [Pin],
@@ -196,21 +199,9 @@ fn apply_drive(
     }
     net_state.value = value;
     recorder.record(net, now, value);
-    if scheduler.wavefront() {
-        // Fast path: fan out through the fuse slot / lane — the
-        // borrows are disjoint, no listener snapshot needed.
-        for &lpin in &nets[net.0 as usize].listeners {
-            let delay = pins[lpin.0 as usize].delay;
-            scheduler.schedule_deliver(now + delay, lpin, value);
-        }
-    } else {
-        // The original edge-at-a-time path, kept verbatim as the
-        // oracle: snapshot the listener list, then schedule.
-        let listeners = nets[net.0 as usize].listeners.clone();
-        for lpin in listeners {
-            let delay = pins[lpin.0 as usize].delay;
-            scheduler.schedule(now + delay, EventKind::Deliver { pin: lpin, value });
-        }
+    for &lpin in &nets[net.0 as usize].listeners {
+        let delay = pins[lpin.0 as usize].delay;
+        scheduler.schedule_deliver(now + delay, lpin, value);
     }
 }
 
@@ -462,22 +453,6 @@ impl Circuit {
         self.scheduler.fused_total()
     }
 
-    /// Enables or disables the scheduler's wavefront lane (see
-    /// [`Scheduler::set_wavefront`]): propagation events ride a small
-    /// sorted deque instead of the binary heap, so an edge walking a
-    /// ring costs O(1) per segment. The event *order* is bit-identical
-    /// either way — the lane merges with the heap by the same
-    /// `(time, seq)` key — so this is purely a fast path; the heap-only
-    /// mode is kept as the cross-checking oracle.
-    pub fn set_wavefront(&mut self, on: bool) {
-        self.scheduler.set_wavefront(on);
-    }
-
-    /// Whether the wavefront lane is enabled.
-    pub fn wavefront(&self) -> bool {
-        self.scheduler.wavefront()
-    }
-
     /// Runs until the queue is empty or the next event is after
     /// `deadline`; leaves `now == deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
@@ -529,7 +504,7 @@ impl Circuit {
         // `step` pops for itself, so the loop only has to know whether
         // anything is pending — no separate peek of the merged front.
         // Fused deliveries count toward the budget in lump per step, so
-        // the cap can overshoot by at most one walk (`MAX_FUSE_DEPTH`).
+        // the cap can overshoot by at most one walk (`MAX_FUSE_WALK`).
         while self.step() {
             if self.events_processed - start >= max_events && !self.scheduler.is_empty() {
                 return false;
@@ -545,7 +520,7 @@ impl Circuit {
 
     /// Processes exactly one queue event, if any is pending.
     ///
-    /// With the wavefront lane on, a step then *walks* the fuse slot:
+    /// A step then *walks* the fuse slot:
     /// each delivery whose event is provably the globally next one is
     /// executed in place — and its callback typically stashes the next
     /// hop's delivery right back into the slot, so a CLK edge crossing
@@ -886,58 +861,56 @@ mod tests {
         assert_eq!(c.events_processed(), after_cap + 10);
     }
 
-    /// Runs the same repeater-ring stimulus with and without the
-    /// wavefront lane and asserts the traces are bit-identical — the
-    /// kernel-level version of the wire engine's oracle equivalence
-    /// suite. Event counts differ by design: the fast path collapses
-    /// zero-delay drives in place instead of queueing them.
+    /// Listens on its own output with zero delay and logs, in order,
+    /// the delivery of its drive and a zero-delay timer armed after it.
+    struct SameInstant {
+        kick: PinId,
+        output: PinId,
+        log: Vec<&'static str>,
+    }
+
+    impl Component for SameInstant {
+        fn on_signal(&mut self, pin: PinId, _: Logic, ctx: &mut Ctx<'_>) {
+            if pin == self.kick {
+                ctx.drive(self.output, Logic::Low);
+                ctx.set_timer_after(0, SimTime::ZERO);
+            } else {
+                self.log.push("delivery");
+            }
+        }
+
+        fn on_timer(&mut self, _: u64, _: &mut Ctx<'_>) {
+            self.log.push("timer");
+        }
+    }
+
+    /// The in-place drive's deliveries take their `seq` at the drive,
+    /// so a zero-delay listener hears the edge before a zero-delay
+    /// timer armed later in the same callback. A queued `Drive` would
+    /// have scheduled the delivery only when it popped, after the
+    /// timer.
     #[test]
-    fn wavefront_lane_is_trace_identical_to_the_heap() {
-        fn build_and_run(wavefront: bool) -> Circuit {
-            let mut c = Circuit::new();
-            c.set_wavefront(wavefront);
-            c.record_history();
-            let hop = SimTime::from_ns(10);
-            let nets: Vec<NetId> = (0..5).map(|i| c.net(format!("n{i}"))).collect();
-            for i in 0..4 {
-                let comp = c.add_component(format!("rep{i}"));
-                let _input = c.input_delayed(comp, nets[i], hop);
-                let output = c.output(comp, nets[i + 1]);
-                c.bind(
-                    comp,
-                    Repeater {
-                        output,
-                        delay: SimTime::ZERO,
-                    },
-                );
-            }
-            for k in 0..20u64 {
-                c.drive_external(
-                    nets[0],
-                    Logic::from_bool(k % 2 == 0),
-                    SimTime::from_ns(5 * k),
-                );
-            }
-            c.run_to_idle(100_000);
-            c
-        }
-        let fast = build_and_run(true);
-        let oracle = build_and_run(false);
-        assert!(fast.wavefront() && !oracle.wavefront());
-        assert!(
-            fast.events_processed() < oracle.events_processed(),
-            "inlined drives must shrink the event stream"
+    fn zero_delay_drive_delivers_before_a_later_same_instant_timer() {
+        let mut c = Circuit::new();
+        let kick = c.net("kick");
+        let out = c.net("out");
+        let comp = c.add_component("same_instant");
+        let kick_in = c.input(comp, kick);
+        let _out_in = c.input(comp, out);
+        let output = c.output(comp, out);
+        c.bind(
+            comp,
+            SameInstant {
+                kick: kick_in,
+                output,
+                log: Vec::new(),
+            },
         );
-        let (fast_history, oracle_history) = (fast.history().unwrap(), oracle.history().unwrap());
-        for net in oracle.trace().nets() {
-            assert_eq!(
-                fast_history.transitions(net),
-                oracle_history.transitions(net),
-                "net {}",
-                oracle.trace().net_name(net)
-            );
-            assert_eq!(fast.trace().edge_count(net), oracle.trace().edge_count(net));
-        }
+        c.drive_external(kick, Logic::Low, SimTime::from_ns(5));
+        c.run_to_idle(100);
+        let model = c.component::<SameInstant>(comp).unwrap();
+        assert_eq!(model.log, ["delivery", "timer"]);
+        assert_eq!(c.now(), SimTime::from_ns(5));
     }
 
     #[test]

@@ -71,8 +71,7 @@ impl PartialOrd for Event {
 ///
 /// # The wavefront lane
 ///
-/// With [`set_wavefront`](Scheduler::set_wavefront) enabled, `Drive`
-/// and `Deliver` events bypass the binary heap and ride a small
+/// `Drive` and `Deliver` events bypass the binary heap and ride a small
 /// `(time, seq)`-sorted deque instead — the **wavefront lane**. A CLK
 /// edge propagating around an MBus ring is a short chain of
 /// drive→deliver events a few nanoseconds apart; keeping that in-flight
@@ -82,13 +81,12 @@ impl PartialOrd for Event {
 /// Timers (clock ticks, retries — always at least a quarter-period
 /// away) stay on the heap.
 ///
-/// The lane is *not* an approximation: every event still draws its
-/// `seq` from the single shared counter, the lane is kept sorted by
-/// `(time, seq)`, and [`pop`](Scheduler::pop) merges lane and heap by
-/// the same `(time, seq)` order the heap alone would use. The pop
-/// stream is therefore bit-identical to the heap-only path — which the
-/// wire-engine equivalence suite pins against the edge-at-a-time
-/// oracle.
+/// Every event draws its `seq` from the single shared counter, the lane
+/// is kept sorted by `(time, seq)`, and [`pop`](Scheduler::pop) merges
+/// fuse slot, lane and heap by that same key, so the pop stream is the
+/// one a single `(time, seq)` heap would produce. The unit tests pin
+/// that against a plain `BinaryHeap`, and the wire-engine suite pins
+/// the resulting edge timing as golden `History` digests.
 ///
 /// # Example
 ///
@@ -106,13 +104,12 @@ impl PartialOrd for Event {
 pub struct Scheduler {
     heap: BinaryHeap<Event>,
     /// The wavefront lane: pending propagation events, sorted by
-    /// `(time, seq)`. Empty unless `wavefront` is on.
+    /// `(time, seq)`.
     lane: VecDeque<Event>,
-    wavefront: bool,
     next_seq: u64,
     scheduled_total: u64,
     /// A one-event buffer holding the most recently scheduled delivery
-    /// when the lane is live. The slot is a *queue position* like any
+    /// while it is free. The slot is a *queue position* like any
     /// other — its event carries a real `seq`, and [`pop`],
     /// [`peek_time`](Scheduler::peek_time), `len`, and `is_empty` all
     /// merge it — but the circuit's step loop can consume it without a
@@ -137,23 +134,6 @@ impl Scheduler {
         Scheduler::default()
     }
 
-    /// Enables or disables the wavefront lane (see the type-level
-    /// docs). Turning it off drains the lane back into the heap with
-    /// sequence numbers intact, so the pop order never changes.
-    pub fn set_wavefront(&mut self, on: bool) {
-        self.wavefront = on;
-        if !on {
-            self.heap.extend(self.lane.drain(..));
-            self.heap.extend(self.fuse_slot.take());
-        }
-    }
-
-    /// Whether the wavefront lane is enabled.
-    #[inline]
-    pub fn wavefront(&self) -> bool {
-        self.wavefront
-    }
-
     /// Schedules `kind` to fire at absolute time `time`.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
@@ -161,10 +141,10 @@ impl Scheduler {
         self.next_seq += 1;
         self.scheduled_total += 1;
         let event = Event { time, seq, kind };
-        if self.wavefront && !matches!(kind, EventKind::Timer { .. }) {
-            self.lane_insert(event);
-        } else {
+        if matches!(kind, EventKind::Timer { .. }) {
             self.heap.push(event);
+        } else {
+            self.lane_insert(event);
         }
     }
 
@@ -211,9 +191,9 @@ impl Scheduler {
         }
     }
 
-    /// Removes and returns the earliest event, if any. With the
-    /// wavefront lane on, this merges slot, lane, and heap by
-    /// `(time, seq)` — the exact order a single heap would produce.
+    /// Removes and returns the earliest event, if any: slot, lane and
+    /// heap merged by `(time, seq)` — the exact order a single heap
+    /// would produce.
     #[inline]
     pub fn pop(&mut self) -> Option<Event> {
         if let Some(s) = &self.fuse_slot {
@@ -269,8 +249,8 @@ impl Scheduler {
         self.fuse_horizon = deadline;
     }
 
-    /// Schedules a delivery, preferring the fuse slot when the lane is
-    /// live and the slot is free. The event draws its `seq` from the
+    /// Schedules a delivery, preferring the fuse slot when it is free.
+    /// The event draws its `seq` from the
     /// same counter as every other, so wherever it waits — slot, lane,
     /// or heap — it fires in exactly the same global order.
     #[inline]
@@ -283,14 +263,10 @@ impl Scheduler {
             seq,
             kind: EventKind::Deliver { pin, value },
         };
-        if self.wavefront {
-            if self.fuse_slot.is_none() {
-                self.fuse_slot = Some(event);
-            } else {
-                self.lane_insert(event);
-            }
+        if self.fuse_slot.is_none() {
+            self.fuse_slot = Some(event);
         } else {
-            self.heap.push(event);
+            self.lane_insert(event);
         }
     }
 
@@ -407,22 +383,25 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_lane_pops_identically_to_the_heap() {
-        // Same schedule stream, one queue with the lane and one
-        // without: the pop streams must be bit-identical, including
-        // seq assignment. This is the invariant the wire engine's
-        // oracle comparison rests on.
-        for seed in 1..8u64 {
+    fn lane_pops_identically_to_a_binary_heap() {
+        // The reference is a plain `BinaryHeap<Event>` fed the same
+        // stream with the same seq numbering: slot, lane and heap
+        // together must pop exactly what it pops, including the seqs,
+        // and a fused take may hand out only that same next event, no
+        // later than the horizon.
+        // A 10 ns span makes same-instant ties common; 50 ns spreads
+        // the queue past the lane's walk bound. Times come from high
+        // bits so they do not track the kind (`r % 5`).
+        for (seed, span) in (1..15u64).zip([10, 50].into_iter().cycle()) {
             let mut rng = seed;
-            let mut fast = Scheduler::new();
-            fast.set_wavefront(true);
-            let mut oracle = Scheduler::new();
-            let mut pending = 0u32;
+            let mut q = Scheduler::new();
+            let mut reference = BinaryHeap::new();
+            let mut next_seq = 0u64;
             for step in 0..400 {
                 let r = xorshift(&mut rng);
-                let schedule = pending == 0 || !r.is_multiple_of(3);
+                let schedule = reference.is_empty() || !r.is_multiple_of(3);
                 if schedule {
-                    let time = SimTime::from_ns(r % 50);
+                    let time = SimTime::from_ns((r >> 20) % span);
                     let kind = match r % 5 {
                         0 => timer(step),
                         1 | 2 => drive(step as u32),
@@ -431,37 +410,36 @@ mod tests {
                     // Interleave pops with schedules: times may go
                     // backwards here relative to popped events, which
                     // the lane insert must still order correctly.
-                    fast.schedule(time, kind);
-                    oracle.schedule(time, kind);
-                    pending += 1;
+                    match kind {
+                        EventKind::Deliver { pin, value } => q.schedule_deliver(time, pin, value),
+                        _ => q.schedule(time, kind),
+                    }
+                    reference.push(Event {
+                        time,
+                        seq: next_seq,
+                        kind,
+                    });
+                    next_seq += 1;
+                } else if r.is_multiple_of(2) {
+                    let horizon = SimTime::from_ns((r >> 16) % 60);
+                    q.set_fuse_horizon(horizon);
+                    if let Some(fused) = q.take_fused_next() {
+                        assert!(fused.time <= horizon, "seed {seed} step {step}");
+                        assert_eq!(Some(fused), reference.pop(), "seed {seed} step {step}");
+                    }
                 } else {
-                    assert_eq!(fast.pop(), oracle.pop(), "seed {seed} step {step}");
-                    pending -= 1;
+                    assert_eq!(q.pop(), reference.pop(), "seed {seed} step {step}");
                 }
-                assert_eq!(fast.peek_time(), oracle.peek_time());
-                assert_eq!(fast.len(), oracle.len());
+                assert_eq!(q.peek_time(), reference.peek().map(|e| e.time));
+                assert_eq!(q.len(), reference.len());
             }
             loop {
-                let (f, o) = (fast.pop(), oracle.pop());
-                assert_eq!(f, o, "seed {seed} drain");
-                if f.is_none() {
+                let (got, want) = (q.pop(), reference.pop());
+                assert_eq!(got, want, "seed {seed} drain");
+                if got.is_none() {
                     break;
                 }
             }
         }
-    }
-
-    #[test]
-    fn disabling_the_lane_preserves_pending_order() {
-        let mut q = Scheduler::new();
-        q.set_wavefront(true);
-        q.schedule(SimTime::from_ns(5), drive(0));
-        q.schedule(SimTime::from_ns(5), deliver(1));
-        q.schedule(SimTime::from_ns(2), deliver(2));
-        assert!(q.wavefront());
-        q.set_wavefront(false);
-        assert!(!q.wavefront());
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, vec![2, 0, 1], "seqs survive the drain-back");
     }
 }
