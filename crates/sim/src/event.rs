@@ -250,9 +250,9 @@ impl Scheduler {
     }
 
     /// Schedules a delivery, preferring the fuse slot when it is free.
-    /// The event draws its `seq` from the
-    /// same counter as every other, so wherever it waits — slot, lane,
-    /// or heap — it fires in exactly the same global order.
+    /// The event draws its `seq` from the same counter as every other,
+    /// so wherever it waits — slot, lane, or heap — it fires in exactly
+    /// the same global order.
     #[inline]
     pub(crate) fn schedule_deliver(&mut self, time: SimTime, pin: PinId, value: Logic) {
         let seq = self.next_seq;
@@ -389,6 +389,7 @@ mod tests {
         // together must pop exactly what it pops, including the seqs,
         // and a fused take may hand out only that same next event, no
         // later than the horizon.
+        //
         // A 10 ns span makes same-instant ties common; 50 ns spreads
         // the queue past the lane's walk bound. Times come from high
         // bits so they do not track the kind (`r % 5`).

@@ -80,18 +80,6 @@ fn pin_for(pins: &[(&str, u64)], key: &str) -> u64 {
         .1
 }
 
-/// Runs `w` on a wire engine with the transition history on and
-/// returns the engine, so the raw kernel history stays inspectable,
-/// and the report's signature digest.
-fn run_wire(w: &Workload) -> (WireEngine, u64) {
-    let mut engine = WireEngine::new(*w.config()).with_history(true);
-    for spec in w.node_specs() {
-        engine.add_node(spec.clone());
-    }
-    let digest = scenario_digest(&w.apply(&mut engine).signature());
-    (engine, digest)
-}
-
 /// The always-on edge counts and the opt-in history are two records of
 /// one transition stream: every net's count must equal its history
 /// length, and the per-member `segment_edges` the energy model charges
@@ -119,10 +107,15 @@ fn assert_counts_match_history(w: &Workload, bus: &WireBus) {
     assert_eq!(bus.segment_edges(), from_history, "{}", w.name());
 }
 
-/// Runs `w`, checks its counts against its history, and returns the
-/// edge digest and the signature digest.
-fn edge_and_signature_digests(w: &Workload) -> (u64, u64) {
-    let (engine, signature) = run_wire(w);
+/// Runs `w` on a wire engine with the transition history on, checks
+/// its counts against that history, and returns the edge digest and
+/// the signature digest.
+fn run_wire(w: &Workload) -> (u64, u64) {
+    let mut engine = WireEngine::new(*w.config()).with_history(true);
+    for spec in w.node_specs() {
+        engine.add_node(spec.clone());
+    }
+    let signature = scenario_digest(&w.apply(&mut engine).signature());
     let bus = engine.wire_bus().expect("ran");
     assert_counts_match_history(w, bus);
     (history_digest(bus.history().expect("recorded")), signature)
@@ -141,7 +134,7 @@ fn seeded_battery_is_bit_identical_across_paths() {
         if !w.wire_comparable() {
             continue;
         }
-        let (digest, _) = edge_and_signature_digests(&w);
+        let (digest, _) = run_wire(&w);
         if seed < 200 {
             fold = fnv1a(fold, &seed.to_le_bytes());
             fold = fnv1a(fold, &digest.to_le_bytes());
@@ -175,7 +168,7 @@ fn named_scenarios_are_bit_identical_across_paths() {
         Workload::fault_injection(),
     ] {
         if w.wire_comparable() {
-            let (digest, _) = edge_and_signature_digests(&w);
+            let (digest, _) = run_wire(&w);
             assert_eq!(digest, pin_for(NAMED_EDGE_PINS, w.name()), "{}", w.name());
         }
     }
@@ -205,7 +198,7 @@ fn golden_corpus_is_bit_identical_across_paths() {
         match &tf.trace {
             Trace::Workload(w) => {
                 if w.wire_comparable() {
-                    let (edges, digest) = edge_and_signature_digests(w);
+                    let (edges, digest) = run_wire(w);
                     assert_eq!(
                         edges,
                         pin_for(CORPUS_EDGE_PINS, &file),
