@@ -25,6 +25,7 @@
 
 mod common;
 
+use mbus_core::trace::scenario_digest;
 use mbus_core::{
     AnalyticBus, ArbitrationPolicy, BusEngine, BusStats, EngineKind, EngineRecord, ReceivedMessage,
     Step, Workload,
@@ -118,6 +119,33 @@ fn batched_drain_matches_on_the_paper_suite() {
             assert_eq!(stepped_stats, batched_stats);
             assert_eq!(stepped_rx, batched_rx);
         }
+    }
+}
+
+/// `common::fold_digests` of the `scenario_digest` of
+/// `Workload::seeded(0..200)` on the analytic engine, one pin per
+/// arbitration policy. Minted while a stepped replay still checked
+/// every drain against the trait's one-call drain.
+const SEEDED_DIGEST_PINS: [(ArbitrationPolicy, u64); 2] = [
+    (ArbitrationPolicy::FixedTopological, 0x5877_c041_81a8_0c70),
+    (ArbitrationPolicy::Rotating, 0x4c24_4d0a_4918_9525),
+];
+
+#[test]
+fn seeded_drains_fold_to_the_golden_digests() {
+    // A fixed 200 seeds, not scaled: the pins are over exactly these.
+    // Over half of them drain mid-queue (partial drains with traffic
+    // queued on top), which no twin engine covers.
+    for (policy, pin) in SEEDED_DIGEST_PINS {
+        let fold = common::fold_digests((0..200).map(|seed| {
+            let workload = Workload::seeded(seed);
+            let mut bus = AnalyticBus::new(*workload.config()).with_arbitration_policy(policy);
+            for spec in workload.node_specs() {
+                bus.add_node(spec.clone());
+            }
+            scenario_digest(&workload.apply(&mut bus).signature())
+        }));
+        assert_eq!(fold, pin, "{policy:?}: seeded 0..200 digest fold drifted");
     }
 }
 

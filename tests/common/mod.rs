@@ -28,6 +28,26 @@ pub fn scaled_seeds(base: u64) -> u64 {
     base * seed_scale()
 }
 
+/// The FNV-1a offset basis: the start of every golden fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step over `bytes`, continuing from `h`.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a over the little-endian bytes of each digest, in order: one
+/// 64-bit pin for a whole seeded battery.
+pub fn fold_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
+    digests
+        .into_iter()
+        .fold(FNV_OFFSET, |h, d| fnv1a(h, &d.to_le_bytes()))
+}
+
 /// The engine kinds `workload` can be compared on: all of them, unless
 /// the workload contains partial drains — the wire engine may legally
 /// run ahead of `run_transaction` (see the `BusEngine` contract), so

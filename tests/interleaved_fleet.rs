@@ -26,6 +26,7 @@
 mod common;
 
 use mbus_core::fleet::{Fleet, FleetNodeId, ShardedFleet};
+use mbus_core::trace::fleet_digest;
 use mbus_core::{
     BusConfig, EngineKind, EngineRecord, FleetReport, FleetSchedule, FleetWorkload, FuId,
 };
@@ -66,6 +67,29 @@ fn seeded_fleets_interleave_equivalently_over_200_seeds() {
             w.name()
         );
     }
+}
+
+/// `common::fold_digests` of the `fleet_digest` of
+/// `FleetWorkload::seeded(0..200)` on the analytic engine. Minted while
+/// a batched (cluster-major) drain still ran beside the interleaved one.
+const SEEDED_FLEET_DIGEST_PIN: u64 = 0x4f7e_6e19_7996_efaa;
+
+#[test]
+fn seeded_fleets_fold_to_the_golden_digest() {
+    // A fixed 200 seeds, not scaled: the pin is over exactly these.
+    // Most of them draw partial drains (`drain-rounds`), which no twin
+    // engine covers.
+    let fold = common::fold_digests((0..200).map(|seed| {
+        fleet_digest(
+            &FleetWorkload::seeded(seed)
+                .run_on(EngineKind::Analytic)
+                .signature(),
+        )
+    }));
+    assert_eq!(
+        fold, SEEDED_FLEET_DIGEST_PIN,
+        "seeded 0..200 fleet digest fold drifted"
+    );
 }
 
 #[test]

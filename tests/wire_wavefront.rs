@@ -22,6 +22,8 @@ use mbus_core::wire::{WireBus, WireEngine};
 use mbus_core::{EngineKind, Workload};
 use mbus_sim::{History, Logic};
 
+use common::{fnv1a, FNV_OFFSET};
+
 /// FNV-1a over every recorded transition, net by net in id order: the
 /// net index, the time in picoseconds and the level. Two runs with the
 /// same digest put the same edges on the same nets at the same instants.
@@ -38,16 +40,6 @@ fn history_digest(history: &History) -> u64 {
             h = fnv1a(h, &t.time.as_ps().to_le_bytes());
             h = fnv1a(h, &[level]);
         }
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
 }
