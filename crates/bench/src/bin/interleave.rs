@@ -1,15 +1,15 @@
 //! Interleaved fleet driver: thousands of analytic buses on ONE
 //! thread — then tens of thousands across the sharded runtime.
 //!
-//! Where a batched drain takes each cluster bus to quiescence in
-//! turn, this bin exercises the serving shape: every cluster runs on
-//! an `AnalyticBus` stepped one transaction per `run_transaction`
+//! Instead of taking each cluster bus to quiescence in turn, this
+//! bin exercises the serving shape: every cluster runs on an
+//! `AnalyticBus` stepped one transaction per `run_transaction`
 //! call, and the `ShardedFleet`'s
 //! `InterleavedScheduler` round-robins one transaction per bus per
 //! round — all buses make progress together, no bus ever blocks the
 //! thread.
 //!
-//! Five stages:
+//! Four stages:
 //!
 //! 1. **Headline interleave** — 1024 analytic buses (1024 × 3
 //!    sensors + 1024 gateway presences = 4096 nodes) running
@@ -33,15 +33,11 @@
 //!    or emitted a record (counts, so machine-independent too).
 //! 3. **64k-bus fleet** — a 65536-cluster, 262144-node cross-storm
 //!    drained by the sharded runtime, the population headline.
-//! 4. **Schedule equivalence check** — the same workload, batched vs
-//!    interleaved: the per-cluster `FleetSignature`s must be
-//!    identical (the schedule-independence contract
-//!    `tests/interleaved_fleet.rs` pins).
-//! 5. **Engine-kind × fleet-size grid** — whole sense-and-aggregate
+//! 4. **Engine-kind × fleet-size grid** — whole sense-and-aggregate
 //!    fleets over analytic × wire kinds and growing populations, each
-//!    point drained batched and under `Sharded { shards: 4 }`, which
-//!    must produce identical samples (schedule-independence at grid
-//!    scale).
+//!    point drained interleaved and under `Sharded { shards: 4 }`,
+//!    which must produce identical samples (schedule-independence at
+//!    grid scale).
 //!
 //! Every stage's numbers are also written to `BENCH_interleave.json`
 //! in the working directory (CI uploads it as an artifact).
@@ -351,35 +347,6 @@ fn run_fleet_64k() -> Json {
     ])
 }
 
-fn run_schedule_check(clusters: usize, sensors: usize, rounds: usize) {
-    let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
-    println!(
-        "schedule check '{}': {} nodes",
-        workload.name(),
-        workload.total_nodes()
-    );
-    let mut signatures = Vec::new();
-    for schedule in [FleetSchedule::Batched, FleetSchedule::Interleaved] {
-        let start = Instant::now();
-        let report = workload.run_scheduled_on(EngineKind::Analytic, schedule);
-        let wall = start.elapsed();
-        println!(
-            "  [{:>11}] {} transactions in {:.2?}",
-            schedule.to_string(),
-            report.transactions(),
-            wall,
-        );
-        signatures.push(report.signature());
-    }
-    assert_eq!(
-        signatures[0],
-        signatures[1],
-        "schedules disagree on '{}'",
-        workload.name()
-    );
-    println!("  schedule check: per-cluster fleet signatures identical\n");
-}
-
 fn run_engine_grid(smoke: bool) {
     let sizes: Vec<(usize, usize)> = if smoke {
         vec![(4, 3), (16, 3)]
@@ -402,7 +369,7 @@ fn run_engine_grid(smoke: bool) {
     for kind in EngineKind::ALL {
         let mut rows = Vec::new();
         for &(clusters, sensors) in &sizes {
-            let batched = sample(kind, clusters, sensors, FleetSchedule::Batched);
+            let interleaved = sample(kind, clusters, sensors, FleetSchedule::Interleaved);
             // Schedule-independence at grid scale: the same point
             // drained through the sharded schedule is identical.
             let sharded = sample(
@@ -412,10 +379,10 @@ fn run_engine_grid(smoke: bool) {
                 FleetSchedule::Sharded { shards: 4 },
             );
             assert_eq!(
-                batched, sharded,
-                "sharded-schedule point diverged from batched ({kind}, {clusters} clusters)"
+                interleaved, sharded,
+                "sharded-schedule point diverged from interleaved ({kind}, {clusters} clusters)"
             );
-            rows.push((batched.0 as f64, batched.1 as f64));
+            rows.push((interleaved.0 as f64, interleaved.1 as f64));
         }
         print!(
             "{}",
@@ -460,11 +427,6 @@ fn main() {
     // The 64k stage runs in smoke too — CI's artifact carries the
     // population headline.
     let fleet_64k = run_fleet_64k();
-    if smoke {
-        run_schedule_check(32, 3, 1);
-    } else {
-        run_schedule_check(256, 3, 2);
-    }
     run_engine_grid(smoke);
 
     let artifact = Json::obj([

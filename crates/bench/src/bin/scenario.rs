@@ -193,7 +193,6 @@ fn workload_digests(w: &Workload) -> Vec<u64> {
 /// schedule.
 fn fleet_digests(w: &FleetWorkload) -> Vec<u64> {
     let schedules = [
-        FleetSchedule::Batched,
         FleetSchedule::Interleaved,
         FleetSchedule::Sharded { shards: 2 },
     ];

@@ -1103,41 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn trait_stepping_matches_the_batched_drain() {
-        // Hand-stepping `run_transaction` through `dyn BusEngine` must
-        // reproduce the trait's provided `run_until_quiescent` (one call
-        // drains the whole batch) exactly — records, stats, and rx logs.
-        let drive = |stepped: bool| {
-            let mut bus = AnalyticBus::new(BusConfig::default());
-            let engine: &mut dyn BusEngine = &mut bus;
-            for i in 0..4u32 {
-                engine.add_node(
-                    NodeSpec::new(format!("n{i}"), FullPrefix::new(0x600 + i).unwrap())
-                        .with_short_prefix(sp((i + 1) as u8))
-                        .power_aware(i == 2),
-                );
-            }
-            engine
-                .queue(1, Message::new(addr(0x1), vec![7; 5]))
-                .unwrap();
-            engine
-                .queue(3, Message::new(addr(0x3), vec![8]).with_priority())
-                .unwrap();
-            engine.request_wakeup(2).unwrap();
-            let records = if stepped {
-                std::iter::from_fn(|| engine.run_transaction()).collect()
-            } else {
-                engine.run_until_quiescent()
-            };
-            let rx: Vec<_> = (0..4).map(|i| engine.take_rx(i)).collect();
-            (records, engine.stats(), rx)
-        };
-        let batched = drive(false);
-        assert_eq!(batched.0.len(), 2, "the wake rides the first message");
-        assert_eq!(drive(true), batched);
-    }
-
-    #[test]
     fn time_advances_with_cycles() {
         let mut bus = three_node_bus();
         bus.queue(0, Message::new(addr(0x2), vec![0; 8])).unwrap();

@@ -24,8 +24,7 @@
 //! * **Schedule-independence.** Injection happens only when the bus
 //!   (or the whole fleet) is quiescent, so every schedule reaches the
 //!   identical pre-injection state, injects the identical batch, and
-//!   drains again: batched ≡ interleaved ≡ sharded streams stay
-//!   pinned.
+//!   drains again: every shard count's stream stays pinned.
 //! * **Termination.** Behaviors can feed each other (two `Reply`
 //!   nodes, a cascade loop), so each drain step runs at most
 //!   [`DEFAULT_REPLY_HORIZON`] (configurable per workload) injection

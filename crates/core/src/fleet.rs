@@ -35,14 +35,12 @@
 //! together; groups run on scoped worker threads, cluster `c` always
 //! on group `c % workers`, with gateway envelopes exchanged at
 //! cross-worker epoch barriers; one group is the single-threaded
-//! interleave. A [`FleetSchedule`] picks the group count and the
-//! order each epoch's records come out in: round-robin, or
-//! cluster-major for the *batched* schedule.
+//! interleave. A [`FleetSchedule`] picks the group count.
 //! Barrier routing makes cross-bus
 //! causality (which epoch a forwarded message lands in) reproducible,
-//! engine-independent, *and* schedule-independent: all schedules
-//! yield identical per-cluster record streams and differ only in
-//! fleet-wide emission order. [`FleetWorkload`] is the declarative
+//! engine-independent, *and* schedule-independent: every schedule
+//! yields the same records in the same round-robin order.
+//! [`FleetWorkload`] is the declarative
 //! layer on top, and [`FleetSignature`] is the cross-engine comparison
 //! — the same conformance story the single-bus [`crate::scenario`]
 //! layer tells, lifted to fleets.
@@ -1054,30 +1052,25 @@ impl Fleet {
     /// Runs the whole fleet until no bus has pending work and no
     /// envelope is in flight; returns the records in order.
     ///
-    /// This is the [`FleetSchedule::Batched`] drain: the one drive loop
-    /// ([`ShardedFleet::drive`]) on one shard, in epochs. Each epoch
-    /// steps the clusters that may have work to quiescence through
+    /// This is the one drive loop ([`ShardedFleet::drive`]) on one
+    /// shard, in epochs. Each epoch steps the clusters that may have
+    /// work round-robin to quiescence through
     /// [`BusEngine::run_transaction`], then — at the epoch barrier —
     /// routes their gateway envelopes in source-cluster order; epochs
     /// repeat until no forwarded leg is left to run. A forwarded leg
     /// is therefore always queued *between* epochs (store-and-forward:
     /// the gateway holds it until the destination bus's next-epoch
     /// drain), regardless of the source and destination cluster
-    /// indexes. Each epoch's records come out cluster-major: all of
-    /// cluster 0's, then all of cluster 1's, …
+    /// indexes.
     ///
     /// Because routing happens only at epoch barriers, each cluster's
     /// own record stream is an autonomous drain of whatever was pending
-    /// at its epoch start — independent of *how* the scheduler walks
-    /// the clusters. Batched and interleaved drains therefore produce
-    /// identical per-cluster streams and differ only in the fleet-wide
-    /// emission order (cluster-major here, round-robin there);
-    /// `tests/interleaved_fleet.rs` pins this. The order depends only
-    /// on cluster indexes, so the interleaving of [`FleetRecord`]s is
-    /// also identical on every engine kind.
+    /// at its epoch start. The fleet-wide order depends only on cluster
+    /// indexes, so the sequence of [`FleetRecord`]s is identical on
+    /// every engine kind and every [`FleetSchedule`].
     pub fn run_until_quiescent(&mut self) -> Vec<FleetRecord> {
         let mut records = Vec::new();
-        ShardedFleet::batched().drive(self, &mut |r| records.push(r));
+        ShardedFleet::new(1).drive(self, &mut |r| records.push(r));
         records
     }
 
@@ -1112,18 +1105,15 @@ impl Fleet {
     }
 }
 
-/// How the fleet's one drive loop ([`shard::ShardedFleet`]) runs a
-/// drain: on how many shards, and in which fleet-wide record order.
-/// Every schedule produces identical per-cluster record streams (and
-/// therefore identical [`FleetSignature`]s); they differ only in the
-/// fleet-wide order the [`FleetRecord`]s come out in — and
-/// `Interleaved` and every `Sharded` count share even that.
+/// How many shards the fleet's one drive loop
+/// ([`shard::ShardedFleet`]) runs a drain on. Every schedule produces
+/// the same [`FleetRecord`]s in the same order, and therefore the same
+/// [`FleetSignature`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetSchedule {
-    /// Cluster-major: each epoch emits all of cluster 0's records,
-    /// then all of cluster 1's, … ([`Fleet::run_until_quiescent`]).
-    /// Runs as `Interleaved`, with the barrier merging each epoch's
-    /// records by `(cluster, round)` instead of `(round, cluster)`.
+    /// The same single-shard drive as `Interleaved`
+    /// ([`Fleet::run_until_quiescent`]). Kept as its own name because
+    /// `.mbt` traces spell it `schedule=batched`.
     #[default]
     Batched,
     /// Round-robin: one transaction per cluster per round
@@ -1169,20 +1159,14 @@ impl fmt::Display for FleetSchedule {
 /// when every cluster is quiescent, the barrier routes all gateway
 /// envelopes in source-cluster order and a new epoch begins.
 ///
-/// # The batched order
+/// # The record order
 ///
-/// Every schedule runs this same kernel; the batched one differs only
-/// in how the barrier orders an epoch's records. A cluster's `j`-th
-/// transaction of an epoch runs in round `j`, so its records already
-/// ascend by round: merging by `(round, cluster)` gives the
-/// round-robin order (the first transaction of every active cluster,
-/// then the second of every cluster still active, …), and merging by
-/// `(cluster, round)` gives the cluster-major order (all of cluster
-/// 0's transactions, then all of cluster 1's, …). Per-cluster record
-/// streams, receive logs, statistics, gateway counters and
-/// [`FleetSignature`]s are the same either way.
-/// `tests/interleaved_fleet.rs` pins both the per-cluster equality
-/// and the reordering.
+/// Every schedule runs this same kernel. A cluster's `j`-th
+/// transaction of an epoch runs in round `j`, whatever the other
+/// clusters do, so the barrier's merge by `(round, cluster)` gives the
+/// round-robin order on any number of shards: the first transaction
+/// of every active cluster, then the second of every cluster still
+/// active, …
 ///
 /// # Example
 ///
@@ -1262,7 +1246,7 @@ impl InterleavedScheduler {
     /// epoch — each epoch starts a fresh rotation over the clusters it
     /// polls). Round-robin
     /// fairness bounds this by the number of simultaneously active
-    /// clusters; a cluster-major drain of the same traffic would let
+    /// clusters; draining each cluster to quiescence in turn would let
     /// it grow to a whole cluster's backlog.
     pub fn max_turn_gap(&self) -> u64 {
         self.max_turn_gap
@@ -1713,7 +1697,7 @@ impl FleetWorkload {
     }
 
     /// Runs the steps on a fleet carrying this workload's topology
-    /// (see [`FleetWorkload::instantiate`]) with the batched schedule.
+    /// (see [`FleetWorkload::instantiate`]) on one shard.
     /// A trailing [`FleetStep::Drain`] is implied.
     ///
     /// # Panics
@@ -1728,17 +1712,16 @@ impl FleetWorkload {
 
     /// [`FleetWorkload::apply`] with an explicit [`FleetSchedule`]:
     /// every [`FleetStep::Drain`] (and the implied trailing one) runs
-    /// through the chosen drive loop. The resulting
-    /// [`FleetReport::signature`] is schedule-independent; the raw
-    /// [`FleetReport::records`] order is not.
+    /// on the chosen number of shards. The resulting
+    /// [`FleetReport::records`], and so its signature, are
+    /// schedule-independent.
     ///
     /// # Panics
     ///
     /// As [`FleetWorkload::apply`].
     pub fn apply_scheduled(&self, fleet: &mut Fleet, schedule: FleetSchedule) -> FleetReport {
         let mut sharded = match schedule {
-            FleetSchedule::Batched => ShardedFleet::batched(),
-            FleetSchedule::Interleaved => ShardedFleet::new(1),
+            FleetSchedule::Batched | FleetSchedule::Interleaved => ShardedFleet::new(1),
             FleetSchedule::Sharded { shards } => ShardedFleet::new(shards),
         };
         self.apply_sharded(fleet, &mut sharded)
@@ -2076,8 +2059,8 @@ impl FleetWorkload {
         Some(Message::new(Address::short(prefix, fu), payload.to_vec()))
     }
 
-    /// Builds a fleet of `kind` and runs the workload on it with the
-    /// batched schedule.
+    /// Builds a fleet of `kind` and runs the workload on it on one
+    /// shard.
     pub fn run_on(&self, kind: EngineKind) -> FleetReport {
         self.run_scheduled_on(kind, FleetSchedule::Batched)
     }
@@ -3221,42 +3204,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_drain_matches_batched_per_cluster() {
-        // The schedule-independence contract in miniature (the full
-        // seeded suite lives in tests/interleaved_fleet.rs): identical
-        // signatures, interleaved fleet-wide order.
-        let w = FleetWorkload::cross_storm(3, 2, 2);
-        for kind in EngineKind::ALL {
-            let batched = w.run_scheduled_on(kind, FleetSchedule::Batched);
-            let interleaved = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
-            assert_eq!(batched.signature(), interleaved.signature(), "{kind}");
-            // Same transactions per cluster, in the same per-cluster
-            // order...
-            for c in 0..3 {
-                let per_cluster = |r: &FleetReport| -> Vec<_> {
-                    r.records
-                        .iter()
-                        .filter(|fr| fr.cluster == c)
-                        .map(|fr| fr.record)
-                        .collect()
-                };
-                assert_eq!(
-                    per_cluster(&batched),
-                    per_cluster(&interleaved),
-                    "{kind} c{c}"
-                );
-            }
-            // ...but a genuinely different fleet-wide interleaving:
-            // with every cluster loaded, round-robin emits cluster 1's
-            // first transaction before cluster 0's second.
-            assert_ne!(
-                batched.records, interleaved.records,
-                "{kind}: schedules must interleave differently"
-            );
-        }
-    }
-
-    #[test]
     fn interleaved_scheduler_counters_accumulate() {
         let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
         let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
@@ -3373,9 +3320,7 @@ mod tests {
         let mut signatures = Vec::new();
         for kind in EngineKind::ALL {
             for schedule in [
-                FleetSchedule::Batched,
                 FleetSchedule::Interleaved,
-                FleetSchedule::Sharded { shards: 1 },
                 FleetSchedule::Sharded { shards: 2 },
             ] {
                 let report = w.run_scheduled_on(kind, schedule);

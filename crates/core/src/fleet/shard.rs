@@ -19,9 +19,9 @@
 //! local-traffic stashes and drop counters) and the barrier exchanges
 //! them: forwarded legs are queued onto their destination buses in
 //! **global source-cluster order**, exactly as a single-threaded
-//! routing pass would. The batched schedule is this drive on one shard
-//! with each epoch's records merged cluster-major, by
-//! `(cluster, round)` instead of `(round, cluster)`.
+//! routing pass would. The batched and interleaved schedules are this
+//! drive on one shard, and every shard count emits the same records in
+//! the same order (below), so every schedule has one record order.
 //!
 //! # Equivalence argument
 //!
@@ -51,10 +51,7 @@
 //!   work runs out). A single shard therefore emits an epoch's records
 //!   sorted by `(round, cluster index)` — and merging all shards'
 //!   `(round, cluster, record)` emissions by that same key reproduces
-//!   the order exactly, whatever the shard assignment. The same
-//!   independence makes a cluster's records ascend by round, so
-//!   merging by `(cluster, round)` instead gives the batched
-//!   cluster-major order exactly.
+//!   the order exactly, whatever the shard assignment.
 //! * **Gateway counters.** Shards classify their own clusters'
 //!   envelopes against the shared read-only [`GatewayRoutes`] table
 //!   into per-shard counters; every counter is a sum, so the
@@ -235,10 +232,8 @@ struct DriveState<'f> {
 /// shard `c % workers`, where `workers` is the shard count clamped to
 /// the fleet's cluster count, so a cluster keeps its shard across
 /// epochs and drives. `ShardedFleet::new(1)` is the single-threaded
-/// interleaved drain
-/// ([`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved));
-/// the same single shard with cluster-major emission is the batched
-/// drain ([`FleetSchedule::Batched`](super::FleetSchedule::Batched)).
+/// drain of both [`FleetSchedule::Batched`](super::FleetSchedule::Batched)
+/// and [`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved).
 /// Each drive opens one thread scope whose workers serve every epoch of
 /// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
 /// instead. A `ShardedFleet` is reusable across drives and accumulates
@@ -270,9 +265,6 @@ struct DriveState<'f> {
 #[derive(Debug)]
 pub struct ShardedFleet {
     shards: usize,
-    /// Merge each epoch's records by `(cluster, round)`, the batched
-    /// order, instead of `(round, cluster)`.
-    cluster_major: bool,
     /// One thread scope per drive (the default) vs one per epoch.
     scope_per_drive: bool,
     /// One scheduler per shard, so fairness counters accumulate across
@@ -298,20 +290,10 @@ impl ShardedFleet {
     pub fn new(shards: usize) -> Self {
         ShardedFleet {
             shards: shards.max(1),
-            cluster_major: false,
             scope_per_drive: true,
             schedulers: Vec::new(),
             epochs: 0,
             shard_wall_nanos: Vec::new(),
-        }
-    }
-
-    /// The one-shard, cluster-major drive of
-    /// [`FleetSchedule::Batched`](super::FleetSchedule::Batched).
-    pub(crate) fn batched() -> Self {
-        ShardedFleet {
-            cluster_major: true,
-            ..ShardedFleet::new(1)
         }
     }
 
@@ -407,11 +389,10 @@ impl ShardedFleet {
 
     /// Runs `fleet` until no bus has pending work and no envelope is
     /// in flight, handing each completed transaction to `sink` in the
-    /// single-threaded interleaved drain's round-robin order (the
-    /// barrier merges the shards' emissions by `(round, cluster)`, or
-    /// by `(cluster, round)` for the batched drive; records therefore
-    /// reach `sink` in epoch-sized batches). Debug builds then check
-    /// that no cluster has work left.
+    /// single-threaded drain's round-robin order (the barrier merges
+    /// the shards' emissions by `(round, cluster)`, so records reach
+    /// `sink` in epoch-sized batches). Debug builds then check that no
+    /// cluster has work left.
     pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
         if fleet.pending.is_empty() {
             #[cfg(debug_assertions)]
@@ -569,7 +550,7 @@ impl ShardedFleet {
             self.shard_wall_nanos[shard] += ep.wall_nanos;
             if merged.is_empty() {
                 // The lone shard's (or first shard's) records move, not
-                // copy: batched and one-shard epochs merge nothing.
+                // copy: one-shard epochs merge nothing.
                 merged = mem::take(&mut ep.records);
             } else {
                 merged.append(&mut ep.records);
@@ -583,13 +564,8 @@ impl ShardedFleet {
 
         // Barrier, part 2: emit the epoch's records in the
         // single-shard round-robin order — merge by (round, cluster);
-        // see the module docs for why this is exact — or, for the
-        // batched order, by (cluster, round).
-        if self.cluster_major {
-            merged.sort_by_key(|&(round, cluster, _)| (cluster, round));
-        } else {
-            merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
-        }
+        // see the module docs for why this is exact.
+        merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
         for (_, cluster, record) in merged {
             sink(FleetRecord { cluster, record });
         }
@@ -781,8 +757,8 @@ mod tests {
         // A wire engine freezes its ring at first use. A drive polls
         // only clusters with traffic, and the debug-build check skips
         // unused wire engines, so an untouched cluster still takes a
-        // sensor after a drive, in the batched order too.
-        for mut sharded in [ShardedFleet::batched(), ShardedFleet::new(2)] {
+        // sensor after a drive, on one shard or two.
+        for mut sharded in [ShardedFleet::new(1), ShardedFleet::new(2)] {
             let mut fleet = Fleet::new(EngineKind::Wire, BusConfig::default());
             for sensors in [2, 1] {
                 let c = fleet.add_cluster();
@@ -869,10 +845,9 @@ mod tests {
     fn polls_scale_with_traffic_not_fleet_size() {
         // The same two-cluster exchange on an 8-cluster and a
         // 4096-cluster fleet makes exactly the same engine polls: each
-        // epoch polls only the clusters with work, in the batched
-        // (cluster-major) drive too, written `None` below. Driving the
+        // epoch polls only the clusters with work. Driving the
         // quiescent fleet again polls nothing and counts no epoch.
-        for shards in [None, Some(1), Some(2), Some(7)] {
+        for shards in [1, 2, 7] {
             let counts: Vec<(u64, u64, u64)> = [8, 4096]
                 .into_iter()
                 .map(|clusters| {
@@ -891,7 +866,7 @@ mod tests {
                             )
                             .unwrap();
                     }
-                    let mut sharded = shards.map_or_else(ShardedFleet::batched, ShardedFleet::new);
+                    let mut sharded = ShardedFleet::new(shards);
                     let mut records = 0;
                     sharded.drive(&mut fleet, &mut |_| records += 1);
                     assert_eq!(records, 4, "two envelopes + two forwarded legs");
@@ -900,15 +875,15 @@ mod tests {
                     assert_eq!(
                         (sharded.polls(), sharded.transactions(), sharded.epochs()),
                         counts,
-                        "shards={shards:?} clusters={clusters}: a quiescent drive is free"
+                        "shards={shards} clusters={clusters}: a quiescent drive is free"
                     );
                     counts
                 })
                 .collect();
             // Epoch 1 polls clusters 2 and 5 twice each (envelope,
             // then `None`); epoch 2 polls them again for the legs.
-            assert_eq!(counts[0], (8, 4, 2), "shards={shards:?}");
-            assert_eq!(counts[0], counts[1], "shards={shards:?}");
+            assert_eq!(counts[0], (8, 4, 2), "shards={shards}");
+            assert_eq!(counts[0], counts[1], "shards={shards}");
         }
     }
 

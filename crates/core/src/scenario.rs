@@ -252,7 +252,7 @@ impl Workload {
     /// a partial drain meets an already-empty bus there while the
     /// analytic kernel arbitrates it against the still-pending
     /// remainder. Cross-engine suites skip wire for such workloads;
-    /// the analytic kernel's stepped-vs-batched battery
+    /// the golden digest fold of the seeded battery
     /// (`tests/analytic_batching.rs`) covers them instead.
     pub fn wire_comparable(&self) -> bool {
         !self
@@ -695,8 +695,8 @@ impl Workload {
     ///   ([`Workload::drain_partial`]) stop the bus mid-queue so later
     ///   sends arbitrate against still-pending traffic. Seeds that draw
     ///   this arm are not wire-comparable (the wire engine may run
-    ///   ahead — see [`Workload::wire_comparable`]); the analytic
-    ///   kernel's stepped-vs-batched battery covers them instead.
+    ///   ahead — see [`Workload::wire_comparable`]); the golden digest
+    ///   fold in `tests/analytic_batching.rs` covers them instead.
     ///
     /// Workloads that transmit from power-gated nodes get
     /// [`Workload::allow_wake_nulls`], like every hand-written

@@ -7,8 +7,8 @@
 //!    the one-transaction step the scheduler is built on.
 //! 2. Build an 8-cluster analytic fleet and drain it on one thread
 //!    with a single-shard [`ShardedFleet`] (one
-//!    `InterleavedScheduler`), printing the round-robin emission order
-//!    next to the batched cluster-major order for the same traffic.
+//!    `InterleavedScheduler`), printing the round-robin emission
+//!    order, then show that two shards emit the identical stream.
 //!
 //! Run with: `cargo run --release --example interleaved_fleet`
 
@@ -77,13 +77,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  round-robin emission order: {order:?}");
 
-    // The same traffic batched, for contrast — per-cluster behavior is
-    // identical (see tests/interleaved_fleet.rs), only the fleet-wide
-    // order changes.
+    // The same workload on two shards emits the identical stream:
+    // every schedule has one record order.
     let w = FleetWorkload::sense_and_aggregate(clusters, 3, 1);
-    let batched = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Batched);
     let interleaved = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
-    assert_eq!(batched.signature(), interleaved.signature());
+    let sharded = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Sharded { shards: 2 });
+    assert_eq!(interleaved.records, sharded.records);
     let prefix = |r: &mbus_core::FleetReport| {
         r.records
             .iter()
@@ -92,9 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     };
     println!("\nsense-and-aggregate on {clusters} clusters, first 8 records:");
-    println!("  batched     (cluster-major): {:?}", prefix(&batched));
-    println!("  interleaved (round-robin):   {:?}", prefix(&interleaved));
-    println!("  signatures identical: true");
+    println!("  interleaved (one shard): {:?}", prefix(&interleaved));
+    println!("  sharded     (2 shards):  {:?}", prefix(&sharded));
+    println!("  record streams identical: true");
 
     // Cross-cluster deliveries arrived despite the finer interleaving.
     let got = fleet.take_rx(FleetNodeId::new(0, 1));

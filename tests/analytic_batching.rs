@@ -1,131 +1,36 @@
-//! Differential suite for the analytic engine's transaction kernel.
+//! The analytic engine's seeded battery.
 //!
 //! The kernel maintains its contender/priority/power bookkeeping
-//! incrementally, and the [`BusEngine`] trait's provided
-//! [`BusEngine::run_until_quiescent`] drains a whole batch of queued
-//! work in one call by looping [`AnalyticBus::run_transaction`]. These
-//! tests pin such *batched* drains to a hand-stepped replay —
-//! *bit-identical* [`EngineRecord`] streams, statistics, and receive
-//! logs — over hundreds of seeded random workloads
-//! ([`Workload::seeded`]), across both arbitration policies and
-//! power-aware/always-on node mixes, and cross-check the same seeds
-//! across every `EngineKind`.
+//! incrementally. These tests pin its drains over hundreds of seeded
+//! random workloads ([`Workload::seeded`]) under both arbitration
+//! policies, as a golden fold of their [`ScenarioSignature`] digests,
+//! and cross-check the wire-comparable seeds across every
+//! `EngineKind`.
 //!
 //! The seeded generator draws the ROADMAP's hostile-traffic cases too:
 //! oversized/runaway messages past the mediator's limit, back-to-back
 //! deliveries overrunning small receive buffers, and mid-drain
 //! queueing (partial drains followed by more traffic). The wire engine
 //! may legally run ahead of `run_transaction` (see
-//! `Workload::wire_comparable`), so mid-drain seeds are covered by this
-//! suite's stepped-vs-batched battery alone, not by a twin engine;
-//! every other seed is also cross-checked against the wire engine.
+//! `Workload::wire_comparable`), so mid-drain seeds are covered by the
+//! golden fold alone, not by a twin engine; every other seed is also
+//! cross-checked against the wire engine.
 //!
 //! Set `MBUS_SEED_SCALE` (the weekly CI cron uses 10) to sweep a
-//! larger seed space with the same tests.
+//! larger seed space with the cross-engine battery; the golden fold
+//! stays on its fixed 200 seeds.
+//!
+//! [`ScenarioSignature`]: mbus_core::scenario::ScenarioSignature
 
 mod common;
 
 use mbus_core::trace::scenario_digest;
-use mbus_core::{
-    AnalyticBus, ArbitrationPolicy, BusEngine, BusStats, EngineKind, EngineRecord, ReceivedMessage,
-    Step, Workload,
-};
-
-/// Replays a workload's steps on a fresh `AnalyticBus`, draining either
-/// by hand-stepping the inherent `run_transaction` or with one call to
-/// the trait's provided `run_until_quiescent` through `dyn BusEngine`.
-/// Partial drains ([`Step::RunTransactions`]) single-step in both
-/// modes — what they add to this suite is drains *entered mid-queue*,
-/// after earlier traffic was partially served and fresh traffic queued
-/// on top.
-fn replay(
-    workload: &Workload,
-    policy: ArbitrationPolicy,
-    batched: bool,
-) -> (Vec<EngineRecord>, BusStats, Vec<Vec<ReceivedMessage>>) {
-    let mut bus = AnalyticBus::new(*workload.config()).with_arbitration_policy(policy);
-    for spec in workload.node_specs() {
-        bus.add_node(spec.clone());
-    }
-    let mut records = Vec::new();
-    fn drain(bus: &mut AnalyticBus, records: &mut Vec<EngineRecord>, batched: bool) {
-        if batched {
-            let engine: &mut dyn BusEngine = bus;
-            records.extend(engine.run_until_quiescent());
-        } else {
-            while let Some(r) = bus.run_transaction() {
-                records.push(r);
-            }
-        }
-    }
-    for step in workload.steps() {
-        match step {
-            Step::Queue { node, msg } => bus.queue(*node, msg.clone()).expect("queue step"),
-            Step::QueueUnchecked { node, msg } => bus
-                .queue_unchecked(*node, msg.clone())
-                .expect("queue_unchecked step"),
-            Step::Wakeup { node } => bus.request_wakeup(*node).expect("wakeup step"),
-            Step::Run => drain(&mut bus, &mut records, batched),
-            Step::RunTransactions { count } => {
-                for _ in 0..*count {
-                    match bus.run_transaction() {
-                        Some(r) => records.push(r),
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-    drain(&mut bus, &mut records, batched);
-    let rx = (0..bus.node_count()).map(|i| bus.take_rx(i)).collect();
-    (records, bus.stats().clone(), rx)
-}
-
-#[test]
-fn batched_drain_is_bit_identical_to_single_stepping_over_200_seeds() {
-    for policy in [
-        ArbitrationPolicy::FixedTopological,
-        ArbitrationPolicy::Rotating,
-    ] {
-        for seed in 0..common::scaled_seeds(200) {
-            let workload = Workload::seeded(seed);
-            let (stepped, stepped_stats, stepped_rx) = replay(&workload, policy, false);
-            let (batched, batched_stats, batched_rx) = replay(&workload, policy, true);
-            assert_eq!(
-                stepped,
-                batched,
-                "record streams diverged: {} under {policy:?}",
-                workload.name()
-            );
-            assert_eq!(stepped_stats, batched_stats, "{} stats", workload.name());
-            assert_eq!(stepped_rx, batched_rx, "{} rx logs", workload.name());
-        }
-    }
-}
-
-#[test]
-fn batched_drain_matches_on_the_paper_suite() {
-    // The hand-written paper scenarios (power-gated senders, interrupt
-    // wakeups, overruns, runaways, enumeration broadcasts), stepped by
-    // hand and drained in one call.
-    for workload in Workload::paper_suite() {
-        for policy in [
-            ArbitrationPolicy::FixedTopological,
-            ArbitrationPolicy::Rotating,
-        ] {
-            let (stepped, stepped_stats, stepped_rx) = replay(&workload, policy, false);
-            let (batched, batched_stats, batched_rx) = replay(&workload, policy, true);
-            assert_eq!(stepped, batched, "{} under {policy:?}", workload.name());
-            assert_eq!(stepped_stats, batched_stats);
-            assert_eq!(stepped_rx, batched_rx);
-        }
-    }
-}
+use mbus_core::{AnalyticBus, ArbitrationPolicy, EngineKind, Step, Workload};
 
 /// `common::fold_digests` of the `scenario_digest` of
 /// `Workload::seeded(0..200)` on the analytic engine, one pin per
-/// arbitration policy. Minted while a stepped replay still checked
-/// every drain against the trait's one-call drain.
+/// arbitration policy. Minted while a hand-stepped replay still
+/// checked every drain against the trait's one-call drain.
 const SEEDED_DIGEST_PINS: [(ArbitrationPolicy, u64); 2] = [
     (ArbitrationPolicy::FixedTopological, 0x5877_c041_81a8_0c70),
     (ArbitrationPolicy::Rotating, 0x4c24_4d0a_4918_9525),
@@ -156,8 +61,7 @@ fn seeded_workloads_agree_across_all_engines_over_200_wire_seeds() {
     // on every wire-comparable seed. The walk continues until at least
     // 200 seeds have been pinned against the edge-accurate engine
     // (mid-drain seeds can't be — the wire engine legally runs ahead —
-    // so they are skipped here; the stepped-vs-batched tests above
-    // cover them).
+    // so they are skipped here; the golden fold above covers them).
     let target = common::scaled_seeds(200);
     let mut wire_checked = 0u64;
     let mut seed = 0u64;

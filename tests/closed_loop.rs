@@ -6,16 +6,15 @@
 //! (see `mbus_core::behavior`), so the conformance claim is strong:
 //! the programmed responses — and everything they trigger, including
 //! multi-hop mesh forwards and TTL deaths — must be bit-identical on
-//! the analytic and wire engines, under batched, interleaved,
-//! and sharded(1|2|4) schedules.
+//! the analytic and wire engines, on one shard and sharded(2|4).
 
 mod common;
 
-use mbus_core::{EngineKind, FleetSchedule, FleetWorkload};
+use mbus_core::{EngineKind, FleetWorkload};
 
 /// The acceptance grid: seeded reactive fleets produce identical
 /// [`mbus_core::FleetSignature`]s across both engines ×
-/// batched/interleaved/sharded(1,2,4), over ≥200
+/// one shard/sharded(2,4), over ≥200
 /// seeds at the default `MBUS_SEED_SCALE`. The census assertions at
 /// the bottom keep the battery honest: if the generator ever stops
 /// drawing behaviors or mesh routes, this fails instead of silently
@@ -29,12 +28,11 @@ fn reactive_seeded_fleets_agree_across_the_full_grid() {
         reactive += u64::from(!w.behaviors().is_empty());
         meshed += u64::from(!w.mesh_routes().is_empty());
         // Cross-engine identity first (the helper asserts)...
-        common::fleet_crosscheck_all_engines(&w);
-        // ...then the schedule × shard grid per kind.
-        for kind in common::fleet_comparable_kinds(&w) {
-            let (_, interleaved) = common::schedule_crosscheck(&w, kind);
-            for shards in [1, 2, 4] {
-                common::sharded_crosscheck(&w, kind, &interleaved, shards);
+        let reports = common::fleet_crosscheck_all_engines(&w);
+        // ...then the shard grid per kind.
+        for reference in &reports {
+            for shards in [2, 4] {
+                common::sharded_crosscheck(&w, reference.kind, reference, shards);
             }
         }
     }
@@ -85,9 +83,8 @@ fn duty_cycle_day_closes_the_loop_at_1024_buses() {
         report.injected_replies
     );
     // The same day, sharded 4-ways, is bit-identical to the
-    // single-threaded interleaved drain.
-    let interleaved = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
-    common::sharded_crosscheck(&w, EngineKind::Analytic, &interleaved, 4);
+    // single-threaded drain.
+    common::sharded_crosscheck(&w, EngineKind::Analytic, &reports[0], 4);
 }
 
 /// The alarm cascade's wave crosses the mesh boundary and is bounded

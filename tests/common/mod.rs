@@ -52,7 +52,7 @@ pub fn fold_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
 /// the workload contains partial drains — the wire engine may legally
 /// run ahead of `run_transaction` (see the `BusEngine` contract), so
 /// mid-drain workloads run on the analytic engine alone. Their kernel
-/// paths are covered by the stepped-vs-batched battery in
+/// paths are covered by the golden digest fold in
 /// `tests/analytic_batching.rs`, not by a twin engine.
 pub fn comparable_kinds(workload: &Workload) -> Vec<EngineKind> {
     EngineKind::ALL
@@ -91,9 +91,8 @@ pub fn crosscheck_all_engines(workload: &Workload) -> Vec<ScenarioReport> {
 /// the workload contains partial drains ([`mbus_core::fleet::FleetStep::RunRounds`])
 /// — the wire engine may legally run ahead of `run_transaction`, so
 /// such fleets run on the analytic engine alone, exactly like the
-/// single-bus layer. Their stepped drains are covered by
-/// [`schedule_crosscheck`] on [`EngineKind::Analytic`] (batched vs.
-/// interleaved), not by a twin engine.
+/// single-bus layer. Their stepped drains are covered by the golden
+/// digest fold in `tests/interleaved_fleet.rs`, not by a twin engine.
 pub fn fleet_comparable_kinds(workload: &FleetWorkload) -> Vec<EngineKind> {
     EngineKind::ALL
         .iter()
@@ -123,26 +122,6 @@ pub fn fleet_crosscheck_all_engines(workload: &FleetWorkload) -> Vec<FleetReport
         );
     }
     reports
-}
-
-/// Runs `workload` under both [`FleetSchedule`]s on `kind` and asserts
-/// the schedule-independence contract: identical signatures (identical
-/// per-cluster record streams, receive logs, wake accounting, gateway
-/// counters), returning `(batched, interleaved)` for order-specific
-/// follow-up assertions.
-pub fn schedule_crosscheck(
-    workload: &FleetWorkload,
-    kind: EngineKind,
-) -> (FleetReport, FleetReport) {
-    let batched = workload.run_scheduled_on(kind, FleetSchedule::Batched);
-    let interleaved = workload.run_scheduled_on(kind, FleetSchedule::Interleaved);
-    assert_eq!(
-        batched.signature(),
-        interleaved.signature(),
-        "schedules disagree on fleet workload '{}' ({kind})",
-        workload.name()
-    );
-    (batched, interleaved)
 }
 
 /// Runs `workload` through [`FleetSchedule::Sharded`] across `shards`

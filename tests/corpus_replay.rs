@@ -40,8 +40,7 @@ fn corpus() -> Vec<(String, TraceFile)> {
 }
 
 /// The tier-1 acceptance gate: identical signatures across
-/// Analytic/Wire × batched/interleaved/sharded, pinned digests
-/// intact.
+/// Analytic/Wire × one shard/sharded, pinned digests intact.
 #[test]
 fn corpus_replays_identically_across_engines_and_schedules() {
     for (file, tf) in corpus() {
@@ -60,7 +59,7 @@ fn corpus_replays_identically_across_engines_and_schedules() {
                 );
             }
             Trace::Fleet(w) => {
-                // Cross-engine identity on the batched schedule...
+                // Cross-engine identity on one shard...
                 let reports = common::fleet_crosscheck_all_engines(w);
                 let digest = fleet_digest(&reports[0].signature());
                 assert_eq!(
@@ -68,12 +67,10 @@ fn corpus_replays_identically_across_engines_and_schedules() {
                     "{file}: behavior drifted from pinned digest (got {digest:016x})"
                 );
                 // ...then schedule-independence per comparable kind:
-                // batched ≡ interleaved ≡ sharded(2|3), measured and
-                // static balance both.
-                for kind in common::fleet_comparable_kinds(w) {
-                    let (_, interleaved) = common::schedule_crosscheck(w, kind);
+                // one shard ≡ sharded(2|3).
+                for reference in &reports {
                     for shards in [2, 3] {
-                        common::sharded_crosscheck(w, kind, &interleaved, shards);
+                        common::sharded_crosscheck(w, reference.kind, reference, shards);
                     }
                 }
             }

@@ -268,7 +268,7 @@ fn mid_drain_queueing_pins_the_analytic_delivery_order() {
     // still pending, then more traffic (including a priority claim)
     // arrives mid-drain. The wire engine legally runs ahead of
     // `run_transaction` (trait contract), so only the analytic engine
-    // is comparable; the stepped-vs-batched battery in
+    // is comparable; the golden digest fold in
     // `tests/analytic_batching.rs` covers its kernel paths.
     let workload = ring(4)
         .send(1, Message::new(addr(0x1), vec![0x11]))

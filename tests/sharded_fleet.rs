@@ -65,9 +65,9 @@ fn seeded_fleets_shard_equivalently_on_the_wire_engine() {
 
 #[test]
 fn partial_drains_preserve_schedule_independence() {
-    // The satellite pin: batched ≡ interleaved ≡ sharded still holds
-    // when the workload stops mid-epoch and queues into part-drained
-    // buses (FleetStep::RunRounds) — each cluster runs exactly
+    // Interleaved ≡ sharded still holds when the workload stops
+    // mid-epoch and queues into part-drained buses
+    // (FleetStep::RunRounds) — each cluster runs exactly
     // min(rounds, pending) transactions under every schedule.
     let mut w = FleetWorkload::new("partial/handmade", BusConfig::default())
         .cluster(vec![false, false])
@@ -93,9 +93,7 @@ fn partial_drains_preserve_schedule_independence() {
     assert!(!w.wire_comparable(), "partial drains gate wire cross-kind");
 
     for kind in EngineKind::ALL {
-        let batched = w.run_scheduled_on(kind, FleetSchedule::Batched);
         let interleaved = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
-        assert_eq!(batched.signature(), interleaved.signature(), "{kind}");
         for shards in SHARD_COUNTS {
             common::sharded_crosscheck(&w, kind, &interleaved, shards);
         }
@@ -314,16 +312,14 @@ fn sharded_scheduler_reuse_reports_per_shard() {
     }
 }
 
-/// batched ≡ interleaved ≡ sharded {2, 7} on both engine kinds. Every
+/// Interleaved ≡ sharded {2, 7} on both engine kinds. Every
 /// schedule polls only the pending set, so a cluster the set misses
 /// never runs under any of them; what catches it is the debug-build
 /// check at the end of every drive (and of every drive that finds
 /// nothing pending), which panics if any cluster still has work.
 fn assert_schedules_agree(w: &FleetWorkload) {
     for kind in EngineKind::ALL {
-        let batched = w.run_scheduled_on(kind, FleetSchedule::Batched);
         let interleaved = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
-        assert_eq!(batched.signature(), interleaved.signature(), "{kind}");
         for shards in [2, 7] {
             common::sharded_crosscheck(w, kind, &interleaved, shards);
         }

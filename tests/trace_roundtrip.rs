@@ -204,7 +204,6 @@ fn reparsed_fleets_stay_schedule_independent() {
         };
         for kind in common::fleet_comparable_kinds(parsed) {
             let reference = parsed.run_scheduled_on(kind, FleetSchedule::Interleaved);
-            common::schedule_crosscheck(parsed, kind);
             common::sharded_crosscheck(parsed, kind, &reference, 2);
         }
     }

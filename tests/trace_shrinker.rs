@@ -166,10 +166,8 @@ fn shrinker_converges_to_the_minimal_fleet() {
     assert_eq!(min.cluster_specs().len(), 2, "decoy cluster survived");
     assert_eq!((src.cluster, dest.cluster), (0, 1));
     // The minimized fleet still honors every engine/schedule contract.
-    common::fleet_crosscheck_all_engines(&min);
-    for kind in common::fleet_comparable_kinds(&min) {
-        let (_, interleaved) = common::schedule_crosscheck(&min, kind);
-        common::sharded_crosscheck(&min, kind, &interleaved, 2);
+    for reference in &common::fleet_crosscheck_all_engines(&min) {
+        common::sharded_crosscheck(&min, reference.kind, reference, 2);
     }
 }
 
