@@ -16,6 +16,7 @@
 //! circuit is frozen lazily at the first queue/wakeup/run call.
 
 use std::collections::VecDeque;
+use std::mem;
 
 use mbus_sim::SimTime;
 
@@ -28,14 +29,19 @@ use crate::engine::{
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
+use crate::timing::FULL_OVERHEAD_CYCLES;
 use crate::wire::bus::{WireBus, WireBusBuilder};
 
-/// Default event budget per `run_until_quiescent` call — the same
-/// ceiling the integration tests use. Hitting it means a protocol
-/// livelock: the engine freezes ([`WireEngine::is_exhausted`]) and
-/// withholds the interrupted run's records rather than passing a
-/// truncated prefix off as quiescence.
-pub const DEFAULT_MAX_EVENTS: u64 = 50_000_000;
+/// Kernel events a run may spend per bus cycle per ring node (the
+/// mediator frontend and every member). A run's event budget is this
+/// times the ring's node count times the cycle bound of the work queued
+/// since the last run. Every wire run of the workspace test suite
+/// spends at most 3.1 per bound cycle per ring node, so a correct ring
+/// never comes near the budget. Running out means a protocol livelock:
+/// the engine freezes ([`WireEngine::is_exhausted`]) and withholds the
+/// interrupted run's records rather than passing a truncated prefix
+/// off as quiescence.
+const EVENTS_PER_NODE_CYCLE: u64 = 16;
 
 /// The wire-level engine, adapted to the [`BusEngine`] surface.
 ///
@@ -70,7 +76,13 @@ pub struct WireEngine {
     config: BusConfig,
     specs: Vec<NodeSpec>,
     bus: Option<WireBus>,
-    max_events: u64,
+    /// Upper bound on the bus cycles of the work queued since the last
+    /// run; the next run's event budget is derived from it.
+    queued_cycles: u64,
+    /// Replaces the derived event budget, so unit tests can run out
+    /// of it at a chosen event.
+    #[cfg(test)]
+    max_events: Option<u64>,
     record_history: bool,
     /// Set when a run blew its event budget mid-flight: the circuit is
     /// wedged at an arbitrary point, so the engine freezes and refuses
@@ -94,7 +106,9 @@ impl WireEngine {
             config,
             specs: Vec::new(),
             bus: None,
-            max_events: DEFAULT_MAX_EVENTS,
+            queued_cycles: 0,
+            #[cfg(test)]
+            max_events: None,
             record_history: false,
             exhausted: false,
             buffered: VecDeque::new(),
@@ -102,12 +116,6 @@ impl WireEngine {
             stats: BusStats::default(),
             seq: 0,
         }
-    }
-
-    /// Overrides the per-run event budget (livelock ceiling).
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
     }
 
     /// Keeps the ring's timestamped transition history (default
@@ -161,6 +169,20 @@ impl WireEngine {
         Ok(())
     }
 
+    /// Upper bound on the bus cycles one transaction spends outside its
+    /// payload bits: full-prefix overhead plus the mediator's wake-up.
+    fn overhead_cycles(&self) -> u64 {
+        u64::from(FULL_OVERHEAD_CYCLES) + u64::from(self.config.mediator_wakeup_cycles())
+    }
+
+    /// Upper bound on the bus cycles `msg` adds to the next run: its
+    /// own transaction, cut at `maxmsg` if it runs away, plus the
+    /// self-wake null a gated sender issues first.
+    fn message_cycles(&self, msg: &Message) -> u64 {
+        let bytes = msg.len().min(self.config.max_message_bytes()) as u64;
+        2 * self.overhead_cycles() + 8 * bytes
+    }
+
     /// Runs the circuit to quiescence, normalizes every newly completed
     /// mediator record into an [`EngineRecord`], and moves the member
     /// events those records absorbed out of the members' logs —
@@ -171,7 +193,13 @@ impl WireEngine {
         if self.specs.is_empty() || self.exhausted {
             return;
         }
-        let max_events = self.max_events;
+        // One transaction's overhead on top of the queued work covers a
+        // run that finds nothing queued.
+        let cycles = mem::take(&mut self.queued_cycles) + self.overhead_cycles();
+        let ring_nodes = self.specs.len() as u64 + 1;
+        let max_events = EVENTS_PER_NODE_CYCLE * ring_nodes * cycles;
+        #[cfg(test)]
+        let max_events = self.max_events.unwrap_or(max_events);
         let Some(raw) = self.ensure_built().try_run_until_quiescent(max_events) else {
             // The budget ran out mid-transaction. Quiescence was never
             // reached, so whatever the mediator recorded so far is a
@@ -327,16 +355,18 @@ impl BusEngine for WireEngine {
     fn queue(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
         self.check_node(node)?;
         msg.validate(&self.config)?;
-        self.ensure_built().queue_unchecked(node, msg)
+        self.queue_unchecked(node, msg)
     }
 
     fn queue_unchecked(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
         self.check_node(node)?;
+        self.queued_cycles += self.message_cycles(&msg);
         self.ensure_built().queue_unchecked(node, msg)
     }
 
     fn request_wakeup(&mut self, node: NodeIndex) -> Result<(), MbusError> {
         self.check_node(node)?;
+        self.queued_cycles += self.overhead_cycles();
         self.ensure_built().request_wakeup(node)
     }
 
@@ -501,7 +531,8 @@ mod tests {
         // mid-transaction and look exactly like quiescence, handing out
         // a truncated record set). The contract now: no panic, no
         // records, engine frozen, later runs are no-ops.
-        let mut e = three_node_engine().with_max_events(50);
+        let mut e = three_node_engine();
+        e.max_events = Some(50);
         e.queue(
             0,
             Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0xEE; 4]),
@@ -525,14 +556,14 @@ mod tests {
     fn completed_records_survive_a_later_exhaustion() {
         // Only the interrupted run's records are withheld; transactions
         // already absorbed from earlier clean runs remain valid.
-        let mut e = three_node_engine().with_max_events(DEFAULT_MAX_EVENTS);
+        let mut e = three_node_engine();
         e.queue(
             0,
             Message::new(Address::short(sp(0x2), FuId::ZERO), vec![1]),
         )
         .unwrap();
         assert_eq!(e.run_until_quiescent().len(), 1);
-        e.max_events = 50;
+        e.max_events = Some(50);
         e.queue(
             0,
             Message::new(Address::short(sp(0x2), FuId::ZERO), vec![2]),
@@ -597,7 +628,8 @@ mod tests {
         // before quiescence withholds the delivery with its record.
         let mut delivered = 0;
         for budget in 1..4000 {
-            let mut e = WireEngine::new(BusConfig::default()).with_max_events(budget);
+            let mut e = WireEngine::new(BusConfig::default());
+            e.max_events = Some(budget);
             let a = e.add_node(
                 NodeSpec::new("a", FullPrefix::new(0x1).unwrap()).with_short_prefix(sp(1)),
             );
