@@ -180,7 +180,7 @@ impl WireEngine {
     /// self-wake null a gated sender issues first.
     fn message_cycles(&self, msg: &Message) -> u64 {
         let bytes = msg.len().min(self.config.max_message_bytes()) as u64;
-        2 * self.overhead_cycles() + 8 * bytes
+        (2 * self.overhead_cycles()).saturating_add(bytes.saturating_mul(8))
     }
 
     /// Runs the circuit to quiescence, normalizes every newly completed
@@ -195,9 +195,10 @@ impl WireEngine {
         }
         // One transaction's overhead on top of the queued work covers a
         // run that finds nothing queued.
-        let cycles = mem::take(&mut self.queued_cycles) + self.overhead_cycles();
+        // Saturating: `maxmsg` and `medwake` come from trace input.
+        let cycles = mem::take(&mut self.queued_cycles).saturating_add(self.overhead_cycles());
         let ring_nodes = self.specs.len() as u64 + 1;
-        let max_events = EVENTS_PER_NODE_CYCLE * ring_nodes * cycles;
+        let max_events = cycles.saturating_mul(EVENTS_PER_NODE_CYCLE * ring_nodes);
         #[cfg(test)]
         let max_events = self.max_events.unwrap_or(max_events);
         let Some(raw) = self.ensure_built().try_run_until_quiescent(max_events) else {
@@ -360,13 +361,13 @@ impl BusEngine for WireEngine {
 
     fn queue_unchecked(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
         self.check_node(node)?;
-        self.queued_cycles += self.message_cycles(&msg);
+        self.queued_cycles = self.queued_cycles.saturating_add(self.message_cycles(&msg));
         self.ensure_built().queue_unchecked(node, msg)
     }
 
     fn request_wakeup(&mut self, node: NodeIndex) -> Result<(), MbusError> {
         self.check_node(node)?;
-        self.queued_cycles += self.overhead_cycles();
+        self.queued_cycles = self.queued_cycles.saturating_add(self.overhead_cycles());
         self.ensure_built().request_wakeup(node)
     }
 

@@ -6,9 +6,9 @@
 //! emits the same [`FleetRecord`]s in the same round-robin order, so
 //! the suite pins the drive itself: a golden fold of the seeded fleet
 //! battery's [`FleetSignature`] digests (most seeds stop mid-epoch with
-//! partial drains, which no twin engine covers), engine-independence of
-//! the record stream, store-and-forward causality, and the scheduler's
-//! counters across drives.
+//! partial drains, which no twin engine covers), the round-robin order
+//! itself, engine-independence of the record stream, store-and-forward
+//! causality, and the scheduler's counters across drives.
 //!
 //! [`FleetRecord`]: mbus_core::FleetRecord
 //! [`FleetSchedule`]: mbus_core::FleetSchedule
@@ -63,6 +63,39 @@ fn interleaved_schedule_is_engine_independent() {
             "{}",
             report.kind
         );
+    }
+}
+
+#[test]
+fn round_robin_emission_order_alternates_clusters() {
+    // The one record order, pinned: two clusters, two local messages
+    // each. Every schedule alternates the clusters instead of finishing
+    // cluster 0 before touching cluster 1.
+    let mut w = FleetWorkload::new("order", BusConfig::default())
+        .cluster(vec![false, false])
+        .cluster(vec![false, false]);
+    for c in 0..2 {
+        for k in 0..2u8 {
+            w = w.send_local(
+                FleetNodeId::new(c, 1),
+                mbus_core::Message::new(
+                    mbus_core::Address::short(
+                        mbus_core::ShortPrefix::new(0x3).unwrap(),
+                        FuId::ZERO,
+                    ),
+                    vec![c as u8, k],
+                ),
+            );
+        }
+    }
+    for schedule in [
+        FleetSchedule::Batched,
+        FleetSchedule::Interleaved,
+        FleetSchedule::Sharded { shards: 2 },
+    ] {
+        let report = w.run_scheduled_on(EngineKind::Analytic, schedule);
+        let order: Vec<usize> = report.records.iter().map(|fr| fr.cluster).collect();
+        assert_eq!(order, vec![0, 1, 0, 1], "{schedule}");
     }
 }
 
