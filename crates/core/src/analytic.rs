@@ -1308,34 +1308,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_drain_matches_single_stepping() {
-        // One `run_until_quiescent` call must produce the record stream
-        // of a hand-stepped replay, with traffic queued mid-drain
-        // (tests/analytic_batching.rs does this differentially at
-        // scale; this is the in-crate smoke test).
-        let build = || {
-            let mut bus = three_node_bus();
-            for k in 0..4u8 {
-                bus.queue(0, Message::new(addr(0x2), vec![k])).unwrap();
-                bus.queue(2, Message::new(addr(0x1), vec![k, k])).unwrap();
-            }
-            bus.request_wakeup(1).unwrap();
-            bus
-        };
-        let mut a = build();
-        let mut stepped: Vec<_> = (0..3).map_while(|_| a.run_transaction()).collect();
-        a.queue(1, Message::new(addr(0x3), vec![9])).unwrap();
-        stepped.extend(std::iter::from_fn(|| a.run_transaction()));
-        let mut b = build();
-        let mut batched: Vec<_> = (0..3).map_while(|_| b.run_transaction()).collect();
-        b.queue(1, Message::new(addr(0x3), vec![9])).unwrap();
-        batched.extend(b.run_until_quiescent());
-        assert_eq!(stepped.len(), 9, "the wake rides the first message");
-        assert_eq!(stepped, batched);
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
     #[should_panic(expected = "at most 64 nodes")]
     fn add_node_past_the_bus_cap_panics() {
         let mut bus = AnalyticBus::new(BusConfig::default());
