@@ -167,7 +167,7 @@ fn bench_wire_transactions() {
                 let dest = Address::short(sp(0x2), FuId::ZERO);
                 bus.queue(0, Message::new(dest, vec![0xA5; payload]))
                     .unwrap();
-                let records = bus.run_until_quiescent(50_000_000);
+                let records = bus.run_until_quiescent();
                 std::hint::black_box(records.len());
             },
         );
@@ -188,7 +188,7 @@ fn bench_ring_scaling() {
             let dest = Address::short(sp(0x1), FuId::ZERO);
             bus.queue(nodes - 1, Message::new(dest, vec![0x42; 8]))
                 .unwrap();
-            let records = bus.run_until_quiescent(100_000_000);
+            let records = bus.run_until_quiescent();
             std::hint::black_box(records.len());
         });
     }

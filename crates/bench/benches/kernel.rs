@@ -11,9 +11,7 @@
 //! of two rows measured back to back in one process*, so it holds
 //! across machines — absolute times are reported but never gated.
 
-use std::time::Instant;
-
-use mbus_bench::harness::{bench_timed, format_duration, smoke_mode};
+use mbus_bench::harness::{bench_timed, format_duration, smoke_mode, stopwatch};
 use mbus_bench::json::Json;
 use mbus_core::{EngineKind, Workload};
 use mbus_sim::{Circuit, Component, Ctx, Logic, PinId, SimTime};
@@ -125,7 +123,7 @@ const MIN_SAMPLE_S: f64 = 10e-3;
 
 /// Seconds per run of `run`, averaged over one sample of `iters` runs.
 fn sample(iters: u32, run: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
+    let start = stopwatch();
     for _ in 0..iters {
         run();
     }

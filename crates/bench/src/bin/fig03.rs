@@ -59,7 +59,7 @@ fn main() {
     let msg = Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0x12, 0x34]);
     let expected = timing::transaction_cycles(&msg);
     bus.queue(0, msg).unwrap();
-    let records = bus.run_until_quiescent(50_000_000);
+    let records = bus.run_until_quiescent();
 
     println!("\nwire-level check:");
     println!(

@@ -32,7 +32,7 @@ fn main() {
         Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0xC3]).with_priority(),
     )
     .unwrap();
-    let records = bus.run_until_quiescent(50_000_000);
+    let records = bus.run_until_quiescent();
 
     // Node 3's priority message wins the first transaction.
     let rx = bus.take_rx(1);

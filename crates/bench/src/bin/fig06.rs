@@ -30,7 +30,7 @@ fn main() {
     );
     println!("motion detector asserts the interrupt port…\n");
     bus.request_wakeup(1).unwrap();
-    let records = bus.run_until_quiescent(50_000_000);
+    let records = bus.run_until_quiescent();
 
     let r = &records[0];
     println!(

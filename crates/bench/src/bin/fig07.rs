@@ -25,7 +25,7 @@ fn main() {
         Message::new(Address::short(sp(0x1), FuId::ZERO), vec![0xA7]),
     )
     .unwrap();
-    let records = bus.run_until_quiescent(50_000_000);
+    let records = bus.run_until_quiescent();
     let r = &records[0];
 
     println!(

@@ -45,9 +45,7 @@
 //! Usage: `cargo run --release -p mbus-bench --bin interleave
 //! [-- <clusters> <sensors> <rounds>] [-- --smoke]`
 
-use std::time::Instant;
-
-use mbus_bench::harness::smoke_mode;
+use mbus_bench::harness::{smoke_mode, stopwatch};
 use mbus_bench::json::Json;
 use mbus_bench::two_col_table;
 use mbus_core::{
@@ -62,7 +60,7 @@ fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
         workload.total_nodes(),
         clusters,
     );
-    let start = Instant::now();
+    let start = stopwatch();
     let report = workload.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let wall = start.elapsed();
     let txn_s = report.transactions() as f64 / wall.as_secs_f64();
@@ -110,7 +108,7 @@ fn timed_drain(
     reference_sig: &FleetSignature,
     label: &str,
 ) -> TimedDrain {
-    let start = Instant::now();
+    let start = stopwatch();
     let mut fleet = workload.instantiate(EngineKind::Analytic);
     let report = workload.apply_sharded(&mut fleet, sharded);
     let drain_s = start.elapsed().as_secs_f64();
@@ -118,7 +116,7 @@ fn timed_drain(
         reference.records, report.records,
         "{label} stream diverged from interleaved"
     );
-    let start = Instant::now();
+    let start = stopwatch();
     let sig = report.signature();
     let signature_s = start.elapsed().as_secs_f64();
     assert_eq!(
@@ -159,7 +157,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     let worker_counts: Vec<usize> = if smoke { vec![1, 4] } else { vec![1, 2, 4, 8] };
     // The single-threaded interleaved drain is both the correctness
     // reference (bit-identical streams) and the throughput baseline.
-    let start = Instant::now();
+    let start = stopwatch();
     let reference = workload.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let ref_wall = start.elapsed();
     let base_txn_s = reference.transactions() as f64 / ref_wall.as_secs_f64();
@@ -313,7 +311,7 @@ fn run_fleet_64k() -> Json {
         workers,
     );
     let mut sharded = ShardedFleet::new(workers);
-    let start = Instant::now();
+    let start = stopwatch();
     let report = workload.run_sharded_on(EngineKind::Analytic, &mut sharded);
     let wall = start.elapsed();
     // Every sensor's one message is remote, so the gateway forwarded
@@ -365,7 +363,7 @@ fn run_engine_grid(smoke: bool) {
             report.total_cycles(),
         )
     };
-    let start = Instant::now();
+    let start = stopwatch();
     for kind in EngineKind::ALL {
         let mut rows = Vec::new();
         for &(clusters, sensors) in &sizes {

@@ -10,6 +10,17 @@
 
 use std::time::Instant;
 
+/// Starts a wall-clock stopwatch: the bench crate's one clock read
+/// (read it back with [`Instant::elapsed`]).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "benchmarks measure wall time; their readings feed printed rows and \
+              JSON artifacts, never a workload, a trace or a signature"
+)]
+pub fn stopwatch() -> Instant {
+    Instant::now()
+}
+
 /// True when `--smoke` was passed to the bench binary (after `--` on
 /// the cargo command line). Smoke mode is the CI guard against harness
 /// rot: every bench still builds, runs, and prints, but with minimal
@@ -62,7 +73,7 @@ pub fn bench_timed_exact(name: &str, iters: u32, batches: u32, mut f: impl FnMut
     }
     let mut samples: Vec<f64> = (0..batches)
         .map(|_| {
-            let start = Instant::now();
+            let start = stopwatch();
             for _ in 0..iters {
                 f();
             }

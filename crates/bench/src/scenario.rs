@@ -166,6 +166,9 @@ pub struct ReplayResult {
     pub ok: bool,
     /// The digest of the first cell — what `expect sig=` should pin.
     pub digest: u64,
+    /// Whether any cell's engine ran out of its event budget (a wire
+    /// livelock): its records are a truncated prefix.
+    pub exhausted: bool,
 }
 
 /// Replays `tf` across every comparable engine kind; fleet traces also
@@ -174,10 +177,12 @@ pub struct ReplayResult {
 pub fn replay_trace(source: &str, tf: &TraceFile, shards: &[usize]) -> ReplayResult {
     let mut cells = Vec::new();
     let mut digests: Vec<u64> = Vec::new();
+    let mut exhausted = false;
     match &tf.trace {
         Trace::Workload(w) => {
             for kind in tf.trace.comparable_kinds() {
                 let report = w.run_on(kind);
+                exhausted |= report.stats.exhausted;
                 let sig = report.signature();
                 let digest = scenario_digest(&sig);
                 digests.push(digest);
@@ -204,6 +209,7 @@ pub fn replay_trace(source: &str, tf: &TraceFile, shards: &[usize]) -> ReplayRes
             for kind in tf.trace.comparable_kinds() {
                 for &schedule in &schedules {
                     let report = w.run_scheduled_on(kind, schedule);
+                    exhausted |= report.stats.iter().any(|stats| stats.exhausted);
                     let sig = report.signature();
                     let digest = fleet_digest(&sig);
                     digests.push(digest);
@@ -272,7 +278,12 @@ pub fn replay_trace(source: &str, tf: &TraceFile, shards: &[usize]) -> ReplayRes
         ("ok", ok.into()),
         ("cells", Json::Arr(cells)),
     ]);
-    ReplayResult { json, ok, digest }
+    ReplayResult {
+        json,
+        ok,
+        digest,
+        exhausted,
+    }
 }
 
 #[cfg(test)]
@@ -306,10 +317,17 @@ mod tests {
             let text = tf.to_mbt();
             let parsed = TraceFile::parse_str(name, &text).expect(name);
             let (a, b) = (
-                replay_trace(name, &tf, &[2]).digest,
-                replay_trace(name, &parsed, &[2]).digest,
+                replay_trace(name, &tf, &[2]),
+                replay_trace(name, &parsed, &[2]),
             );
-            assert_eq!(a, b, "builtin `{name}` changed behavior across round-trip");
+            assert!(
+                !a.exhausted && !b.exhausted,
+                "builtin `{name}` ran out of its event budget"
+            );
+            assert_eq!(
+                a.digest, b.digest,
+                "builtin `{name}` changed behavior across round-trip"
+            );
         }
     }
 

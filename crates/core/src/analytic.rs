@@ -49,6 +49,9 @@
 //!   denied arbitration winner's top priority — stays put, and null
 //!   transactions never move it.
 
+// Engine hot path: a `None` or `Err` is handled, never unwrapped.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{HashMap, VecDeque};
 
 use mbus_sim::SimTime;

@@ -73,6 +73,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Engine hot path: a `None` or `Err` is handled, never unwrapped.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 
 use mbus_sim::SimTime;
@@ -129,6 +132,11 @@ pub struct BusStats {
     /// it is an engine-specific physical observable, not protocol
     /// behaviour.
     pub segment_edges: Vec<u64>,
+    /// True once a run ran out of its event budget (wire engine only:
+    /// a protocol livelock). The engine then froze and withheld that
+    /// run's records, so everything reported is a truncated prefix.
+    /// Excluded from scenario signatures, like `segment_edges`.
+    pub exhausted: bool,
 }
 
 impl BusStats {

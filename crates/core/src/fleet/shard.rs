@@ -142,10 +142,12 @@ fn run_shard_epoch(
     scheduler: &mut InterleavedScheduler,
     routes: &GatewayRoutes,
 ) -> ShardEpoch {
-    // WALL-CLOCK: per-shard load gauge for the fairness report only;
-    // `wall_nanos` never reaches a signature-bearing stream (signatures
-    // are pure functions of seeds — see the determinism contract in the
-    // module docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-shard load gauge for the fairness report only; `wall_nanos` \
+                  never reaches a signature-bearing stream (signatures are pure \
+                  functions of seeds: see the determinism contract in the module docs)"
+    )]
     let start = Instant::now();
     let mut records = Vec::new();
     let ran = scheduler.run_epoch_entries(entries, &mut |round, cluster, record| {
@@ -428,6 +430,10 @@ impl ShardedFleet {
             // worker that serves leases until its channel closes. The
             // scope outlives every lease, so the borrow checker proves
             // no worker can touch an engine after the drive returns.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "`ShardedFleet` is the one layer that runs shards on threads"
+            )]
             thread::scope(|scope| {
                 let (done_tx, done) = mpsc::channel::<Returned<'_>>();
                 let (lanes, handles): (Vec<Sender<ShardLease<'_>>>, Vec<_>) = (1..workers)

@@ -93,9 +93,8 @@ pub const MBT_VERSION: u32 = 2;
 
 /// A parse (or file-read) failure with an exact source span.
 ///
-/// Renders as `file:line:col: message` — the same shape compilers and
-/// the `mbus-analysis` lint use, so editors can jump to the offending
-/// token. Lines and columns are 1-based; column 0 marks whole-file
+/// Renders as `file:line:col: message` — the same shape compilers
+/// use, so editors can jump to the offending token. Lines and columns are 1-based; column 0 marks whole-file
 /// errors (unreadable file, missing header).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceError {

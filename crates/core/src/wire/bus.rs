@@ -2,6 +2,8 @@
 //! over the `mbus-sim` kernel and offers a transaction-level API that
 //! mirrors [`AnalyticBus`](crate::AnalyticBus) for cross-checking.
 
+use std::mem;
+
 use mbus_sim::{Circuit, Component, ComponentId, History, Logic, NetId, PinId, SimTime, Trace};
 
 use crate::addr::Address;
@@ -10,8 +12,20 @@ use crate::control::{ControlBits, TxOutcome};
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
+use crate::timing::FULL_OVERHEAD_CYCLES;
 use crate::wire::mediator::MediatorComp;
 use crate::wire::member::{MemberComp, MemberShared, WireReceived};
+
+/// Kernel events a run may spend per bus cycle per ring node (the
+/// mediator frontend and every occupant). A run's event budget is this
+/// times the ring's node count times the cycle bound of the work queued
+/// since the last run. Every run to quiescence in the workspace test
+/// suite spends at most 3.1 per bound cycle per ring node, so a correct
+/// ring never comes near the budget. Running out means a protocol
+/// livelock: [`WireBus::run_until_quiescent`] panics and
+/// [`WireBus::try_run_until_quiescent`] withholds the interrupted
+/// run's records.
+const EVENTS_PER_NODE_CYCLE: u64 = 16;
 
 /// A completed transaction as the mediator observed it on the wire.
 #[derive(Clone, Debug)]
@@ -170,8 +184,10 @@ impl WireBusBuilder {
         // processor chip hosts it as a block), so the mediator→member0
         // link is an on-chip connection, not a 10 ns chip-to-chip hop;
         // the wrap from the last member back into the mediator is a
-        // real hop. This keeps the ring delay at n·hop, matching the
-        // Fig. 9 ceiling.
+        // real hop. This keeps the ring delay at n·hop. Downstream
+        // traffic (toward higher node indices) runs up to the Fig. 9
+        // ceiling 1/(n·hop), as `wire_timing` checks; upstream traffic
+        // drains only below about half of it, 1/(2·n·hop).
         let on_chip = if hop > SimTime::from_ns(1) {
             SimTime::from_ns(1)
         } else {
@@ -247,6 +263,9 @@ impl WireBusBuilder {
             clk_nets,
             data_nets,
             int_level: vec![false; n],
+            queued_cycles: 0,
+            #[cfg(test)]
+            max_events: None,
         }
     }
 }
@@ -267,6 +286,13 @@ pub struct WireBus {
     clk_nets: Vec<NetId>,
     data_nets: Vec<NetId>,
     int_level: Vec<bool>,
+    /// Upper bound on the bus cycles of the work queued since the last
+    /// run to quiescence; that run's event budget is derived from it.
+    queued_cycles: u64,
+    /// Replaces the derived event budget, so unit tests can run out
+    /// of it at a chosen event.
+    #[cfg(test)]
+    pub(crate) max_events: Option<u64>,
 }
 
 impl std::fmt::Debug for WireBus {
@@ -365,10 +391,12 @@ impl WireBus {
     ///
     /// Returns [`MbusError::UnknownNode`] for an out-of-range index.
     pub fn queue_unchecked(&mut self, node: usize, msg: Message) -> Result<(), MbusError> {
+        let cycles = self.message_cycles(&msg);
         self.try_member_mut(node)
             .ok_or(MbusError::UnknownNode { index: node })?
             .tx_queue
             .push_back(msg);
+        self.queued_cycles = self.queued_cycles.saturating_add(cycles);
         self.pulse_int(node);
         Ok(())
     }
@@ -383,8 +411,38 @@ impl WireBus {
         self.try_member_mut(node)
             .ok_or(MbusError::UnknownNode { index: node })?
             .wake_requested = true;
+        self.queued_cycles = self.queued_cycles.saturating_add(self.overhead_cycles());
         self.pulse_int(node);
         Ok(())
+    }
+
+    /// Upper bound on the bus cycles one transaction spends outside its
+    /// payload bits: full-prefix overhead plus the mediator's wake-up.
+    fn overhead_cycles(&self) -> u64 {
+        u64::from(FULL_OVERHEAD_CYCLES) + u64::from(self.config.mediator_wakeup_cycles())
+    }
+
+    /// Upper bound on the bus cycles `msg` adds to the next run: its
+    /// own transaction, cut at `maxmsg` if it runs away, plus the
+    /// self-wake null a gated sender issues first.
+    fn message_cycles(&self, msg: &Message) -> u64 {
+        let bytes = msg.len().min(self.config.max_message_bytes()) as u64;
+        (2 * self.overhead_cycles()).saturating_add(bytes.saturating_mul(8))
+    }
+
+    /// The next run's event budget, derived from (and resetting) the
+    /// work queued since the last run to quiescence.
+    fn take_event_budget(&mut self) -> u64 {
+        // One transaction's overhead on top of the queued work covers a
+        // run that finds nothing queued.
+        // Saturating: `maxmsg` and `medwake` come from trace input.
+        let cycles = mem::take(&mut self.queued_cycles).saturating_add(self.overhead_cycles());
+        #[cfg(test)]
+        if let Some(max_events) = self.max_events {
+            return max_events;
+        }
+        let ring_nodes = self.members.len() as u64 + 1;
+        cycles.saturating_mul(EVENTS_PER_NODE_CYCLE * ring_nodes)
     }
 
     /// The harness-visible state of member `node`, or `None` if `node`
@@ -429,12 +487,17 @@ impl WireBus {
     /// Runs the circuit until all queues drain and the bus is idle.
     /// Returns the transactions completed since the last call.
     ///
+    /// The run's event budget is derived from the work queued since
+    /// the last run to quiescence: 16 events per ring node per bus
+    /// cycle that work can take.
+    ///
     /// # Panics
     ///
-    /// Panics if the circuit fails to settle within `max_events`
-    /// simulator events — a protocol livelock, which the fault-injection
-    /// tests rely on detecting.
-    pub fn run_until_quiescent(&mut self, max_events: u64) -> Vec<WireTransaction> {
+    /// Panics if the circuit fails to settle within that budget — a
+    /// protocol livelock, which the fault-injection tests rely on
+    /// detecting.
+    pub fn run_until_quiescent(&mut self) -> Vec<WireTransaction> {
+        let max_events = self.take_event_budget();
         self.circuit.run_to_idle(max_events);
         self.take_records()
     }
@@ -447,7 +510,8 @@ impl WireBus {
     /// still holds undrained traffic would make the truncation look
     /// like quiescence. The caller must treat the bus as wedged (the
     /// [`WireEngine`](crate::wire::WireEngine) freezes itself).
-    pub fn try_run_until_quiescent(&mut self, max_events: u64) -> Option<Vec<WireTransaction>> {
+    pub fn try_run_until_quiescent(&mut self) -> Option<Vec<WireTransaction>> {
+        let max_events = self.take_event_budget();
         if self.circuit.run_to_idle_capped(max_events) {
             Some(self.take_records())
         } else {
@@ -456,7 +520,8 @@ impl WireBus {
     }
 
     /// Runs for a bounded virtual duration (for waveform capture at a
-    /// precise window), returning completed transactions.
+    /// precise window), returning completed transactions. Queued work
+    /// stays counted in the next run to quiescence's event budget.
     pub fn run_for(&mut self, duration: SimTime) -> Vec<WireTransaction> {
         self.circuit.run_for(duration);
         self.take_records()
@@ -530,7 +595,7 @@ impl WireBus {
         payload: Vec<u8>,
     ) -> Result<Vec<WireTransaction>, MbusError> {
         self.queue(node, Message::new(dest, payload))?;
-        Ok(self.run_until_quiescent(5_000_000))
+        Ok(self.run_until_quiescent())
     }
 }
 

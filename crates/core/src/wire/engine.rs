@@ -16,7 +16,6 @@
 //! circuit is frozen lazily at the first queue/wakeup/run call.
 
 use std::collections::VecDeque;
-use std::mem;
 
 use mbus_sim::SimTime;
 
@@ -29,19 +28,7 @@ use crate::engine::{
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
-use crate::timing::FULL_OVERHEAD_CYCLES;
 use crate::wire::bus::{WireBus, WireBusBuilder};
-
-/// Kernel events a run may spend per bus cycle per ring node (the
-/// mediator frontend and every member). A run's event budget is this
-/// times the ring's node count times the cycle bound of the work queued
-/// since the last run. Every wire run of the workspace test suite
-/// spends at most 3.1 per bound cycle per ring node, so a correct ring
-/// never comes near the budget. Running out means a protocol livelock:
-/// the engine freezes ([`WireEngine::is_exhausted`]) and withholds the
-/// interrupted run's records rather than passing a truncated prefix
-/// off as quiescence.
-const EVENTS_PER_NODE_CYCLE: u64 = 16;
 
 /// The wire-level engine, adapted to the [`BusEngine`] surface.
 ///
@@ -76,23 +63,16 @@ pub struct WireEngine {
     config: BusConfig,
     specs: Vec<NodeSpec>,
     bus: Option<WireBus>,
-    /// Upper bound on the bus cycles of the work queued since the last
-    /// run; the next run's event budget is derived from it.
-    queued_cycles: u64,
-    /// Replaces the derived event budget, so unit tests can run out
-    /// of it at a chosen event.
-    #[cfg(test)]
-    max_events: Option<u64>,
     record_history: bool,
-    /// Set when a run blew its event budget mid-flight: the circuit is
-    /// wedged at an arbitrary point, so the engine freezes and refuses
-    /// to run (or hand out records) from then on.
-    exhausted: bool,
     /// Normalized records not yet handed out by `run_transaction`.
     buffered: VecDeque<EngineRecord>,
     /// Per-node deliveries of absorbed transactions, `from` attributed,
     /// not yet taken by `take_rx`.
     rx: Vec<Vec<ReceivedMessage>>,
+    /// `stats.exhausted` is set when a run blew its event budget
+    /// mid-flight: the circuit is wedged at an arbitrary point, so the
+    /// engine freezes and refuses to run (or hand out records) from
+    /// then on.
     stats: BusStats,
     seq: u64,
 }
@@ -106,11 +86,7 @@ impl WireEngine {
             config,
             specs: Vec::new(),
             bus: None,
-            queued_cycles: 0,
-            #[cfg(test)]
-            max_events: None,
             record_history: false,
-            exhausted: false,
             buffered: VecDeque::new(),
             rx: Vec::new(),
             stats: BusStats::default(),
@@ -133,7 +109,7 @@ impl WireEngine {
     /// records are withheld rather than handed out as if the queue had
     /// drained.
     pub fn is_exhausted(&self) -> bool {
-        self.exhausted
+        self.stats.exhausted
     }
 
     /// The underlying wire-level bus, if the ring has been built —
@@ -169,20 +145,6 @@ impl WireEngine {
         Ok(())
     }
 
-    /// Upper bound on the bus cycles one transaction spends outside its
-    /// payload bits: full-prefix overhead plus the mediator's wake-up.
-    fn overhead_cycles(&self) -> u64 {
-        u64::from(FULL_OVERHEAD_CYCLES) + u64::from(self.config.mediator_wakeup_cycles())
-    }
-
-    /// Upper bound on the bus cycles `msg` adds to the next run: its
-    /// own transaction, cut at `maxmsg` if it runs away, plus the
-    /// self-wake null a gated sender issues first.
-    fn message_cycles(&self, msg: &Message) -> u64 {
-        let bytes = msg.len().min(self.config.max_message_bytes()) as u64;
-        (2 * self.overhead_cycles()).saturating_add(bytes.saturating_mul(8))
-    }
-
     /// Runs the circuit to quiescence, normalizes every newly completed
     /// mediator record into an [`EngineRecord`], and moves the member
     /// events those records absorbed out of the members' logs —
@@ -190,23 +152,15 @@ impl WireEngine {
     /// that exhausts its budget absorbs nothing, so an interrupted
     /// transaction's deliveries are withheld with its record.
     fn run_and_absorb(&mut self) {
-        if self.specs.is_empty() || self.exhausted {
+        if self.specs.is_empty() || self.is_exhausted() {
             return;
         }
-        // One transaction's overhead on top of the queued work covers a
-        // run that finds nothing queued.
-        // Saturating: `maxmsg` and `medwake` come from trace input.
-        let cycles = mem::take(&mut self.queued_cycles).saturating_add(self.overhead_cycles());
-        let ring_nodes = self.specs.len() as u64 + 1;
-        let max_events = cycles.saturating_mul(EVENTS_PER_NODE_CYCLE * ring_nodes);
-        #[cfg(test)]
-        let max_events = self.max_events.unwrap_or(max_events);
-        let Some(raw) = self.ensure_built().try_run_until_quiescent(max_events) else {
+        let Some(raw) = self.ensure_built().try_run_until_quiescent() else {
             // The budget ran out mid-transaction. Quiescence was never
             // reached, so whatever the mediator recorded so far is a
             // truncated prefix of the run — handing it out would make
             // the cap look like a clean drain. Freeze instead.
-            self.exhausted = true;
+            self.stats.exhausted = true;
             return;
         };
         let n = self.specs.len();
@@ -314,7 +268,7 @@ impl BusEngine for WireEngine {
     }
 
     fn is_frozen(&self) -> bool {
-        self.built() || self.exhausted
+        self.built() || self.is_exhausted()
     }
 
     /// Adds a node at the next (lowest-priority) ring position and
@@ -361,13 +315,11 @@ impl BusEngine for WireEngine {
 
     fn queue_unchecked(&mut self, node: NodeIndex, msg: Message) -> Result<(), MbusError> {
         self.check_node(node)?;
-        self.queued_cycles = self.queued_cycles.saturating_add(self.message_cycles(&msg));
         self.ensure_built().queue_unchecked(node, msg)
     }
 
     fn request_wakeup(&mut self, node: NodeIndex) -> Result<(), MbusError> {
         self.check_node(node)?;
-        self.queued_cycles = self.queued_cycles.saturating_add(self.overhead_cycles());
         self.ensure_built().request_wakeup(node)
     }
 
@@ -533,12 +485,12 @@ mod tests {
         // a truncated record set). The contract now: no panic, no
         // records, engine frozen, later runs are no-ops.
         let mut e = three_node_engine();
-        e.max_events = Some(50);
         e.queue(
             0,
             Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0xEE; 4]),
         )
         .unwrap();
+        e.ensure_built().max_events = Some(50);
         let records = e.run_until_quiescent();
         assert!(
             records.is_empty(),
@@ -551,6 +503,7 @@ mod tests {
         );
         assert!(e.run_transaction().is_none(), "frozen engines stay frozen");
         assert_eq!(e.stats().transactions, 0);
+        assert!(e.stats().exhausted, "the stats report the freeze");
     }
 
     #[test]
@@ -564,7 +517,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.run_until_quiescent().len(), 1);
-        e.max_events = Some(50);
+        e.ensure_built().max_events = Some(50);
         e.queue(
             0,
             Message::new(Address::short(sp(0x2), FuId::ZERO), vec![2]),
@@ -630,7 +583,6 @@ mod tests {
         let mut delivered = 0;
         for budget in 1..4000 {
             let mut e = WireEngine::new(BusConfig::default());
-            e.max_events = Some(budget);
             let a = e.add_node(
                 NodeSpec::new("a", FullPrefix::new(0x1).unwrap()).with_short_prefix(sp(1)),
             );
@@ -642,6 +594,7 @@ mod tests {
                 Message::new(Address::short(sp(2), FuId::ZERO), vec![7; 4]),
             )
             .unwrap();
+            e.ensure_built().max_events = Some(budget);
             let records = e.run_until_quiescent();
             for rx in e.take_rx(b) {
                 delivered += 1;

@@ -1,6 +1,5 @@
-//! Parser-rejection suite for the `.mbt` trace format, mirroring the
-//! `mbus-analysis` lint-fixture idiom: every malformed trace under
-//! `tests/trace_fixtures/` must fail with exactly one diagnostic whose
+//! Parser-rejection suite for the `.mbt` trace format: every
+//! malformed trace under `tests/trace_fixtures/` must fail with exactly one diagnostic whose
 //! *entire* `file:line:col: message` rendering is pinned here — spans
 //! included, so a tokenizer off-by-one is a test failure, not a
 //! confusing error message three PRs later. None of them may panic.

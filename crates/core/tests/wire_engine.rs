@@ -7,8 +7,6 @@ use mbus_core::{
     ShortPrefix, TxOutcome,
 };
 
-const MAX_EVENTS: u64 = 20_000_000;
-
 fn sp(x: u8) -> ShortPrefix {
     ShortPrefix::new(x).unwrap()
 }
@@ -121,7 +119,7 @@ fn arbitration_prefers_topologically_first_requester() {
     // Both b and c want to send to a; b is topologically first.
     bus.queue(1, Message::new(addr(0x1), vec![0xBB])).unwrap();
     bus.queue(2, Message::new(addr(0x1), vec![0xCC])).unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 2);
     let rx = bus.take_rx(0);
     assert_eq!(rx.len(), 2);
@@ -141,7 +139,7 @@ fn priority_round_claims_bus_from_topological_winner() {
     bus.queue(1, Message::new(addr(0x1), vec![0xBB])).unwrap();
     bus.queue(2, Message::new(addr(0x1), vec![0xCC]).with_priority())
         .unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 2);
     let rx = bus.take_rx(0);
     assert_eq!(rx[0].payload, vec![0xCC], "priority message goes first");
@@ -153,7 +151,7 @@ fn broadcast_reaches_all_subscribers() {
     let mut bus = three_node_bus();
     let dest = Address::broadcast(BroadcastChannel::CONFIGURATION);
     bus.queue(0, Message::new(dest, vec![0x11, 0x22])).unwrap();
-    bus.run_until_quiescent(MAX_EVENTS);
+    bus.run_until_quiescent();
     assert_eq!(bus.take_rx(1).len(), 1);
     assert_eq!(bus.take_rx(2).len(), 1);
     assert!(bus.take_rx(0).is_empty(), "sender does not receive itself");
@@ -173,7 +171,7 @@ fn broadcast_channel_filtering() {
         .build();
     bus.queue(0, Message::new(Address::broadcast(ch7), vec![7]))
         .unwrap();
-    bus.run_until_quiescent(MAX_EVENTS);
+    bus.run_until_quiescent();
     assert_eq!(bus.take_rx(1).len(), 1, "subscriber hears channel 7");
     assert!(bus.take_rx(2).is_empty(), "non-subscriber ignores it");
 }
@@ -193,7 +191,7 @@ fn null_transaction_wakes_node_and_costs_11_cycles() {
     let mut bus = three_node_bus();
     assert!(!bus.layer_on(2));
     bus.request_wakeup(2).unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 1);
     assert!(records[0].null_transaction);
     assert_eq!(records[0].cycles, 11, "3 arb + 5 interjection + 3 control");
@@ -248,7 +246,7 @@ fn mediator_runaway_counter_kills_endless_message() {
     // 1.5 kB into a 1 kB-limited bus, bypassing the polite check.
     bus.queue_unchecked(0, Message::new(addr(0x2), vec![0; 1536]))
         .unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 1);
     assert!(records[0].runaway, "mediator enforced the length limit");
     assert_eq!(records[0].cycles, 19 + 8 * 1024 + 1);
@@ -271,7 +269,7 @@ fn back_to_back_messages_from_one_node() {
     for i in 0..5u8 {
         bus.queue(0, Message::new(addr(0x2), vec![i])).unwrap();
     }
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 5);
     let rx = bus.take_rx(1);
     assert_eq!(rx.len(), 5);
@@ -307,7 +305,7 @@ fn glitches_resolve_before_latch_edges() {
     for p in &payloads {
         bus.queue(0, Message::new(addr(0x3), p.clone())).unwrap();
     }
-    bus.run_until_quiescent(MAX_EVENTS);
+    bus.run_until_quiescent();
     let rx = bus.take_rx(2);
     assert_eq!(rx.len(), payloads.len());
     for (got, want) in rx.iter().zip(&payloads) {

@@ -46,7 +46,7 @@ fn transfer_ok(bus: &mut WireBus) -> bool {
     {
         return false;
     }
-    let records = bus.run_until_quiescent(100_000_000);
+    let records = bus.run_until_quiescent();
     if records.len() != 1 || records[0].cycles != 19 + 32 {
         return false;
     }
@@ -124,7 +124,7 @@ fn handoff_glitches_exist_and_resolve() {
         Message::new(Address::short(sp(0x1), FuId::ZERO), vec![0xAA]),
     )
     .unwrap();
-    let records = bus.run_until_quiescent(100_000_000);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 2);
     let rx = bus.take_rx(0);
     assert_eq!(rx[0].payload, vec![0x55]);
@@ -150,7 +150,7 @@ fn vcd_export_of_a_real_transaction() {
         Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0xDE, 0xAD]),
     )
     .unwrap();
-    bus.run_until_quiescent(50_000_000);
+    bus.run_until_quiescent();
 
     let mut out = Vec::new();
     let history = bus.history().expect("recorded");
@@ -188,7 +188,7 @@ fn interjection_pulses_are_visible_on_the_trace() {
         Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0x42]),
     )
     .unwrap();
-    let records = bus.run_until_quiescent(50_000_000);
+    let records = bus.run_until_quiescent();
     let r = &records[0];
 
     let clk = bus.clk_nets()[0];
@@ -222,7 +222,7 @@ fn per_role_segment_activity_is_ordered() {
         Message::new(Address::short(sp(0x3), FuId::ZERO), vec![0x55; 16]),
     )
     .unwrap();
-    bus.run_until_quiescent(50_000_000);
+    bus.run_until_quiescent();
     // CLK segments toggle nearly identically everywhere.
     let clk_counts: Vec<u64> = bus
         .clk_nets()

@@ -151,7 +151,7 @@ mod tests {
             Message::new(Address::short(sp(0x3), FuId::ZERO), payload.clone()),
         )
         .unwrap();
-        let records = bus.run_until_quiescent(200_000_000);
+        let records = bus.run_until_quiescent();
 
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].cycles, 19 + 24, "budget holds through software");
@@ -180,7 +180,7 @@ mod tests {
             Message::new(Address::short(sp(0x3), FuId::ZERO), vec![0x5A]),
         )
         .unwrap();
-        let records = bus.run_until_quiescent(200_000_000);
+        let records = bus.run_until_quiescent();
         assert!(records[0].control.unwrap().is_acked());
         // The last byte the software node shifted in during the data
         // phase was the payload 0x5A (later control-phase rising edges
@@ -204,7 +204,7 @@ mod tests {
             )
             .unwrap();
         }
-        let records = bus.run_until_quiescent(400_000_000);
+        let records = bus.run_until_quiescent();
         assert_eq!(records.len(), 4);
         let rx = bus.take_rx(2);
         assert_eq!(rx.len(), 4);

@@ -47,7 +47,7 @@ fn temperature_pattern_on_the_wire_engine() {
         Message::new(Address::short(sp(0x2), FuId::ZERO), vec![0x51, 0x03, 0, 0]),
     )
     .unwrap();
-    let r1 = bus.run_until_quiescent(50_000_000);
+    let r1 = bus.run_until_quiescent();
     assert_eq!(r1[0].cycles, 19 + 32);
     let req = bus.take_rx(1);
     assert_eq!(req.len(), 1);
@@ -60,7 +60,7 @@ fn temperature_pattern_on_the_wire_engine() {
         Message::new(Address::short(sp(0x3), FuId::ZERO), reading.clone()),
     )
     .unwrap();
-    let r2 = bus.run_until_quiescent(50_000_000);
+    let r2 = bus.run_until_quiescent();
     assert_eq!(r2.last().unwrap().cycles, 19 + 64);
     assert_eq!(bus.take_rx(2)[0].payload, reading);
     // The CPU never saw the reading — no relay energy spent.
@@ -96,7 +96,7 @@ fn imager_rows_on_the_wire_engine() {
         bus.queue(1, Message::new(Address::short(sp(0x3), FuId::ZERO), row))
             .unwrap();
     }
-    let records = bus.run_until_quiescent(200_000_000);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 4);
     for r in &records {
         assert_eq!(r.cycles, 19 + 8 * 180, "row message cycle budget");

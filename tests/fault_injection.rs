@@ -11,8 +11,6 @@ use mbus_core::{
 };
 use mbus_sim::Edge;
 
-const MAX_EVENTS: u64 = 80_000_000;
-
 fn sp(x: u8) -> ShortPrefix {
     ShortPrefix::new(x).unwrap()
 }
@@ -39,11 +37,11 @@ fn runaway_transmitter_cannot_hold_the_bus() {
     let mut bus = wire_bus(3);
     bus.queue_unchecked(1, Message::new(addr(0x3), vec![0xFF; 4000]))
         .unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert!(records[0].runaway);
     // Bus still works.
     bus.queue(0, Message::new(addr(0x2), vec![0x01])).unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 1);
     assert!(records[0].control.unwrap().is_acked());
     assert_eq!(bus.take_rx(1).len(), 1);
@@ -60,12 +58,12 @@ fn overrun_receiver_does_not_wedge_the_transmitter() {
         )
         .build();
     bus.queue(0, Message::new(addr(0x2), vec![0; 32])).unwrap();
-    bus.run_until_quiescent(MAX_EVENTS);
+    bus.run_until_quiescent();
     assert_eq!(bus.take_outcomes(0), vec![TxOutcome::ReceiverAbort]);
     // A message that fits still goes through.
     bus.queue(0, Message::new(addr(0x2), vec![1, 2, 3, 4]))
         .unwrap();
-    bus.run_until_quiescent(MAX_EVENTS);
+    bus.run_until_quiescent();
     assert_eq!(bus.take_rx(1).len(), 1);
 }
 
@@ -76,7 +74,7 @@ fn wakeup_storm_resolves_to_a_single_null_transaction() {
     for i in 0..5 {
         bus.request_wakeup(i).unwrap();
     }
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 1, "one null transaction serves them all");
     assert!(records[0].null_transaction);
     for i in 0..5 {
@@ -93,7 +91,7 @@ fn contention_storm_drains_fairly_by_topology() {
                 .unwrap();
         }
     }
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 15);
     let rx = bus.take_rx(0);
     assert_eq!(rx.len(), 15);
@@ -111,12 +109,12 @@ fn contention_storm_drains_fairly_by_topology() {
 fn message_to_nobody_still_frees_the_bus() {
     let mut bus = wire_bus(2);
     bus.queue(0, Message::new(addr(0xD), vec![0; 8])).unwrap();
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 1);
     assert_eq!(bus.take_outcomes(0), vec![TxOutcome::Nacked]);
     // Next message delivers fine.
     bus.queue(0, Message::new(addr(0x2), vec![7])).unwrap();
-    bus.run_until_quiescent(MAX_EVENTS);
+    bus.run_until_quiescent();
     assert_eq!(bus.take_rx(1).len(), 1);
 }
 
@@ -140,7 +138,7 @@ fn mixed_failure_workload_never_locks_up() {
     bus.request_wakeup(1).unwrap();
     bus.queue(2, Message::new(addr(0x1), vec![3])).unwrap(); // good
 
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert!(records.len() >= 5, "{} transactions", records.len());
     // The two good messages arrived.
     assert!(bus.take_rx(2).iter().any(|m| m.payload == vec![1]));
@@ -198,7 +196,7 @@ fn zero_length_flood_terminates() {
     for _ in 0..20 {
         bus.queue(0, Message::new(addr(0x2), vec![])).unwrap();
     }
-    let records = bus.run_until_quiescent(MAX_EVENTS);
+    let records = bus.run_until_quiescent();
     assert_eq!(records.len(), 20);
     assert!(records.iter().all(|r| r.cycles == 19));
     assert_eq!(bus.take_rx(1).len(), 20);

@@ -213,7 +213,7 @@ fn wire_engine_delivers_arbitrary_payloads() {
         let dest = Address::short(sp((dest_node + 1) as u8), FuId::ZERO);
         bus.queue(sender, Message::new(dest, payload.clone()))
             .unwrap();
-        let records = bus.run_until_quiescent(50_000_000);
+        let records = bus.run_until_quiescent();
         assert!(!records.is_empty(), "seed {seed}");
         let rx = bus.take_rx(dest_node);
         assert_eq!(rx.len(), 1, "seed {seed}");

@@ -11,7 +11,7 @@
 mod common;
 
 use mbus_core::trace::{Trace, TraceFile};
-use mbus_core::{FleetSchedule, FleetWorkload, Workload};
+use mbus_core::{FleetReport, FleetSchedule, FleetWorkload, Workload};
 
 /// Serialize → parse, panicking with the full text on any failure so a
 /// format regression is immediately reproducible.
@@ -19,6 +19,12 @@ fn reparse(tf: &TraceFile, what: &str) -> TraceFile {
     let text = tf.to_mbt();
     TraceFile::parse_str(what, &text)
         .unwrap_or_else(|e| panic!("{what} failed to re-parse: {e}\n--- trace ---\n{text}"))
+}
+
+/// Whether any cluster's engine ran out of its event budget: two
+/// frozen engines would otherwise agree on the same truncated stream.
+fn exhausted(report: &FleetReport) -> bool {
+    report.stats.iter().any(|stats| stats.exhausted)
 }
 
 #[test]
@@ -40,9 +46,14 @@ fn seeded_workloads_round_trip_on_every_engine() {
             "seed {seed}"
         );
         for kind in common::comparable_kinds(&original) {
+            let (before, after) = (original.run_on(kind), parsed.run_on(kind));
+            assert!(
+                !before.stats.exhausted && !after.stats.exhausted,
+                "seed {seed}: {kind} ran out of its event budget"
+            );
             assert_eq!(
-                original.run_on(kind).signature(),
-                parsed.run_on(kind).signature(),
+                before.signature(),
+                after.signature(),
                 "seed {seed}: round-trip changed behavior on {kind}"
             );
         }
@@ -86,9 +97,14 @@ fn seeded_fleets_round_trip_on_every_engine() {
             "seed {seed}"
         );
         for kind in common::fleet_comparable_kinds(&original) {
+            let (before, after) = (original.run_on(kind), parsed.run_on(kind));
+            assert!(
+                !exhausted(&before) && !exhausted(&after),
+                "seed {seed}: {kind} ran out of its event budget"
+            );
             assert_eq!(
-                original.run_on(kind).signature(),
-                parsed.run_on(kind).signature(),
+                before.signature(),
+                after.signature(),
                 "seed {seed}: round-trip changed behavior on {kind}"
             );
         }
@@ -204,6 +220,10 @@ fn reparsed_fleets_stay_schedule_independent() {
         };
         for kind in common::fleet_comparable_kinds(parsed) {
             let reference = parsed.run_scheduled_on(kind, FleetSchedule::Interleaved);
+            assert!(
+                !exhausted(&reference),
+                "seed {seed}: {kind} ran out of its event budget"
+            );
             common::sharded_crosscheck(parsed, kind, &reference, 2);
         }
     }
