@@ -105,7 +105,7 @@ fn timed_drain(
     workload: &FleetWorkload,
     sharded: &mut ShardedFleet,
     reference: &FleetReport,
-    reference_sig: &FleetSignature,
+    reference_sig: &FleetSignature<'_>,
     label: &str,
 ) -> TimedDrain {
     let start = stopwatch();

@@ -60,16 +60,15 @@ use crate::addr::Address;
 use crate::config::BusConfig;
 use crate::config::MIN_BYTES_BEFORE_INTERJECT;
 use crate::control::{ControlBits, TxOutcome};
-use crate::engine::{BusEngine, EngineKind, EngineRecord, NodeSet, MAX_BUS_NODES};
+use crate::engine::{
+    BusEngine, BusStats, EngineKind, EngineRecord, NodeIndex, NodeSet, ReceivedMessage,
+    MAX_BUS_NODES,
+};
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
 use crate::power_domain::NodePower;
 use crate::timing::{ARBITRATION_CYCLES, CONTROL_CYCLES, INTERJECTION_CYCLES};
-
-// The bookkeeping types are shared with the wire-level engine and live
-// in `crate::engine`; re-exported here for backward compatibility.
-pub use crate::engine::{BusStats, NodeIndex, ReceivedMessage};
 
 /// How plain (non-priority-round) arbitration resolves ties (§7,
 /// "Topological Priority, Fairness, and Progress").

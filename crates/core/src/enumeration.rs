@@ -8,7 +8,8 @@
 //! topological priority."
 
 use crate::addr::{Address, BroadcastChannel, ShortPrefix};
-use crate::analytic::{AnalyticBus, NodeIndex};
+use crate::analytic::AnalyticBus;
+use crate::engine::NodeIndex;
 use crate::error::MbusError;
 use crate::message::Message;
 

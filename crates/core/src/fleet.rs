@@ -82,7 +82,7 @@ use crate::engine::{
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
-use crate::scenario::ScenarioSignature;
+use crate::scenario::{bus_signatures, ScenarioSignature};
 
 /// Ring position of the gateway's presence on every bridged bus. The
 /// gateway hosts the mediator (index 0, §4.3's highest topological
@@ -2775,55 +2775,22 @@ impl FleetReport {
     /// The engine-independent essence of this run; compare with
     /// `assert_eq!` across engine kinds.
     ///
-    /// One pass over [`FleetReport::records`] buckets each record by
-    /// cluster and renumbers its `seq` within that cluster, so the cost
-    /// is O(records + nodes), not O(clusters × records). Records whose
-    /// `cluster` is outside [`FleetReport::rx`] are ignored.
-    pub fn signature(&self) -> FleetSignature {
-        let mut buckets: Vec<Vec<EngineRecord>> = vec![Vec::new(); self.rx.len()];
-        for r in &self.records {
-            if !self.strict_nulls && r.record.is_null() {
-                continue;
-            }
-            if let Some(bucket) = buckets.get_mut(r.cluster) {
-                bucket.push(EngineRecord {
-                    seq: bucket.len() as u64,
-                    ..r.record
-                });
-            }
-        }
-        let per_cluster = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(c, records)| {
-                let deliveries = self.rx[c]
-                    .iter()
-                    .map(|log| {
-                        log.iter()
-                            .map(|m| (m.from, m.dest, m.payload.clone()))
-                            .collect()
-                    })
-                    .collect();
-                let wakes = self.strict_nulls.then(|| {
-                    (
-                        self.wake_events[c].clone(),
-                        self.stats[c].layer_wakes.clone(),
-                    )
-                });
-                ScenarioSignature {
-                    records,
-                    deliveries,
-                    wakes,
-                }
-            })
-            .collect();
+    /// One pass buckets the records by cluster (ignoring clusters
+    /// outside [`FleetReport::rx`]) in O(records + nodes).
+    pub fn signature(&self) -> FleetSignature<'_> {
         FleetSignature {
-            clusters: per_cluster,
+            clusters: bus_signatures(
+                self.records.iter().map(|r| (r.cluster, &r.record)),
+                &self.rx,
+                &self.wake_events,
+                &self.stats,
+                self.strict_nulls,
+            ),
             forwarded: self.forwarded,
             dropped: self.dropped,
-            cluster_drops: self.cluster_drops.clone(),
+            cluster_drops: &self.cluster_drops,
             hop_forwards: self.hop_forwards,
-            ttl_drops: self.ttl_drops.clone(),
+            ttl_drops: &self.ttl_drops,
         }
     }
 
@@ -2852,13 +2819,13 @@ impl FleetReport {
     }
 }
 
-/// What two engine kinds must agree on for one fleet workload: a
-/// per-cluster [`ScenarioSignature`] (records, deliveries, wakes) plus
-/// the gateway's forwarding counters.
+/// What two engine kinds must agree on for one fleet workload, borrowed
+/// from its report: a per-cluster [`ScenarioSignature`] (records,
+/// deliveries, wakes) plus the gateway's forwarding counters.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FleetSignature {
+pub struct FleetSignature<'r> {
     /// One single-bus signature per cluster, in cluster order.
-    pub clusters: Vec<ScenarioSignature>,
+    pub clusters: Vec<ScenarioSignature<'r>>,
     /// Envelopes forwarded by the gateway.
     pub forwarded: u64,
     /// Envelopes dropped by the gateway.
@@ -2867,12 +2834,12 @@ pub struct FleetSignature {
     /// presence, one entry per cluster — engines (and schedules) must
     /// agree not just on how many envelopes vanished but on *which
     /// bus* they vanished from.
-    pub cluster_drops: Vec<u64>,
+    pub cluster_drops: &'r [u64],
     /// Inter-gateway mesh hops taken chasing [`MeshRoute`]s.
     pub hop_forwards: u64,
     /// TTL-exhaustion drops attributed to the hop where the TTL ran
     /// out, one entry per cluster.
-    pub ttl_drops: Vec<u64>,
+    pub ttl_drops: &'r [u64],
 }
 
 #[cfg(test)]
@@ -3159,9 +3126,9 @@ mod tests {
     fn fleet_workload_is_deterministic() {
         for seed in [0u64, 3, 17] {
             let w = FleetWorkload::seeded(seed);
-            let a = w.run_on(EngineKind::Analytic).signature();
-            let b = w.run_on(EngineKind::Analytic).signature();
-            assert_eq!(a, b, "seed {seed}");
+            let a = w.run_on(EngineKind::Analytic);
+            let b = w.run_on(EngineKind::Analytic);
+            assert_eq!(a.signature(), b.signature(), "seed {seed}");
         }
     }
 
@@ -3317,7 +3284,7 @@ mod tests {
             .route(1, 0, 1, 0)
             .send_local(FleetNodeId::new(0, 1), Message::new(forward_port, envelope))
             .drain();
-        let mut signatures = Vec::new();
+        let mut reports = Vec::new();
         for kind in EngineKind::ALL {
             for schedule in [
                 FleetSchedule::Interleaved,
@@ -3329,11 +3296,12 @@ mod tests {
                 assert_eq!(report.dropped, 1, "{kind} {schedule:?}");
                 assert_eq!(report.ttl_drops, vec![0, 1], "{kind} {schedule:?}");
                 assert_eq!(report.cluster_drops, vec![0, 0], "{kind} {schedule:?}");
-                signatures.push(report.signature());
+                reports.push(report);
             }
         }
-        for sig in &signatures[1..] {
-            assert_eq!(*sig, signatures[0], "cycle handling is grid-identical");
+        for report in &reports[1..] {
+            let (sig, first) = (report.signature(), reports[0].signature());
+            assert_eq!(sig, first, "cycle handling is grid-identical");
         }
     }
 
@@ -3362,16 +3330,16 @@ mod tests {
                 behavior::with_return_address(sensor_full_prefix(0, 1), reply_fu, &[0x01]),
             )
             .drain();
-        let mut sigs = Vec::new();
+        let mut reports = Vec::new();
         for kind in EngineKind::ALL {
             let report = w.run_on(kind);
             assert_eq!(report.injected_replies, 1, "{kind}");
             assert!(report.reply_rounds >= 1, "{kind}");
             // Request leg forwarded out, reply leg forwarded back.
             assert_eq!(report.forwarded, 2, "{kind}");
-            sigs.push(report.signature());
+            reports.push(report);
         }
-        assert_eq!(sigs[0], sigs[1]);
+        assert_eq!(reports[0].signature(), reports[1].signature());
     }
 
     #[test]
@@ -3428,7 +3396,7 @@ mod tests {
         for w in [base.clone(), base.allow_wake_nulls()] {
             for kind in EngineKind::ALL {
                 let label = format!("{kind}, strict_nulls {}", w.strict_nulls());
-                let mut report = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
+                let report = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
                 let clusters: Vec<usize> = report.records.iter().map(|r| r.cluster).collect();
                 assert!(
                     clusters.windows(3).any(|t| t[0] == t[2] && t[0] != t[1]),
@@ -3455,9 +3423,10 @@ mod tests {
                     cluster: report.rx.len(),
                     record: report.records[0].record,
                 };
-                report.records.insert(1, stray);
-                assert_eq!(report.signature(), sig, "{label}: out-of-range record");
-                assert_eq!(records_of(&sig), per_cluster(&report), "{label}");
+                let mut strayed = report.clone();
+                strayed.records.insert(1, stray);
+                assert_eq!(strayed.signature(), sig, "{label}: out-of-range record");
+                assert_eq!(records_of(&sig), per_cluster(&strayed), "{label}");
             }
         }
     }

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::Address;
-use crate::analytic::ReceivedMessage;
+use crate::engine::ReceivedMessage;
 use crate::message::Message;
 
 /// Number of 24-bit registers (Fig. 8: `REG_RD_DATA{0..255}`).
@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn deliver_dispatches_on_fu_id() {
-        use crate::analytic::ReceivedMessage;
+        use crate::engine::ReceivedMessage;
         use mbus_sim::SimTime;
         let mut l = layer();
         let msg = ReceivedMessage {

@@ -873,51 +873,75 @@ pub struct ScenarioReport {
     strict_nulls: bool,
 }
 
-/// The engine-independent essence of a report: what two engines must
-/// agree on. Compare with `assert_eq!`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ScenarioSignature {
+/// The engine-independent essence of a report, borrowed from it: what
+/// two engines must agree on. Compare with `assert_eq!`; equality, like
+/// the digest, ignores each delivery's engine-stamped time `at`.
+#[derive(Clone, Debug)]
+pub struct ScenarioSignature<'r> {
     /// The record stream (non-null records only when the workload
     /// transmits from power-gated nodes; see
     /// [`Workload::allow_wake_nulls`]), renumbered consecutively.
     pub records: Vec<EngineRecord>,
-    /// Per node: `(from, dest, payload)` of every delivery, in order.
-    pub deliveries: Vec<Vec<(NodeIndex, Address, Vec<u8>)>>,
+    /// Per node: every delivery, in order.
+    pub deliveries: &'r [Vec<ReceivedMessage>],
     /// Per-node wake events and layer wakes (strict workloads only —
     /// wire-level self-wake nulls also count as wake events).
-    pub wakes: Option<(Vec<u64>, Vec<u64>)>,
+    pub wakes: Option<(&'r [u64], &'r [u64])>,
+}
+
+impl<'r> PartialEq for ScenarioSignature<'r> {
+    fn eq(&self, other: &Self) -> bool {
+        let key = |m: &'r ReceivedMessage| (m.from, m.dest, &m.payload);
+        self.records == other.records
+            && self.wakes == other.wakes
+            && self.deliveries.len() == other.deliveries.len()
+            && (self.deliveries.iter().zip(other.deliveries))
+                .all(|(a, b)| a.iter().map(key).eq(b.iter().map(key)))
+    }
+}
+
+impl Eq for ScenarioSignature<'_> {}
+
+/// The one signature builder, one [`ScenarioSignature`] per bus, for
+/// both report kinds: one pass buckets `(bus, record)` pairs by bus
+/// (ignoring buses outside `rx`), drops nulls unless `strict_nulls` and
+/// renumbers `seq` per bus. Deliveries and wakes are borrowed.
+pub(crate) fn bus_signatures<'r>(
+    records: impl Iterator<Item = (usize, &'r EngineRecord)>,
+    rx: &'r [Vec<Vec<ReceivedMessage>>],
+    wake_events: &'r [Vec<u64>],
+    stats: &'r [BusStats],
+    strict_nulls: bool,
+) -> Vec<ScenarioSignature<'r>> {
+    let mut buckets: Vec<Vec<EngineRecord>> = vec![Vec::new(); rx.len()];
+    for (bus, r) in records.filter(|(_, r)| strict_nulls || !r.is_null()) {
+        if let Some(bucket) = buckets.get_mut(bus) {
+            bucket.push(EngineRecord {
+                seq: bucket.len() as u64,
+                ..*r
+            });
+        }
+    }
+    (buckets.into_iter().zip(rx).enumerate())
+        .map(|(bus, (records, deliveries))| ScenarioSignature {
+            records,
+            deliveries,
+            wakes: strict_nulls.then(|| (&wake_events[bus][..], &stats[bus].layer_wakes[..])),
+        })
+        .collect()
 }
 
 impl ScenarioReport {
     /// The comparable signature; see [`ScenarioSignature`].
-    pub fn signature(&self) -> ScenarioSignature {
-        let records = self
-            .records
-            .iter()
-            .filter(|r| self.strict_nulls || !r.is_null())
-            .enumerate()
-            .map(|(i, r)| EngineRecord {
-                seq: i as u64,
-                ..*r
-            })
-            .collect();
-        let deliveries = self
-            .rx
-            .iter()
-            .map(|log| {
-                log.iter()
-                    .map(|m| (m.from, m.dest, m.payload.clone()))
-                    .collect()
-            })
-            .collect();
-        let wakes = self
-            .strict_nulls
-            .then(|| (self.wake_events.clone(), self.stats.layer_wakes.clone()));
-        ScenarioSignature {
-            records,
-            deliveries,
-            wakes,
-        }
+    pub fn signature(&self) -> ScenarioSignature<'_> {
+        bus_signatures(
+            self.records.iter().map(|r| (0, r)),
+            std::slice::from_ref(&self.rx),
+            std::slice::from_ref(&self.wake_events),
+            std::slice::from_ref(&self.stats),
+            self.strict_nulls,
+        )
+        .swap_remove(0)
     }
 
     /// Total bus-clock cycles across all records.
@@ -958,9 +982,9 @@ mod tests {
     #[test]
     fn signature_is_stable_within_one_engine() {
         let w = Workload::many_node_storm(5, 2);
-        let a = w.run_on(EngineKind::Analytic).signature();
-        let b = w.run_on(EngineKind::Analytic).signature();
-        assert_eq!(a, b);
+        let a = w.run_on(EngineKind::Analytic);
+        let b = w.run_on(EngineKind::Analytic);
+        assert_eq!(a.signature(), b.signature());
     }
 
     #[test]

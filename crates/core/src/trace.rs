@@ -2150,16 +2150,16 @@ fn digest_records(h: &mut Fnv, records: &[EngineRecord]) {
 fn digest_scenario_into(h: &mut Fnv, sig: &ScenarioSignature) {
     digest_records(h, &sig.records);
     h.usize(sig.deliveries.len());
-    for log in &sig.deliveries {
+    for log in sig.deliveries {
         h.usize(log.len());
-        for (from, dest, payload) in log {
-            h.usize(*from);
-            h.bytes(&dest.encode());
-            h.usize(payload.len());
-            h.bytes(payload);
+        for m in log {
+            h.usize(m.from);
+            h.bytes(&m.dest.encode());
+            h.usize(m.payload.len());
+            h.bytes(&m.payload);
         }
     }
-    match &sig.wakes {
+    match sig.wakes {
         Some((wake_events, layer_wakes)) => {
             h.u8(1);
             h.usize(wake_events.len());
@@ -2198,7 +2198,7 @@ pub fn fleet_digest(sig: &FleetSignature) -> u64 {
     h.u64(sig.forwarded);
     h.u64(sig.dropped);
     h.usize(sig.cluster_drops.len());
-    for &n in &sig.cluster_drops {
+    for &n in sig.cluster_drops {
         h.u64(n);
     }
     // Mesh fields entered the signature in format v2; they are hashed
@@ -2210,7 +2210,7 @@ pub fn fleet_digest(sig: &FleetSignature) -> u64 {
     if sig.ttl_drops.iter().any(|&n| n != 0) {
         h.u8(b't');
         h.usize(sig.ttl_drops.len());
-        for &n in &sig.ttl_drops {
+        for &n in sig.ttl_drops {
             h.u64(n);
         }
     }

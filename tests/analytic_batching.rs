@@ -120,12 +120,8 @@ fn seeded_hostile_traffic_arms_are_reachable() {
 #[test]
 fn seeded_workloads_are_deterministic_per_seed() {
     for seed in [0u64, 7, 99] {
-        let a = Workload::seeded(seed)
-            .run_on(EngineKind::Analytic)
-            .signature();
-        let b = Workload::seeded(seed)
-            .run_on(EngineKind::Analytic)
-            .signature();
-        assert_eq!(a, b);
+        let a = Workload::seeded(seed).run_on(EngineKind::Analytic);
+        let b = Workload::seeded(seed).run_on(EngineKind::Analytic);
+        assert_eq!(a.signature(), b.signature());
     }
 }

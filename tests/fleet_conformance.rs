@@ -40,16 +40,14 @@ fn cross_cluster_message_produces_identical_signatures() {
             vec![0xCA, 0xFE],
         )
         .drain();
-    let signatures: Vec<_> = common::fleet_crosscheck_all_engines(&w)
-        .iter()
-        .map(|report| report.signature())
-        .collect();
+    let reports = common::fleet_crosscheck_all_engines(&w);
+    let signatures: Vec<_> = reports.iter().map(|report| report.signature()).collect();
     assert_eq!(signatures[0].forwarded, 1);
     assert_eq!(signatures[0].dropped, 0);
     // The destination cluster saw exactly the forwarded delivery.
     assert_eq!(signatures[0].clusters[1].deliveries[2].len(), 1);
     assert_eq!(
-        signatures[0].clusters[1].deliveries[2][0].2,
+        signatures[0].clusters[1].deliveries[2][0].payload,
         vec![0xCA, 0xFE]
     );
 }
@@ -189,7 +187,7 @@ fn gateway_drop_attribution_is_engine_independent() {
     // And a signature that differs only in drop attribution must not
     // compare equal: the counter is load-bearing in conformance.
     let mut tampered = signature.clone();
-    tampered.cluster_drops = vec![2, 0];
+    tampered.cluster_drops = &[2, 0];
     assert_ne!(signature, tampered);
 }
 
