@@ -17,8 +17,8 @@
 //!    throughput in txn/s.
 //! 2. **Worker scaling** — 8192 analytic buses (32768 nodes) at 1,
 //!    2, 4, and 8 workers, each count run twice: workers spawned per
-//!    epoch (`ShardedFleet::per_epoch_spawn`) vs workers kept for the
-//!    whole drive (`ShardedFleet::new`), both with cluster `c` on
+//!    epoch (`ShardedFleet::per_epoch_spawn`) vs workers kept as long
+//!    as their `ShardedFleet` (`ShardedFleet::new`), both with cluster `c` on
 //!    shard `c % workers`, so their ratio is the spawn cost alone. Both
 //!    streams are asserted bit-identical to the single-threaded
 //!    interleaved reference; per-shard transaction and wall-time
@@ -171,7 +171,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     let mut rows = Vec::new();
     let (mut signature_gate, mut quiescent_gate) = (true, true);
     for &workers in &worker_counts {
-        // Fresh scoped threads every epoch.
+        // Fresh worker threads every epoch.
         let mut spawn = ShardedFleet::per_epoch_spawn(workers);
         let spawn_txn_s = timed_drain(
             &workload,
@@ -181,19 +181,19 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             "spawn-per-epoch",
         )
         .txn_per_s();
-        // One set of workers per drive.
-        let mut per_drive = ShardedFleet::new(workers);
+        // Workers kept as long as their ShardedFleet.
+        let mut kept = ShardedFleet::new(workers);
         let mut drive = timed_drain(
             &workload,
-            &mut per_drive,
+            &mut kept,
             &reference,
             &reference_sig,
-            "per-drive",
+            "kept-workers",
         );
         let drive_txn_s = drive.txn_per_s();
-        let (transactions, polls) = (per_drive.transactions(), per_drive.polls());
+        let (transactions, polls) = (kept.transactions(), kept.polls());
         let signature_pass = drive.signature_s <= drive.drain_s;
-        let quiescent_pass = quiescent_drive_is_free(&mut drive.fleet, &mut per_drive);
+        let quiescent_pass = quiescent_drive_is_free(&mut drive.fleet, &mut kept);
         signature_gate &= signature_pass;
         quiescent_gate &= quiescent_pass;
         let fairness = drive
@@ -224,7 +224,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             .map(|(&txns, &nanos)| txns as f64 / (nanos.max(1) as f64 / 1e9))
             .collect();
         println!(
-            "  [{workers:>2} worker{}] per-epoch {:>9.0} txn/s | per-drive {:>9.0} txn/s ({:>4.2}x per-epoch, {:>4.2}x baseline)",
+            "  [{workers:>2} worker{}] per-epoch {:>9.0} txn/s | kept {:>9.0} txn/s ({:>4.2}x per-epoch, {:>4.2}x baseline)",
             if workers == 1 { " " } else { "s" },
             spawn_txn_s,
             drive_txn_s,

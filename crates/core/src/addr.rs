@@ -13,6 +13,7 @@
 //!   bits on the wire (8-bit vs. 32-bit address phase).
 
 use std::fmt;
+use std::ops::Deref;
 
 use crate::error::MbusError;
 
@@ -188,7 +189,7 @@ impl fmt::Display for BroadcastChannel {
 ///
 /// let addr = Address::short(ShortPrefix::new(0x5)?, FuId::new(0x2)?);
 /// let bytes = addr.encode();
-/// assert_eq!(bytes, vec![0x52]);
+/// assert_eq!(*bytes, [0x52]);
 /// assert_eq!(Address::decode(&bytes)?, addr);
 /// # Ok::<(), mbus_core::MbusError>(())
 /// ```
@@ -259,12 +260,20 @@ impl Address {
         matches!(self, Address::Broadcast { .. })
     }
 
-    /// Encodes the address to its on-wire bytes (MSB-first).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encodes the address to its on-wire bytes (MSB-first), held
+    /// inline: encoding never allocates.
+    pub fn encode(&self) -> EncodedAddress {
+        let byte = |b: u8| EncodedAddress {
+            bytes: [b, 0, 0, 0],
+            len: 1,
+        };
         match *self {
-            Address::Short { prefix, fu_id } => vec![(prefix.raw() << 4) | fu_id.raw()],
-            Address::Broadcast { channel } => vec![(BROADCAST_PREFIX << 4) | channel.raw()],
-            Address::Full { prefix, fu_id } => full_address_bytes(prefix, fu_id).to_vec(),
+            Address::Short { prefix, fu_id } => byte((prefix.raw() << 4) | fu_id.raw()),
+            Address::Broadcast { channel } => byte((BROADCAST_PREFIX << 4) | channel.raw()),
+            Address::Full { prefix, fu_id } => EncodedAddress {
+                bytes: full_address_bytes(prefix, fu_id),
+                len: 4,
+            },
         }
     }
 
@@ -315,6 +324,29 @@ impl Address {
             Address::Short { fu_id, .. } | Address::Full { fu_id, .. } => fu_id.raw(),
             Address::Broadcast { channel } => channel.raw(),
         }
+    }
+}
+
+/// The on-wire bytes of an [`Address`] — 1 for short and broadcast
+/// addresses, 4 for full ones — as returned by [`Address::encode`].
+/// Dereferences to the byte slice.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EncodedAddress {
+    bytes: [u8; 4],
+    len: u8,
+}
+
+impl Deref for EncodedAddress {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for EncodedAddress {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -372,7 +404,7 @@ mod tests {
     fn short_address_round_trip() {
         let addr = Address::short(ShortPrefix::new(0xA).unwrap(), FuId::new(0x7).unwrap());
         let bytes = addr.encode();
-        assert_eq!(bytes, vec![0xA7]);
+        assert_eq!(*bytes, [0xA7]);
         assert_eq!(Address::decode(&bytes).unwrap(), addr);
         assert_eq!(addr.wire_bits(), 8);
     }
@@ -381,7 +413,7 @@ mod tests {
     fn broadcast_address_round_trip() {
         let addr = Address::broadcast(BroadcastChannel::CONFIGURATION);
         let bytes = addr.encode();
-        assert_eq!(bytes, vec![0x01]);
+        assert_eq!(*bytes, [0x01]);
         assert_eq!(Address::decode(&bytes).unwrap(), addr);
         assert!(addr.is_broadcast());
     }

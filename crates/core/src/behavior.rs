@@ -178,7 +178,8 @@ pub fn return_address(payload: &[u8]) -> Option<(FullPrefix, FuId)> {
 /// `encode(full, fu) ++ rest`. The counterpart the §6.3 request
 /// scenarios use to ask for directed replies.
 pub fn with_return_address(prefix: FullPrefix, fu: FuId, rest: &[u8]) -> Vec<u8> {
-    let mut bytes = Address::full(prefix, fu).encode();
+    let mut bytes = Vec::with_capacity(4 + rest.len());
+    bytes.extend_from_slice(&Address::full(prefix, fu).encode());
     bytes.extend_from_slice(rest);
     bytes
 }

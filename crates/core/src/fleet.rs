@@ -32,7 +32,7 @@
 //! [`InterleavedScheduler`] per cluster group, stepping one
 //! transaction per cluster per round so thousands of buses — ideally
 //! [`AnalyticBus`](crate::AnalyticBus)-backed — make progress
-//! together; groups run on scoped worker threads, cluster `c` always
+//! together; groups run on pooled worker threads, cluster `c` always
 //! on group `c % workers`, with gateway envelopes exchanged at
 //! cross-worker epoch barriers; one group is the single-threaded
 //! interleave. A [`FleetSchedule`] picks the group count.
@@ -69,6 +69,7 @@ pub mod shard;
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 pub use shard::ShardedFleet;
 
@@ -268,9 +269,11 @@ pub struct FleetRecord {
 /// accounting.
 #[derive(Clone, Debug, Default)]
 pub struct GatewayNode {
-    /// The routes — read-only once the fleet is built, so
-    /// sharded drains can hand every worker a shared `&GatewayRoutes`.
-    routes: GatewayRoutes,
+    /// The routes — read-only during a drive, so a sharded drive
+    /// hands each worker's lease a share. The builders change them
+    /// through `Arc::make_mut`, which copies nothing: outside a drive
+    /// no lease holds a share.
+    routes: Arc<GatewayRoutes>,
     /// The mutable half: forwarding/drop counters, maintained on the
     /// routing thread (merged from per-shard counters at the barriers
     /// of a sharded drain).
@@ -283,7 +286,7 @@ pub struct GatewayNode {
 /// field, checked against that cluster's population. Built as nodes
 /// are added and never mutated by a drain, which is what lets a
 /// sharded fleet share one `GatewayRoutes` across worker threads
-/// (`&GatewayRoutes` is `Send + Sync`).
+/// (`Arc<GatewayRoutes>` is `Send + Sync`).
 #[derive(Clone, Debug, Default)]
 pub struct GatewayRoutes {
     /// Ring positions on each cluster's bus, gateway presence included,
@@ -770,7 +773,7 @@ impl Fleet {
                 .with_short_prefix(gateway_short_prefix()),
         );
         debug_assert_eq!(index, GATEWAY_NODE);
-        self.gateway.routes.add_cluster(cluster, domain);
+        Arc::make_mut(&mut self.gateway.routes).add_cluster(cluster, domain);
         self.clusters.push(engine);
         self.gateway_rx.push(Vec::new());
         cluster
@@ -790,7 +793,7 @@ impl Fleet {
     /// Cross-domain route cycles *are* legal; the per-hop TTL bounds
     /// them.
     pub fn add_mesh_route(&mut self, domain: usize, lo: usize, hi: usize, via: usize) {
-        self.gateway.routes.register_range(MeshRoute {
+        Arc::make_mut(&mut self.gateway.routes).register_range(MeshRoute {
             domain,
             lo,
             hi,
@@ -831,7 +834,7 @@ impl Fleet {
                 .power_aware(power_aware),
         );
         debug_assert_eq!(index, node);
-        self.gateway.routes.nodes[cluster] = node + 1;
+        Arc::make_mut(&mut self.gateway.routes).nodes[cluster] = node + 1;
         FleetNodeId::new(cluster, node)
     }
 
@@ -1122,7 +1125,7 @@ pub enum FleetSchedule {
     /// thread. Runs as `Sharded { shards: 1 }`.
     Interleaved,
     /// Sharded interleave ([`shard::ShardedFleet`]): cluster groups on
-    /// scoped worker threads, one interleaved scheduler each, cluster
+    /// pooled worker threads, one interleaved scheduler each, cluster
     /// `c` always on shard `c % workers`, gateway envelopes exchanged
     /// at cross-worker epoch barriers — tens of thousands of buses
     /// across cores. The record stream stays bit-identical to
@@ -1288,7 +1291,7 @@ impl InterleavedScheduler {
     /// assignment.
     pub(crate) fn run_epoch_entries(
         &mut self,
-        entries: &mut [(usize, &mut Box<dyn BusEngine>)],
+        entries: &mut [(usize, Box<dyn BusEngine>)],
         emit: &mut dyn FnMut(u64, usize, EngineRecord),
     ) -> bool {
         let end = entries.iter().map(|&(c, _)| c + 1).max().unwrap_or(0);
@@ -1730,7 +1733,7 @@ impl FleetWorkload {
     /// [`FleetWorkload::apply_scheduled`] with a caller-owned
     /// [`ShardedFleet`], so the drain's worker-spawn mode and shard
     /// count are the caller's choice (the `interleave` bench uses this
-    /// to race workers kept per drive against the per-epoch-spawn
+    /// to race workers kept across drives against the per-epoch-spawn
     /// baseline). Counters accumulate into `sharded` and the report's
     /// fairness snapshot is taken from it.
     ///
@@ -2775,8 +2778,9 @@ impl FleetReport {
     /// The engine-independent essence of this run; compare with
     /// `assert_eq!` across engine kinds.
     ///
-    /// One pass buckets the records by cluster (ignoring clusters
-    /// outside [`FleetReport::rx`]) in O(records + nodes).
+    /// Two passes over the records (count, then fill) bucket borrowed
+    /// records by cluster, ignoring clusters outside
+    /// [`FleetReport::rx`], in O(records + nodes); nothing is copied.
     pub fn signature(&self) -> FleetSignature<'_> {
         FleetSignature {
             clusters: bus_signatures(
@@ -3032,8 +3036,9 @@ mod tests {
             // the decoded destination — defined envelope semantics,
             // never a local fu-0 delivery.
             let accidental = {
-                let mut bytes =
-                    Address::full(fleet.spec(dst).full_prefix(), GATEWAY_FORWARD_FU).encode();
+                let mut bytes = Address::full(fleet.spec(dst).full_prefix(), GATEWAY_FORWARD_FU)
+                    .encode()
+                    .to_vec();
                 bytes.push(0x42);
                 bytes
             };
@@ -3364,9 +3369,22 @@ mod tests {
                 })
                 .collect()
         }
-        let records_of = |sig: &FleetSignature| -> Vec<Vec<EngineRecord>> {
-            sig.clusters.iter().map(|c| c.records.clone()).collect()
-        };
+        // That definition as a signature: the renumbered copies in place
+        // of the borrowed records. It must compare and digest equal to
+        // the report's own, so the digest numbers records by position.
+        fn check(report: &FleetReport, sig: &FleetSignature, label: &str) {
+            let want = per_cluster(report);
+            let mut defined = sig.clone();
+            for (cluster, records) in defined.clusters.iter_mut().zip(&want) {
+                cluster.records = records.iter().collect();
+            }
+            assert_eq!(&defined, sig, "{label}");
+            assert_eq!(
+                crate::trace::fleet_digest(&defined),
+                crate::trace::fleet_digest(sig),
+                "{label}"
+            );
+        }
         // Power-gated senders on clusters 0 and 2, an empty cluster 1
         // (`cluster -`), local and cross-cluster traffic in one drain.
         let base = FleetWorkload::new("signature_buckets", BusConfig::default())
@@ -3402,21 +3420,21 @@ mod tests {
                     clusters.windows(3).any(|t| t[0] == t[2] && t[0] != t[1]),
                     "{label}: stream interleaves clusters: {clusters:?}"
                 );
+                let sig = report.signature();
+                assert_eq!(sig.clusters.len(), 3, "{label}");
+                assert!(sig.clusters[1].records.is_empty(), "{label}");
                 if kind == EngineKind::Wire {
                     assert!(
                         report.records.iter().any(|r| r.record.is_null()),
                         "{label}: gated senders self-wake with nulls"
                     );
+                    // Dropping those nulls leaves stored `seq`s that
+                    // are not positions: renumbering shows in `check`.
+                    let renumbered = (sig.clusters.iter())
+                        .any(|c| c.records.iter().enumerate().any(|(i, r)| r.seq != i as u64));
+                    assert_eq!(renumbered, !report.strict_nulls, "{label}");
                 }
-                let sig = report.signature();
-                assert_eq!(sig.clusters.len(), 3, "{label}");
-                assert!(sig.clusters[1].records.is_empty(), "{label}");
-                assert_eq!(records_of(&sig), per_cluster(&report), "{label}");
-                for (c, cluster) in sig.clusters.iter().enumerate() {
-                    let seqs: Vec<u64> = cluster.records.iter().map(|r| r.seq).collect();
-                    let want: Vec<u64> = (0..seqs.len() as u64).collect();
-                    assert_eq!(seqs, want, "{label}: cluster {c} seq");
-                }
+                check(&report, &sig, &label);
                 // `records` is public: a record naming a cluster the
                 // report does not have is ignored, not a panic.
                 let stray = FleetRecord {
@@ -3426,7 +3444,7 @@ mod tests {
                 let mut strayed = report.clone();
                 strayed.records.insert(1, stray);
                 assert_eq!(strayed.signature(), sig, "{label}: out-of-range record");
-                assert_eq!(records_of(&sig), per_cluster(&strayed), "{label}");
+                check(&strayed, &strayed.signature(), &label);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Sharded fleet drains: groups of interleaved clusters on scoped
+//! Sharded fleet drains: groups of interleaved clusters on pooled
 //! worker threads, synchronized at cross-worker gateway barriers, with
 //! each cluster on one fixed shard.
 //!
@@ -11,8 +11,8 @@
 //! partitions those clusters into **shards** by one fixed map —
 //! cluster `c` always runs on shard `c % workers` — and, each epoch,
 //! runs one [`InterleavedScheduler`] per shard: shard 0 on the calling
-//! thread, the others on workers of a `std::thread::scope` that lives
-//! for the whole drive (or, in the [`ShardedFleet::per_epoch_spawn`]
+//! thread, the others on worker threads that live as long as the
+//! [`ShardedFleet`] (or, in the [`ShardedFleet::per_epoch_spawn`]
 //! mode, for one epoch). With one shard no thread is spawned at all.
 //! When every shard's clusters are quiescent, the shards hand back
 //! **per-shard outboxes** (classified gateway envelopes plus
@@ -67,7 +67,7 @@
 //!
 //! `tests/sharded_fleet.rs` pins all of this over hundreds of seeds,
 //! every [`EngineKind`](crate::engine::EngineKind), shard counts
-//! 1/2/4/7, and workers kept per drive vs spawned per epoch.
+//! 1/2/4/7, and workers kept across drives vs spawned per epoch.
 //!
 //! The omitted-clusters bullet rests on the pending set being a
 //! superset of the clusters with work. Debug builds check it: after
@@ -79,21 +79,29 @@
 //!
 //! Every [`BusEngine`] is `Send` (each owns its whole state, the wire
 //! engine's circuit included) but not shared; the parallelism contract
-//! is *exclusive engine ownership per shard, per epoch*. Each epoch the
-//! calling thread lends every shard a lease (`ShardLease`): its
-//! `(cluster, &mut engine)` entries and its scheduler, sent to a worker
-//! over a channel. The worker runs the epoch with panics contained and
-//! sends the lease back with the outcome; only when every lease is home
-//! does the barrier touch the engines again. Engines migrate between
-//! threads but are never shared: the compiler checks the `Send` bound,
-//! and the scope makes the borrow checker prove that no worker outlives
-//! the engine borrows, so the runtime needs no `unsafe`.
+//! is *exclusive engine ownership per shard, per epoch*. A drive moves
+//! every engine out of the fleet into a drop guard (`DriveState`).
+//! Each epoch the calling thread lends every shard a lease
+//! (`ShardLease`) that owns its `(cluster, engine)` entries, its
+//! scheduler and a share of the routing table (`Arc<GatewayRoutes>`).
+//! Shard 0 runs on the calling thread; every other shard goes over a
+//! channel to its own worker in the fleet's pool, a thread spawned on
+//! the first drive that needs it, which serves every later epoch and
+//! drive and is joined when the [`ShardedFleet`] drops. The worker runs the epoch
+//! with panics contained and sends the lease back with the outcome;
+//! only when every lease is home does the barrier touch the engines
+//! again. When the drive ends, normally or by unwinding, the guard puts
+//! every engine back into the fleet. Engines migrate between threads
+//! but are never shared: a lease moves ownership, not a borrow, so the
+//! compiler needs only the `Send` bound, no worker can reach an engine
+//! it does not hold, and the runtime needs no `unsafe`.
 
 use std::fmt;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::thread;
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use super::{
@@ -103,10 +111,10 @@ use super::{
 use crate::engine::{BusEngine, EngineRecord, ReceivedMessage};
 use crate::message::Message;
 
-/// One epoch's worth of exclusive engine access for one shard:
+/// One epoch's worth of exclusive engine ownership for one shard:
 /// `(fleet-global cluster index, engine)` pairs in ascending cluster
 /// order. `Send` because every [`BusEngine`] is.
-type ShardEntries<'a> = Vec<(usize, &'a mut Box<dyn BusEngine>)>;
+type ShardEntries = Vec<(usize, Box<dyn BusEngine>)>;
 
 /// What one shard hands back at an epoch barrier.
 #[derive(Default)]
@@ -138,7 +146,7 @@ struct ShardEpoch {
 /// then classify those clusters' gateway receive logs against the
 /// shared routing table into the shard's outbox.
 fn run_shard_epoch(
-    entries: &mut ShardEntries<'_>,
+    entries: &mut ShardEntries,
     scheduler: &mut InterleavedScheduler,
     routes: &GatewayRoutes,
 ) -> ShardEpoch {
@@ -181,46 +189,130 @@ fn run_shard_epoch(
     out
 }
 
-/// What the calling thread lends one shard for one epoch: exclusive
-/// access to its clusters' engines, plus its scheduler (moved out of
-/// the [`ShardedFleet`] so its counters travel with the work).
-struct ShardLease<'a> {
+/// What the calling thread lends one shard for one epoch: ownership
+/// of its clusters' engines, plus its scheduler (moved out of the
+/// [`ShardedFleet`] so its counters travel with the work) and a share
+/// of the routing table.
+struct ShardLease {
     shard: usize,
-    engines: ShardEntries<'a>,
+    engines: ShardEntries,
     scheduler: InterleavedScheduler,
+    routes: Arc<GatewayRoutes>,
 }
 
 /// A lease on its way home: the lease itself and the epoch's outcome
 /// (the shard's outbox, or the panic payload its epoch raised).
-type Returned<'a> = (ShardLease<'a>, thread::Result<ShardEpoch>);
+type Returned = (ShardLease, thread::Result<ShardEpoch>);
 
-impl<'a> ShardLease<'a> {
+impl ShardLease {
     /// Runs the shard's epoch with panics contained, so the lease
     /// always comes back to the calling thread and a panicking shard
     /// can never strand the barrier.
-    fn run(mut self, routes: &GatewayRoutes) -> Returned<'a> {
+    fn run(mut self) -> Returned {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_shard_epoch(&mut self.engines, &mut self.scheduler, routes)
+            run_shard_epoch(&mut self.engines, &mut self.scheduler, &self.routes)
         }));
         (self, outcome)
     }
 }
 
-/// The fleet, split for one drive: workers share the read-only routing
-/// table while the calling thread keeps the counters, the gateway
-/// stash, the pending set, and every engine no shard is currently
-/// holding.
+/// One worker thread of a [`ShardedFleet`]: leases arrive on `lane`
+/// and go home on `home`.
+#[derive(Debug)]
+struct Worker {
+    lane: Sender<ShardLease>,
+    home: Receiver<Returned>,
+    thread: JoinHandle<()>,
+}
+
+/// The worker threads of a [`ShardedFleet`], worker `i` serving shard
+/// `i + 1`. They are spawned on demand and joined on [`Pool::close`],
+/// which dropping the pool calls.
+#[derive(Debug, Default)]
+struct Pool {
+    workers: Vec<Worker>,
+    /// Every worker this pool spawned: its id, and a token the worker
+    /// holds until it exits.
+    #[cfg(test)]
+    spawned: Vec<(thread::ThreadId, std::sync::Weak<()>)>,
+}
+
+impl Pool {
+    /// Spawns workers until at least `n` serve leases.
+    fn grow(&mut self, n: usize) {
+        while self.workers.len() < n {
+            let (lane, leases) = mpsc::channel::<ShardLease>();
+            let (home_tx, home) = mpsc::channel();
+            #[cfg(test)]
+            let alive = Arc::new(());
+            #[cfg(test)]
+            let token = Arc::downgrade(&alive);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "`ShardedFleet` is the one layer that runs shards on threads"
+            )]
+            let thread = thread::spawn(move || {
+                #[cfg(test)]
+                let _alive = alive;
+                for lease in leases {
+                    if home_tx.send(lease.run()).is_err() {
+                        return;
+                    }
+                }
+            });
+            #[cfg(test)]
+            self.spawned.push((thread.thread().id(), token));
+            self.workers.push(Worker { lane, home, thread });
+        }
+    }
+
+    /// Joins every worker: closing its lane ends its loop. Called only
+    /// while no lease is out.
+    fn close(&mut self) {
+        for Worker { lane, thread, .. } in self.workers.drain(..) {
+            drop(lane);
+            // A worker contains its leases' panics, so it exits cleanly.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// The fleet, split for one drive, and the guard that puts it back.
+/// Workers share the routing table while the calling thread keeps the
+/// counters, the gateway stash, the pending set, and every engine no
+/// shard is currently holding; dropping the state returns every engine
+/// to the fleet, on every exit path, unwinding included.
 struct DriveState<'f> {
-    routes: &'f GatewayRoutes,
+    routes: &'f Arc<GatewayRoutes>,
     counters: &'f mut GatewayCounters,
     gateway_rx: &'f mut [Vec<ReceivedMessage>],
     /// The clusters the next epoch polls.
     pending: &'f mut ClusterSet,
+    /// The fleet's engine list, empty until the drive ends.
+    clusters: &'f mut Vec<Box<dyn BusEngine>>,
     /// Engines by cluster; `None` while lent to a shard.
-    slots: Vec<Option<&'f mut Box<dyn BusEngine>>>,
+    slots: Vec<Option<Box<dyn BusEngine>>>,
 }
 
-/// The fleet drive loop: cluster shards on scoped worker threads, one
+impl Drop for DriveState<'_> {
+    fn drop(&mut self) {
+        // The rendezvous takes every lease home before it re-raises a
+        // shard's panic, so each slot is full unless a worker died
+        // holding a lease, which already panicked the drive: the fleet
+        // then keeps no engines rather than misnumbered ones.
+        if self.slots.iter().all(Option::is_some) {
+            *self.clusters = mem::take(&mut self.slots).into_iter().flatten().collect();
+        }
+    }
+}
+
+/// The fleet drive loop: cluster shards on pooled worker threads, one
 /// [`InterleavedScheduler`] per shard, gateway envelopes exchanged at
 /// cross-worker epoch barriers, cluster `c` always on shard
 /// `c % workers`.
@@ -236,8 +328,10 @@ struct DriveState<'f> {
 /// epochs and drives. `ShardedFleet::new(1)` is the single-threaded
 /// drain of both [`FleetSchedule::Batched`](super::FleetSchedule::Batched)
 /// and [`FleetSchedule::Interleaved`](super::FleetSchedule::Interleaved).
-/// Each drive opens one thread scope whose workers serve every epoch of
-/// that drive; [`ShardedFleet::per_epoch_spawn`] opens one per epoch
+/// Its worker threads, one per shard beyond the first, are spawned on
+/// the first drive that needs them, serve every later epoch and drive,
+/// and are joined when the `ShardedFleet` drops;
+/// [`ShardedFleet::per_epoch_spawn`] joins them after every epoch
 /// instead. A `ShardedFleet` is reusable across drives and accumulates
 /// its counters.
 ///
@@ -267,8 +361,9 @@ struct DriveState<'f> {
 #[derive(Debug)]
 pub struct ShardedFleet {
     shards: usize,
-    /// One thread scope per drive (the default) vs one per epoch.
-    scope_per_drive: bool,
+    /// Whether the pool outlives an epoch (the default) or is closed
+    /// after each one.
+    keep_workers: bool,
     /// One scheduler per shard, so fairness counters accumulate across
     /// epochs and drives. Lent to the shard's worker during an epoch.
     schedulers: Vec<InterleavedScheduler>,
@@ -276,6 +371,8 @@ pub struct ShardedFleet {
     /// Cumulative wall-clock nanoseconds per shard (epoch bodies only,
     /// barrier time excluded), indexed by shard.
     shard_wall_nanos: Vec<u64>,
+    /// Worker threads for shards `1..`.
+    pool: Pool,
 }
 
 impl Default for ShardedFleet {
@@ -288,24 +385,25 @@ impl ShardedFleet {
     /// Creates a driver that spreads each epoch across up to `shards`
     /// workers (0 is treated as 1; the effective worker count is
     /// further clamped to the driven fleet's cluster count), keeping
-    /// one set of worker threads per drive.
+    /// its worker threads until it drops.
     pub fn new(shards: usize) -> Self {
         ShardedFleet {
             shards: shards.max(1),
-            scope_per_drive: true,
+            keep_workers: true,
             schedulers: Vec::new(),
             epochs: 0,
             shard_wall_nanos: Vec::new(),
+            pool: Pool::default(),
         }
     }
 
-    /// The spawn-per-epoch baseline: [`ShardedFleet::new`] with the
-    /// thread scope closed after every epoch, kept so benches can
-    /// measure what keeping workers across a drive buys. Output is
-    /// identical to every other mode.
+    /// The spawn-per-epoch baseline: [`ShardedFleet::new`] with its
+    /// worker threads joined after every epoch, kept so benches can
+    /// measure what keeping workers buys. Output is identical to every
+    /// other mode.
     pub fn per_epoch_spawn(shards: usize) -> Self {
         ShardedFleet {
-            scope_per_drive: false,
+            keep_workers: false,
             ..ShardedFleet::new(shards)
         }
     }
@@ -417,81 +515,45 @@ impl ShardedFleet {
             ..
         } = &mut *fleet;
         let GatewayNode { routes, counters } = gateway;
-        let routes = &*routes;
         let mut state = DriveState {
             routes,
             counters,
             gateway_rx,
             pending,
-            slots: clusters.iter_mut().map(Some).collect(),
+            slots: mem::take(clusters).into_iter().map(Some).collect(),
+            clusters,
         };
         while !state.pending.is_empty() {
-            // Shard 0 runs on this thread; shards 1.. each get a
-            // worker that serves leases until its channel closes. The
-            // scope outlives every lease, so the borrow checker proves
-            // no worker can touch an engine after the drive returns.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "`ShardedFleet` is the one layer that runs shards on threads"
-            )]
-            thread::scope(|scope| {
-                let (done_tx, done) = mpsc::channel::<Returned<'_>>();
-                let (lanes, handles): (Vec<Sender<ShardLease<'_>>>, Vec<_>) = (1..workers)
-                    .map(|_| {
-                        let (lane, leases) = mpsc::channel::<ShardLease<'_>>();
-                        let done_tx = done_tx.clone();
-                        let handle = scope.spawn(move || {
-                            for lease in leases {
-                                if done_tx.send(lease.run(routes)).is_err() {
-                                    return;
-                                }
-                            }
-                        });
-                        (lane, handle)
-                    })
-                    .unzip();
-                loop {
-                    self.epoch(&mut state, &lanes, &done, sink);
-                    if state.pending.is_empty() || !self.scope_per_drive {
-                        break;
-                    }
-                }
-                // Close the lanes and join each worker explicitly: the
-                // scope's implicit join can return before a thread has
-                // fully exited, and under glibc the next scope's threads
-                // then each get a fresh malloc arena instead of reusing
-                // this one's (fleetbench `wire_sense` peak RSS grew ≈20%).
-                drop(lanes);
-                for handle in handles {
-                    handle.join().expect("shard workers contain their panics");
-                }
-            });
+            self.pool.grow(workers - 1);
+            self.epoch(&mut state, workers, sink);
+            if !self.keep_workers {
+                self.pool.close();
+            }
         }
+        drop(state);
         #[cfg(debug_assertions)]
         assert_quiescent(fleet);
     }
 
     /// Runs one epoch over the pending clusters — shard 0 here, shard
-    /// `s` on `lanes[s - 1]` — and its barrier, which leaves the
-    /// destinations of the epoch's forwarded legs as the next pending
-    /// set. Counts the epoch if it made progress (ran a transaction or
-    /// routed an envelope).
-    fn epoch<'f>(
+    /// `s` on the pool's worker `s - 1` — and its barrier, which leaves
+    /// the destinations of the epoch's forwarded legs as the next
+    /// pending set. Counts the epoch if it made progress (ran a
+    /// transaction or routed an envelope).
+    fn epoch(
         &mut self,
-        state: &mut DriveState<'f>,
-        lanes: &[Sender<ShardLease<'f>>],
-        done: &Receiver<Returned<'f>>,
+        state: &mut DriveState<'_>,
+        workers: usize,
         sink: &mut dyn FnMut(FleetRecord),
     ) {
         let active = state.pending.take();
 
-        // Lend each shard exclusive access to exactly its clusters'
+        // Lend each shard exclusive ownership of exactly its clusters'
         // engines — cluster `c` to shard `c % workers`, in one pass, so
         // each shard's entries ascend — plus its scheduler. A run of
         // consecutive clusters fills every shard's share exactly.
-        let workers = lanes.len() + 1;
         let share = active.len().div_ceil(workers);
-        let mut leases: Vec<ShardLease<'f>> = self
+        let mut leases: Vec<ShardLease> = self
             .schedulers
             .iter_mut()
             .take(workers)
@@ -500,6 +562,7 @@ impl ShardedFleet {
                 shard,
                 engines: Vec::with_capacity(share),
                 scheduler: mem::take(scheduler),
+                routes: Arc::clone(state.routes),
             })
             .collect();
         for &c in &active {
@@ -508,21 +571,26 @@ impl ShardedFleet {
                 .expect("each cluster polls once an epoch");
             leases[c % workers].engines.push((c, engine));
         }
+        let pool = &self.pool.workers[..workers - 1];
         let mut leases = leases.into_iter();
         let local = leases.next().expect("at least one shard");
-        for (lease, lane) in leases.zip(lanes) {
-            lane.send(lease)
-                .expect("workers serve until the scope closes");
+        for (lease, worker) in leases.zip(pool) {
+            worker
+                .lane
+                .send(lease)
+                .expect("workers serve until their pool closes");
         }
 
-        // Rendezvous: take every lease home (shard 0's first, then the
-        // workers' in completion order) before anything else touches
-        // the engines; a shard's panic is re-raised only once all are.
+        // Rendezvous: take every lease home, in shard order, before
+        // anything else touches the engines; a shard's panic is
+        // re-raised only once all are.
         let mut results: Vec<Option<ShardEpoch>> = Vec::new();
-        results.resize_with(lanes.len() + 1, || None);
+        results.resize_with(workers, || None);
         let mut first_panic = None;
-        let local = local.run(state.routes);
-        for (lease, outcome) in std::iter::once(local).chain(done.iter().take(lanes.len())) {
+        let returned = pool.iter().map(|worker| {
+            (worker.home.recv()).expect("a worker sends every lease home before it exits")
+        });
+        for (lease, outcome) in std::iter::once(local.run()).chain(returned) {
             for (cluster, engine) in lease.engines {
                 state.slots[cluster] = Some(engine);
             }
@@ -788,7 +856,7 @@ mod tests {
 
     #[test]
     fn per_epoch_spawn_matches_persistent_modes() {
-        // Both execution modes (workers per drive, workers per epoch)
+        // Both execution modes (workers kept, workers per epoch)
         // produce the identical stream.
         for kind in EngineKind::ALL {
             let runs: Vec<Vec<FleetRecord>> =
@@ -811,8 +879,60 @@ mod tests {
                         records
                     })
                     .collect();
-            assert_eq!(runs[0], runs[1], "{kind}: per-drive == per-epoch workers");
+            assert_eq!(runs[0], runs[1], "{kind}: kept == per-epoch workers");
         }
+    }
+
+    #[test]
+    fn workers_live_as_long_as_their_sharded_fleet() {
+        // Three drives of an eight-cluster exchange, two epochs each
+        // (envelopes, then forwarded legs); returns the pool's spawn
+        // log.
+        let drive_thrice = |sharded: &mut ShardedFleet| {
+            let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
+            for round in 0..3u8 {
+                for c in 0..8 {
+                    fleet
+                        .queue_remote(
+                            FleetNodeId::new(c, 1),
+                            FleetNodeId::new((c + 1) % 8, 2),
+                            FuId::ZERO,
+                            vec![round],
+                        )
+                        .unwrap();
+                }
+                sharded.drive(&mut fleet, &mut |_| {});
+            }
+            assert_eq!(sharded.epochs(), 6);
+            sharded.pool.spawned.clone()
+        };
+        let ids = |spawned: &[(thread::ThreadId, std::sync::Weak<()>)]| {
+            spawned.iter().map(|(id, _)| *id).collect::<Vec<_>>()
+        };
+        let alive = |spawned: &[(thread::ThreadId, std::sync::Weak<()>)]| {
+            spawned
+                .iter()
+                .filter(|(_, token)| token.upgrade().is_some())
+                .count()
+        };
+
+        let mut kept = ShardedFleet::new(3);
+        let spawned = drive_thrice(&mut kept);
+        let serving: Vec<_> = (kept.pool.workers.iter())
+            .map(|w| w.thread.thread().id())
+            .collect();
+        assert_eq!(spawned.len(), 2, "shards 1 and 2 each got one worker");
+        assert_eq!(ids(&spawned), serving, "the same two served every drive");
+        assert_eq!(alive(&spawned), 2);
+        drop(kept);
+        assert_eq!(alive(&spawned), 0, "dropping the fleet joins its workers");
+
+        let mut per_epoch = ShardedFleet::per_epoch_spawn(3);
+        let spawned = drive_thrice(&mut per_epoch);
+        let distinct: std::collections::HashSet<_> = ids(&spawned).into_iter().collect();
+        assert_eq!(distinct.len(), 2 * 6, "two new workers every epoch");
+        assert!(per_epoch.pool.workers.is_empty());
+        assert_eq!(alive(&spawned), 0, "each epoch joins its workers");
     }
 
     #[test]
@@ -897,9 +1017,11 @@ mod tests {
     fn sink_panic_unwinds_without_hanging_and_the_fleet_drives_again() {
         // A sink that panics at the barrier unwinds out of a two-shard
         // drive on either engine: the worker's lease is already home,
-        // the scope joins, and the payload reaches the caller intact.
-        // The same ShardedFleet then completes the next drive, its counters
-        // intact (the first epoch's two envelope legs still count).
+        // the drive's guard puts every engine back into the fleet, and
+        // the payload reaches the caller intact. The same ShardedFleet
+        // then completes the next drive on the same worker, its
+        // counters intact (the first epoch's two envelope legs still
+        // count).
         for kind in EngineKind::ALL {
             let mut fleet = Fleet::new(kind, BusConfig::default());
             for _ in 0..2 {
@@ -929,11 +1051,20 @@ mod tests {
                 Some(&"sink refused a record"),
                 "{kind}"
             );
+            // Each engine is back in its cluster, holding the state of
+            // the envelope it ran before the sink refused the record.
+            assert_eq!(fleet.cluster_count(), 2, "{kind}");
+            for c in 0..2 {
+                assert_eq!(fleet.clusters[c].node_count(), 2, "{kind}: cluster {c}");
+                assert_eq!(fleet.stats(c).transactions, 1, "{kind}: cluster {c}");
+            }
+            let workers = sharded.pool.spawned.len();
             queue(&mut fleet, 1);
             let mut n = 0;
             sharded.drive(&mut fleet, &mut |_| n += 1);
             assert_eq!(n, 4, "{kind}: two envelopes + two forwarded legs");
             assert_eq!(sharded.transactions(), 6, "{kind}");
+            assert_eq!((workers, sharded.pool.spawned.len()), (1, 1), "{kind}");
         }
     }
 }

@@ -93,7 +93,7 @@ pub mod timing;
 pub mod trace;
 pub mod wire;
 
-pub use addr::{Address, BroadcastChannel, FuId, FullPrefix, ShortPrefix};
+pub use addr::{Address, BroadcastChannel, EncodedAddress, FuId, FullPrefix, ShortPrefix};
 pub use analytic::{AnalyticBus, ArbitrationPolicy};
 pub use behavior::NodeBehavior;
 pub use config::BusConfig;

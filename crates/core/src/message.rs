@@ -117,7 +117,7 @@ impl Message {
     /// The full bit stream for the address + data phases, MSB-first.
     pub fn to_bits(&self) -> Vec<bool> {
         let mut bits = Vec::with_capacity(self.wire_bits() as usize);
-        for byte in self.dest.encode() {
+        for &byte in self.dest.encode().iter() {
             push_byte(&mut bits, byte);
         }
         for &byte in &self.payload {

@@ -875,13 +875,15 @@ pub struct ScenarioReport {
 
 /// The engine-independent essence of a report, borrowed from it: what
 /// two engines must agree on. Compare with `assert_eq!`; equality, like
-/// the digest, ignores each delivery's engine-stamped time `at`.
+/// the digest, ignores each delivery's engine-stamped time `at` and
+/// each record's stored `seq` (a record's number in the signature is
+/// its position in `records`).
 #[derive(Clone, Debug)]
 pub struct ScenarioSignature<'r> {
     /// The record stream (non-null records only when the workload
     /// transmits from power-gated nodes; see
-    /// [`Workload::allow_wake_nulls`]), renumbered consecutively.
-    pub records: Vec<EngineRecord>,
+    /// [`Workload::allow_wake_nulls`]), numbered by position.
+    pub records: Vec<&'r EngineRecord>,
     /// Per node: every delivery, in order.
     pub deliveries: &'r [Vec<ReceivedMessage>],
     /// Per-node wake events and layer wakes (strict workloads only —
@@ -891,8 +893,12 @@ pub struct ScenarioSignature<'r> {
 
 impl<'r> PartialEq for ScenarioSignature<'r> {
     fn eq(&self, other: &Self) -> bool {
+        let record = |r: &&'r EngineRecord| EngineRecord { seq: 0, ..**r };
         let key = |m: &'r ReceivedMessage| (m.from, m.dest, &m.payload);
-        self.records == other.records
+        self.records
+            .iter()
+            .map(record)
+            .eq(other.records.iter().map(record))
             && self.wakes == other.wakes
             && self.deliveries.len() == other.deliveries.len()
             && (self.deliveries.iter().zip(other.deliveries))
@@ -903,24 +909,25 @@ impl<'r> PartialEq for ScenarioSignature<'r> {
 impl Eq for ScenarioSignature<'_> {}
 
 /// The one signature builder, one [`ScenarioSignature`] per bus, for
-/// both report kinds: one pass buckets `(bus, record)` pairs by bus
-/// (ignoring buses outside `rx`), drops nulls unless `strict_nulls` and
-/// renumbers `seq` per bus. Deliveries and wakes are borrowed.
+/// both report kinds: a counting pass sizes each bus's bucket, then a
+/// second pass fills it with borrowed `(bus, record)` pairs (ignoring
+/// buses outside `rx`, and nulls unless `strict_nulls`). No record,
+/// delivery or wake is copied.
 pub(crate) fn bus_signatures<'r>(
-    records: impl Iterator<Item = (usize, &'r EngineRecord)>,
+    records: impl Iterator<Item = (usize, &'r EngineRecord)> + Clone,
     rx: &'r [Vec<Vec<ReceivedMessage>>],
     wake_events: &'r [Vec<u64>],
     stats: &'r [BusStats],
     strict_nulls: bool,
 ) -> Vec<ScenarioSignature<'r>> {
-    let mut buckets: Vec<Vec<EngineRecord>> = vec![Vec::new(); rx.len()];
-    for (bus, r) in records.filter(|(_, r)| strict_nulls || !r.is_null()) {
-        if let Some(bucket) = buckets.get_mut(bus) {
-            bucket.push(EngineRecord {
-                seq: bucket.len() as u64,
-                ..*r
-            });
-        }
+    let kept = records.filter(|&(bus, r)| bus < rx.len() && (strict_nulls || !r.is_null()));
+    let mut counts = vec![0; rx.len()];
+    for (bus, _) in kept.clone() {
+        counts[bus] += 1;
+    }
+    let mut buckets: Vec<Vec<&EngineRecord>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (bus, r) in kept {
+        buckets[bus].push(r);
     }
     (buckets.into_iter().zip(rx).enumerate())
         .map(|(bus, (records, deliveries))| ScenarioSignature {
@@ -989,20 +996,33 @@ mod tests {
 
     #[test]
     fn non_strict_signature_drops_nulls_and_renumbers() {
-        let w = Workload::new("nulls", BusConfig::default())
+        // The same send with and without a leading null: the null is
+        // dropped, and the send then counts as record 0 in both
+        // signatures, so they compare and digest equal although the
+        // stored `seq`s differ.
+        let send = |w: Workload| {
+            w.send(0, Message::new(short(0x2, 0x0), vec![1]))
+                .drain()
+                .allow_wake_nulls()
+        };
+        let nodes = Workload::new("nulls", BusConfig::default())
             .node(spec("a", 0x1, 0x1, false))
-            .node(spec("b", 0x2, 0x2, true))
-            .wakeup(1)
-            .drain()
-            .send(0, Message::new(short(0x2, 0x0), vec![1]))
-            .drain()
-            .allow_wake_nulls();
-        let report = w.run_on(EngineKind::Analytic);
-        assert_eq!(report.records.len(), 2);
-        let sig = report.signature();
+            .node(spec("b", 0x2, 0x2, true));
+        let with_null = send(nodes.clone().wakeup(1).drain()).run_on(EngineKind::Analytic);
+        let without = send(nodes).run_on(EngineKind::Analytic);
+        assert!(with_null.records[0].is_null());
+        assert_eq!(with_null.records[1].seq, 1);
+        assert_eq!(without.records.len(), 1);
+        assert_eq!(without.records[0].seq, 0);
+        let sig = with_null.signature();
         assert_eq!(sig.records.len(), 1, "null dropped");
-        assert_eq!(sig.records[0].seq, 0, "renumbered");
         assert!(sig.wakes.is_none());
+        assert_eq!(sig, without.signature());
+        assert_eq!(
+            crate::trace::scenario_digest(&sig),
+            crate::trace::scenario_digest(&without.signature()),
+            "renumbered"
+        );
     }
 
     #[test]

@@ -2125,10 +2125,12 @@ fn outcome_code(outcome: TxOutcome) -> u8 {
     }
 }
 
-fn digest_records(h: &mut Fnv, records: &[EngineRecord]) {
+/// Hashes each record under its position in the signature's stream,
+/// not its engine-stored `seq`.
+fn digest_records(h: &mut Fnv, records: &[&EngineRecord]) {
     h.usize(records.len());
-    for r in records {
-        h.u64(r.seq);
+    for (seq, r) in records.iter().enumerate() {
+        h.usize(seq);
         h.u64(r.cycles);
         match r.winner {
             Some(node) => {

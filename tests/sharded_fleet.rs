@@ -193,7 +193,7 @@ fn sharded_fairness_counters_are_consistent() {
 
 #[test]
 fn rebalance_schedules_produce_identical_merged_streams() {
-    // The spawn-mode axis: workers kept per drive or spawned per
+    // The spawn-mode axis: workers kept across drives or spawned per
     // epoch yield the identical merged stream and signature on every
     // engine kind and shard count, including more shards than
     // clusters.
@@ -258,7 +258,7 @@ fn each_cluster_runs_on_its_fixed_shard() {
 fn per_epoch_spawn_baseline_stays_conformant_over_seeds() {
     // A smaller battery for the spawn-per-epoch baseline mode, so the
     // bench's comparison shape stays pinned to the same bit-identity
-    // contract as workers kept per drive.
+    // contract as workers kept across drives.
     for seed in 0..common::scaled_seeds(40) {
         let w = FleetWorkload::seeded(seed);
         let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
