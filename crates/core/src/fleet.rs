@@ -1796,7 +1796,15 @@ impl FleetWorkload {
         sharded: &mut ShardedFleet,
         settle: &mut SettleState<'_>,
     ) -> FleetReport {
-        let mut records = Vec::new();
+        // The first block is 64 records (3.5 KiB), above the 1032-byte
+        // limit of glibc's per-thread cache. That cache can hand this
+        // thread a small block a shard worker allocated (the fleet's
+        // engines, grown on workers, are freed here), and realloc grows
+        // a block inside the arena it came from, so a 4-record first
+        // block could double the whole record stream inside a worker's
+        // arena (+10 MiB peak RSS on fleetbench `duty_closed` when it
+        // happens). From 64 up the capacities match `Vec::new()`'s.
+        let mut records = Vec::with_capacity(64);
         for step in &self.steps {
             match step {
                 FleetStep::Local { src, msg } => {
