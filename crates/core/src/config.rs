@@ -153,18 +153,6 @@ impl BusConfig {
     pub fn mediator_wakeup_cycles(&self) -> u32 {
         self.mediator_wakeup_cycles
     }
-
-    /// The highest bus clock an `n`-node ring supports under this
-    /// configuration's hop delay: signals must traverse the full ring
-    /// within one clock period (Fig. 9).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` — a bus needs a mediator and at least one
-    /// member.
-    pub fn max_clock_hz_for_nodes(&self, n: usize) -> u64 {
-        max_clock_hz(n, self.hop_delay)
-    }
 }
 
 /// Fig. 9's curve: the maximum bus clock for an `n`-node ring with the

@@ -191,7 +191,7 @@ fn unpack_prefix(prefix: FullPrefix) -> (usize, usize) {
 
 /// The full prefix fleet node `id` holds: its cluster's gateway
 /// presence or one of its sensors.
-pub(crate) fn node_full_prefix(id: FleetNodeId) -> FullPrefix {
+fn node_full_prefix(id: FleetNodeId) -> FullPrefix {
     if id.node == GATEWAY_NODE {
         gateway_full_prefix(id.cluster)
     } else {
@@ -199,24 +199,70 @@ pub(crate) fn node_full_prefix(id: FleetNodeId) -> FullPrefix {
     }
 }
 
-/// The message a sender queues to reach `dest`'s functional unit `fu`
-/// through the gateway: a v1 envelope, or a v2 one carrying `ttl`,
-/// addressed to the forwarding port. Unchecked — callers hold it to
-/// the bus's length limit with [`Message::validate`].
-pub(crate) fn envelope_message(
-    dest: FullPrefix,
+/// `payload` behind the envelope header for `dest`'s `fu` (v1, or v2
+/// carrying `ttl`), addressed to the gateway's forwarding port. The
+/// header is written in front of `payload` in place. Unchecked.
+fn envelope_message(dest: FullPrefix, fu: FuId, mut payload: Vec<u8>, ttl: Option<u8>) -> Message {
+    let [a, b, c, d] = full_address_bytes(dest, fu);
+    let v2 = [ENVELOPE_MAGIC, ttl.unwrap_or(0) << 4, a, b, c, d];
+    let header = if ttl.is_some() { &v2[..] } else { &v2[2..] };
+    payload.extend_from_slice(header);
+    payload.rotate_right(header.len());
+    let port = Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU);
+    Message::new(port, payload)
+}
+
+/// A copy of `payload` with room for an envelope header in front.
+fn with_header_room(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(MAX_ENVELOPE_HEADER + payload.len());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The one checked constructor of a remote envelope (every remote step
+/// and [`Fleet::remote_message`] build through it): `payload` for
+/// `dest`'s `fu`, v2 when `ttl` is given. `ring` is the destination
+/// cluster's node count, `None` for an undeclared cluster. The caller
+/// sets priority with [`Message::with_priority`].
+///
+/// # Errors
+///
+/// As [`Fleet::remote_message_ttl`].
+pub(crate) fn checked_envelope(
+    config: &BusConfig,
+    ring: Option<usize>,
+    dest: FleetNodeId,
     fu: FuId,
-    payload: &[u8],
+    payload: Vec<u8>,
     ttl: Option<u8>,
-) -> Message {
-    let envelope = match ttl {
-        Some(ttl) => GatewayNode::encapsulate_ttl(dest, fu, payload, ttl),
-        None => GatewayNode::encapsulate(dest, fu, payload),
-    };
-    Message::new(
-        Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
-        envelope,
-    )
+) -> Result<Message, MbusError> {
+    if ttl.is_some_and(|t| !(1..=MAX_TTL).contains(&t)) {
+        return Err(MbusError::MalformedAddress {
+            reason: "envelope TTL out of range (1..=15)",
+        });
+    }
+    let ring = ring.ok_or(MbusError::UnknownCluster {
+        index: dest.cluster,
+    })?;
+    if dest.node >= ring {
+        return Err(MbusError::UnknownNode { index: dest.node });
+    }
+    if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
+        return Err(MbusError::MalformedAddress {
+            reason: "a remote message may not target a gateway forwarding port",
+        });
+    }
+    let msg = envelope_message(node_full_prefix(dest), fu, payload, ttl);
+    msg.validate(config)?;
+    Ok(msg)
+}
+
+/// A remote step's envelope read back: the destination fu, the TTL of
+/// a v2 envelope (`None` for v1) and the inner payload.
+pub(crate) fn open_remote(msg: &Message) -> (FuId, Option<u8>, &[u8]) {
+    let envelope = msg.payload();
+    let (_, fu, ttl, _, inner) = GatewayNode::open(envelope).expect("a checked envelope");
+    (fu, (envelope[0] == ENVELOPE_MAGIC).then_some(ttl), inner)
 }
 
 /// A fleet-wide node identity: which cluster bus, and which ring
@@ -587,10 +633,7 @@ impl GatewayNode {
     /// what the sender puts on its own bus, addressed to the gateway's
     /// forwarding port (`0x1.fu0`).
     pub fn encapsulate(dest: FullPrefix, fu: FuId, payload: &[u8]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(4 + payload.len());
-        bytes.extend_from_slice(&full_address_bytes(dest, fu));
-        bytes.extend_from_slice(payload);
-        bytes
+        envelope_message(dest, fu, with_header_room(payload), None).into_payload()
     }
 
     /// Builds a **v2** forwarding envelope carrying an explicit TTL:
@@ -603,11 +646,7 @@ impl GatewayNode {
             (1..=MAX_TTL).contains(&ttl),
             "envelope TTL must be in 1..={MAX_TTL}"
         );
-        let mut bytes = Vec::with_capacity(MAX_ENVELOPE_HEADER + payload.len());
-        bytes.extend_from_slice(&[ENVELOPE_MAGIC, ttl << 4]);
-        bytes.extend_from_slice(&full_address_bytes(dest, fu));
-        bytes.extend_from_slice(payload);
-        bytes
+        envelope_message(dest, fu, with_header_room(payload), Some(ttl)).into_payload()
     }
 
     /// Parses either envelope form into `(dest prefix, dest fu, ttl,
@@ -838,13 +877,6 @@ impl Fleet {
         FleetNodeId::new(cluster, node)
     }
 
-    fn engine(&self, id: FleetNodeId) -> Result<&dyn BusEngine, MbusError> {
-        self.clusters
-            .get(id.cluster)
-            .map(|e| e.as_ref())
-            .ok_or(MbusError::UnknownCluster { index: id.cluster })
-    }
-
     fn engine_mut(&mut self, id: FleetNodeId) -> Result<&mut dyn BusEngine, MbusError> {
         match self.clusters.get_mut(id.cluster) {
             Some(engine) => Ok(&mut **engine),
@@ -953,7 +985,7 @@ impl Fleet {
     /// forwarding port; decorate it (e.g. with
     /// [`Message::with_priority`], which affects the sender-side leg
     /// only — the forwarded leg is queued at normal priority) and pass
-    /// it to [`Fleet::queue`].
+    /// it to [`Fleet::queue`]. `payload` moves into the envelope.
     ///
     /// # Errors
     ///
@@ -970,7 +1002,8 @@ impl Fleet {
         fu: FuId,
         payload: Vec<u8>,
     ) -> Result<Message, MbusError> {
-        self.remote_envelope(dest, fu, &payload, None)
+        let ring = self.clusters.get(dest.cluster).map(|e| e.node_count());
+        checked_envelope(&self.config, ring, dest, fu, payload, None)
     }
 
     /// [`Fleet::remote_message`] with an explicit TTL: builds a **v2**
@@ -991,35 +1024,8 @@ impl Fleet {
         payload: Vec<u8>,
         ttl: u8,
     ) -> Result<Message, MbusError> {
-        self.remote_envelope(dest, fu, &payload, Some(ttl))
-    }
-
-    /// The shared body of [`Fleet::remote_message`] and
-    /// [`Fleet::remote_message_ttl`], borrowing the payload so a
-    /// replayed [`FleetStep::Remote`] copies it only into the envelope.
-    fn remote_envelope(
-        &self,
-        dest: FleetNodeId,
-        fu: FuId,
-        payload: &[u8],
-        ttl: Option<u8>,
-    ) -> Result<Message, MbusError> {
-        if ttl.is_some_and(|t| !(1..=MAX_TTL).contains(&t)) {
-            return Err(MbusError::MalformedAddress {
-                reason: "envelope TTL out of range (1..=15)",
-            });
-        }
-        if dest.node >= self.engine(dest)?.node_count() {
-            return Err(MbusError::UnknownNode { index: dest.node });
-        }
-        if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
-            return Err(MbusError::MalformedAddress {
-                reason: "a remote message may not target a gateway forwarding port",
-            });
-        }
-        let msg = envelope_message(node_full_prefix(dest), fu, payload, ttl);
-        msg.validate(&self.config)?;
-        Ok(msg)
+        let ring = self.clusters.get(dest.cluster).map(|e| e.node_count());
+        checked_envelope(&self.config, ring, dest, fu, payload, Some(ttl))
     }
 
     /// Queues a cross-cluster message: `src` sends `payload` to `dest`'s
@@ -1359,20 +1365,14 @@ pub enum FleetStep {
     Remote {
         /// The transmitting node.
         src: FleetNodeId,
-        /// The final destination, on any cluster.
+        /// The final destination, on any cluster: the node the
+        /// envelope header names.
         dest: FleetNodeId,
-        /// The destination functional unit.
-        fu: FuId,
-        /// The inner payload (the envelope header is added by the
-        /// fleet).
-        payload: Vec<u8>,
-        /// Whether the sender-side envelope leg claims the priority
-        /// arbitration round.
-        priority: bool,
-        /// Explicit mesh hop budget: `Some(ttl)` builds a v2 envelope
-        /// via [`Fleet::remote_message_ttl`], `None` the legacy v1
-        /// form (implicit [`DEFAULT_TTL`]).
-        ttl: Option<u8>,
+        /// The envelope, checked and built once with the step: a v1
+        /// header (implicit [`DEFAULT_TTL`]) or a v2 one with a TTL,
+        /// then the inner payload ([`GatewayNode::open`] reads them).
+        /// Priority claims the arbitration round for the sender's leg.
+        msg: Message,
     },
     /// Assert a node's interrupt port (§4.5).
     Wakeup {
@@ -1512,71 +1512,82 @@ impl FleetWorkload {
         self
     }
 
-    /// Appends a cross-cluster send step (normal priority).
+    /// Appends a cross-cluster send step (normal priority), its
+    /// envelope built and checked here.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an undeclared destination cluster, a destination node
+    /// past its ring, a gateway destination on fu 0, or a payload that
+    /// overflows `maxmsg` with the 4-byte header.
     pub fn send_remote(
-        mut self,
+        self,
         src: FleetNodeId,
         dest: FleetNodeId,
         fu: FuId,
         payload: Vec<u8>,
     ) -> Self {
-        self.steps.push(FleetStep::Remote {
-            src,
-            dest,
-            fu,
-            payload,
-            priority: false,
-            ttl: None,
-        });
-        self
+        self.push_remote(src, dest, fu, payload, None, false)
     }
 
     /// Appends a cross-cluster send step with an explicit mesh hop
     /// budget (a v2 envelope; see [`Fleet::remote_message_ttl`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`FleetWorkload::send_remote`], with a 6-byte header, and
+    /// for a `ttl` outside `1..=`[`MAX_TTL`].
     pub fn send_remote_ttl(
-        mut self,
+        self,
         src: FleetNodeId,
         dest: FleetNodeId,
         fu: FuId,
         payload: Vec<u8>,
         ttl: u8,
     ) -> Self {
-        self.steps.push(FleetStep::Remote {
-            src,
-            dest,
-            fu,
-            payload,
-            priority: false,
-            ttl: Some(ttl),
-        });
-        self
+        self.push_remote(src, dest, fu, payload, Some(ttl), false)
     }
 
     /// Appends a cross-cluster send step whose envelope leg claims the
     /// priority round on the sender's bus.
+    ///
+    /// # Panics
+    ///
+    /// As [`FleetWorkload::send_remote`].
     pub fn send_remote_priority(
-        mut self,
+        self,
         src: FleetNodeId,
         dest: FleetNodeId,
         fu: FuId,
         payload: Vec<u8>,
     ) -> Self {
-        self.steps.push(FleetStep::Remote {
-            src,
-            dest,
-            fu,
-            payload,
-            priority: true,
-            ttl: None,
-        });
+        self.push_remote(src, dest, fu, payload, None, true)
+    }
+
+    /// The body of the `send_remote*` builders.
+    fn push_remote(
+        mut self,
+        src: FleetNodeId,
+        dest: FleetNodeId,
+        fu: FuId,
+        payload: Vec<u8>,
+        ttl: Option<u8>,
+        priority: bool,
+    ) -> Self {
+        let ring = self.clusters.get(dest.cluster).map(|s| s.len() + 1);
+        let msg = checked_envelope(&self.config, ring, dest, fu, payload, ttl)
+            .unwrap_or_else(|e| panic!("remote step to {dest} in '{}': {e}", self.name));
+        let msg = if priority { msg.with_priority() } else { msg };
+        self.steps.push(FleetStep::Remote { src, dest, msg });
         self
     }
 
     /// Replaces the step list with `steps`, moved in one go.
     /// Crate-internal: the trace parser and shrinker hand over a whole
     /// list, which may hold combinations the convenience builders
-    /// cannot express (a priority envelope with an explicit TTL). Every
-    /// step builder is a bare push, so this checks nothing they would.
+    /// cannot express (a priority envelope with an explicit TTL). Remote
+    /// envelopes are checked when made and every other step builder is
+    /// a bare push, so this checks nothing they would.
     pub(crate) fn with_steps(mut self, steps: Vec<FleetStep>) -> Self {
         self.steps = steps;
         self
@@ -1707,8 +1718,8 @@ impl FleetWorkload {
     ///
     /// Panics if the fleet's topology does not match — cluster count,
     /// per-cluster sensor counts, or any sensor's power-awareness — or
-    /// a step is rejected (fleet workloads are static; a rejection is a
-    /// bug in the workload definition).
+    /// a step's sender or local message is rejected (remote envelopes
+    /// were checked when built; a rejection is a workload bug).
     pub fn apply(&self, fleet: &mut Fleet) -> FleetReport {
         self.apply_scheduled(fleet, FleetSchedule::Batched)
     }
@@ -1807,24 +1818,8 @@ impl FleetWorkload {
         let mut records = Vec::with_capacity(64);
         for step in &self.steps {
             match step {
-                FleetStep::Local { src, msg } => {
-                    fleet.queue(*src, msg.clone()).expect("fleet local step");
-                }
-                FleetStep::Remote {
-                    src,
-                    dest,
-                    fu,
-                    payload,
-                    priority,
-                    ttl,
-                } => {
-                    let mut msg = fleet
-                        .remote_envelope(*dest, *fu, payload, *ttl)
-                        .expect("fleet remote step");
-                    if *priority {
-                        msg = msg.with_priority();
-                    }
-                    fleet.queue(*src, msg).expect("fleet remote queue");
+                FleetStep::Local { src, msg } | FleetStep::Remote { src, msg, .. } => {
+                    fleet.queue(*src, msg.clone()).expect("fleet queue step");
                 }
                 FleetStep::Wakeup { node } => {
                     fleet.request_wakeup(*node).expect("fleet wakeup step");
@@ -2020,7 +2015,7 @@ impl FleetWorkload {
                     let sensors = self.clusters[target_cluster].len();
                     let target = FleetNodeId::new(target_cluster, 1 + (id.node - 1) % sensors);
                     let msg = fleet
-                        .remote_envelope(target, *fu, payload, None)
+                        .remote_message(target, *fu, with_header_room(payload))
                         .expect("behavior cascade envelope");
                     batch.push((id, msg));
                 }
@@ -2049,7 +2044,8 @@ impl FleetWorkload {
             if fleet.gateway().route(prefix) == Some(id.cluster) {
                 return Some(Message::new(Address::full(prefix, rfu), payload.to_vec()));
             }
-            return Some(envelope_message(prefix, rfu, payload, None));
+            let inner = with_header_room(payload);
+            return Some(envelope_message(prefix, rfu, inner, None));
         }
         if trigger.from == GATEWAY_NODE {
             // A forwarded leg's bus-level sender is the gateway
@@ -2529,15 +2525,8 @@ impl FleetWorkload {
                     let prefix = FullPrefix::new(((hint as u32) << 4) | 0xE)
                         .expect("unroutable slot fits 20 bits");
                     let len = rng.gen_index(0..5);
-                    let envelope =
-                        GatewayNode::encapsulate(prefix, FuId::ZERO, &rng.gen_bytes(len));
-                    w = w.send_local(
-                        src,
-                        Message::new(
-                            Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
-                            envelope,
-                        ),
-                    );
+                    let envelope = envelope_message(prefix, FuId::ZERO, rng.gen_bytes(len), None);
+                    w = w.send_local(src, envelope);
                 }
                 8 => {
                     // Fleet-level mid-epoch queueing: stop after a few
@@ -3246,6 +3235,27 @@ mod tests {
         assert!(fleet
             .remote_message_ttl(dst, FuId::ZERO, vec![1], 1)
             .is_ok());
+    }
+
+    /// A bad remote step panics at its builder, with no fleet involved,
+    /// instead of later inside apply.
+    #[test]
+    fn remote_steps_are_checked_when_built() {
+        let w = || FleetWorkload::cross_storm(2, 1, 0);
+        let (src, dst) = (FleetNodeId::new(0, 1), FleetNodeId::new(1, 1));
+        let over = BusConfig::default().max_message_bytes() - 4 + 1;
+        for (dest, fu, len) in [
+            (FleetNodeId::new(2, 1), FuId::ZERO, 1), // undeclared cluster
+            (FleetNodeId::new(1, 2), FuId::ZERO, 1), // past the ring
+            (FleetNodeId::new(1, GATEWAY_NODE), GATEWAY_FORWARD_FU, 1),
+            (dst, FuId::ZERO, over),
+        ] {
+            let built = std::panic::catch_unwind(|| w().send_remote(src, dest, fu, vec![0; len]));
+            assert!(built.is_err(), "{dest} fu {fu} {len} bytes");
+        }
+        let ttl = std::panic::catch_unwind(|| w().send_remote_ttl(src, dst, FuId::ZERO, vec![], 0));
+        assert!(ttl.is_err(), "ttl 0 was accepted");
+        w().send_remote(src, dst, FuId::ZERO, vec![0; over - 1]);
     }
 
     /// Two domains bridged by one border gateway: an envelope from

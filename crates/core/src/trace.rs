@@ -74,10 +74,10 @@ use crate::addr::{Address, BroadcastChannel, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{NodeBehavior, DEFAULT_REPLY_HORIZON, MAX_BEHAVIOR_PAYLOAD};
 use crate::config::BusConfig;
 use crate::engine::{EngineKind, EngineRecord, MAX_BUS_NODES};
+use crate::error::MbusError;
 use crate::fleet::{
-    envelope_message, node_full_prefix, Fleet, FleetNodeId, FleetSchedule, FleetSignature,
-    FleetStep, FleetWorkload, MeshRoute, GATEWAY_FORWARD_FU, GATEWAY_NODE, MAX_CLUSTERS,
-    MAX_ENVELOPE_HEADER, MAX_SENSORS_PER_CLUSTER, MAX_TTL,
+    checked_envelope, open_remote, Fleet, FleetNodeId, FleetSchedule, FleetSignature, FleetStep,
+    FleetWorkload, MeshRoute, MAX_CLUSTERS, MAX_ENVELOPE_HEADER, MAX_SENSORS_PER_CLUSTER, MAX_TTL,
 };
 use crate::message::Message;
 use crate::node::NodeSpec;
@@ -132,7 +132,7 @@ pub struct TraceMeta {
     /// Suggested fleet schedule for replay (`replay schedule=`).
     pub schedule: Option<FleetSchedule>,
     /// Pinned signature digest (`expect sig=`): every replay of this
-    /// trace must reproduce it (see [`Trace::run_digest`]).
+    /// trace must reproduce it (see [`scenario_digest`] and [`fleet_digest`]).
     pub expect_sig: Option<u64>,
 }
 
@@ -178,16 +178,6 @@ impl Trace {
             .copied()
             .filter(|&kind| self.wire_comparable() || kind != EngineKind::Wire)
             .collect()
-    }
-
-    /// Replays the trace on `kind` (fleet traces under `schedule`;
-    /// single-bus traces ignore it) and returns the signature digest —
-    /// the value an `expect sig=` header pins.
-    pub fn run_digest(&self, kind: EngineKind, schedule: FleetSchedule) -> u64 {
-        match self {
-            Trace::Workload(w) => scenario_digest(&w.run_on(kind).signature()),
-            Trace::Fleet(w) => fleet_digest(&w.run_scheduled_on(kind, schedule).signature()),
-        }
     }
 }
 
@@ -299,10 +289,10 @@ impl TraceFile {
                     || w.reply_horizon() != DEFAULT_REPLY_HORIZON
                     || !w.mesh_routes().is_empty()
                     || w.cluster_domains().iter().any(|&d| d != 0)
-                    || w.steps()
-                        .iter()
-                        .any(|s| matches!(s, FleetStep::Remote { ttl: Some(_), .. }))
-                {
+                    || w.steps().iter().any(|s| match s {
+                        FleetStep::Remote { msg, .. } => open_remote(msg).1.is_some(),
+                        _ => false,
+                    }) {
                     2
                 } else {
                     1
@@ -516,14 +506,8 @@ fn write_fleet_step(out: &mut String, step: &FleetStep) {
             let _ = write!(out, "local {}", fleet_id_token(*src));
             write_msg_tail(out, msg);
         }
-        FleetStep::Remote {
-            src,
-            dest,
-            fu,
-            payload,
-            priority,
-            ttl,
-        } => {
+        FleetStep::Remote { src, dest, msg } => {
+            let (fu, ttl, payload) = open_remote(msg);
             let _ = write!(
                 out,
                 "remote {} {} {} {}",
@@ -535,7 +519,7 @@ fn write_fleet_step(out: &mut String, step: &FleetStep) {
             if let Some(ttl) = ttl {
                 let _ = write!(out, " ttl={ttl}");
             }
-            if *priority {
+            if msg.is_priority() {
                 out.push_str(" prio");
             }
             out.push('\n');
@@ -1283,16 +1267,8 @@ impl<'a> Parser<'a> {
         let dest = self.parse_fleet_id(line_no, line, toks, 2)?;
         let fu_tok = self.need(line_no, line, toks, 3, "destination functional unit")?;
         let fu = self.parse_fu(line_no, fu_tok)?;
-        if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
-            return Err(self.err(
-                line_no,
-                fu_tok.col,
-                "a remote message may not target a gateway forwarding port \
-                 (node 0, fu 0)",
-            ));
-        }
         let payload_tok = self.need(line_no, line, toks, 4, "payload hex (or -)")?;
-        let payload = self.parse_payload(line_no, payload_tok)?;
+        let payload = self.parse_payload(line_no, payload_tok, MAX_ENVELOPE_HEADER)?;
         let mut ttl: Option<u8> = None;
         let mut priority = false;
         for &tok in &toks[5.min(toks.len())..] {
@@ -1335,26 +1311,23 @@ impl<'a> Parser<'a> {
                 ));
             }
         }
-        // Only a payload within an envelope header of `maxmsg`
-        // can overflow it, so only those pay for building the
-        // envelope and validating it like any queued message.
-        if payload.len() + MAX_ENVELOPE_HEADER > self.config.max_message_bytes() {
-            let envelope = envelope_message(node_full_prefix(dest), fu, &payload, ttl);
-            let hint = if ttl.is_some() {
-                " (counting the 6-byte `ttl=` envelope header)"
-            } else {
-                " (counting the 4-byte envelope header)"
-            };
-            self.check_len(line_no, payload_tok, &envelope, hint)?;
-        }
-        self.fleet().steps.push(FleetStep::Remote {
-            src,
-            dest,
-            fu,
-            payload,
-            priority,
-            ttl,
-        });
+        // The id and `ttl=` checks above leave two rejections: the
+        // gateway's forwarding port and an envelope past `maxmsg`.
+        let ring = Some(self.fleet().clusters[dest.cluster].len() + 1);
+        let msg = match checked_envelope(&self.config, ring, dest, fu, payload, ttl) {
+            Ok(msg) if priority => msg.with_priority(),
+            Ok(msg) => msg,
+            Err(MbusError::MalformedAddress { reason }) => {
+                return Err(self.err(line_no, fu_tok.col, format!("{reason} (node 0, fu 0)")));
+            }
+            Err(e) => {
+                let hint = ttl.map_or("4-byte", |_| "6-byte `ttl=`");
+                let reason = format!("payload too long: {e} (counting the {hint} envelope header)");
+                return Err(self.err(line_no, payload_tok.col, reason));
+            }
+        };
+        let steps = &mut self.fleet().steps;
+        steps.push(FleetStep::Remote { src, dest, msg });
         Ok(())
     }
 
@@ -1887,7 +1860,7 @@ impl<'a> Parser<'a> {
         let fu_tok = self.need(line_no, line, toks, next, "behavior functional unit")?;
         let fu = self.parse_fu(line_no, fu_tok)?;
         let payload_tok = self.need(line_no, line, toks, next + 1, "payload hex (or -)")?;
-        let payload = self.parse_payload(line_no, payload_tok)?;
+        let payload = self.parse_payload(line_no, payload_tok, 0)?;
         if payload.len() > MAX_BEHAVIOR_PAYLOAD {
             return Err(self.err(
                 line_no,
@@ -1952,9 +1925,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_payload(&self, line_no: u32, tok: Tok<'a>) -> Result<Vec<u8>, TraceError> {
+    /// Decodes a payload token (`-` is empty) into a buffer with `room`
+    /// spare bytes, where a remote step writes its envelope header.
+    fn parse_payload(
+        &self,
+        line_no: u32,
+        tok: Tok<'a>,
+        room: usize,
+    ) -> Result<Vec<u8>, TraceError> {
         if tok.text == "-" {
-            return Ok(Vec::new());
+            return Ok(Vec::with_capacity(room));
         }
         let hex = tok.text;
         if !hex.len().is_multiple_of(2) {
@@ -1964,7 +1944,7 @@ impl<'a> Parser<'a> {
                 format!("odd-length payload hex `{hex}` ({} digit(s))", hex.len()),
             ));
         }
-        let mut payload = Vec::with_capacity(hex.len() / 2);
+        let mut payload = Vec::with_capacity(hex.len() / 2 + room);
         for (pair, digits) in hex.as_bytes().chunks_exact(2).enumerate() {
             let (high, low) = (HEX_VALUE[digits[0] as usize], HEX_VALUE[digits[1] as usize]);
             if high == NOT_HEX || low == NOT_HEX {
@@ -2023,7 +2003,7 @@ impl<'a> Parser<'a> {
         let addr_tok = self.need(line_no, line, toks, i, "destination address")?;
         let addr = self.parse_addr(line_no, addr_tok)?;
         let payload_tok = self.need(line_no, line, toks, i + 1, "payload hex (or -)")?;
-        let payload = self.parse_payload(line_no, payload_tok)?;
+        let payload = self.parse_payload(line_no, payload_tok, 0)?;
         let mut msg = Message::new(addr, payload);
         if self.parse_prio(line_no, toks, i + 2)? {
             msg = msg.with_priority();

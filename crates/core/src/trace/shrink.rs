@@ -38,7 +38,7 @@
 //!
 //! [`NodeBehavior`]: crate::behavior::NodeBehavior
 
-use crate::fleet::{FleetNodeId, FleetStep, FleetWorkload};
+use crate::fleet::{checked_envelope, open_remote, FleetNodeId, FleetStep, FleetWorkload};
 use crate::message::Message;
 use crate::scenario::{Step, Workload};
 
@@ -147,15 +147,16 @@ fn ddmin<P: Parts, T>(parts: &mut P, predicate: &mut Predicate<P>, list: List<P,
 
 /// Replaces each element by the first of its `candidates` (tried in
 /// order) the failure survives.
-fn shrink_each<P: Parts, T>(
+fn shrink_each<P: Parts, T: Clone>(
     parts: &mut P,
     predicate: &mut Predicate<P>,
     list: List<P, T>,
-    candidates: fn(&T) -> Vec<T>,
+    candidates: fn(&P, &T) -> Vec<T>,
 ) -> bool {
     let mut progress = false;
     for i in 0..list(parts).len() {
-        for candidate in candidates(&list(parts)[i]) {
+        let current = list(parts)[i].clone();
+        for candidate in candidates(parts, &current) {
             if attempt(parts, predicate, |p| list(p)[i] = candidate) {
                 progress = true;
                 break;
@@ -225,7 +226,7 @@ fn count_candidates(count: usize) -> Vec<usize> {
     out
 }
 
-fn step_payloads(step: &Step) -> Vec<Step> {
+fn step_payloads(_: &WorkloadParts, step: &Step) -> Vec<Step> {
     match step {
         Step::Queue { node, msg } => message_candidates(msg)
             .map(|msg| Step::Queue { node: *node, msg })
@@ -237,7 +238,7 @@ fn step_payloads(step: &Step) -> Vec<Step> {
     }
 }
 
-fn step_counts(step: &Step) -> Vec<Step> {
+fn step_counts(_: &WorkloadParts, step: &Step) -> Vec<Step> {
     match *step {
         Step::RunTransactions { count } => count_candidates(count)
             .into_iter()
@@ -260,7 +261,7 @@ fn targets_forwarding_port(dest: crate::addr::Address) -> bool {
     }
 }
 
-fn fleet_step_payloads(step: &FleetStep) -> Vec<FleetStep> {
+fn fleet_step_payloads(parts: &FleetParts, step: &FleetStep) -> Vec<FleetStep> {
     match step {
         // A local send to a forwarding port (fu 0 of a gateway
         // presence) is an envelope *because its payload decodes as
@@ -272,29 +273,29 @@ fn fleet_step_payloads(step: &FleetStep) -> Vec<FleetStep> {
         FleetStep::Local { src, msg } => message_candidates(msg)
             .map(|msg| FleetStep::Local { src: *src, msg })
             .collect(),
-        FleetStep::Remote {
-            src,
-            dest,
-            fu,
-            payload,
-            priority,
-            ttl,
-        } => payload_candidates(payload)
+        FleetStep::Remote { src, dest, msg } => payload_candidates(open_remote(msg).2)
             .into_iter()
             .map(|payload| FleetStep::Remote {
                 src: *src,
                 dest: *dest,
-                fu: *fu,
-                payload,
-                priority: *priority,
-                ttl: *ttl,
+                msg: reenvelope(parts, *dest, msg, payload),
             })
             .collect(),
         _ => Vec::new(),
     }
 }
 
-fn fleet_step_counts(step: &FleetStep) -> Vec<FleetStep> {
+/// `msg`'s envelope rebuilt by the one checked constructor for `dest`
+/// on `parts`' topology, carrying `payload`, with its fu, TTL and
+/// priority.
+fn reenvelope(parts: &FleetParts, dest: FleetNodeId, msg: &Message, payload: Vec<u8>) -> Message {
+    let (fu, ttl, _) = open_remote(msg);
+    let ring = parts.clusters.get(dest.cluster).map(|s| s.len() + 1);
+    let rebuilt = checked_envelope(&parts.config, ring, dest, fu, payload, ttl).expect("valid");
+    msg.with_payload(rebuilt.into_payload())
+}
+
+fn fleet_step_counts(_: &FleetParts, step: &FleetStep) -> Vec<FleetStep> {
     match *step {
         FleetStep::RunRounds { rounds } => count_candidates(rounds)
             .into_iter()
@@ -411,6 +412,16 @@ fn drop_unreferenced_clusters(
                 for id in p.steps.iter_mut().flat_map(step_ids) {
                     shift(&mut id.cluster);
                 }
+                // A remote destination past `i` moved: rebuild its header.
+                let mut steps = std::mem::take(&mut p.steps);
+                for step in &mut steps {
+                    if let FleetStep::Remote { dest, msg, .. } = step {
+                        if dest.cluster >= i {
+                            *msg = reenvelope(p, *dest, msg, open_remote(msg).2.to_vec());
+                        }
+                    }
+                }
+                p.steps = steps;
             });
         if dropped {
             progress = true;
@@ -534,9 +545,10 @@ mod tests {
             min.cluster_specs()
         );
         // Payloads shrink too.
-        let FleetStep::Remote { payload, .. } = &min.steps()[0] else {
+        let FleetStep::Remote { msg, .. } = &min.steps()[0] else {
             panic!("not a remote: {:?}", min.steps());
         };
+        let payload = open_remote(msg).2;
         assert!(payload.is_empty(), "payload minimized: {payload:?}");
     }
 

@@ -213,7 +213,6 @@ pub struct Circuit {
     nets: Vec<NetState>,
     pins: Vec<Pin>,
     components: Vec<Option<Box<dyn Component>>>,
-    component_names: Vec<String>,
     scheduler: Scheduler,
     now: SimTime,
     recorder: Recorder,
@@ -244,7 +243,6 @@ impl Circuit {
             nets: Vec::new(),
             pins: Vec::new(),
             components: Vec::new(),
-            component_names: Vec::new(),
             scheduler: Scheduler::new(),
             now: SimTime::ZERO,
             recorder: Recorder::default(),
@@ -273,11 +271,11 @@ impl Circuit {
     }
 
     /// Registers a component slot; bind behavior later with
-    /// [`Circuit::bind`] once its pins are known.
-    pub fn add_component(&mut self, name: impl Into<String>) -> ComponentId {
+    /// [`Circuit::bind`] once its pins are known. The name labels the
+    /// call site only; the circuit does not keep it.
+    pub fn add_component(&mut self, _name: impl Into<String>) -> ComponentId {
         let id = ComponentId(self.components.len() as u32);
         self.components.push(None);
-        self.component_names.push(name.into());
         id
     }
 
@@ -400,11 +398,6 @@ impl Circuit {
     /// Name given to a net at creation.
     pub fn net_name(&self, net: NetId) -> &str {
         &self.nets[net.0 as usize].name
-    }
-
-    /// Number of nets.
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
     }
 
     /// Current virtual time.
@@ -616,11 +609,6 @@ impl Circuit {
             recorder: &mut self.recorder,
         };
         model.on_timer(token, &mut ctx);
-    }
-
-    /// Name given to a component at registration.
-    pub fn component_name(&self, id: ComponentId) -> &str {
-        &self.component_names[id.0 as usize]
     }
 
     /// The model bound to `id`, if it is a `T`; `None` for an unbound

@@ -69,11 +69,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Returns the time in fractional microseconds.
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Returns the time in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12

@@ -1,10 +1,11 @@
 //! Allocation budget for parsing an `.mbt` trace.
 //!
 //! The parser reuses one token buffer for every line, decodes payload
-//! hex straight into an exactly sized buffer, and moves the step list
-//! into the workload in one go. So a parse allocates once per payload
-//! and once per declared cluster or behavior, plus the logarithmic
-//! growth of its lists. A counting global allocator measures one parse
+//! hex straight into an exactly sized buffer (a remote step's with
+//! room for the envelope header written in front of it), and moves the
+//! step list into the workload in one go. So a parse allocates once
+//! per non-empty payload or remote envelope and once per declared
+//! cluster or behavior, plus the logarithmic growth of its lists. A counting global allocator measures one parse
 //! of a generated fleet trace.
 //!
 //! The allocator counts every allocation in this test binary, so the
@@ -127,7 +128,8 @@ fn parsing_allocates_once_per_payload_and_declared_item() {
         .steps()
         .iter()
         .filter(|s| match s {
-            FleetStep::Remote { payload, .. } => !payload.is_empty(),
+            // A remote step's envelope always holds its header.
+            FleetStep::Remote { .. } => true,
             FleetStep::Local { msg, .. } => !msg.payload().is_empty(),
             _ => false,
         })

@@ -8,7 +8,7 @@
 
 mod common;
 
-use mbus_core::fleet::FleetStep;
+use mbus_core::fleet::{FleetStep, GatewayNode};
 use mbus_core::scenario::Step;
 use mbus_core::trace::TraceFile;
 use mbus_core::{
@@ -154,12 +154,10 @@ fn shrinker_converges_to_the_minimal_fleet() {
         "not minimal: {}",
         TraceFile::fleet(min.clone()).to_mbt()
     );
-    let FleetStep::Remote {
-        payload, src, dest, ..
-    } = &min.steps()[0]
-    else {
+    let FleetStep::Remote { src, dest, msg } = &min.steps()[0] else {
         panic!("surviving step should be the marker remote");
     };
+    let (_, _, _, _, payload) = GatewayNode::open(msg.payload()).expect("an envelope");
     assert_eq!(payload, &[MARKER]);
     // Cluster 2 (the decoy sender) is unreferenced and dropped, and
     // the surviving clusters keep only the sensors the remote needs.
